@@ -206,9 +206,8 @@ def validate_series(series: SensorSeries) -> SensorSeries:
         raise ValidationError(f"sensor series needs D >= 1 and T >= 1, got shape {d.shape}")
     if series.dt <= 0:
         raise ValidationError(f"sampling interval must be positive, got {series.dt}")
-    bad = np.argwhere(~np.isfinite(d))
-    if bad.size:
-        r, c = bad[0]
+    if not np.isfinite(d).all():
+        r, c = np.argwhere(~np.isfinite(d))[0]
         raise ValidationError(f"non-finite sensor value at channel {r}, timestep {c}")
     return series
 
@@ -219,13 +218,11 @@ def validate_fingerprint(fp: Fingerprint, registry: FunctionRegistry | None = No
         raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape {c.shape}")
     if fp.dt <= 0:
         raise ValidationError(f"sampling interval must be positive, got {fp.dt}")
-    bad = np.argwhere(~np.isfinite(c))
-    if bad.size:
-        r, t = bad[0]
+    if not np.isfinite(c).all():
+        r, t = np.argwhere(~np.isfinite(c))[0]
         raise ValidationError(f"non-finite count at function {r}, timestep {t}")
-    neg = np.argwhere(c < 0)
-    if neg.size:
-        r, t = neg[0]
+    if not (c >= 0).all():
+        r, t = np.argwhere(c < 0)[0]
         raise ValidationError(f"negative count {c[r, t]} at function {r}, timestep {t}")
     if registry is not None and fp.F != registry.F:
         raise ValidationError(

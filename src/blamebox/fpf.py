@@ -144,42 +144,76 @@ def deviation_mass(x: float, mean: float, var: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forms. The planner evaluates the deviation statistic for every
-# (observation, function, candidate failure time) triple, which is a banded
-# matrix product against the weight kernel rather than a triple loop.
-
-def weight_kernel(T: int, config: BlameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(K, N_w): K[t_fail, t] is the window weight of timestep t for a failure
-    at t_fail (zero outside the window); N_w[t_fail] is the window length."""
-    tf = np.arange(T)[:, None]
-    t = np.arange(T)[None, :]
-    delta = tf - t
-    in_win = (delta >= 0) & (delta < config.window_steps)
-    K = np.where(in_win, np.exp(-config.alpha * delta), 0.0)
-    n_w = in_win.sum(axis=1).astype(np.float64)
-    return K, n_w
+# Vectorized forms. The planner scores hypothetical failures of every stored
+# observation at sampled failure times, so the window statistics are kept for
+# every failure time, and erf is evaluated only at the times a caller reads.
 
 
-def deviation_grid(model: FpfModel, counts: np.ndarray,
-                   config: BlameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Deviation mass and window-inactivity mask for all failure times at once.
+def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
+    """In place, y[t] <- sum_{k < W, k <= t} r**k * y[t - k] along the leading
+    (time) axis; returns ``y``.
 
-    ``counts`` may be one fingerprint matrix (F, T) or a stack (n, F, T);
-    outputs have the same leading shape with a trailing t_fail axis.
-    A function is "inactive" at (obs, t_fail) when both the model mean and the
-    executed counts are ~zero (<= 1e-9) everywhere inside the window.
+    The window is a truncated exponential, so this is the decayed prefix sum
+    P[t] = r*P[t-1] + y[t] minus r**W * P[t-W]: O(T) per cell. With r = 1 a
+    window of zeros sums to exactly 0, since its two prefix sums are equal.
     """
-    K, n_w = weight_kernel(model.T, config)
-    mean_exp = (model.mean @ K.T) / n_w
-    var_exp = (model.var @ (K * K).T) / (n_w * n_w)
-    exec_wm = (counts @ K.T) / n_w
-    z = (exec_wm - mean_exp) / np.sqrt(var_exp)
-    pd = np.minimum(0.5 * np.abs(erf(z / math.sqrt(2.0))), _HALF_OPEN)
-    occupancy = (K > 0).astype(np.float64).T   # (T, T_fail)
-    model_active = (model.mean @ occupancy) > 1e-9
-    exec_active = (counts @ occupancy) > 1e-9
-    inactive = ~(model_active | exec_active)
-    return pd, inactive
+    for t in range(1, y.shape[0]):
+        y[t] += r * y[t - 1]
+    for t in range(y.shape[0] - 1, W - 1, -1):   # backwards: y[t - W] is still P[t - W]
+        y[t] -= r ** W * y[t - W]
+    return y
+
+
+@dataclass(frozen=True)
+class DeviationGrid:
+    """Window statistics for every failure time, stored time-major so that
+    gathering failure times reads contiguous rows.
+
+    ``mean``/``var`` (T, F): the model's weighted window mean and the variance
+    of that mean; ``exec_mean`` (T, n, F): each fingerprint's weighted window
+    mean; ``model_active``/``exec_active``: the window sum of the model mean or
+    of the executed counts is above 1e-9.
+    """
+
+    mean: np.ndarray
+    var: np.ndarray
+    exec_mean: np.ndarray
+    model_active: np.ndarray
+    exec_active: np.ndarray
+
+    def at(self, t_idx, obs_idx) -> tuple[np.ndarray, np.ndarray]:
+        """Deviation mass and inactivity mask at broadcast (t_fail, observation)
+        index arrays; outputs have the broadcast shape plus a trailing F axis.
+        A function is inactive when neither side is active in the window."""
+        z = (self.exec_mean[t_idx, obs_idx] - self.mean[t_idx]) / np.sqrt(self.var[t_idx])
+        pd = np.minimum(0.5 * np.abs(erf(z / math.sqrt(2.0))), _HALF_OPEN)
+        inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
+        return pd, inactive
+
+
+def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:
+    """Window statistics of ``counts`` against ``model`` for all failure times.
+
+    ``counts`` is one fingerprint matrix (F, T), stored as observation 0, or a
+    stack (n, F, T).
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim not in (2, 3) or counts.shape[-2:] != model.mean.shape:
+        raise ValidationError(
+            f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
+    x = np.moveaxis(counts.reshape((-1,) + model.mean.shape), -1, 0).copy()   # (T, n, F)
+    W, r = config.window_steps, math.exp(-config.alpha)
+    n_w = np.minimum(np.arange(1.0, model.T + 1.0), W)[:, None]
+    exec_mean = _window_sums(x.copy(), r, W)
+    exec_mean /= n_w[:, :, None]
+    mean, var = model.mean.T, model.var.T
+    return DeviationGrid(
+        mean=_window_sums(mean.copy(), r, W) / n_w,
+        var=_window_sums(var.copy(), r * r, W) / (n_w * n_w),
+        exec_mean=exec_mean,
+        model_active=_window_sums(mean.copy(), 1.0, W) > 1e-9,
+        exec_active=_window_sums(x, 1.0, W) > 1e-9,
+    )
 
 
 def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
@@ -187,5 +221,4 @@ def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
     """Per-function deviation mass and inactivity mask at one failure time."""
     if not (0 <= t_fail < model.T):
         raise ValidationError(f"t_fail={t_fail} outside [0, {model.T})")
-    pd, inactive = deviation_grid(model, fingerprint.counts, config)
-    return pd[:, t_fail], inactive[:, t_fail]
+    return deviation_grid(model, fingerprint.counts, config).at(t_fail, 0)

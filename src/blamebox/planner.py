@@ -73,20 +73,19 @@ class SkillExecutor(Protocol):
 
 
 class SkillCache:
-    """Precomputed deviation statistics for one skill's database.
+    """Window statistics of one skill's database for every failure time.
 
-    Hypothetical updates need the deviation mass of every stored observation
-    for every candidate failure time; computing the whole (n_obs, F, T) grid
-    once per loop makes a gain evaluation a gather plus vector arithmetic.
+    Built once per loop in O(n_obs * F * T) by ``deviation_grid``; a gain
+    evaluation then gathers the sampled failure times and evaluates the
+    deviation mass (erf) only there.
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
         if len(db) == 0:
             raise ValidationError(f"empty database for skill {db.skill!r}")
         self.skill = db.skill
-        self.T = fpf.T
-        self.pd, self.inactive = deviation_grid(fpf, db.counts_stack(), config)
-        self.n_obs = self.pd.shape[0]
+        self.T, self.n_obs = fpf.T, len(db)
+        self.grid = deviation_grid(fpf, db.counts_stack(), config)
 
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
@@ -95,9 +94,7 @@ def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
     t_fail = rng.integers(0, T, size=(n, samples))
     t_eff = np.where(succ, T - 1, t_fail)  # successes judge the full window
-    obs_idx = np.arange(n)[:, None]
-    pd = cache.pd[obs_idx, :, t_eff]            # (n, samples, F)
-    inactive = cache.inactive[obs_idx, :, t_eff]
+    pd, inactive = cache.grid.at(t_eff, np.arange(n)[:, None])   # (n, samples, F)
     lik = np.where(
         succ[:, :, None],
         combine_deviation(pd, inactive, True, config),

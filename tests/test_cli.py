@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import blamebox
 from blamebox import FunctionRegistry, save_db, save_study
 from blamebox.cli import main
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
@@ -154,3 +158,11 @@ class TestReport:
         bad = tmp_path / "x.json"
         bad.write_text("{}")
         assert main(["report", "--trace", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second to import, which every command would pay
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blamebox.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, blamebox.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -87,6 +87,28 @@ class TestValidateObservation:
         with pytest.raises(ValidationError, match=r"channel 1, timestep 2"):
             validate_observation(make_obs(sensors=sensors), reg)
 
+    def test_nonfinite_count_cites_cell(self):
+        reg = FunctionRegistry(["a", "b", "c"])
+        counts = np.ones((3, 4))
+        counts[1, 3] = np.inf
+        with pytest.raises(ValidationError, match=r"non-finite count at function 1, timestep 3"):
+            validate_observation(make_obs(counts=counts), reg)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, -1.0])
+    def test_first_bad_count_in_row_major_order(self, bad):
+        reg = FunctionRegistry(["a", "b", "c"])
+        counts = np.ones((3, 4))
+        counts[2, 0] = counts[1, 2] = bad
+        with pytest.raises(ValidationError, match=r"function 1, timestep 2$"):
+            validate_observation(make_obs(counts=counts), reg)
+
+    def test_first_bad_sensor_in_row_major_order(self):
+        reg = FunctionRegistry(["a", "b", "c"])
+        sensors = np.zeros((2, 4))
+        sensors[1, 0] = sensors[0, 3] = np.nan
+        with pytest.raises(ValidationError, match=r"channel 0, timestep 3"):
+            validate_observation(make_obs(sensors=sensors), reg)
+
     def test_row_count_mismatch(self):
         reg = FunctionRegistry(["a", "b", "c"])
         with pytest.raises(ValidationError, match="4 function rows"):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
                       ValidationError, deviation_mass, exec_weighted_mean,
                       expected_weighted_stats, fit_fpf)
-from blamebox.fpf import deviation_at, deviation_grid, weight_kernel
+from blamebox.fpf import deviation_at, deviation_grid
 from tests.test_core import make_obs
 
 REG = FunctionRegistry(["a", "b", "c"])
@@ -194,13 +194,65 @@ class TestVectorizedGrid:
         _, inactive = deviation_at(model, Fingerprint(loud_probe), 5, cfg)
         assert not inactive[2]
 
-    def test_kernel_shape_and_normalization(self):
-        cfg = BlameConfig(alpha=0.5, window_steps=3)
-        K, n_w = weight_kernel(6, cfg)
-        assert K.shape == (6, 6)
-        assert list(n_w[:4]) == [1, 2, 3, 3]
-        assert K[4, 4] == 1.0 and K[4, 2] == pytest.approx(math.exp(-1.0))
-        assert K[4, 1] == 0.0
+    @pytest.mark.parametrize("alpha,W,T", [
+        (0.5, 3, 6),                 # t < W: window lengths 1, 2, 3, 3, ...
+        (0.3, 10, 6),                # W > T
+        (0.3, 6, 6),                 # W == T
+        (0.7, 4, 1),                 # T == 1
+        (0.0, 4, 9),                 # alpha == 0: a plain sliding sum
+        (math.log(10) / 40, 40, 120),
+    ])
+    def test_recursion_matches_direct_window(self, alpha, W, T):
+        cfg = BlameConfig(alpha=alpha, window_steps=W)
+        rng = np.random.default_rng(T + W)
+        stacks = [rng.uniform(0, 4, (3, T)) for _ in range(4)]
+        model = fit_fpf(db_from_counts(stacks), cfg)
+        grid = deviation_grid(model, np.stack(stacks[:2]), cfg)
+        assert grid.mean.shape == grid.var.shape == (T, 3)
+        assert grid.exec_mean.shape == (T, 2, 3)
+        for t in range(T):
+            for f in range(3):
+                mean_exp, var_exp = expected_weighted_stats(model, f, t, cfg)
+                assert grid.mean[t, f] == pytest.approx(mean_exp, rel=1e-12, abs=1e-12)
+                assert grid.var[t, f] == pytest.approx(var_exp, rel=1e-12, abs=1e-12)
+                for i in range(2):
+                    x = exec_weighted_mean(Fingerprint(stacks[i]), f, t, cfg)
+                    assert grid.exec_mean[t, i, f] == pytest.approx(x, rel=1e-12, abs=1e-12)
+
+    def test_lazy_columns_match_scalar_ops(self):
+        cfg = BlameConfig(alpha=0.3, window_steps=4)
+        rng = np.random.default_rng(8)
+        T = 15
+        stacks = [rng.uniform(0, 3, (3, T)) for _ in range(4)]
+        for c in stacks:
+            c[2, :9] = 0.0           # f2 silent early in every stored run
+        probes = np.stack([c.copy() for c in stacks[:3]])
+        probes[0, 2, :] = 0.0        # ... and silent throughout in one probe
+        probes[1, 2, 3] = 1.5        # ... or briefly called inside the silence
+        probes[2, 2, 5] = 5e-9       # active by its plain window sum, not its weighted mean
+        model = fit_fpf(db_from_counts(stacks), cfg)
+        pd, inactive = deviation_grid(model, probes, cfg).at(
+            np.arange(T)[:, None], np.arange(3)[None, :])
+        assert pd.shape == inactive.shape == (T, 3, 3)
+        assert inactive.any() and not inactive.all()
+        for t in range(T):
+            t0 = max(0, t - cfg.window_steps + 1)
+            for i in range(3):
+                for f in range(3):
+                    mean_exp, var_exp = expected_weighted_stats(model, f, t, cfg)
+                    x = exec_weighted_mean(Fingerprint(probes[i]), f, t, cfg)
+                    assert pd[t, i, f] == pytest.approx(
+                        deviation_mass(x, mean_exp, var_exp), abs=1e-12)
+                    silent = (model.mean[f, t0:t + 1].sum() <= 1e-9
+                              and probes[i, f, t0:t + 1].sum() <= 1e-9)
+                    assert inactive[t, i, f] == silent
+
+    def test_mismatched_counts_rejected(self):
+        cfg = BlameConfig()
+        model = fit_fpf(db_from_counts([np.ones((3, 8))] * 2), cfg)
+        for bad in (np.ones((2, 8)), np.ones((3, 7)), np.ones(8), np.ones((1, 1, 3, 8))):
+            with pytest.raises(ValidationError):
+                deviation_grid(model, bad, cfg)
 
     def test_stacked_input(self):
         cfg = BlameConfig()
@@ -208,7 +260,8 @@ class TestVectorizedGrid:
         stacks = [np.abs(rng.normal(2, 0.5, (3, 12))) for _ in range(5)]
         model = fit_fpf(db_from_counts(stacks), cfg)
         batch = np.stack(stacks[:2])
-        pd, inactive = deviation_grid(model, batch, cfg)
-        assert pd.shape == (2, 3, 12) and inactive.shape == (2, 3, 12)
-        single, _ = deviation_grid(model, stacks[0], cfg)
-        assert np.array_equal(pd[0], single)
+        ts = np.arange(12)
+        pd, inactive = deviation_grid(model, batch, cfg).at(ts[:, None], np.arange(2)[None, :])
+        assert pd.shape == (12, 2, 3) and inactive.shape == (12, 2, 3)
+        single, _ = deviation_grid(model, stacks[0], cfg).at(ts, 0)
+        assert np.array_equal(pd[:, 0], single)

@@ -7,7 +7,9 @@ from blamebox import (Belief, BlameConfig, ExperienceDb, ExecutionResult,
                       expected_information_gain, information_gain_stats,
                       run_testing_loop, select_skill)
 from blamebox.harness import SimExecutor, SimSkillSpec, SimWorld, build_database
+from blamebox.blame import combine_deviation
 from blamebox.fpf import fit_fpf
+from blamebox.planner import _sampled_entropies
 
 CFG = BlameConfig(alpha=0.2, window_steps=3)
 PLAN = PlannerConfig(samples_per_observation=64, seed=0)
@@ -92,6 +94,27 @@ class TestExpectedInformationGain:
         b = expected_information_gain(belief, "s1", dbs, fpfs, PLAN, CFG,
                                       np.random.default_rng(9), cache=cache)
         assert a == b
+
+    def test_sampled_entropies_gather_from_every_column(self):
+        # erf on the sampled columns only must equal reading a grid of all of them
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2")}, F=3, T=9, n=4, seed=3)
+        cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
+        belief = Belief(np.array([0.5, 0.3, 0.2]))
+        got = _sampled_entropies(belief, cache, CFG, 5, np.random.default_rng(6))
+        n, T = cache.n_obs, cache.T
+        pd_all, inactive_all = cache.grid.at(np.arange(T)[:, None], np.arange(n)[None, :])
+        rng = np.random.default_rng(6)
+        succ = rng.integers(0, 2, size=(n, 5)).astype(bool)
+        t_eff = np.where(succ, T - 1, rng.integers(0, T, size=(n, 5)))
+        obs = np.arange(n)[:, None]
+        pd, inactive = pd_all[t_eff, obs], inactive_all[t_eff, obs]
+        lik = np.where(succ[:, :, None], combine_deviation(pd, inactive, True, CFG),
+                       combine_deviation(pd, inactive, False, CFG))
+        w = lik * belief.probs
+        w /= w.sum(axis=2, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = -np.where(w > 0, w * np.log(w), 0.0).sum(axis=2).ravel()
+        assert np.array_equal(got, expected)
 
     def test_empty_db_rejected(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
