@@ -9,6 +9,8 @@ execution, and the next skill is chosen to maximize the expected information
 gain about where the bug lives.
 """
 
+__version__ = "0.1.0"
+
 from .blame import (Belief, UpdateRecord, bayes_update, coverage_indices,
                     entropy, likelihood, likelihood_vector)
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
@@ -33,7 +35,5 @@ from .planner import (ExecutionResult, GainEstimate, LoopStep, LoopTrace,
 from .store import (MomBundle, ReplayExecutor, Study, load_db, load_model,
                     load_recorded, load_study, save_db, save_model,
                     save_recorded, save_study)
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,17 +11,18 @@ Nothing is ever written outside --out.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 
-from .errors import BlameboxError, StoreError
+from .errors import BlameboxError
 from .fpf import BlameConfig, fit_fpf
 from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
 from .mom import MomConfig, detect_failure_time, error_series, fit_error_stats, train
 from .planner import PlannerConfig, run_testing_loop
 from .reports import (trace_to_dict, write_mom_eval, write_run_info,
                       write_trace_files)
-from .store import MomBundle, ReplayExecutor, load_db, load_model, load_study, save_model
+from .store import (MomBundle, ReplayExecutor, _interpreting, _read_json, load_db,
+                    load_model, load_study, save_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,28 +79,14 @@ def _cmd_localize(args) -> int:
     write_trace_files(args.out, trace_to_dict(trace, study.registry.names))
     write_run_info(args.out, "localize",
                    {"study": args.study, "executor": args.executor, "seed": args.seed,
-                    "planner": {"samples_per_observation": planner.samples_per_observation,
-                                "convergence_epsilon": planner.convergence_epsilon,
-                                "convergence_patience": planner.convergence_patience,
-                                "max_iterations": planner.max_iterations,
-                                "seed": planner.seed},
-                    "blame": {"alpha": blame.alpha, "window_steps": blame.window_steps,
-                              "epsilon_floor": blame.epsilon_floor,
-                              "var_floor": blame.var_floor,
-                              "success_deviation_weight": blame.success_deviation_weight}})
+                    "planner": asdict(planner), "blame": asdict(blame)})
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        try:
-            trace_dict = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"{args.trace} is not valid JSON: {exc}") from exc
-    for key in ("skills", "functions", "steps"):
-        if key not in trace_dict:
-            raise StoreError(f"{args.trace} is not a trace file (missing {key!r})")
-    write_trace_files(args.out, trace_dict)
+    trace_dict = _read_json(args.trace)
+    with _interpreting(args.trace):
+        write_trace_files(args.out, trace_dict)
     write_run_info(args.out, "report", {"trace": args.trace})
     return EXIT_OK
 

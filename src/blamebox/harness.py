@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -259,7 +259,6 @@ class ScenarioConfig:
         return self.blame if self.blame is not None else BlameConfig.for_sampling(self.dt)
 
     def to_dict(self) -> dict:
-        blame = self.resolved_blame()
         return {
             "name": self.name,
             "functions": list(self.functions),
@@ -271,20 +270,8 @@ class ScenarioConfig:
             "count_mu": self.count_mu,
             "count_sigma": self.count_sigma,
             "seed": self.seed,
-            "planner": {
-                "samples_per_observation": self.planner.samples_per_observation,
-                "convergence_epsilon": self.planner.convergence_epsilon,
-                "convergence_patience": self.planner.convergence_patience,
-                "max_iterations": self.planner.max_iterations,
-                "seed": self.planner.seed,
-            },
-            "blame": {
-                "alpha": blame.alpha,
-                "window_steps": blame.window_steps,
-                "epsilon_floor": blame.epsilon_floor,
-                "var_floor": blame.var_floor,
-                "success_deviation_weight": blame.success_deviation_weight,
-            },
+            "planner": asdict(self.planner),
+            "blame": asdict(self.resolved_blame()),
         }
 
     @classmethod
@@ -306,7 +293,7 @@ class ScenarioConfig:
                 planner=planner,
                 blame=blame,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario description: {exc}") from exc
 
 
@@ -367,8 +354,7 @@ BUILT_IN_SCENARIOS = ("fig3", "fig4", "fig5", "exoneration", "localizer-ambiguit
 def load_scenario(source: str, seed: int | None = None) -> ScenarioConfig:
     """Resolve a scenario by built-in name or JSON file path."""
     if source in BUILT_IN_SCENARIOS:
-        cfg = built_in_scenario(source, seed=1 if seed is None else seed)
-        return cfg
+        return built_in_scenario(source, seed=1 if seed is None else seed)
     try:
         with open(source, "r", encoding="utf-8") as fh:
             cfg = ScenarioConfig.from_dict(json.load(fh))
@@ -378,6 +364,8 @@ def load_scenario(source: str, seed: int | None = None) -> ScenarioConfig:
         ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {source!r} is not valid JSON: {exc}") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(f"scenario file {source!r}: {exc}") from exc
     if seed is not None:
         cfg = replace(cfg, seed=seed,
                       planner=replace(cfg.planner, seed=seed))

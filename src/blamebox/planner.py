@@ -225,6 +225,8 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
     skills = tuple(skills)
     mom_config = mom_config or MomConfig()
     mom_by_skill = mom_by_skill or {}
+    if not skills:
+        raise ValidationError("the testing loop needs at least one skill")
     for s in skills:
         if s not in dbs or s not in fpfs:
             raise ValidationError(f"skill {s!r} is missing a database or model")

@@ -13,16 +13,15 @@ sorted, so identical runs produce identical bytes.
 """
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import __version__
 from .blame import coverage_indices
 from .planner import LoopTrace
-
-__version__ = "0.1.0"
+from .store import _write_json
 
 
 def _fmt(x) -> str:
@@ -35,12 +34,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> No
         for row in rows:
             fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
                               for c in row) + "\n")
-
-
-def write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
@@ -88,7 +81,7 @@ def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
                ["step"] + list(functions),
                ([st["step"]] + st["posterior"] for st in steps))
 
-    write_json(os.path.join(out_dir, "trace.json"), trace_dict)
+    _write_json(os.path.join(out_dir, "trace.json"), trace_dict)
 
     if steps:
         final = np.asarray(steps[-1]["posterior"])
@@ -103,15 +96,15 @@ def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
         "candidates": [functions[i] for i in sorted(coverage_indices(final))],
         "final_entropy": steps[-1]["entropy"] if steps else float(np.log(len(functions))),
     }
-    write_json(os.path.join(out_dir, "summary.json"), summary)
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
 def write_run_info(out_dir: str, command: str, resolved: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_json(os.path.join(out_dir, "run.json"),
-               {"tool": "blamebox", "tool_version": __version__,
-                "command": command, "config": resolved})
+    _write_json(os.path.join(out_dir, "run.json"),
+                {"tool": "blamebox", "tool_version": __version__,
+                 "command": command, "config": resolved})
 
 
 def write_scenario_report(out_dir: str, result) -> dict:
@@ -131,7 +124,7 @@ def write_mom_eval(out_dir: str, names: Sequence[str],
     _write_csv(os.path.join(out_dir, "mom_likelihood.csv"),
                ["sequence"] + [f"t{t}" for t in range(T)],
                ([name] + list(lik) for name, lik in zip(names, likelihoods)))
-    write_json(os.path.join(out_dir, "summary.json"),
-               {"sequences": [{"sequence": n,
-                               "t_fail": None if f is None else int(f)}
-                              for n, f in zip(names, flagged)]})
+    _write_json(os.path.join(out_dir, "summary.json"),
+                {"sequences": [{"sequence": n,
+                                "t_fail": None if f is None else int(f)}
+                               for n, f in zip(names, flagged)]})

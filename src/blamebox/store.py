@@ -5,12 +5,16 @@ Matrices are stored as plain CSV (one row per function or channel, one column
 per timestep, 17 significant digits so round-trips are value-exact); metadata
 lives in JSON manifests. Every file is self-describing through ``format``,
 ``version`` and, for models, ``kind`` fields, and loading validates shapes
-and contents rather than trusting them.
+and contents rather than trusting them. File entries in a manifest are
+relative paths inside the manifest's directory. Every JSON document goes
+through :func:`_write_json` and :func:`_read_json`, and a missing or mistyped
+field met while interpreting one is a :class:`StoreError` naming the file.
 """
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -18,7 +22,8 @@ import numpy as np
 
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, SkillId, validate_observation)
-from .errors import ExecutorError, KindError, StoreError, ValidationError, VersionError
+from .errors import (ConfigError, ExecutorError, KindError, StoreError, ValidationError,
+                     VersionError)
 from .fpf import FpfModel
 from .mom import ErrorStats, MomModel, _PARAM_FIELDS
 from .planner import ExecutionResult
@@ -28,10 +33,11 @@ _MODEL_FORMAT = "blamebox-model"
 _STUDY_FORMAT = "blamebox-study"
 _VERSION = 1
 _FLOAT_FMT = "%.17g"
+_MALFORMED = (KeyError, TypeError, AttributeError, IndexError, ValueError, ArithmeticError)
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -39,18 +45,44 @@ def _write_json(path: str, payload: dict) -> None:
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            payload = json.load(fh)
+        except ValueError as exc:  # bad JSON syntax or bad UTF-8
             raise StoreError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StoreError(f"{path}: expected a JSON object, found {type(payload).__name__}")
+    return payload
 
 
-def _check_header(payload: dict, expected_format: str, path: str) -> None:
+@contextmanager
+def _interpreting(path: str, *also: type[Exception]):
+    """Report a missing or mistyped field met while interpreting the document
+    at ``path`` (or any error of the types in ``also``) as a StoreError."""
+    try:
+        yield
+    except _MALFORMED + also as exc:
+        raise StoreError(f"{path}: malformed content: {type(exc).__name__}: {exc}") from exc
+
+
+def _inside(manifest_path: str, rel) -> str:
+    """A manifest's file entry resolved against the manifest's directory; it
+    must be a relative path that stays inside it (checked without a syscall)."""
+    if (not isinstance(rel, str) or os.path.isabs(rel)
+            or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
+        raise StoreError(f"{manifest_path}: entry {rel!r} is not a relative path "
+                         "inside its directory")
+    return os.path.join(os.path.dirname(manifest_path), rel)
+
+
+def _read_document(path: str, expected_format: str) -> dict:
+    """A JSON document whose ``format`` and ``version`` header match."""
+    payload = _read_json(path)
     fmt = payload.get("format")
     if fmt != expected_format:
         raise StoreError(f"{path}: expected format {expected_format!r}, found {fmt!r}")
     version = payload.get("version")
     if version != _VERSION:
         raise VersionError(f"{path}: unsupported version {version!r} (supported: {_VERSION})")
+    return payload
 
 
 def _save_matrix(path: str, mat: np.ndarray) -> None:
@@ -96,29 +128,29 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
 def _load_records(path: str) -> tuple[SkillId, FunctionRegistry, float, int,
                                       list[ExecutionResult]]:
     manifest_path = os.path.join(path, "manifest.json")
-    manifest = _read_json(manifest_path)
-    _check_header(manifest, _DB_FORMAT, manifest_path)
-    registry = FunctionRegistry(manifest["functions"])
-    skill = manifest["skill"]
-    dt = float(manifest["dt"])
-    canonical_T = int(manifest["canonical_T"])
-    records = []
-    for entry in manifest["observations"]:
-        counts_file = os.path.join(path, entry["counts"])
-        sensors_file = os.path.join(path, entry["sensors"])
-        obs = Observation(
-            sensors=SensorSeries(_load_matrix(sensors_file), dt=dt),
-            fingerprint=Fingerprint(_load_matrix(counts_file), dt=dt),
-            success=bool(entry["success"]),
-            skill=skill,
-        )
-        try:
-            validate_observation(obs, registry)
-        except ValidationError as exc:
-            raise ValidationError(f"{counts_file}: {exc}") from exc
-        t_fail = entry.get("t_fail")
-        records.append(ExecutionResult(observation=obs, success=obs.success,
-                                       t_fail=None if t_fail is None else int(t_fail)))
+    manifest = _read_document(manifest_path, _DB_FORMAT)
+    with _interpreting(manifest_path):
+        registry = FunctionRegistry(manifest["functions"])
+        skill = manifest["skill"]
+        dt = float(manifest["dt"])
+        canonical_T = int(manifest["canonical_T"])
+        records = []
+        for entry in manifest["observations"]:
+            counts_file = _inside(manifest_path, entry["counts"])
+            sensors_file = _inside(manifest_path, entry["sensors"])
+            obs = Observation(
+                sensors=SensorSeries(_load_matrix(sensors_file), dt=dt),
+                fingerprint=Fingerprint(_load_matrix(counts_file), dt=dt),
+                success=bool(entry["success"]),
+                skill=skill,
+            )
+            try:
+                validate_observation(obs, registry)
+            except ValidationError as exc:
+                raise ValidationError(f"{counts_file}: {exc}") from exc
+            t_fail = entry.get("t_fail")
+            records.append(ExecutionResult(observation=obs, success=obs.success,
+                                           t_fail=None if t_fail is None else int(t_fail)))
     return skill, registry, dt, canonical_T, records
 
 
@@ -178,11 +210,7 @@ class MomBundle:
 
 
 def save_model(model: FpfModel | MomModel | MomBundle, path: str) -> None:
-    if isinstance(model, MomBundle):
-        bundle = model
-        model = bundle.model
-    else:
-        bundle = None
+    bundle, model = (model, model.model) if isinstance(model, MomBundle) else (None, model)
     payload: dict = {"format": _MODEL_FORMAT, "version": _VERSION}
     if isinstance(model, FpfModel):
         payload.update(kind="fpf", n_samples=model.n_samples, var_floor=model.var_floor,
@@ -208,21 +236,17 @@ def load_model(path: str, expect: str | None = None):
 
     ``expect`` ("fpf" or "mom") turns a kind mismatch into :class:`KindError`.
     """
-    payload = _read_json(path)
-    _check_header(payload, _MODEL_FORMAT, path)
+    payload = _read_document(path, _MODEL_FORMAT)
     kind = payload.get("kind")
     if expect is not None and kind != expect:
         raise KindError(f"{path}: holds a {kind!r} model, expected {expect!r}")
-    if kind == "fpf":
-        try:
+    with _interpreting(path, ValidationError, ConfigError):
+        if kind == "fpf":
             return FpfModel(mean=np.array(payload["mean"], dtype=np.float64),
                             var=np.array(payload["var"], dtype=np.float64),
                             n_samples=int(payload["n_samples"]),
                             var_floor=float(payload["var_floor"]))
-        except (KeyError, ValidationError) as exc:
-            raise StoreError(f"{path}: bad fingerprint model: {exc}") from exc
-    if kind == "mom":
-        try:
+        if kind == "mom":
             params = {name: np.array(payload["params"][name], dtype=np.float64)
                       for name in _PARAM_FIELDS}
             model = MomModel(**params,
@@ -234,8 +258,6 @@ def load_model(path: str, expect: str | None = None):
                 mu=np.array(stats["mu"], dtype=np.float64),
                 sigma=np.array(stats["sigma"], dtype=np.float64))
             return MomBundle(model=model, error_stats=es)
-        except (KeyError, ValidationError) as exc:
-            raise StoreError(f"{path}: bad observation model: {exc}") from exc
     raise KindError(f"{path}: unknown model kind {kind!r}")
 
 
@@ -279,26 +301,30 @@ def save_study(path: str, registry: FunctionRegistry,
 
 def load_study(path: str) -> Study:
     manifest_path = os.path.join(path, "manifest.json")
-    manifest = _read_json(manifest_path)
-    _check_header(manifest, _STUDY_FORMAT, manifest_path)
-    registry = FunctionRegistry(manifest["functions"])
-    skills = tuple(manifest["skills"])
-    dbs = {}
-    for skill in skills:
-        rel = manifest["dbs"].get(skill)
-        if rel is None:
-            raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
-        if registry.names != load_db_registry(os.path.join(path, rel)).names:
-            raise StoreError(f"{manifest_path}: registry mismatch in {rel}")
-        dbs[skill] = load_db(os.path.join(path, rel))
-    replay = {skill: load_recorded(os.path.join(path, rel))
-              for skill, rel in manifest.get("replay", {}).items()}
-    return Study(registry=registry, skills=skills, dbs=dbs,
-                 dt=float(manifest["dt"]), replay=replay)
+    manifest = _read_document(manifest_path, _STUDY_FORMAT)
+    with _interpreting(manifest_path):
+        registry = FunctionRegistry(manifest["functions"])
+        skills = tuple(manifest["skills"])
+        dbs = {}
+        for skill in skills:
+            rel = manifest["dbs"].get(skill)
+            if rel is None:
+                raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
+            db_path = _inside(manifest_path, rel)
+            if registry.names != load_db_registry(db_path).names:
+                raise StoreError(f"{manifest_path}: registry mismatch in {rel}")
+            dbs[skill] = load_db(db_path)
+        replay = {skill: load_recorded(_inside(manifest_path, rel))
+                  for skill, rel in manifest.get("replay", {}).items()}
+        if any(db.skill != s for s, db in dbs.items()) or any(
+                r.observation.skill != s for s, recs in replay.items() for r in recs):
+            raise StoreError(f"{manifest_path}: a dbs or replay entry holds another skill")
+        return Study(registry=registry, skills=skills, dbs=dbs,
+                     dt=float(manifest["dt"]), replay=replay)
 
 
 def load_db_registry(path: str) -> FunctionRegistry:
     manifest_path = os.path.join(path, "manifest.json")
-    manifest = _read_json(manifest_path)
-    _check_header(manifest, _DB_FORMAT, manifest_path)
-    return FunctionRegistry(manifest["functions"])
+    manifest = _read_document(manifest_path, _DB_FORMAT)
+    with _interpreting(manifest_path):
+        return FunctionRegistry(manifest["functions"])

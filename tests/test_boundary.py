@@ -1,0 +1,298 @@
+"""The persistence boundary: every persisted JSON document is read and
+written by one pair of functions in ``store``, malformed content surfaces as
+a typed error naming the file, manifest entries stay inside their directory,
+and run.json serializes the configs by their dataclasses."""
+import ast
+import contextlib
+import importlib.util
+import inspect
+import io
+import json
+import os
+import shutil
+import tempfile
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import blamebox
+from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
+                      MomBundle, MomConfig, Observation, PlannerConfig, SensorSeries,
+                      StoreError, fit_error_stats, init_model, load_study, save_db,
+                      save_model, save_recorded, save_study)
+from blamebox.cli import main
+from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
+
+SRC = os.path.dirname(os.path.abspath(blamebox.__file__))
+LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "layers.py")
+REG = FunctionRegistry(["f1", "f2", "f3"])
+SPECS = {
+    "s1": SimSkillSpec(skill="s1", used_functions=("f1", "f2"), T=16, dt=0.1),
+    "s2": SimSkillSpec(skill="s2", used_functions=("f2", "f3"), T=16, dt=0.1),
+}
+
+
+def _save_base(root):
+    """A small replay study, the trace.json of localizing over it, a sensor
+    database with a model file that scores it, and a scenario file, all under
+    ``root``."""
+    rng = np.random.default_rng(2)
+    dbs = {s: build_database(SPECS[s], REG, rng, 6) for s in SPECS}
+    world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
+    replay = {s: [simulate_execution(SPECS[s], world, rng) for _ in range(8)]
+              for s in SPECS}
+    save_study(os.path.join(root, "study"), REG, dbs, dt=0.1, replay=replay)
+    assert main(["localize", "--study", os.path.join(root, "study"),
+                 "--out", os.path.join(root, "loc"), "--seed", "1"]) == 0
+    shutil.copy(os.path.join(root, "loc", "trace.json"), os.path.join(root, "trace.json"))
+    sensors = [SensorSeries(rng.uniform(0, 1, (3, 16)), dt=0.1) for _ in range(4)]
+    counts = [Fingerprint(np.abs(rng.normal(2, 0.5, (3, 16))), dt=0.1) for _ in range(4)]
+    db = ExperienceDb.from_observations("s1", [
+        Observation(sensors=x, fingerprint=c, success=True, skill="s1")
+        for x, c in zip(sensors, counts)], REG)
+    save_db(db, os.path.join(root, "sensor_db"), REG)
+    model = init_model(3, MomConfig(bottleneck=2), seed=0)
+    save_model(MomBundle(model=model, error_stats=fit_error_stats(model, sensors)),
+               os.path.join(root, "mom.json"))
+    assert main(_argv(root, "mom.json")) == 0
+    with open(os.path.join(root, "scenario.json"), "w", encoding="utf-8") as fh:
+        json.dump({"name": "tiny", "functions": ["f1", "f2"],
+                   "skills": [{"skill": "s", "functions": ["f1"]}],
+                   "buggy": ["f1"], "db_size": 5, "T": 12}, fh)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("base"))
+    _save_base(root)
+    return root
+
+
+def _copy(base, dest):
+    for name in os.listdir(base):
+        src = os.path.join(base, name)
+        (shutil.copytree if os.path.isdir(src) else shutil.copy)(src, os.path.join(dest, name))
+
+
+def _edit(path, change):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc = change(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _argv(root, target):
+    """The command that reads the document ``target`` first."""
+    if target == "trace.json":
+        return ["report", "--trace", os.path.join(root, target), "--out", os.path.join(root, "o")]
+    if target == "mom.json":
+        return ["eval-mom", "--model", os.path.join(root, target),
+                "--db", os.path.join(root, "sensor_db"), "--out", os.path.join(root, "o")]
+    if target == "scenario.json":
+        return ["simulate", "--scenario", os.path.join(root, target),
+                "--out", os.path.join(root, "o")]
+    return ["localize", "--study", os.path.join(root, "study"), "--out", os.path.join(root, "o")]
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _drop(key):
+    def change(doc):
+        del doc[key]
+        return doc
+    return change
+
+
+def _set(key, value):
+    def change(doc):
+        doc[key] = value
+        return doc
+    return change
+
+
+def _in_first(list_key, change):
+    def outer(doc):
+        doc[list_key][0] = change(doc[list_key][0])
+        return doc
+    return outer
+
+
+STUDY = os.path.join("study", "manifest.json")
+DB = os.path.join("study", "dbs", "s1", "manifest.json")
+MALFORMED = [
+    ("study-no-functions", STUDY, _drop("functions")),
+    ("study-null-functions", STUDY, _set("functions", None)),
+    ("study-no-dbs", STUDY, _drop("dbs")),
+    ("study-int-skills", STUDY, _set("skills", 5)),
+    ("db-no-observations", DB, _drop("observations")),
+    ("db-entry-no-counts", DB, _in_first("observations", _drop("counts"))),
+    ("db-entry-infinite-t_fail", DB, _in_first("observations", _set("t_fail", float("inf")))),
+    ("trace-step-no-gains", "trace.json", _in_first("steps", _drop("gains"))),
+    ("trace-int-steps", "trace.json", _set("steps", 5)),
+    ("trace-no-converged", "trace.json", _drop("converged")),
+    ("trace-no-functions", "trace.json", _set("functions", [])),
+    ("model-int-params", "mom.json", _set("params", 5)),
+    ("model-list-top-level", "mom.json", lambda doc: []),
+    ("scenario-list-top-level", "scenario.json", lambda doc: []),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("target,change", [c[1:] for c in MALFORMED],
+                             ids=[c[0] for c in MALFORMED])
+    def test_exit_one_naming_the_file(self, base, tmp_path, target, change):
+        _copy(base, str(tmp_path))
+        _edit(str(tmp_path / target), change)
+        code, err = _run(_argv(str(tmp_path), target))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert target in err
+
+    def test_replay_entry_outside_study_rejected(self, base, tmp_path):
+        _copy(base, str(tmp_path))
+        # a valid recording, but outside the study directory
+        elsewhere = str(tmp_path / "elsewhere")
+        rng = np.random.default_rng(0)
+        world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
+        save_recorded([simulate_execution(SPECS["s1"], world, rng)], elsewhere, "s1", REG, 0.1)
+        _edit(str(tmp_path / STUDY), _set("replay", {"s1": elsewhere}))
+        with pytest.raises(StoreError, match="not a relative path inside"):
+            load_study(str(tmp_path / "study"))
+        _edit(str(tmp_path / STUDY), _set("replay", {"s1": os.path.join("..", "elsewhere")}))
+        with pytest.raises(StoreError, match="not a relative path inside"):
+            load_study(str(tmp_path / "study"))
+
+    def test_counts_entry_climbing_out_rejected(self, base, tmp_path):
+        _copy(base, str(tmp_path))
+        db = tmp_path / "study" / "dbs" / "s1"
+        shutil.copy(str(db / "obs_0000.counts.csv"), str(tmp_path / "outside.counts.csv"))
+        climb = os.path.join("..", "..", "..", "outside.counts.csv")
+        _edit(str(tmp_path / DB), _in_first("observations", _set("counts", climb)))
+        with pytest.raises(StoreError, match="outside.counts.csv"):
+            load_study(str(tmp_path / "study"))
+
+    @pytest.mark.parametrize("entry", [5, None, ["dbs", "s1"], ""])
+    def test_db_entry_must_be_a_path_inside(self, base, tmp_path, entry):
+        _copy(base, str(tmp_path))
+        _edit(str(tmp_path / STUDY), lambda doc: {**doc, "dbs": {**doc["dbs"], "s1": entry}})
+        code, err = _run(_argv(str(tmp_path), STUDY))
+        assert code == 1
+        assert STUDY in err
+
+    @pytest.mark.parametrize("skill", ["s1", [], 5])
+    def test_replay_of_another_skill_rejected(self, base, tmp_path, skill):
+        _copy(base, str(tmp_path))
+        _edit(str(tmp_path / "study" / "replay" / "s2" / "manifest.json"), _set("skill", skill))
+        code, err = _run(_argv(str(tmp_path), STUDY))
+        assert code == 1
+        assert STUDY in err
+
+    def test_study_without_skills_exits_one(self, base, tmp_path):
+        _copy(base, str(tmp_path))
+        _edit(str(tmp_path / STUDY), _set("skills", []))
+        code, err = _run(_argv(str(tmp_path), STUDY))
+        assert code == 1
+        assert "at least one skill" in err
+
+    def test_missing_file_is_io_error(self, base, tmp_path):
+        _copy(base, str(tmp_path))
+        os.remove(str(tmp_path / "study" / "dbs" / "s1" / "obs_0002.sensors.csv"))
+        code, err = _run(_argv(str(tmp_path), STUDY))
+        assert code == 2
+        assert "obs_0002.sensors.csv" in err
+
+
+# (document, path to the mutated object inside it) for the fuzz test
+FIELDS = [(STUDY, (), k) for k in ("format", "version", "functions", "skills", "dt",
+                                   "dbs", "replay")]
+FIELDS += [(m, (), k) for m in (DB, os.path.join("study", "replay", "s2", "manifest.json"))
+           for k in ("format", "version", "skill", "canonical_T", "dt", "functions",
+                     "observations")]
+FIELDS += [(DB, ("observations", 1), k) for k in ("sensors", "counts", "success", "t_fail")]
+FIELDS += [("trace.json", (), k) for k in ("skills", "functions", "converged", "aborted",
+                                           "steps")]
+FIELDS += [("trace.json", ("steps", 0), k) for k in ("step", "chosen", "success", "t_fail",
+                                                     "entropy", "gains", "posterior")]
+FIELDS += [("mom.json", (), k) for k in ("format", "version", "kind", "params", "norm_lo",
+                                         "norm_hi", "loss_history", "error_stats")]
+DROP = object()
+VALUES = st.one_of(st.just(DROP), st.none(), st.integers(-2, 50), st.text(max_size=6),
+                   st.lists(st.integers(0, 3), max_size=3),
+                   st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=VALUES)
+def test_fuzzed_field_never_escapes(base, field, value):
+    target, where, key = field
+    with tempfile.TemporaryDirectory() as root:
+        _copy(base, root)
+
+        def change(doc):
+            obj = doc
+            for step in where:
+                obj = obj[step]
+            if value is DROP:
+                del obj[key]
+            else:
+                obj[key] = value
+            return doc
+
+        _edit(os.path.join(root, target), change)
+        code, err = _run(_argv(root, target))
+    assert code in (0, 1, 2)
+    assert code == 0 or "error: " in err
+
+
+class TestSingleSerializer:
+    def test_simulate_run_json(self, base, tmp_path):
+        from blamebox.harness import load_scenario
+        out = tmp_path / "r"
+        scenario = os.path.join(base, "scenario.json")
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+        run = json.loads((out / "run.json").read_text())
+        cfg = load_scenario(scenario)
+        assert run["config"]["planner"] == asdict(cfg.planner)
+        assert run["config"]["blame"] == asdict(cfg.resolved_blame())
+        assert run["tool_version"] == blamebox.__version__
+
+    def test_localize_run_json(self, base):
+        run = json.loads(open(os.path.join(base, "loc", "run.json"), encoding="utf-8").read())
+        assert run["config"]["planner"] == asdict(PlannerConfig(seed=1))
+        assert run["config"]["blame"] == asdict(BlameConfig.for_sampling(0.1))
+        assert run["tool_version"] == blamebox.__version__
+
+    def test_one_version_string(self):
+        assigning = []
+        for name in sorted(os.listdir(SRC)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            if any(isinstance(t, ast.Name) and t.id == "__version__"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for t in (node.targets if isinstance(node, ast.Assign) else [node.target])):
+                assigning.append(name)
+        assert assigning == ["__init__.py"]
+
+
+def test_benchmark_hooks_still_resolve():
+    # perfbench/layers.py wraps these by name, and its read hook takes ``path``
+    spec = importlib.util.spec_from_file_location("_perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for module, attr, _, _ in layers.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    from blamebox import store
+    for fn in (store._read_json, store._load_matrix):
+        assert next(iter(inspect.signature(fn).parameters)) == "path"
