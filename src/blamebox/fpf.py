@@ -201,7 +201,7 @@ def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> 
     if counts.ndim not in (2, 3) or counts.shape[-2:] != model.mean.shape:
         raise ValidationError(
             f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
-    x = np.moveaxis(counts.reshape((-1,) + model.mean.shape), -1, 0).copy()   # (T, n, F)
+    x = np.moveaxis(counts if counts.ndim == 3 else counts[None], -1, 0).copy()   # (T, n, F)
     W, r = config.window_steps, math.exp(-config.alpha)
     n_w = np.minimum(np.arange(1.0, model.T + 1.0), W)[:, None]
     exec_mean = _window_sums(x.copy(), r, W)

@@ -366,10 +366,7 @@ def load_scenario(source: str, seed: int | None = None) -> ScenarioConfig:
         raise ScenarioError(f"scenario file {source!r} is not valid JSON: {exc}") from exc
     except ScenarioError as exc:
         raise ScenarioError(f"scenario file {source!r}: {exc}") from exc
-    if seed is not None:
-        cfg = replace(cfg, seed=seed,
-                      planner=replace(cfg.planner, seed=seed))
-    return cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 @dataclass
@@ -402,9 +399,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
 
     The scenario seed drives every stream: database simulation, loop
     executions, and gain sampling."""
+    config = replace(config, planner=replace(config.planner, seed=config.seed))
     registry = FunctionRegistry(config.functions)
     blame = config.resolved_blame()
-    planner = replace(config.planner, seed=config.seed)
     specs = {
         skill: SimSkillSpec(skill=skill, used_functions=fns, count_mu=config.count_mu,
                             count_sigma=config.count_sigma, T=config.T, dt=config.dt)
@@ -420,7 +417,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     fpfs = {s: fit_fpf(dbs[s], blame) for s in skills}
     world = SimWorld(registry=registry, buggy_functions=frozenset(config.buggy))
     executor = SimExecutor(specs, world, seed=exec_ss)
-    belief, trace = run_testing_loop(executor, skills, dbs, fpfs, None, planner, blame)
+    belief, trace = run_testing_loop(executor, skills, dbs, fpfs, None, config.planner, blame)
     result = ScenarioResult(config=config, registry=registry, belief=belief,
                             trace=trace, candidates=candidate_set(belief, registry))
     if out_dir is not None:

@@ -6,14 +6,11 @@ uniform over {true, false} and t_fail uniform over the execution window
 (success uses the full window), apply the belief update, and average the
 posterior entropies. E[I] = H[prior] - mean(H_posterior).
 
-Per (skill, step) randomness comes from spawned generator streams, so gains
-for different skills can be evaluated concurrently with reproducible results;
-BLAMEBOX_THREADS caps that concurrency.
+Per (skill, step) randomness comes from spawned generator streams, one per
+skill, so each skill's gain is reproducible on its own.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -75,36 +72,52 @@ class SkillExecutor(Protocol):
 class SkillCache:
     """Window statistics of one skill's database for every failure time.
 
-    Built once per loop in O(n_obs * F * T) by ``deviation_grid``; a gain
-    evaluation then gathers the sampled failure times and evaluates the
-    deviation mass (erf) only there.
+    Built once per loop in O(n_obs * |S| * T) by ``deviation_grid`` on the
+    skill's support S: the functions with a non-zero count in a stored run or
+    in the model mean. A gain evaluation then gathers the sampled failure
+    times and evaluates the deviation mass (erf) only there.
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
         if len(db) == 0:
             raise ValidationError(f"empty database for skill {db.skill!r}")
         self.skill = db.skill
-        self.T, self.n_obs = fpf.T, len(db)
-        self.grid = deviation_grid(fpf, db.counts_stack(), config)
+        self.T, self.F, self.n_obs = fpf.T, fpf.F, len(db)
+        stack = db.counts_stack()
+        self.support = np.flatnonzero(stack.any(axis=(0, 2)) | fpf.mean.any(axis=1))
+        on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
+                              n_samples=fpf.n_samples, var_floor=fpf.var_floor)
+        self.grid = deviation_grid(on_support, stack[:, self.support], config)
 
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
                        samples: int, rng: np.random.Generator) -> np.ndarray:
+    if len(belief) != cache.F:
+        raise ValidationError(f"belief has {len(belief)} entries, the model {cache.F}")
     n, T = cache.n_obs, cache.T
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
     t_fail = rng.integers(0, T, size=(n, samples))
     t_eff = np.where(succ, T - 1, t_fail)  # successes judge the full window
-    pd, inactive = cache.grid.at(t_eff, np.arange(n)[:, None])   # (n, samples, F)
+    pd, inactive = cache.grid.at(t_eff, np.arange(n)[:, None])   # (n, samples, |S|)
     lik = np.where(
         succ[:, :, None],
         combine_deviation(pd, inactive, True, config),
         combine_deviation(pd, inactive, False, config),
     )
-    w = lik * belief.probs[None, None, :]
-    w /= w.sum(axis=2, keepdims=True)
+    # Off the support pd = 0 and both sides are inactive, so every such
+    # function has the same likelihood c and the block of them has a closed
+    # form: with q = c/Z, it adds -q * (sum p log p + log(q) * sum p).
+    c = np.where(succ, combine_deviation(0.0, True, True, config),
+                 combine_deviation(0.0, True, False, config))
+    p_out = np.delete(belief.probs, cache.support)
+    mass_out, plogp_out = p_out.sum(), -entropy(p_out)
+    w = lik * belief.probs[cache.support]
+    z = w.sum(axis=2) + c * mass_out
+    w /= z[:, :, None]
+    q = c / z
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(w > 0, w * np.log(w), 0.0)
-    return -terms.sum(axis=2).ravel()
+    return -(terms.sum(axis=2) + q * (plogp_out + np.log(q) * mass_out)).ravel()
 
 
 def information_gain_stats(belief: Belief, db: ExperienceDb, fpf: FpfModel,
@@ -130,15 +143,6 @@ def expected_information_gain(belief: Belief, skill: SkillId,
                                   planner, blame, rng, cache=cache).gain
 
 
-def _worker_count(n_skills: int) -> int:
-    raw = os.environ.get("BLAMEBOX_THREADS", "")
-    try:
-        cap = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_skills, cap))
-
-
 def select_skill(belief: Belief, skills: Sequence[SkillId],
                  dbs: Mapping[SkillId, ExperienceDb],
                  fpfs: Mapping[SkillId, FpfModel],
@@ -149,20 +153,10 @@ def select_skill(belief: Belief, skills: Sequence[SkillId],
     """Gain-maximizing skill; ties within 1e-12 go to the lowest index."""
     if not skills:
         raise ValidationError("need at least one skill to select from")
-    streams = rng.spawn(len(skills))
-
-    def one(i: int) -> GainEstimate:
-        s = skills[i]
-        return information_gain_stats(
-            belief, dbs[s], fpfs[s], planner, blame, streams[i],
-            cache=None if caches is None else caches.get(s))
-
-    workers = _worker_count(len(skills))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(one, range(len(skills))))
-    else:
-        estimates = [one(i) for i in range(len(skills))]
+    estimates = [
+        information_gain_stats(belief, dbs[s], fpfs[s], planner, blame, stream,
+                               cache=None if caches is None else caches.get(s))
+        for s, stream in zip(skills, rng.spawn(len(skills)))]
     best = 0
     for i in range(1, len(skills)):
         if estimates[i].gain > estimates[best].gain + _TIE_TOL:
@@ -193,12 +187,11 @@ def _resolve_t_fail(result: ExecutionResult,
                     mom: tuple[MomModel, ErrorStats] | None,
                     mom_config: MomConfig, T: int) -> int:
     if mom is not None:
-        model, stats = mom
-        if result.observation.sensors.D == model.D:
-            _, detected = detect_failure_time(
-                stats, error_series(model, result.observation.sensors), mom_config)
-            if detected is not None:
-                return detected
+        model, stats = mom   # error_series rejects sensors of another D
+        _, detected = detect_failure_time(
+            stats, error_series(model, result.observation.sensors), mom_config)
+        if detected is not None:
+            return detected
     if result.t_fail is not None:
         return int(result.t_fail)
     return T - 1

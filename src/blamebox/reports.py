@@ -28,12 +28,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c)
-                              for c in row) + "\n")
+        fh.write(text)
 
 
 def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
@@ -60,8 +64,10 @@ def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
 
 
 def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
-    """Emit gains.csv / belief.csv / trace.json / summary.json for a trace."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Emit gains.csv / belief.csv / trace.json / summary.json for a trace.
+
+    Every file's content is built before the first file is written, so a
+    malformed trace leaves ``out_dir`` untouched."""
     skills = trace_dict["skills"]
     functions = trace_dict["functions"]
     steps = trace_dict["steps"]
@@ -75,13 +81,8 @@ def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
         for s in skills:
             row += [st["gains"][s]["gain"], st["gains"][s]["stderr"]]
         gain_rows.append(row)
-    _write_csv(os.path.join(out_dir, "gains.csv"), gain_header, gain_rows)
-
-    _write_csv(os.path.join(out_dir, "belief.csv"),
-               ["step"] + list(functions),
-               ([st["step"]] + st["posterior"] for st in steps))
-
-    _write_json(os.path.join(out_dir, "trace.json"), trace_dict)
+    gains_csv = _csv(gain_header, gain_rows)
+    belief_csv = _csv(["step"] + list(functions), ([st["step"]] + st["posterior"] for st in steps))
 
     if steps:
         final = np.asarray(steps[-1]["posterior"])
@@ -96,6 +97,11 @@ def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
         "candidates": [functions[i] for i in sorted(coverage_indices(final))],
         "final_entropy": steps[-1]["entropy"] if steps else float(np.log(len(functions))),
     }
+
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "gains.csv"), gains_csv)
+    _write_text(os.path.join(out_dir, "belief.csv"), belief_csv)
+    _write_json(os.path.join(out_dir, "trace.json"), trace_dict)
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
@@ -121,9 +127,9 @@ def write_mom_eval(out_dir: str, names: Sequence[str],
     """Per-sequence, per-timestep success likelihood plus flagged times."""
     os.makedirs(out_dir, exist_ok=True)
     T = len(likelihoods[0]) if likelihoods else 0
-    _write_csv(os.path.join(out_dir, "mom_likelihood.csv"),
-               ["sequence"] + [f"t{t}" for t in range(T)],
-               ([name] + list(lik) for name, lik in zip(names, likelihoods)))
+    _write_text(os.path.join(out_dir, "mom_likelihood.csv"),
+                _csv(["sequence"] + [f"t{t}" for t in range(T)],
+                     ([name] + list(lik) for name, lik in zip(names, likelihoods))))
     _write_json(os.path.join(out_dir, "summary.json"),
                 {"sequences": [{"sequence": n,
                                 "t_fail": None if f is None else int(f)}

@@ -11,7 +11,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -158,6 +158,18 @@ class TestMalformedDocuments:
         assert err.startswith("error: ")
         assert target in err
 
+    @pytest.mark.parametrize("change", [
+        _drop("converged"),
+        _in_first("steps", lambda step: {**step, "posterior": step["posterior"][:-1] + [None]}),
+    ], ids=["no-converged", "null-posterior-cell"])
+    def test_late_malformed_trace_writes_nothing(self, base, tmp_path, change):
+        trace, out = tmp_path / "trace.json", tmp_path / "out"
+        shutil.copy(os.path.join(base, "trace.json"), trace)
+        _edit(str(trace), change)
+        code, _ = _run(["report", "--trace", str(trace), "--out", str(out)])
+        assert code == 1
+        assert not out.exists() or os.listdir(out) == []
+
     def test_replay_entry_outside_study_rejected(self, base, tmp_path):
         _copy(base, str(tmp_path))
         # a valid recording, but outside the study directory
@@ -262,7 +274,7 @@ class TestSingleSerializer:
         assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
         run = json.loads((out / "run.json").read_text())
         cfg = load_scenario(scenario)
-        assert run["config"]["planner"] == asdict(cfg.planner)
+        assert run["config"]["planner"] == asdict(replace(cfg.planner, seed=cfg.seed))
         assert run["config"]["blame"] == asdict(cfg.resolved_blame())
         assert run["tool_version"] == blamebox.__version__
 

@@ -4,8 +4,8 @@ import pytest
 from blamebox import (AnomalySpec, FunctionRegistry, ScenarioError,
                       SensorSynthSpec, SimSkillSpec, SimWorld, ValidationError,
                       built_in_scenario, gen_fingerprint, gen_sensor_suite,
-                      load_scenario, run_scenario, simulate_execution,
-                      validate_observation)
+                      load_scenario, run_scenario, run_testing_loop,
+                      simulate_execution, validate_observation)
 from blamebox.harness import ScenarioConfig, build_database
 
 REG6 = FunctionRegistry([f"f{i}" for i in range(1, 7)])
@@ -171,6 +171,22 @@ class TestScenarios:
         assert res.posterior_of("f2") > 0.5
         for name in ("gains.csv", "belief.csv", "trace.json", "summary.json", "run.json"):
             assert (out / name).exists()
+
+    def test_run_json_records_the_planner_seed_used(self, tmp_path, monkeypatch):
+        import json
+        import blamebox.harness as harness
+        from blamebox.cli import main
+        used = []
+
+        def recording_loop(*args):
+            used.append(args[5].seed)
+            return run_testing_loop(*args)
+
+        monkeypatch.setattr(harness, "run_testing_loop", recording_loop)
+        assert built_in_scenario("exoneration").planner.seed == 0
+        assert main(["simulate", "--scenario", "exoneration", "--out", str(tmp_path)]) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert used == [1] and run["config"]["planner"]["seed"] == 1
 
     def test_same_seed_same_candidates(self):
         cfg = ScenarioConfig(

@@ -8,7 +8,9 @@ from blamebox import (Belief, BlameConfig, ExperienceDb, ExecutionResult,
                       run_testing_loop, select_skill)
 from blamebox.harness import SimExecutor, SimSkillSpec, SimWorld, build_database
 from blamebox.blame import combine_deviation
-from blamebox.fpf import fit_fpf
+from blamebox.core import Fingerprint, Observation
+from blamebox.fpf import deviation_grid, fit_fpf
+from blamebox.mom import ErrorStats, MomConfig, init_model
 from blamebox.planner import _sampled_entropies
 
 CFG = BlameConfig(alpha=0.2, window_steps=3)
@@ -39,6 +41,23 @@ def enumerate_expected_entropy(belief, db, fpf, blame):
                   for t in range(T)]
         total += 0.5 * h_succ + 0.5 * float(np.mean(h_fail))
     return total / len(db.observations)
+
+
+def full_registry_entropies(belief, db, fpf, samples, seed):
+    """Sampled posterior entropies with the deviation grid over every registry
+    row and the per-function normalization, from the same draws as
+    ``_sampled_entropies``; also returns the success draws."""
+    n, T = len(db), fpf.T
+    rng = np.random.default_rng(seed)
+    succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
+    t_eff = np.where(succ, T - 1, rng.integers(0, T, size=(n, samples)))
+    pd, inactive = deviation_grid(fpf, db.counts_stack(), CFG).at(t_eff, np.arange(n)[:, None])
+    lik = np.where(succ[:, :, None], combine_deviation(pd, inactive, True, CFG),
+                   combine_deviation(pd, inactive, False, CFG))
+    w = lik * belief.probs
+    w /= w.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(w > 0, w * np.log(w), 0.0).sum(axis=2).ravel(), succ
 
 
 class TestExpectedInformationGain:
@@ -96,25 +115,60 @@ class TestExpectedInformationGain:
         assert a == b
 
     def test_sampled_entropies_gather_from_every_column(self):
-        # erf on the sampled columns only must equal reading a grid of all of them
+        # erf on the sampled support columns plus the closed-form block for the
+        # rest must equal a grid over every registry row
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2")}, F=3, T=9, n=4, seed=3)
         cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
         belief = Belief(np.array([0.5, 0.3, 0.2]))
         got = _sampled_entropies(belief, cache, CFG, 5, np.random.default_rng(6))
-        n, T = cache.n_obs, cache.T
-        pd_all, inactive_all = cache.grid.at(np.arange(T)[:, None], np.arange(n)[None, :])
-        rng = np.random.default_rng(6)
-        succ = rng.integers(0, 2, size=(n, 5)).astype(bool)
-        t_eff = np.where(succ, T - 1, rng.integers(0, T, size=(n, 5)))
-        obs = np.arange(n)[:, None]
-        pd, inactive = pd_all[t_eff, obs], inactive_all[t_eff, obs]
-        lik = np.where(succ[:, :, None], combine_deviation(pd, inactive, True, CFG),
-                       combine_deviation(pd, inactive, False, CFG))
-        w = lik * belief.probs
-        w /= w.sum(axis=2, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            expected = -np.where(w > 0, w * np.log(w), 0.0).sum(axis=2).ravel()
-        assert np.array_equal(got, expected)
+        expected, _ = full_registry_entropies(belief, dbs["s1"], fpfs["s1"], 5, 6)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_support_block_matches_full_registry(self):
+        _, _, dbs, fpfs = toy_setup({"s1": ("f2", "f3", "f5")}, F=6, T=12, n=5, seed=7)
+        cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
+        assert list(cache.support) == [1, 2, 4]
+        # zero mass on f2 (in the support) and on f4 (outside it)
+        belief = Belief(np.array([0.2, 0.0, 0.3, 0.0, 0.4, 0.1]))
+        got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(8))
+        expected, succ = full_registry_entropies(belief, dbs["s1"], fpfs["s1"], 16, 8)
+        assert succ.any() and not succ.all()
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_support_includes_rows_the_model_expects(self):
+        # a model fitted elsewhere can expect calls the scored runs never made
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f3"), "s2": ("f1",)}, F=4, T=8, n=4)
+        cache = SkillCache(dbs["s2"], fpfs["s1"], CFG)
+        assert list(cache.support) == [0, 2]
+        belief = Belief(np.array([0.1, 0.2, 0.3, 0.4]))
+        got = _sampled_entropies(belief, cache, CFG, 8, np.random.default_rng(2))
+        expected, _ = full_registry_entropies(belief, dbs["s2"], fpfs["s1"], 8, 2)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_grid_covers_only_the_support(self):
+        _, _, dbs, fpfs = toy_setup({"s1": ("f2", "f4")}, F=7, T=6)
+        cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
+        assert list(cache.support) == [1, 3]
+        assert cache.grid.mean.shape[1] == cache.grid.exec_mean.shape[2] == 2
+
+    def test_empty_support_gains_nothing(self):
+        registry, _, dbs, _ = toy_setup({"s1": ("f1",)}, F=3, T=6)
+        zeros = [Observation(sensors=o.sensors, skill="s1", success=True,
+                             fingerprint=Fingerprint(np.zeros((3, 6)), dt=o.fingerprint.dt))
+                 for o in dbs["s1"].observations]
+        db = ExperienceDb.from_observations("s1", zeros, registry)
+        fpf = fit_fpf(db, CFG)
+        cache = SkillCache(db, fpf, CFG)
+        assert cache.support.size == 0
+        est = information_gain_stats(Belief(np.array([0.6, 0.4, 0.0])), db, fpf, PLAN, CFG,
+                                     np.random.default_rng(0), cache=cache)
+        assert abs(est.gain) <= 1e-12
+
+    def test_belief_of_another_registry_rejected(self):
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
+        with pytest.raises(ValidationError):
+            information_gain_stats(Belief.uniform(3), dbs["s1"], fpfs["s1"], PLAN, CFG,
+                                   np.random.default_rng(0))
 
     def test_empty_db_rejected(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
@@ -147,16 +201,6 @@ class TestSelectSkill:
                                         np.random.default_rng(2))
         assert chosen == "s2"
         assert gains["s2"].gain > gains["s1"].gain
-
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("BLAMEBOX_THREADS", "1")
-        _, _, dbs, fpfs = toy_setup({"s1": ("f1",), "s2": ("f2",)})
-        chosen, _, _ = select_skill(Belief.uniform(2), ("s1", "s2"), dbs, fpfs,
-                                    PLAN, CFG, np.random.default_rng(1))
-        monkeypatch.setenv("BLAMEBOX_THREADS", "8")
-        chosen2, _, _ = select_skill(Belief.uniform(2), ("s1", "s2"), dbs, fpfs,
-                                     PLAN, CFG, np.random.default_rng(1))
-        assert chosen == chosen2  # parallelism does not change the outcome
 
 
 class TestLoop:
@@ -256,13 +300,21 @@ class TestExecutionResultTFail:
         _, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
         assert trace.steps[0].t_fail == 5
 
+    def test_detector_of_another_sensor_dimension_rejected(self):
+        _, executor, dbs, fpfs = self._records()
+        D = dbs["s1"].observations[0].sensors.D
+        model = init_model(D + 2, MomConfig(bottleneck=2), seed=0)
+        stats = ErrorStats(mu=np.zeros(8), sigma=np.ones(8))
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
+        with pytest.raises(ValidationError, match="D="):
+            run_testing_loop(executor, ("s1",), dbs, fpfs, {"s1": (model, stats)}, plan, CFG)
+
     def _records(self):
         registry, specs, dbs, fpfs = toy_setup({"s1": ("f1",)}, F=2, T=8)
 
         class Fixed:
             def execute(self, skill):
                 obs = dbs["s1"].observations[0]
-                from blamebox.core import Observation
                 failed = Observation(sensors=obs.sensors, fingerprint=obs.fingerprint,
                                      success=False, skill="s1")
                 return ExecutionResult(observation=failed, success=False, t_fail=5)
