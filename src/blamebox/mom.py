@@ -321,12 +321,14 @@ def fit_error_stats(model: MomModel, sequences: Sequence[SensorSeries],
 
 
 def _centered_moving_average(x: np.ndarray, width: int) -> np.ndarray:
+    """Mean of x over steps t - width//2 .. t + width//2, the window shrunk at
+    the boundaries, as a difference of prefix sums."""
     half = width // 2
-    T = x.size
-    out = np.empty_like(x)
-    for i in range(T):
-        out[i] = x[max(0, i - half):min(T, i + half + 1)].mean()
-    return out
+    t = np.arange(x.size)
+    lo = np.maximum(t - half, 0)
+    hi = np.minimum(t + half + 1, x.size)
+    prefix = np.concatenate(([0.0], np.cumsum(x)))
+    return (prefix[hi] - prefix[lo]) / (hi - lo)
 
 
 def detect_failure_time(stats: ErrorStats, errors: np.ndarray,

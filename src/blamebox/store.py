@@ -1,14 +1,20 @@
 """Persistence: experience databases, fingerprint/observation models, and
 whole studies, plus a replay executor over recorded executions.
 
-Matrices are stored as plain CSV (one row per function or channel, one column
-per timestep, 17 significant digits so round-trips are value-exact); metadata
-lives in JSON manifests. Every file is self-describing through ``format``,
-``version`` and, for models, ``kind`` fields, and loading validates shapes
-and contents rather than trusting them. File entries in a manifest are
-relative paths inside the manifest's directory. Every JSON document goes
-through :func:`_write_json` and :func:`_read_json`, and a missing or mistyped
-field met while interpreting one is a :class:`StoreError` naming the file.
+Matrices are stored as plain CSV with 17 significant digits, so round-trips
+are value-exact; metadata lives in JSON manifests. A sensors file holds one
+row per channel and one column per timestep. A counts file of a database at
+version 2 holds one row ``index, c_0, ..., c_{T-1}`` per function with a
+non-zero count, in ascending index order, so an all-zero matrix is an empty
+file; T is the width of the paired sensors file. Version 1 databases, whose
+counts files hold the dense F x T matrix, are still read. Databases are
+written at version 2, studies and models at version 1. Every file is
+self-describing through ``format``, ``version`` and, for models, ``kind``
+fields, and loading validates shapes and contents rather than trusting them.
+File entries in a manifest are relative paths inside the manifest's
+directory. Every JSON document goes through :func:`_write_json` and
+:func:`_read_json`, and a missing or mistyped field met while interpreting
+one is a :class:`StoreError` naming the file.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
-                   SensorSeries, SkillId, validate_observation)
+                   SensorSeries, SkillId, validate_observation, validate_series)
 from .errors import (ConfigError, ExecutorError, KindError, StoreError, ValidationError,
                      VersionError)
 from .fpf import FpfModel
@@ -32,6 +38,8 @@ _DB_FORMAT = "blamebox-db"
 _MODEL_FORMAT = "blamebox-model"
 _STUDY_FORMAT = "blamebox-study"
 _VERSION = 1
+_DB_VERSION = 2
+_DB_VERSIONS = (1, 2)
 _FLOAT_FMT = "%.17g"
 _MALFORMED = (KeyError, TypeError, AttributeError, IndexError, ValueError, ArithmeticError)
 
@@ -73,16 +81,28 @@ def _inside(manifest_path: str, rel) -> str:
     return os.path.join(os.path.dirname(manifest_path), rel)
 
 
-def _read_document(path: str, expected_format: str) -> dict:
-    """A JSON document whose ``format`` and ``version`` header match."""
+def _read_document(path: str, expected_format: str,
+                   versions: tuple[int, ...] = (_VERSION,)) -> dict:
+    """A JSON document whose ``format`` matches and whose ``version`` is one
+    of ``versions``."""
     payload = _read_json(path)
     fmt = payload.get("format")
     if fmt != expected_format:
         raise StoreError(f"{path}: expected format {expected_format!r}, found {fmt!r}")
     version = payload.get("version")
-    if version != _VERSION:
-        raise VersionError(f"{path}: unsupported version {version!r} (supported: {_VERSION})")
+    if version not in versions:
+        raise VersionError(f"{path}: unsupported version {version!r} "
+                           f"(supported: {', '.join(map(str, versions))})")
     return payload
+
+
+@contextmanager
+def _naming(path: str):
+    """Prefix ``path`` to a ValidationError raised inside the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _save_matrix(path: str, mat: np.ndarray) -> None:
@@ -90,10 +110,43 @@ def _save_matrix(path: str, mat: np.ndarray) -> None:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise StoreError(f"{path}: unreadable matrix: {exc}") from exc
+    """The CSV matrix at ``path``; an empty file is a 0 x 0 matrix."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return np.empty((0, 0))
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a non-numeric cell, a ragged row or bad UTF-8
+            raise StoreError(f"{path}: unreadable matrix: {exc}") from exc
+
+
+def _save_counts(path: str, counts: np.ndarray) -> None:
+    rows = np.flatnonzero(counts.any(axis=1))
+    _save_matrix(path, np.column_stack([rows, counts[rows]]))
+
+
+def _load_counts(path: str, version: int, F: int, T: int, sensors_path: str) -> np.ndarray:
+    """The F x T counts matrix of a database at ``version``: read densely
+    (version 1), or scattered from its non-zero rows (version 2), whose width
+    must be one more than the T of the paired sensors file."""
+    mat = _load_matrix(path)
+    if version == 1:
+        return mat
+    counts = np.zeros((F, T))
+    if len(mat) == 0:
+        return counts
+    if mat.shape[1] != T + 1:
+        raise StoreError(f"{path}: a row holds {mat.shape[1]} values, expected a function "
+                         f"index and {T} counts, T being the width of {sensors_path}")
+    idx = mat[:, 0]
+    ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
+    ok[1:] &= idx[1:] > idx[:-1]
+    if not ok.all():
+        r = int(np.argmin(ok))
+        raise StoreError(f"{path}: row {r} has function index {idx[r]:g}; indices must be "
+                         f"integers in [0, {F}), ascending and without repeats")
+    counts[idx.astype(np.intp)] = mat[:, 1:]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +160,7 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         sensors_file = f"obs_{i:04d}.sensors.csv"
         counts_file = f"obs_{i:04d}.counts.csv"
         _save_matrix(os.path.join(path, sensors_file), rec.observation.sensors.data)
-        _save_matrix(os.path.join(path, counts_file), rec.observation.fingerprint.counts)
+        _save_counts(os.path.join(path, counts_file), rec.observation.fingerprint.counts)
         entries.append({
             "sensors": sensors_file,
             "counts": counts_file,
@@ -116,7 +169,7 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         })
     _write_json(os.path.join(path, "manifest.json"), {
         "format": _DB_FORMAT,
-        "version": _VERSION,
+        "version": _DB_VERSION,
         "skill": skill,
         "canonical_T": int(canonical_T),
         "dt": float(dt),
@@ -125,12 +178,17 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
     })
 
 
-def _load_records(path: str) -> tuple[SkillId, FunctionRegistry, float, int,
-                                      list[ExecutionResult]]:
+def _load_records(path: str, registry: FunctionRegistry | None = None
+                  ) -> tuple[SkillId, FunctionRegistry, float, int, list[ExecutionResult]]:
+    """Read a database directory; with ``registry``, its manifest must list
+    the same functions."""
     manifest_path = os.path.join(path, "manifest.json")
-    manifest = _read_document(manifest_path, _DB_FORMAT)
+    manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSIONS)
     with _interpreting(manifest_path):
-        registry = FunctionRegistry(manifest["functions"])
+        listed = FunctionRegistry(manifest["functions"])
+        if registry is not None and listed.names != registry.names:
+            raise StoreError(f"{manifest_path}: lists other functions than expected")
+        registry = listed
         skill = manifest["skill"]
         dt = float(manifest["dt"])
         canonical_T = int(manifest["canonical_T"])
@@ -138,16 +196,15 @@ def _load_records(path: str) -> tuple[SkillId, FunctionRegistry, float, int,
         for entry in manifest["observations"]:
             counts_file = _inside(manifest_path, entry["counts"])
             sensors_file = _inside(manifest_path, entry["sensors"])
-            obs = Observation(
-                sensors=SensorSeries(_load_matrix(sensors_file), dt=dt),
-                fingerprint=Fingerprint(_load_matrix(counts_file), dt=dt),
-                success=bool(entry["success"]),
-                skill=skill,
-            )
-            try:
+            sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
+            with _naming(sensors_file):
+                validate_series(sensors)
+            counts = _load_counts(counts_file, manifest["version"], registry.F, sensors.T,
+                                  sensors_file)
+            obs = Observation(sensors=sensors, fingerprint=Fingerprint(counts, dt=dt),
+                              success=bool(entry["success"]), skill=skill)
+            with _naming(counts_file):
                 validate_observation(obs, registry)
-            except ValidationError as exc:
-                raise ValidationError(f"{counts_file}: {exc}") from exc
             t_fail = entry.get("t_fail")
             records.append(ExecutionResult(observation=obs, success=obs.success,
                                            t_fail=None if t_fail is None else int(t_fail)))
@@ -160,9 +217,10 @@ def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
                   db.observations[0].fingerprint.dt if db.observations else 1.0)
 
 
-def load_db(path: str) -> ExperienceDb:
-    """Load and validate an experience database (successful runs only)."""
-    skill, registry, _, _, records = _load_records(path)
+def load_db(path: str, registry: FunctionRegistry | None = None) -> ExperienceDb:
+    """Load and validate an experience database (successful runs only); with
+    ``registry``, the database must list the same functions."""
+    skill, registry, _, _, records = _load_records(path, registry)
     return ExperienceDb.from_observations(skill, [r.observation for r in records], registry)
 
 
@@ -310,10 +368,7 @@ def load_study(path: str) -> Study:
             rel = manifest["dbs"].get(skill)
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
-            db_path = _inside(manifest_path, rel)
-            if registry.names != load_db_registry(db_path).names:
-                raise StoreError(f"{manifest_path}: registry mismatch in {rel}")
-            dbs[skill] = load_db(db_path)
+            dbs[skill] = load_db(_inside(manifest_path, rel), registry)
         replay = {skill: load_recorded(_inside(manifest_path, rel))
                   for skill, rel in manifest.get("replay", {}).items()}
         if any(db.skill != s for s, db in dbs.items()) or any(
@@ -322,9 +377,3 @@ def load_study(path: str) -> Study:
         return Study(registry=registry, skills=skills, dbs=dbs,
                      dt=float(manifest["dt"]), replay=replay)
 
-
-def load_db_registry(path: str) -> FunctionRegistry:
-    manifest_path = os.path.join(path, "manifest.json")
-    manifest = _read_document(manifest_path, _DB_FORMAT)
-    with _interpreting(manifest_path):
-        return FunctionRegistry(manifest["functions"])

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import blamebox
@@ -264,6 +264,75 @@ def test_fuzzed_field_never_escapes(base, field, value):
         code, err = _run(_argv(root, target))
     assert code in (0, 1, 2)
     assert code == 0 or "error: " in err
+
+
+# CSV files for the CSV fuzz: localize reads the study's, train-mom the sensor db's
+CSV_FILES = [os.path.join("study", "dbs", "s1", "obs_0002.counts.csv"),
+             os.path.join("study", "dbs", "s2", "obs_0004.sensors.csv"),
+             os.path.join("study", "replay", "s2", "obs_0001.counts.csv"),
+             os.path.join("study", "replay", "s1", "obs_0005.sensors.csv"),
+             os.path.join("sensor_db", "obs_0001.counts.csv"),
+             os.path.join("sensor_db", "obs_0003.sensors.csv")]
+
+
+def _rewrite_csv(path, kind, r, c):
+    """Apply the rewrite ``kind`` to row ``r`` and column ``c`` (both taken
+    modulo the file's size) of a counts or sensors file; True when the result
+    is malformed. Index rewrites apply to counts files only; in a counts file
+    a value rewrite lands on a count, never on the index."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    counts = path.endswith(".counts.csv")
+    row = rows[r % len(rows)]
+    malformed = True
+    if kind in ("x", "nan", "inf", "-1"):
+        row[(1 + c % (len(row) - 1)) if counts else c % len(row)] = kind
+        malformed = counts or kind != "-1"  # a sensor value may be negative
+    elif kind == "fractional-index":
+        row[0] += ".5"
+    elif kind == "index-F":
+        row[0] = str(REG.F)
+    elif kind == "index-minus-one":
+        row[0] = "-1"
+    elif kind in ("repeated-index", "descending-index"):
+        k = 1 + r % (len(rows) - 1)
+        if kind == "repeated-index":
+            rows[k][0] = rows[k - 1][0]
+        else:
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+    elif kind == "row-short":
+        row.pop()
+    elif kind == "row-long":
+        row.append(row[-1])
+    else:  # "emptied": an all-zero counts matrix is valid, sensors are not
+        rows = []
+        malformed = not counts
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(",".join(cells) + "\n" for cells in rows))
+    return malformed
+
+
+CSV_REWRITES = ["x", "nan", "inf", "-1", "fractional-index", "index-F", "index-minus-one",
+                "repeated-index", "descending-index", "row-short", "row-long", "emptied"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from(CSV_FILES), kind=st.sampled_from(CSV_REWRITES),
+       r=st.integers(0, 20), c=st.integers(0, 40))
+def test_fuzzed_csv_never_escapes(base, target, kind, r, c):
+    assume(target.endswith(".counts.csv") or "index" not in kind)
+    with tempfile.TemporaryDirectory() as root:
+        _copy(base, root)
+        malformed = _rewrite_csv(os.path.join(root, target), kind, r, c)
+        if target.startswith("study"):
+            argv = _argv(root, STUDY)
+        else:
+            argv = ["train-mom", "--db", os.path.join(root, "sensor_db"),
+                    "--out", os.path.join(root, "m.json"), "--epochs", "1"]
+        code, err = _run(argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or (err.startswith("error: ") and target in err)
+    assert code == 1 or not malformed
 
 
 class TestSingleSerializer:

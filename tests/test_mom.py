@@ -4,7 +4,7 @@ import pytest
 from blamebox import (ConfigError, ErrorStats, MomConfig, MomModel, SensorSeries,
                       ValidationError, cosine_objective, detect_failure_time,
                       error_series, fit_error_stats, init_model, reconstruct, train)
-from blamebox.mom import _PARAM_FIELDS, loss_and_gradients
+from blamebox.mom import _PARAM_FIELDS, _centered_moving_average, loss_and_gradients
 
 
 def fd_gradients(params, X, step=1e-5):
@@ -259,3 +259,12 @@ class TestDetect:
         cfg = MomConfig(bottleneck=2)
         with pytest.raises(ValidationError):
             detect_failure_time(self._stats(), np.zeros(19), cfg)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 10, 25, 39, 40, 41, 80])
+    def test_moving_average_matches_loop(self, width):
+        x = np.random.default_rng(width).uniform(0.0, 3.0, 40)
+        half = width // 2
+        loop = np.array([x[max(0, i - half):min(x.size, i + half + 1)].mean()
+                         for i in range(x.size)])
+        np.testing.assert_allclose(_centered_moving_average(x, width), loop,
+                                   rtol=0, atol=1e-12)

@@ -1,14 +1,17 @@
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
 
-from blamebox import (BlameConfig, ExecutorError, FunctionRegistry,
-                      KindError, MomBundle, MomConfig, ReplayExecutor, SensorSeries,
+from blamebox import (BlameConfig, ExecutorError, ExperienceDb, Fingerprint, FunctionRegistry,
+                      KindError, MomBundle, MomConfig, Observation, ReplayExecutor, SensorSeries,
                       StoreError, ValidationError, VersionError, fit_error_stats,
                       fit_fpf, init_model, load_db, load_model, load_recorded,
                       load_study, reconstruct, save_db, save_model, save_recorded,
                       save_study, train)
+from blamebox import store
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
 
 REG = FunctionRegistry(["f1", "f2", "f3"])
@@ -17,6 +20,16 @@ REG = FunctionRegistry(["f1", "f2", "f3"])
 def small_db(seed=0, n=4, skill="s1"):
     spec = SimSkillSpec(skill=skill, used_functions=("f1", "f2"), T=12, dt=0.1)
     return build_database(spec, REG, np.random.default_rng(seed), n)
+
+
+def save_version_1(path, observations):
+    """Rewrite the database saved at ``path`` in the dense version-1 layout,
+    each counts file holding the full F x T matrix of its observation."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    for entry, obs in zip(manifest["observations"], observations):
+        np.savetxt(path / entry["counts"], obs.fingerprint.counts, delimiter=",", fmt="%.17g")
+    manifest["version"] = 1
+    (path / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestDbRoundTrip:
@@ -37,10 +50,11 @@ class TestDbRoundTrip:
         path = tmp_path / "db"
         save_db(db, str(path), REG)
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["version"] = 99
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(VersionError):
-            load_db(str(path))
+        for version in (3, 99):
+            manifest["version"] = version
+            (path / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(VersionError):
+                load_db(str(path))
 
     def test_wrong_format_field(self, tmp_path):
         db = small_db()
@@ -68,6 +82,125 @@ class TestDbRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_db(str(tmp_path / "nowhere"))
+
+
+def _cell(r, c, value):
+    def rewrite(rows):
+        rows[r][c] = value
+    return rewrite
+
+
+def _truncate(width):
+    def rewrite(rows):
+        for row in rows:
+            del row[width:]
+    return rewrite
+
+
+# rewrites of a version-2 counts file whose two rows are functions 0 and 1
+MALFORMED_ROWS = {
+    "fractional-index": _cell(0, 0, "0.5"),
+    "index-equal-to-F": _cell(1, 0, "3"),
+    "negative-index": _cell(0, 0, "-1"),
+    "nan-index": _cell(0, 0, "nan"),
+    "repeated-index": _cell(1, 0, "0"),
+    "descending-index": lambda rows: rows.reverse(),
+    "one-row-short": lambda rows: rows[0].pop(),
+    "one-row-long": lambda rows: rows[1].append("1"),
+    "every-row-short": _truncate(-1),
+    "every-row-long": lambda rows: [row.append("1") for row in rows],
+    "index-and-one-count": _truncate(2),
+}
+
+
+class TestCountsFormat:
+    def test_version_1_db_loads_equal(self, tmp_path):
+        db = small_db()
+        save_db(db, str(tmp_path / "v2"), REG)
+        save_db(db, str(tmp_path / "v1"), REG)
+        save_version_1(tmp_path / "v1", db.observations)
+        assert len((tmp_path / "v1" / "obs_0000.counts.csv").read_text().splitlines()) == REG.F
+        v1, v2 = load_db(str(tmp_path / "v1")), load_db(str(tmp_path / "v2"))
+        assert v1.canonical_T == v2.canonical_T
+        for a, b in zip(v1.observations, v2.observations, strict=True):
+            assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
+            assert np.array_equal(a.sensors.data, b.sensors.data)
+
+    def test_version_1_study_loads_equal(self, tmp_path):
+        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+        spec = SimSkillSpec(skill="s1", used_functions=("f1", "f2"), T=12, dt=0.1)
+        world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
+        rng = np.random.default_rng(1)
+        replay = {"s1": [simulate_execution(spec, world, rng) for _ in range(3)]}
+        for name in ("v1", "v2"):
+            save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
+        for skill, db in dbs.items():
+            save_version_1(tmp_path / "v1" / "dbs" / skill, db.observations)
+        save_version_1(tmp_path / "v1" / "replay" / "s1", [r.observation for r in replay["s1"]])
+        v1, v2 = load_study(str(tmp_path / "v1")), load_study(str(tmp_path / "v2"))
+        for skill in dbs:
+            for a, b in zip(v1.dbs[skill].observations, v2.dbs[skill].observations,
+                            strict=True):
+                assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
+        for a, b in zip(v1.replay["s1"], v2.replay["s1"], strict=True):
+            assert (a.success, a.t_fail) == (b.success, b.t_fail)
+            assert np.array_equal(a.observation.fingerprint.counts,
+                                  b.observation.fingerprint.counts)
+
+    def test_all_zero_counts_saved_empty(self, tmp_path):
+        obs = [Observation(sensors=SensorSeries(np.ones((2, 12)), dt=0.1),
+                           fingerprint=Fingerprint(np.zeros((REG.F, 12)), dt=0.1),
+                           success=True, skill="s1") for _ in range(2)]
+        save_db(ExperienceDb.from_observations("s1", obs, REG), str(tmp_path / "db"), REG)
+        assert os.path.getsize(tmp_path / "db" / "obs_0000.counts.csv") == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_db(str(tmp_path / "db"))
+        assert np.array_equal(loaded.observations[0].fingerprint.counts, np.zeros((REG.F, 12)))
+
+    def test_one_line_per_active_function(self, tmp_path):
+        wide = FunctionRegistry([f"fn{i:04d}" for i in range(2000)])
+        used = ("fn0007", "fn0123", "fn0500", "fn1042", "fn1500", "fn1999")
+        spec = SimSkillSpec(skill="s1", used_functions=used, T=20, dt=0.1)
+        db = build_database(spec, wide, np.random.default_rng(3), 3)
+        save_db(db, str(tmp_path / "db"), wide)
+        loaded = load_db(str(tmp_path / "db"))
+        for i, (a, b) in enumerate(zip(db.observations, loaded.observations, strict=True)):
+            counts = a.fingerprint.counts
+            lines = (tmp_path / "db" / f"obs_{i:04d}.counts.csv").read_text().splitlines()
+            assert 0 < len(lines) == np.count_nonzero(counts.any(axis=1)) <= len(used)
+            assert np.array_equal(b.fingerprint.counts, counts)
+
+    @pytest.mark.parametrize("rewrite", list(MALFORMED_ROWS.values()), ids=list(MALFORMED_ROWS))
+    def test_malformed_rows_name_the_file(self, tmp_path, rewrite):
+        db = small_db()
+        save_db(db, str(tmp_path / "db"), REG)
+        target = tmp_path / "db" / "obs_0001.counts.csv"
+        rows = [line.split(",") for line in target.read_text().splitlines()]
+        assert [row[0] for row in rows] == ["0", "1"]
+        rewrite(rows)
+        target.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(StoreError, match="obs_0001.counts.csv"):
+            load_db(str(tmp_path / "db"))
+
+    def test_each_manifest_read_once(self, tmp_path, monkeypatch):
+        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+        save_study(str(tmp_path / "study"), REG, dbs, dt=0.1)
+        read = []
+        real = store._read_json
+        monkeypatch.setattr(store, "_read_json", lambda path: read.append(path) or real(path))
+        load_study(str(tmp_path / "study"))
+        assert len(read) == len(set(read)) == 3
+
+    def test_db_of_another_registry_rejected(self, tmp_path):
+        dbs = {"s1": small_db(seed=0, skill="s1")}
+        save_study(str(tmp_path / "study"), REG, dbs, dt=0.1)
+        manifest_path = tmp_path / "study" / "dbs" / "s1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["functions"] = ["f1", "f2", "g3"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=os.path.join("dbs", "s1", "manifest.json")):
+            load_study(str(tmp_path / "study"))
 
 
 class TestModelRoundTrip:
