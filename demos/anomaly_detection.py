@@ -7,7 +7,7 @@ timestep 120 on (alternating sign across channels, the way a miscalibrated
 sensor bank drifts). The model never sees an anomalous sequence during
 training; detection is purely "this no longer reconstructs like success".
 
-Takes ~20 s on a laptop CPU (500 training epochs).
+Takes ~10 s on a laptop CPU (500 training epochs).
 
 Run:  python demos/anomaly_detection.py
 """

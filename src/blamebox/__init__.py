@@ -26,8 +26,8 @@ from .harness import (AnomalySpec, BUILT_IN_SCENARIOS, ScenarioConfig,
                       gen_sensor_suite, load_scenario, run_scenario,
                       simulate_execution)
 from .mom import (ErrorStats, MomConfig, MomModel, cosine_objective,
-                  detect_failure_time, error_series, fit_error_stats, init_model,
-                  reconstruct, train)
+                  detect_failure_time, error_rows, error_series, fit_error_stats,
+                  init_model, reconstruct, train)
 from .planner import (ExecutionResult, GainEstimate, LoopStep, LoopTrace,
                       PlannerConfig, SkillCache, SkillExecutor,
                       expected_information_gain, information_gain_stats,

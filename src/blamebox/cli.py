@@ -17,7 +17,7 @@ from dataclasses import asdict
 from .errors import BlameboxError
 from .fpf import BlameConfig, fit_fpf
 from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
-from .mom import MomConfig, detect_failure_time, error_series, fit_error_stats, train
+from .mom import MomConfig, detect_failure_time, error_rows, fit_error_stats, train
 from .planner import PlannerConfig, run_testing_loop
 from .reports import (trace_to_dict, write_mom_eval, write_run_info,
                       write_trace_files)
@@ -51,13 +51,10 @@ def _cmd_eval_mom(args) -> int:
         raise BlameboxError(f"{args.model} has no error statistics; retrain first")
     db = load_db(args.db)
     config = MomConfig()
-    names, liks, flags = [], [], []
-    for i, obs in enumerate(db.observations):
-        errors = error_series(bundle.model, obs.sensors)
-        lik, t_fail = detect_failure_time(bundle.error_stats, errors, config)
-        names.append(f"obs_{i:04d}")
-        liks.append(lik)
-        flags.append(t_fail)
+    errors = error_rows(bundle.model, [o.sensors for o in db.observations],
+                        T=bundle.error_stats.T)
+    names = [f"obs_{i:04d}" for i in range(len(errors))]
+    liks, flags = zip(*(detect_failure_time(bundle.error_stats, e, config) for e in errors))
     write_mom_eval(args.out, names, liks, flags)
     write_run_info(args.out, "eval-mom",
                    {"model": args.model, "db": args.db,

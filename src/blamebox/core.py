@@ -135,10 +135,19 @@ class ExperienceDb:
     def from_observations(cls, skill: SkillId, observations: Sequence[Observation],
                           registry: FunctionRegistry) -> "ExperienceDb":
         obs = list(observations)
+        for o in obs:
+            validate_observation(o, registry)
+        return cls.from_validated(skill, obs)
+
+    @classmethod
+    def from_validated(cls, skill: SkillId,
+                       observations: Sequence[Observation]) -> "ExperienceDb":
+        """Like :meth:`from_observations`, for observations that each passed
+        :func:`validate_observation` against the database's registry."""
+        obs = list(observations)
         if not obs:
             raise ValidationError("experience database needs at least one observation")
         for o in obs:
-            validate_observation(o, registry)
             if not o.success:
                 raise ValidationError(
                     f"experience databases hold successful executions only; "

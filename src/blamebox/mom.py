@@ -19,6 +19,18 @@ training set and stored on the model).
 
 Training is full batch with ADAM and a fixed epoch count; everything is a
 deterministic function of (data, config, seed).
+
+Layout. A batch of n sequences runs time-major, as (T, n, D) arrays, and
+whatever does not depend on the hidden state is computed for all T at once
+(after Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946): the encodings
+as one matmul, and the three gates' input products as one stacked matmul
+into G (3, T, n, D), one (T, n, D) slab per gate in the order z, r, c. The
+recurrence then makes two products per step, h with the stacked
+[upd_u; rst_u] and r * h with cand_u. The backward pass forms the gates'
+local derivatives for all T before its loop, makes the two products that
+depend on dh per step, and forms each weight gradient after the loop as a
+product over all T n rows. Scoring (``error_rows``, ``error_series``,
+``reconstruct``) runs the same forward pass over the whole batch.
 """
 from __future__ import annotations
 
@@ -133,37 +145,68 @@ def init_model(D: int, config: MomConfig, seed: int | None = None) -> MomModel:
     )
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, written into ``out`` when given (it may be ``x``)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
-def _forward(p: dict[str, np.ndarray], X: np.ndarray, keep_cache: bool):
-    """Run the network over a batch X of shape (n, D, T)."""
-    n, D, T = X.shape
-    h = np.zeros((n, D))
-    Y = np.empty_like(X)
-    cache = [] if keep_cache else None
-    for t in range(T):
-        x = X[:, :, t]
-        pre = x @ p["enc_w"].T + p["enc_b"]
-        e = np.maximum(pre, 0.0)
-        z = _sigmoid(e @ p["upd_w"].T + h @ p["upd_u"].T + p["upd_b"])
-        r = _sigmoid(e @ p["rst_w"].T + h @ p["rst_u"].T + p["rst_b"])
-        c = np.tanh(e @ p["cand_w"].T + (r * h) @ p["cand_u"].T + p["cand_b"])
-        h_new = z * h + (1.0 - z) * c
-        y = _sigmoid(h_new)
-        Y[:, :, t] = y
-        if keep_cache:
-            cache.append((x, pre, e, z, r, c, h, y))
-        h = h_new
-    return Y, cache
+def _time_major(X: np.ndarray) -> np.ndarray:
+    """A contiguous (T, n, D) copy of an (n, D, T) batch."""
+    return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
-def _cos_columns(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-(sequence, timestep) cosine similarity of (n, D, T) column pairs."""
-    dot = (X * Y).sum(axis=1)
-    nx = np.sqrt((X * X).sum(axis=1))
-    ny = np.sqrt((Y * Y).sum(axis=1))
+def _stacked(p: dict[str, np.ndarray]):
+    """The gates' parameters stacked in the order update, reset, candidate:
+    input weights (3, D, B) and biases (3, 1, D), and the recurrent weights
+    of the update and reset gates (2, D, D)."""
+    W = np.stack([p["upd_w"], p["rst_w"], p["cand_w"]])
+    b = np.stack([p["upd_b"], p["rst_b"], p["cand_b"]])[:, None, :]
+    U = np.stack([p["upd_u"], p["rst_u"]])
+    return W, b, U
+
+
+def _forward(p: dict[str, np.ndarray], Xt: np.ndarray):
+    """Run the network over a time-major batch ``Xt`` of shape (T, n, D).
+
+    Returns the output Y (T, n, D) and the record the backward pass reads:
+    the encodings E (T, n, B), the gates G (3, T, n, D) in the order z, r, c,
+    and the states H (T + 1, n, D) with H[0] = 0.
+    """
+    T, n, D = Xt.shape
+    W, b, U = _stacked(p)
+    E = Xt @ p["enc_w"].T
+    E += p["enc_b"]
+    np.maximum(E, 0.0, out=E)
+    G = np.matmul(E.reshape(T * n, -1), W.swapaxes(1, 2))
+    G += b
+    G = G.reshape(3, T, n, D)
+    H = np.zeros((T + 1, n, D))
+    rh = np.empty((n, D))
+    U_T, cand_u_T = U.swapaxes(1, 2), p["cand_u"].T
+    for h, h_new, zr, z, r, c in zip(H[:-1], H[1:], G[:2].swapaxes(0, 1), *G):
+        zr += np.matmul(h, U_T)
+        _sigmoid(zr, out=zr)
+        np.multiply(r, h, out=rh)
+        c += rh @ cand_u_T
+        np.tanh(c, out=c)
+        np.multiply(z, h, out=h_new)
+        h_new += (1.0 - z) * c
+    return _sigmoid(H[1:]), (E, G, H)
+
+
+def _cos_terms(Xt: np.ndarray, Y: np.ndarray):
+    """Dot products and both norms of each (timestep, sequence) pair of
+    D-vectors of two (T, n, D) batches, each of shape (T, n)."""
+    return ((Xt * Y).sum(axis=2), np.sqrt((Xt * Xt).sum(axis=2)),
+            np.sqrt((Y * Y).sum(axis=2)))
+
+
+def _cos_columns(Xt: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-(timestep, sequence) cosine similarity of two (T, n, D) batches."""
+    dot, nx, ny = _cos_terms(Xt, Y)
     return dot / ((nx + _NORM_GUARD) * (ny + _NORM_GUARD))
 
 
@@ -175,25 +218,98 @@ def cosine_objective(original, reconstruction) -> float:
          else np.asarray(reconstruction, float))
     if X.shape != Y.shape:
         raise ValidationError(f"shape mismatch {X.shape} vs {Y.shape}")
-    return float(-_cos_columns(X[None], Y[None]).mean())
+    return float(-_cos_columns(X.T[:, None], Y.T[:, None]).mean())
+
+
+def _normalized_batch(model: MomModel, sequences: Sequence[SensorSeries],
+                      T: int | None = None) -> np.ndarray:
+    """The sequences in the model's normalized domain, stacked time-major
+    (T, n, D). Each must have the model's D and the T of ``T`` when given,
+    else of the first sequence; they are checked before they are stacked."""
+    seqs = list(sequences)
+    if not seqs:
+        raise ValidationError("no sequences to score")
+    T = seqs[0].T if T is None else T
+    for i, s in enumerate(seqs):
+        if s.D != model.D or s.T != T:
+            raise ValidationError(f"sequence {i} has shape (D={s.D}, T={s.T}), "
+                                  f"expected (D={model.D}, T={T})")
+    return _time_major(model.normalize(np.stack([s.data for s in seqs])))
+
+
+def error_rows(model: MomModel, sequences: Sequence[SensorSeries],
+               T: int | None = None) -> np.ndarray:
+    """Per-timestep reconstruction errors 1 - cos_sim, each in [0, 2], of
+    every sequence, one row each, from one batched forward pass. The
+    sequences must share the model's D and one T (``T`` when given)."""
+    Xt = _normalized_batch(model, sequences, T)
+    Y, _ = _forward(model.params(), Xt)
+    return 1.0 - _cos_columns(Xt, Y).T
+
+
+def error_series(model: MomModel, seq: SensorSeries) -> np.ndarray:
+    """Per-timestep reconstruction error 1 - cos_sim of one sequence."""
+    return error_rows(model, [seq])[0]
 
 
 def reconstruct(model: MomModel, seq: SensorSeries) -> SensorSeries:
     """Network output for one sequence, in the model's normalized domain."""
-    if seq.D != model.D:
-        raise ValidationError(f"sequence has D={seq.D}, model expects {model.D}")
-    X = model.normalize(seq.data)
-    Y, _ = _forward(model.params(), X[None], keep_cache=False)
-    return SensorSeries(Y[0], dt=seq.dt)
+    Y, _ = _forward(model.params(), _normalized_batch(model, [seq]))
+    return SensorSeries(Y[:, 0].T, dt=seq.dt)
 
 
-def error_series(model: MomModel, seq: SensorSeries) -> np.ndarray:
-    """Per-timestep reconstruction error 1 - cos_sim, each in [0, 2]."""
-    if seq.D != model.D:
-        raise ValidationError(f"sequence has D={seq.D}, model expects {model.D}")
-    X = model.normalize(seq.data)
-    Y, _ = _forward(model.params(), X[None], keep_cache=False)
-    return 1.0 - _cos_columns(X[None], Y)[0]
+def _output_gradient(Xt: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The batch loss of output Y (T, n, D) against Xt and its gradient with
+    respect to the states h, formed in Y's buffer."""
+    T, n, _ = Xt.shape
+    dot, nx, ny = _cos_terms(Xt, Y)
+    gx, gy = nx + _NORM_GUARD, ny + _NORM_GUARD
+    loss = float(-((dot / (gx * gy)).mean(axis=0)).mean())
+    # dL/dy per column (the sigmoid keeps ny > 0), then through y = sigmoid(h)
+    slope = np.subtract(1.0, Y)
+    slope *= Y
+    Y *= (dot / (ny * gx * gy ** 2))[:, :, None]
+    Y -= Xt / (gx * gy)[:, :, None]
+    Y *= 1.0 / (n * T)
+    Y *= slope
+    return loss, Y
+
+
+def _backward(p: dict[str, np.ndarray], dH: np.ndarray, G: np.ndarray,
+              H_prev: np.ndarray) -> np.ndarray:
+    """The loop back through time: from dL/dh (T, n, D), the gradients of the
+    gate pre-activations (3, T, n, D) in the order z, r, c. Overwrites dH and
+    the candidate gate of G."""
+    T, n, D = dH.shape
+    Z, R, C = G
+    # The coefficients of dh in the gate gradients, for all t at once:
+    # dz' = dh (h - c) z (1 - z), dc' = dh (1 - z)(1 - c^2) and dr' = du h r (1 - r)
+    # with du = dc' cand_u. Step t overwrites K[:, t] by dz', dr' and dc'.
+    K = np.empty((3, T, n, D))
+    Kz, Kr, Kc = K
+    np.subtract(1.0, R, out=Kc)               # Kc holds 1 - r until its own turn
+    np.multiply(R, H_prev, out=Kr)
+    Kr *= Kc
+    np.subtract(1.0, Z, out=Kc)
+    np.subtract(H_prev, C, out=Kz)
+    Kz *= Z
+    Kz *= Kc
+    np.multiply(C, C, out=C)
+    Kc *= np.subtract(1.0, C, out=C)
+
+    _, _, U = _stacked(p)
+    cand_u = p["cand_u"]
+    dh_next = np.zeros((n, D))
+    steps = (dH, K[:2].swapaxes(0, 1), K[::2].swapaxes(0, 1), Kr, Kc, Z, R)
+    for dh, dzr, dzc, dr, dc, z, r in zip(*(a[::-1] for a in steps)):
+        dh += dh_next
+        dzc *= dh                             # dz' and dc'
+        du = dc @ cand_u                      # gradient wrt r * h_prev
+        dr *= du
+        dh_next = dh * z
+        dh_next += np.matmul(dzr, U).sum(axis=0)
+        dh_next += du * r
+    return K
 
 
 def loss_and_gradients(params: dict[str, np.ndarray],
@@ -202,44 +318,32 @@ def loss_and_gradients(params: dict[str, np.ndarray],
 
     ``X`` is a (n, D, T) batch already living in the normalized domain. The
     loss is the mean over sequences of the per-sequence cosine objective.
+    The weight gradients are products over all T n rows at once, formed
+    after the loop back through time.
     """
     n, D, T = X.shape
-    Y, cache = _forward(params, X, keep_cache=True)
-    cos = _cos_columns(X, Y)
-    loss = float(-(cos.mean(axis=1)).mean())
-
-    dot = (X * Y).sum(axis=1)
-    nx = np.sqrt((X * X).sum(axis=1))
-    ny = np.sqrt((Y * Y).sum(axis=1))
-    denom = (nx + _NORM_GUARD) * (ny + _NORM_GUARD)
-    # d cos / d y for each column; the sigmoid keeps ny > 0
-    coef = dot / (ny * (nx + _NORM_GUARD) * (ny + _NORM_GUARD) ** 2)
-    dY = (X / denom[:, None, :] - Y * coef[:, None, :]) * (-1.0 / (n * T))
-
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dh_next = np.zeros((n, D))
-    for t in range(T - 1, -1, -1):
-        x, pre, e, z, r, c, h_prev, y = cache[t]
-        dh = dh_next + dY[:, :, t] * y * (1.0 - y)
-        dzp = dh * (h_prev - c) * z * (1.0 - z)
-        dcp = dh * (1.0 - z) * (1.0 - c * c)
-        du = dcp @ params["cand_u"]          # gradient wrt (r * h_prev)
-        drp = du * h_prev * r * (1.0 - r)
-        grads["upd_w"] += dzp.T @ e
-        grads["upd_u"] += dzp.T @ h_prev
-        grads["upd_b"] += dzp.sum(axis=0)
-        grads["rst_w"] += drp.T @ e
-        grads["rst_u"] += drp.T @ h_prev
-        grads["rst_b"] += drp.sum(axis=0)
-        grads["cand_w"] += dcp.T @ e
-        grads["cand_u"] += dcp.T @ (r * h_prev)
-        grads["cand_b"] += dcp.sum(axis=0)
-        de = dzp @ params["upd_w"] + drp @ params["rst_w"] + dcp @ params["cand_w"]
-        dh_next = dh * z + dzp @ params["upd_u"] + drp @ params["rst_u"] + du * r
-        dpre = de * (pre > 0)
-        grads["enc_w"] += dpre.T @ x
-        grads["enc_b"] += dpre.sum(axis=0)
-    return loss, grads
+    N = T * n
+    Xt = _time_major(X)
+    Y, (E, G, H) = _forward(params, Xt)
+    loss, dH = _output_gradient(Xt, Y)
+    dG = _backward(params, dH, G, H[:-1]).reshape(3, N, D)
+    g_cand_u = dG[2].T @ (G[1] * H[:-1]).reshape(N, D)     # with r_t * h_{t-1}
+    del Y, dH, G                              # spent: make room for the products below
+    W, _, _ = _stacked(params)
+    E2, H2 = E.reshape(N, -1), H[:-1].reshape(N, D)
+    gW = np.matmul(dG.swapaxes(1, 2), E2)
+    gU = np.matmul(dG[:2].swapaxes(1, 2), H2)
+    gb = dG.sum(axis=1)
+    de = dG[0] @ W[0]
+    for g, w in zip(dG[1:], W[1:]):
+        de += g @ w
+    de *= E2 > 0                              # relu: e > 0 exactly where its input is
+    return loss, {
+        "enc_w": de.T @ Xt.reshape(N, D), "enc_b": de.sum(axis=0),
+        "upd_w": gW[0], "upd_u": gU[0], "upd_b": gb[0],
+        "rst_w": gW[1], "rst_u": gU[1], "rst_b": gb[1],
+        "cand_w": gW[2], "cand_u": g_cand_u, "cand_b": gb[2],
+    }
 
 
 def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
@@ -315,7 +419,7 @@ def fit_error_stats(model: MomModel, sequences: Sequence[SensorSeries],
     seqs = list(sequences)
     if len(seqs) < 2:
         raise ValidationError("error statistics need at least two sequences")
-    errs = np.stack([error_series(model, s) for s in seqs])
+    errs = error_rows(model, seqs)
     return ErrorStats(mu=errs.mean(axis=0),
                       sigma=np.maximum(errs.std(axis=0), sigma_floor))
 

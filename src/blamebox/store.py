@@ -220,8 +220,8 @@ def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
 def load_db(path: str, registry: FunctionRegistry | None = None) -> ExperienceDb:
     """Load and validate an experience database (successful runs only); with
     ``registry``, the database must list the same functions."""
-    skill, registry, _, _, records = _load_records(path, registry)
-    return ExperienceDb.from_observations(skill, [r.observation for r in records], registry)
+    skill, _, _, _, records = _load_records(path, registry)
+    return ExperienceDb.from_validated(skill, [r.observation for r in records])
 
 
 def save_recorded(records: Sequence[ExecutionResult], path: str, skill: SkillId,
@@ -231,8 +231,11 @@ def save_recorded(records: Sequence[ExecutionResult], path: str, skill: SkillId,
     _save_records(path, skill, registry, records, T, dt)
 
 
-def load_recorded(path: str) -> list[ExecutionResult]:
-    return _load_records(path)[4]
+def load_recorded(path: str, registry: FunctionRegistry | None = None
+                  ) -> list[ExecutionResult]:
+    """Load recorded executions; with ``registry``, the recording must list
+    the same functions."""
+    return _load_records(path, registry)[4]
 
 
 class ReplayExecutor:
@@ -369,7 +372,7 @@ def load_study(path: str) -> Study:
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
             dbs[skill] = load_db(_inside(manifest_path, rel), registry)
-        replay = {skill: load_recorded(_inside(manifest_path, rel))
+        replay = {skill: load_recorded(_inside(manifest_path, rel), registry)
                   for skill, rel in manifest.get("replay", {}).items()}
         if any(db.skill != s for s, db in dbs.items()) or any(
                 r.observation.skill != s for s, recs in replay.items() for r in recs):

@@ -62,7 +62,9 @@ def _save_base(root):
     with open(os.path.join(root, "scenario.json"), "w", encoding="utf-8") as fh:
         json.dump({"name": "tiny", "functions": ["f1", "f2"],
                    "skills": [{"skill": "s", "functions": ["f1"]}],
-                   "buggy": ["f1"], "db_size": 5, "T": 12}, fh)
+                   "buggy": ["f1"], "db_size": 5, "T": 12, "dt": 0.05,
+                   "count_mu": 2.0, "count_sigma": 0.5, "seed": 1,
+                   "planner": {"max_iterations": 10}, "blame": {"window_steps": 4}}, fh)
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,9 @@ FIELDS += [("trace.json", ("steps", 0), k) for k in ("step", "chosen", "success"
                                                      "entropy", "gains", "posterior")]
 FIELDS += [("mom.json", (), k) for k in ("format", "version", "kind", "params", "norm_lo",
                                          "norm_hi", "loss_history", "error_stats")]
+FIELDS += [("scenario.json", (), k) for k in ("name", "functions", "skills", "buggy", "db_size",
+                                              "T", "dt", "count_mu", "count_sigma", "seed",
+                                              "planner", "blame")]
 DROP = object()
 VALUES = st.one_of(st.just(DROP), st.none(), st.integers(-2, 50), st.text(max_size=6),
                    st.lists(st.integers(0, 3), max_size=3),

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import blamebox
 from blamebox import FunctionRegistry, save_db, save_study
@@ -11,7 +12,7 @@ from blamebox.cli import main
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
 
 
-def make_sensor_db(tmp_path, n=6, D=4, T=30, skill="s1"):
+def make_sensor_db(tmp_path, n=6, D=4, T=30, skill="s1", name="db"):
     """A database whose sensor channels carry real structure."""
     from blamebox.core import ExperienceDb, Fingerprint, Observation, SensorSeries
     reg = FunctionRegistry(["f1", "f2"])
@@ -27,7 +28,7 @@ def make_sensor_db(tmp_path, n=6, D=4, T=30, skill="s1"):
                                fingerprint=Fingerprint(counts, dt=0.1),
                                success=True, skill=skill))
     db = ExperienceDb.from_observations(skill, obs, reg)
-    path = tmp_path / "db"
+    path = tmp_path / name
     save_db(db, str(path), reg)
     return path
 
@@ -91,6 +92,21 @@ class TestMomCommands:
         assert len(lines) == 7  # header + 6 sequences
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["sequences"]) == 6
+
+    @pytest.mark.parametrize("D,T", [(4, 25), (3, 30)], ids=["other-T", "other-D"])
+    def test_eval_probe_of_other_shape_exits_one(self, tmp_path, capsys, D, T):
+        model_path = tmp_path / "mom.json"
+        assert main(["train-mom", "--db", str(make_sensor_db(tmp_path)),  # D=4, T=30
+                     "--out", str(model_path), "--epochs", "2", "--bottleneck", "2"]) == 0
+        probe_db = make_sensor_db(tmp_path, D=D, T=T, name="probe")
+        out = tmp_path / "eval"
+        code = main(["eval-mom", "--model", str(model_path), "--db", str(probe_db),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sequence 0 has shape")
+        assert f"(D={D}, T={T})" in err and "(D=4, T=30)" in err
+        assert not out.exists()
 
     def test_eval_requires_mom_kind(self, tmp_path, capsys):
         from blamebox import BlameConfig, fit_fpf, load_db, save_model

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blamebox import (ConfigError, ErrorStats, MomConfig, MomModel, SensorSeries,
-                      ValidationError, cosine_objective, detect_failure_time,
+                      ValidationError, cosine_objective, detect_failure_time, error_rows,
                       error_series, fit_error_stats, init_model, reconstruct, train)
 from blamebox.mom import _PARAM_FIELDS, _centered_moving_average, loss_and_gradients
 
@@ -134,6 +134,115 @@ class TestGradients:
             _, g = loss_and_gradients(params, X)
             worst = max(worst, max_relative_error(g, fd_gradients(params, X)))
         assert worst <= 1e-4
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_loss_and_gradients(p, X):
+    """The network's loss and gradients written as one step at a time: every
+    product inside the loop over t, and every weight gradient accumulated
+    step by step. An oracle for the batched implementation."""
+    n, D, T = X.shape
+    h = np.zeros((n, D))
+    Y = np.empty_like(X)
+    cache = []
+    for t in range(T):
+        x = X[:, :, t]
+        pre = x @ p["enc_w"].T + p["enc_b"]
+        e = np.maximum(pre, 0.0)
+        z = _sigmoid(e @ p["upd_w"].T + h @ p["upd_u"].T + p["upd_b"])
+        r = _sigmoid(e @ p["rst_w"].T + h @ p["rst_u"].T + p["rst_b"])
+        c = np.tanh(e @ p["cand_w"].T + (r * h) @ p["cand_u"].T + p["cand_b"])
+        h_new = z * h + (1.0 - z) * c
+        y = _sigmoid(h_new)
+        Y[:, :, t] = y
+        cache.append((x, pre, e, z, r, c, h, y))
+        h = h_new
+    dot = (X * Y).sum(axis=1)
+    nx = np.sqrt((X * X).sum(axis=1))
+    ny = np.sqrt((Y * Y).sum(axis=1))
+    denom = (nx + 1e-12) * (ny + 1e-12)
+    loss = float(-((dot / denom).mean(axis=1)).mean())
+    coef = dot / (ny * (nx + 1e-12) * (ny + 1e-12) ** 2)
+    dY = (X / denom[:, None, :] - Y * coef[:, None, :]) * (-1.0 / (n * T))
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    dh_next = np.zeros((n, D))
+    for t in range(T - 1, -1, -1):
+        x, pre, e, z, r, c, h_prev, y = cache[t]
+        dh = dh_next + dY[:, :, t] * y * (1.0 - y)
+        dzp = dh * (h_prev - c) * z * (1.0 - z)
+        dcp = dh * (1.0 - z) * (1.0 - c * c)
+        du = dcp @ p["cand_u"]
+        drp = du * h_prev * r * (1.0 - r)
+        grads["upd_w"] += dzp.T @ e
+        grads["upd_u"] += dzp.T @ h_prev
+        grads["upd_b"] += dzp.sum(axis=0)
+        grads["rst_w"] += drp.T @ e
+        grads["rst_u"] += drp.T @ h_prev
+        grads["rst_b"] += drp.sum(axis=0)
+        grads["cand_w"] += dcp.T @ e
+        grads["cand_u"] += dcp.T @ (r * h_prev)
+        grads["cand_b"] += dcp.sum(axis=0)
+        de = dzp @ p["upd_w"] + drp @ p["rst_w"] + dcp @ p["cand_w"]
+        dh_next = dh * z + dzp @ p["upd_u"] + drp @ p["rst_u"] + du * r
+        dpre = de * (pre > 0)
+        grads["enc_w"] += dpre.T @ x
+        grads["enc_b"] += dpre.sum(axis=0)
+    return loss, grads, Y
+
+
+def relative_difference(a, b):
+    """Largest entry of |a - b| relative to the largest entry of |b|."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    scale = np.abs(b).max()
+    return float(np.abs(a - b).max() / scale) if scale > 0 else float(np.abs(a).max())
+
+
+class TestStepwiseOracle:
+    @pytest.mark.parametrize("n,D,B,T", [(30, 8, 7, 200), (1, 2, 1, 1), (3, 5, 2, 1)])
+    def test_loss_and_gradients_match(self, n, D, B, T):
+        rng = np.random.default_rng(n * 1000 + T)
+        params = {k: v.copy() for k, v in init_model(D, MomConfig(bottleneck=B),
+                                                     seed=n + T).params().items()}
+        params = {k: v + rng.uniform(-0.3, 0.3, v.shape) for k, v in params.items()}
+        X = rng.uniform(0.0, 1.0, (n, D, T))
+        loss, grads = loss_and_gradients(params, X)
+        ref_loss, ref_grads, _ = reference_loss_and_gradients(params, X)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert set(grads) == set(ref_grads)
+        for name in ref_grads:
+            assert grads[name].shape == ref_grads[name].shape
+            assert relative_difference(grads[name], ref_grads[name]) <= 1e-12, name
+
+    def test_reconstruction_matches(self):
+        rng = np.random.default_rng(5)
+        model = init_model(6, MomConfig(bottleneck=3), seed=2)
+        seq = SensorSeries(rng.uniform(0.0, 1.0, (6, 40)))
+        _, _, Y = reference_loss_and_gradients(model.params(), seq.data[None])
+        assert relative_difference(reconstruct(model, seq).data, Y[0]) <= 1e-12
+
+    def test_batched_rows_equal_error_series(self):
+        rng = np.random.default_rng(6)
+        model = init_model(8, MomConfig(bottleneck=7), seed=4)
+        model = MomModel(**model.params(), norm_lo=np.full(8, -0.5), norm_hi=np.full(8, 1.5))
+        seqs = [SensorSeries(rng.normal(0.5, 0.4, (8, 60))) for _ in range(12)]
+        rows = error_rows(model, seqs)
+        assert rows.shape == (12, 60)
+        for row, s in zip(rows, seqs):
+            np.testing.assert_allclose(row, error_series(model, s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,T", [((4, 9), None), ((3, 10), None), ((4, 10), 9)])
+    def test_shape_mismatch_named_before_stacking(self, shape, T):
+        model = init_model(4, MomConfig(bottleneck=2), seed=0)
+        seqs = [SensorSeries(np.zeros((4, 10))), SensorSeries(np.zeros(shape))]
+        expected = 0 if T is not None else 1
+        with pytest.raises(ValidationError, match=f"sequence {expected} has shape"):
+            error_rows(model, seqs, T=T)
+        if T is None:
+            with pytest.raises(ValidationError, match=r"sequence 1 .*\(D=4, T=10\)"):
+                fit_error_stats(model, seqs)
 
 
 class TestTrain:

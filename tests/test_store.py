@@ -11,7 +11,8 @@ from blamebox import (BlameConfig, ExecutorError, ExperienceDb, Fingerprint, Fun
                       fit_fpf, init_model, load_db, load_model, load_recorded,
                       load_study, reconstruct, save_db, save_model, save_recorded,
                       save_study, train)
-from blamebox import store
+from blamebox import core, store
+from blamebox.cli import main
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
 
 REG = FunctionRegistry(["f1", "f2", "f3"])
@@ -192,6 +193,20 @@ class TestCountsFormat:
         load_study(str(tmp_path / "study"))
         assert len(read) == len(set(read)) == 3
 
+    def test_each_record_validated_once(self, tmp_path, monkeypatch):
+        save_db(small_db(n=5), str(tmp_path / "db"), REG)
+        calls = []
+        real = core.validate_observation
+
+        def counting(obs, registry):
+            calls.append(obs)
+            return real(obs, registry)
+
+        for module in (core, store):
+            monkeypatch.setattr(module, "validate_observation", counting)
+        assert len(load_db(str(tmp_path / "db"))) == 5
+        assert len(calls) == 5
+
     def test_db_of_another_registry_rejected(self, tmp_path):
         dbs = {"s1": small_db(seed=0, skill="s1")}
         save_study(str(tmp_path / "study"), REG, dbs, dt=0.1)
@@ -279,3 +294,17 @@ class TestRecordedAndStudy:
         assert study.dt == 0.1
         assert len(study.dbs["s2"]) == 4
         assert len(study.replay["s1"]) == 3
+
+    def test_replay_of_another_registry_rejected(self, tmp_path, capsys):
+        dbs = {"s1": small_db(seed=0, skill="s1")}
+        study = tmp_path / "study"
+        save_study(str(study), REG, dbs, dt=0.1, replay={"s1": self._records()})
+        manifest_path = study / "replay" / "s1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["functions"] = ["g1", "g2", "g3"]  # as many functions, other names
+        manifest_path.write_text(json.dumps(manifest))
+        replay_manifest = os.path.join("replay", "s1", "manifest.json")
+        with pytest.raises(StoreError, match=replay_manifest):
+            load_study(str(study))
+        assert main(["localize", "--study", str(study), "--out", str(tmp_path / "o")]) == 1
+        assert replay_manifest in capsys.readouterr().err
