@@ -170,9 +170,17 @@ class ExperienceDb:
     def __len__(self) -> int:
         return len(self.observations)
 
-    def counts_stack(self) -> np.ndarray:
-        """(n, F, T) array of all stored fingerprints."""
-        return np.stack([o.fingerprint.counts for o in self.observations])
+    def counts_stack(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """(n, F, T) array of all stored fingerprints, or (n, |rows|, T) of
+        the given function rows only."""
+        rows = slice(None) if rows is None else rows
+        return np.stack([o.fingerprint.counts[rows] for o in self.observations])
+
+    def support(self) -> np.ndarray:
+        """Sorted indices of the functions with a non-zero count in some
+        stored run."""
+        return np.flatnonzero(np.logical_or.reduce(
+            [o.fingerprint.counts.any(axis=1) for o in self.observations]))
 
 
 def canonicalize_length(item, target_T: int):

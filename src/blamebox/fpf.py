@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .core import ExperienceDb, Fingerprint
 from .errors import ConfigError, ValidationError
 
 # deviation_mass asymptotically approaches 0.5 but must never attain it
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))
+# math.erf elementwise; numpy has no erf of its own
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,19 @@ class FpfModel:
 
 def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     """Cell-wise sample mean and maximum-likelihood (population) variance,
-    floored at ``config.var_floor``."""
+    floored at ``config.var_floor``.
+
+    Only the rows of the database's support are stacked: every other count
+    is 0, so its mean is 0 and its variance the floor.
+    """
     if len(db) == 0:
         raise ValidationError("cannot fit a fingerprint model on an empty database")
-    stack = db.counts_stack()
-    mean = stack.mean(axis=0)
-    var = np.maximum(stack.var(axis=0), config.var_floor)
+    support = db.support()
+    stack = db.counts_stack(support)
+    mean = np.zeros(db.observations[0].fingerprint.counts.shape)
+    var = np.full_like(mean, config.var_floor)
+    mean[support] = stack.mean(axis=0)
+    var[support] = np.maximum(stack.var(axis=0), config.var_floor)
     return FpfModel(mean=mean, var=var, n_samples=len(db), var_floor=config.var_floor)
 
 
@@ -140,7 +148,7 @@ def deviation_mass(x: float, mean: float, var: float) -> float:
     if var <= 0:
         raise ValidationError(f"variance must be positive, got {var}")
     z = (x - mean) / math.sqrt(var)
-    return min(0.5 * abs(float(erf(z / math.sqrt(2.0)))), _HALF_OPEN)
+    return min(0.5 * abs(math.erf(z / math.sqrt(2.0))), _HALF_OPEN)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +194,7 @@ class DeviationGrid:
         index arrays; outputs have the broadcast shape plus a trailing F axis.
         A function is inactive when neither side is active in the window."""
         z = (self.exec_mean[t_idx, obs_idx] - self.mean[t_idx]) / np.sqrt(self.var[t_idx])
-        pd = np.minimum(0.5 * np.abs(erf(z / math.sqrt(2.0))), _HALF_OPEN)
+        pd = np.minimum(0.5 * np.abs(_erf(z / math.sqrt(2.0)).astype(np.float64)), _HALF_OPEN)
         inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
         return pd, inactive
 

@@ -83,11 +83,10 @@ class SkillCache:
             raise ValidationError(f"empty database for skill {db.skill!r}")
         self.skill = db.skill
         self.T, self.F, self.n_obs = fpf.T, fpf.F, len(db)
-        stack = db.counts_stack()
-        self.support = np.flatnonzero(stack.any(axis=(0, 2)) | fpf.mean.any(axis=1))
+        self.support = np.union1d(db.support(), np.flatnonzero(fpf.mean.any(axis=1)))
         on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
                               n_samples=fpf.n_samples, var_floor=fpf.var_floor)
-        self.grid = deviation_grid(on_support, stack[:, self.support], config)
+        self.grid = deviation_grid(on_support, db.counts_stack(self.support), config)
 
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,

@@ -182,3 +182,12 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, blamebox.cli; sys.exit('scipy.signal' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy.special alone loads about 300 modules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blamebox.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, blamebox.cli; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -169,3 +169,27 @@ class TestExperienceDb:
         obs = make_obs()
         with pytest.raises(ValueError):
             obs.fingerprint.counts[0, 0] = 5.0
+
+    def test_support_and_row_stack(self):
+        reg = FunctionRegistry(["a", "b", "c", "d", "e"])
+        counts = [np.zeros((5, 4)) for _ in range(3)]
+        counts[0][1, 2] = 3.0      # b: one cell of one run
+        counts[2][3] = 0.5         # d: a whole row of another run
+        db = ExperienceDb.from_observations(
+            "s", [make_obs(F=5, counts=c) for c in counts], reg)
+        support = db.support()
+        assert support.dtype == np.intp and list(support) == [1, 3]
+        full = db.counts_stack()
+        assert full.shape == (3, 5, 4)
+        assert np.array_equal(full, np.stack(counts))
+        sub = db.counts_stack(support)
+        assert sub.shape == (3, 2, 4)
+        assert np.array_equal(sub, full[:, [1, 3]])
+        assert db.counts_stack(np.empty(0, dtype=np.intp)).shape == (3, 0, 4)
+
+    def test_support_of_silent_db_is_empty(self):
+        reg = FunctionRegistry(["a", "b"])
+        db = ExperienceDb.from_observations(
+            "s", [make_obs(F=2, counts=np.zeros((2, 4)), sensors=np.zeros((1, 4)))], reg)
+        assert db.support().size == 0
+        assert ExperienceDb("s").support().size == 0

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
                       ValidationError, deviation_mass, exec_weighted_mean,
                       expected_weighted_stats, fit_fpf)
-from blamebox.fpf import deviation_at, deviation_grid
+from blamebox.fpf import DeviationGrid, deviation_at, deviation_grid
 from tests.test_core import make_obs
 
 REG = FunctionRegistry(["a", "b", "c"])
@@ -20,6 +20,12 @@ def db_from_counts(stacks, skill="s"):
                     sensors=np.zeros((1, stacks[0].shape[1])), skill=skill)
            for c in stacks]
     return ExperienceDb.from_observations(skill, obs, REG)
+
+
+def dense_fit(db, cfg):
+    """The fit over the whole (n, F, T) stack, as an oracle for the support fit."""
+    stack = db.counts_stack()
+    return stack.mean(axis=0), np.maximum(stack.var(axis=0), cfg.var_floor)
 
 
 class TestFit:
@@ -55,6 +61,30 @@ class TestFit:
         arr = np.stack(stacks)
         assert np.allclose(model.mean, arr.mean(axis=0))
         assert np.allclose(model.var, arr.var(axis=0))
+
+    @pytest.mark.parametrize("case", ["silent-rows", "one-run", "one-cell", "single-run",
+                                      "floor", "all-zero"])
+    def test_support_fit_equals_dense_fit(self, case):
+        rng = np.random.default_rng(len(case))
+        cfg = BlameConfig(var_floor=0.37) if case == "floor" else BlameConfig()
+        n, T = (1 if case == "single-run" else 7), 9
+        stacks = [rng.uniform(0, 4, (3, T)) for _ in range(n)]
+        for c in stacks:
+            c[0] = 0.0                        # row a is silent in every run
+            if case == "all-zero":
+                c[:] = 0.0
+            elif case in ("one-run", "one-cell"):
+                c[2] = 0.0
+        if case == "one-run":
+            stacks[3][2] = rng.uniform(0, 4, T)   # row c runs in one run only
+        elif case == "one-cell":
+            stacks[5][2, 4] = 1.25                # ... or at one timestep only
+        db = db_from_counts(stacks)
+        model = fit_fpf(db, cfg)
+        mean, var = dense_fit(db, cfg)
+        assert np.array_equal(model.mean, mean)
+        assert np.array_equal(model.var, var)
+        assert model.n_samples == n and model.var_floor == cfg.var_floor
 
 
 class TestWeightedStats:
@@ -139,6 +169,22 @@ class TestDeviationMass:
 
     def test_asymptote_open(self):
         assert deviation_mass(1e9, 0.0, 1.0) < 0.5
+
+    def test_grid_erf_is_math_erf_and_matches_scipy(self):
+        from scipy.special import erf as scipy_erf
+        zs = np.concatenate([np.linspace(-40.0, 40.0, 4001), [0.0, -0.0, 1e-300, -5e-324]])
+        grid = DeviationGrid(mean=np.zeros((1, zs.size)), var=np.ones((1, zs.size)),
+                             exec_mean=zs[None, None, :],
+                             model_active=np.ones((1, zs.size), dtype=bool),
+                             exec_active=np.ones((1, 1, zs.size), dtype=bool))
+        pd, _ = grid.at(0, 0)
+        assert pd.dtype == np.float64 and pd.shape == zs.shape
+        half_open = float(np.nextafter(0.5, 0.0))
+        exact = [min(0.5 * abs(math.erf(z / math.sqrt(2.0))), half_open) for z in zs]
+        assert pd.tolist() == exact
+        assert [deviation_mass(z, 0.0, 1.0) for z in zs] == exact
+        reference = np.minimum(0.5 * np.abs(scipy_erf(zs / math.sqrt(2.0))), half_open)
+        assert np.max(np.abs(pd - reference)) <= 1e-15
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValidationError):

@@ -140,6 +140,8 @@ class TestExpectedInformationGain:
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f3"), "s2": ("f1",)}, F=4, T=8, n=4)
         cache = SkillCache(dbs["s2"], fpfs["s1"], CFG)
         assert list(cache.support) == [0, 2]
+        assert list(dbs["s2"].support()) == [0]
+        assert np.array_equal(cache.grid.exec_mean[:, :, 1], np.zeros((8, 4)))
         belief = Belief(np.array([0.1, 0.2, 0.3, 0.4]))
         got = _sampled_entropies(belief, cache, CFG, 8, np.random.default_rng(2))
         expected, _ = full_registry_entropies(belief, dbs["s2"], fpfs["s1"], 8, 2)
