@@ -12,7 +12,7 @@ gain about where the bug lives.
 __version__ = "0.1.0"
 
 from .blame import (Belief, UpdateRecord, bayes_update, coverage_indices,
-                    entropy, likelihood, likelihood_vector)
+                    entropy, likelihood_vector)
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, canonicalize_length, validate_fingerprint,
                    validate_observation, validate_series)
@@ -30,8 +30,7 @@ from .mom import (ErrorStats, MomConfig, MomModel, cosine_objective,
                   init_model, reconstruct, train)
 from .planner import (ExecutionResult, GainEstimate, LoopStep, LoopTrace,
                       PlannerConfig, SkillCache, SkillExecutor,
-                      expected_information_gain, information_gain_stats,
-                      run_testing_loop, select_skill)
+                      information_gain_stats, run_testing_loop, select_skill)
 from .store import (MomBundle, ReplayExecutor, Study, load_db, load_model,
                     load_recorded, load_study, save_db, save_model,
                     save_recorded, save_study)

@@ -106,12 +106,6 @@ def likelihood_vector(fpf: FpfModel, fingerprint_exec: Fingerprint, success: boo
     return combine_deviation(pd, inactive, success, config)
 
 
-def likelihood(fpf: FpfModel, fingerprint_exec: Fingerprint, f: int, success: bool,
-               t_fail: int, config: BlameConfig) -> float:
-    """Single-function form of :func:`likelihood_vector`."""
-    return float(likelihood_vector(fpf, fingerprint_exec, success, t_fail, config)[f])
-
-
 def bayes_update(belief: Belief, fpf_by_skill: Mapping[SkillId, FpfModel],
                  obs: Observation, success: bool, t_fail: int | None,
                  config: BlameConfig) -> tuple[Belief, UpdateRecord]:

@@ -9,6 +9,7 @@ read-only on construction, so validated objects can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -176,11 +177,14 @@ class ExperienceDb:
         rows = slice(None) if rows is None else rows
         return np.stack([o.fingerprint.counts[rows] for o in self.observations])
 
+    @cached_property
     def support(self) -> np.ndarray:
         """Sorted indices of the functions with a non-zero count in some
-        stored run."""
-        return np.flatnonzero(np.logical_or.reduce(
+        stored run, computed once per database."""
+        support = np.flatnonzero(np.logical_or.reduce(
             [o.fingerprint.counts.any(axis=1) for o in self.observations]))
+        support.setflags(write=False)
+        return support
 
 
 def canonicalize_length(item, target_T: int):

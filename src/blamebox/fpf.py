@@ -2,6 +2,10 @@
 fitted over successful executions, plus the exponentially weighted window
 statistics that feed the blame likelihood.
 
+The window helpers give the statistics at one failure time, for a real
+execution's update (``deviation_at``); ``deviation_grid`` keeps them for every
+failure time, for the planner's hypothetical failures.
+
 Both the expected statistic and the executed statistic are normalized by the
 same 1/N_w factor over the same window, so they are directly comparable in
 ``deviation_mass``; the variance combination rule assumes per-timestep
@@ -98,7 +102,7 @@ def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     """
     if len(db) == 0:
         raise ValidationError("cannot fit a fingerprint model on an empty database")
-    support = db.support()
+    support = db.support
     stack = db.counts_stack(support)
     mean = np.zeros(db.observations[0].fingerprint.counts.shape)
     var = np.full_like(mean, config.var_floor)
@@ -107,35 +111,36 @@ def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     return FpfModel(mean=mean, var=var, n_samples=len(db), var_floor=config.var_floor)
 
 
-def window_bounds(t_fail: int, T: int, config: BlameConfig) -> tuple[int, int]:
-    """Inclusive window start and its length N_w for a failure at ``t_fail``."""
+def _window(t_fail: int, T: int, config: BlameConfig) -> tuple[slice, np.ndarray, int]:
+    """The blame window of a failure at ``t_fail``: its slice, its decay
+    weights (oldest first) and its length N_w."""
     if not (0 <= t_fail < T):
         raise ValidationError(f"t_fail={t_fail} outside [0, {T})")
     t0 = max(0, t_fail - config.window_steps + 1)
-    return t0, t_fail - t0 + 1
+    weights = np.exp(-config.alpha * np.arange(t_fail - t0, -1, -1.0))
+    return slice(t0, t_fail + 1), weights, t_fail - t0 + 1
 
 
-def _window_weights(t_fail: int, T: int, config: BlameConfig) -> tuple[int, np.ndarray, int]:
-    t0, n_w = window_bounds(t_fail, T, config)
-    ts = np.arange(t0, t_fail + 1)
-    return t0, np.exp(-config.alpha * (t_fail - ts)), n_w
+def expected_weighted_stats(model: FpfModel, f, t_fail: int, config: BlameConfig):
+    """Weighted window mean of the model's expectation for row(s) ``f`` and
+    the variance of that weighted mean (independent timesteps).
+
+    ``f`` is any row index: an int gives scalars, ``slice(None)`` every row.
+    """
+    window, w, n_w = _window(t_fail, model.T, config)
+    return model.mean[f, window] @ w / n_w, model.var[f, window] @ (w * w) / (n_w * n_w)
 
 
-def expected_weighted_stats(model: FpfModel, f: int, t_fail: int,
-                            config: BlameConfig) -> tuple[float, float]:
-    """Weighted window mean of the model's expectation for function ``f`` and
-    the variance of that weighted mean (independent timesteps)."""
-    t0, w, n_w = _window_weights(t_fail, model.T, config)
-    mean_exp = float((w * model.mean[f, t0:t_fail + 1]).sum() / n_w)
-    var_exp = float((w ** 2 * model.var[f, t0:t_fail + 1]).sum() / n_w ** 2)
-    return mean_exp, var_exp
-
-
-def exec_weighted_mean(fingerprint: Fingerprint, f: int, t_fail: int,
-                       config: BlameConfig) -> float:
+def exec_weighted_mean(fingerprint: Fingerprint, f, t_fail: int, config: BlameConfig):
     """Same window, weights and normalization, applied to observed counts."""
-    t0, w, n_w = _window_weights(t_fail, fingerprint.T, config)
-    return float((w * fingerprint.counts[f, t0:t_fail + 1]).sum() / n_w)
+    window, w, n_w = _window(t_fail, fingerprint.T, config)
+    return fingerprint.counts[f, window] @ w / n_w
+
+
+def _mass(z):
+    """|Phi(z) - 0.5| elementwise, clamped below the unattained 0.5."""
+    half = 0.5 * np.abs(np.asarray(_erf(z / math.sqrt(2.0)), dtype=np.float64))
+    return np.minimum(half, _HALF_OPEN)
 
 
 def deviation_mass(x: float, mean: float, var: float) -> float:
@@ -147,14 +152,15 @@ def deviation_mass(x: float, mean: float, var: float) -> float:
     """
     if var <= 0:
         raise ValidationError(f"variance must be positive, got {var}")
-    z = (x - mean) / math.sqrt(var)
-    return min(0.5 * abs(math.erf(z / math.sqrt(2.0))), _HALF_OPEN)
+    return float(_mass((x - mean) / math.sqrt(var)))
 
 
 # ---------------------------------------------------------------------------
 # Vectorized forms. The planner scores hypothetical failures of every stored
-# observation at sampled failure times, so the window statistics are kept for
-# every failure time, and erf is evaluated only at the times a caller reads.
+# observation at sampled failure times, so its grid keeps the window statistics
+# for every failure time, and erf is evaluated only at the times a caller reads.
+# A real execution is judged at one failure time, so deviation_at applies the
+# window helpers above to every row at once and builds no grid.
 
 
 def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
@@ -193,23 +199,19 @@ class DeviationGrid:
         """Deviation mass and inactivity mask at broadcast (t_fail, observation)
         index arrays; outputs have the broadcast shape plus a trailing F axis.
         A function is inactive when neither side is active in the window."""
-        z = (self.exec_mean[t_idx, obs_idx] - self.mean[t_idx]) / np.sqrt(self.var[t_idx])
-        pd = np.minimum(0.5 * np.abs(_erf(z / math.sqrt(2.0)).astype(np.float64)), _HALF_OPEN)
+        pd = _mass((self.exec_mean[t_idx, obs_idx] - self.mean[t_idx]) / np.sqrt(self.var[t_idx]))
         inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
         return pd, inactive
 
 
 def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:
-    """Window statistics of ``counts`` against ``model`` for all failure times.
-
-    ``counts`` is one fingerprint matrix (F, T), stored as observation 0, or a
-    stack (n, F, T).
-    """
+    """Window statistics of a fingerprint stack (n, F, T) against ``model``
+    for all failure times."""
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim not in (2, 3) or counts.shape[-2:] != model.mean.shape:
+    if counts.ndim != 3 or counts.shape[1:] != model.mean.shape:
         raise ValidationError(
             f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
-    x = np.moveaxis(counts if counts.ndim == 3 else counts[None], -1, 0).copy()   # (T, n, F)
+    x = np.moveaxis(counts, -1, 0).copy()   # (T, n, F)
     W, r = config.window_steps, math.exp(-config.alpha)
     n_w = np.minimum(np.arange(1.0, model.T + 1.0), W)[:, None]
     exec_mean = _window_sums(x.copy(), r, W)
@@ -227,6 +229,13 @@ def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> 
 def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
                  config: BlameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-function deviation mass and inactivity mask at one failure time."""
-    if not (0 <= t_fail < model.T):
-        raise ValidationError(f"t_fail={t_fail} outside [0, {model.T})")
-    return deviation_grid(model, fingerprint.counts, config).at(t_fail, 0)
+    counts = fingerprint.counts
+    if counts.shape != model.mean.shape:
+        raise ValidationError(
+            f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
+    mean, var = expected_weighted_stats(model, slice(None), t_fail, config)
+    x = exec_weighted_mean(fingerprint, slice(None), t_fail, config)
+    window, _, _ = _window(t_fail, model.T, config)
+    inactive = ~((model.mean[:, window].sum(axis=1) > 1e-9)
+                 | (counts[:, window].sum(axis=1) > 1e-9))
+    return _mass((x - mean) / np.sqrt(var)), inactive

@@ -31,8 +31,8 @@ class SimSkillSpec:
 
     skill: SkillId
     used_functions: tuple[str, ...]
-    count_mu: float | Mapping[str, float] = 2.0
-    count_sigma: float | Mapping[str, float] = 0.5
+    count_mu: float = 2.0
+    count_sigma: float = 0.5
     T: int = 100
     dt: float = 0.05
 
@@ -42,17 +42,8 @@ class SimSkillSpec:
             raise ValidationError(f"skill {self.skill!r} must use at least one function")
         if self.T < 1:
             raise ValidationError("T must be >= 1")
-
-    def mu_of(self, name: str) -> float:
-        m = self.count_mu
-        return float(m[name]) if isinstance(m, Mapping) else float(m)
-
-    def sigma_of(self, name: str) -> float:
-        s = self.count_sigma
-        v = float(s[name]) if isinstance(s, Mapping) else float(s)
-        if v < 0:
+        if self.count_sigma < 0:
             raise ValidationError("count sigma must be >= 0")
-        return v
 
 
 @dataclass(frozen=True)
@@ -71,12 +62,12 @@ class SimWorld:
 
 def gen_fingerprint(spec: SimSkillSpec, registry: FunctionRegistry,
                     rng: np.random.Generator) -> Fingerprint:
-    """Counts ~ N(mu_f, sigma_f^2) clamped at zero for used functions;
+    """Counts ~ N(mu, sigma^2) clamped at zero for used functions;
     exactly zero rows for everything else."""
     counts = np.zeros((registry.F, spec.T))
     for name in spec.used_functions:
         i = registry.index(name)
-        draw = rng.normal(spec.mu_of(name), spec.sigma_of(name), size=spec.T)
+        draw = rng.normal(spec.count_mu, spec.count_sigma, size=spec.T)
         counts[i] = np.maximum(draw, 0.0)
     return Fingerprint(counts, dt=spec.dt)
 

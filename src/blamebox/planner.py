@@ -11,13 +11,13 @@ skill, so each skill's gain is reproducible on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .blame import Belief, combine_deviation, entropy
-from .core import ExperienceDb, Observation, SkillId
+from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
 from .fpf import BlameConfig, FpfModel, deviation_grid
 from .mom import ErrorStats, MomConfig, MomModel, detect_failure_time, error_series
@@ -83,7 +83,7 @@ class SkillCache:
             raise ValidationError(f"empty database for skill {db.skill!r}")
         self.skill = db.skill
         self.T, self.F, self.n_obs = fpf.T, fpf.F, len(db)
-        self.support = np.union1d(db.support(), np.flatnonzero(fpf.mean.any(axis=1)))
+        self.support = np.union1d(db.support, np.flatnonzero(fpf.mean.any(axis=1)))
         on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
                               n_samples=fpf.n_samples, var_floor=fpf.var_floor)
         self.grid = deviation_grid(on_support, db.counts_stack(self.support), config)
@@ -130,16 +130,6 @@ def information_gain_stats(belief: Belief, db: ExperienceDb, fpf: FpfModel,
     se = float(h_sam.std(ddof=1) / np.sqrt(h_sam.size)) if h_sam.size > 1 else 0.0
     return GainEstimate(gain=float(entropy(belief) - h_sam.mean()),
                         stderr=se, n_samples=int(h_sam.size))
-
-
-def expected_information_gain(belief: Belief, skill: SkillId,
-                              dbs: Mapping[SkillId, ExperienceDb],
-                              fpfs: Mapping[SkillId, FpfModel],
-                              planner: PlannerConfig, blame: BlameConfig,
-                              rng: np.random.Generator,
-                              cache: SkillCache | None = None) -> float:
-    return information_gain_stats(belief, dbs[skill], fpfs[skill],
-                                  planner, blame, rng, cache=cache).gain
 
 
 def select_skill(belief: Belief, skills: Sequence[SkillId],
@@ -208,6 +198,9 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
     Starts from a uniform belief, repeatedly selects the gain-maximizing
     skill, executes it, locates the failure time (detector first, then the
     executor's report, then the final timestep), and updates the belief.
+    Each executed run is cut or padded to its skill's database length first,
+    as stored runs are; a failure time past that end is taken at its last
+    timestep.
     Stops once the best gain stays below convergence_epsilon for
     convergence_patience consecutive planning rounds, or at max_iterations.
     An executor error aborts the loop and returns the trace so far.
@@ -242,9 +235,10 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
         except ExecutorError as exc:
             trace.aborted = str(exc)
             break
-        t_fail = (fpfs[chosen].T - 1 if result.success else
-                  _resolve_t_fail(result, mom_by_skill.get(chosen), mom_config,
-                                  fpfs[chosen].T))
+        T = fpfs[chosen].T
+        result = replace(result, observation=_canonicalize_observation(result.observation, T))
+        t_fail = (T - 1 if result.success else
+                  min(_resolve_t_fail(result, mom_by_skill.get(chosen), mom_config, T), T - 1))
         belief, record = bayes_update(belief, fpfs, result.observation,
                                       result.success, t_fail, blame)
         trace.steps.append(LoopStep(

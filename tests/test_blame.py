@@ -5,7 +5,7 @@ import pytest
 
 from blamebox import (Belief, BlameConfig, Fingerprint, FunctionRegistry,
                       UpdateRecord, ValidationError, bayes_update, entropy,
-                      fit_fpf, likelihood, likelihood_vector)
+                      fit_fpf, likelihood_vector)
 from blamebox.blame import combine_deviation
 from tests.test_core import make_obs
 from tests.test_fpf import db_from_counts
@@ -56,33 +56,33 @@ class TestLikelihood:
         model, stacks = fitted_model()
         # executed counts equal to the model mean: zero deviation
         exact = Fingerprint(model.mean.copy())
-        lik = likelihood(model, exact, 0, success=False, t_fail=6, config=CFG)
+        lik = likelihood_vector(model, exact, success=False, t_fail=6, config=CFG)[0]
         assert lik == pytest.approx(0.5, abs=1e-12)
 
     def test_success_matching_profile_hits_floor(self):
         model, _ = fitted_model()
         exact = Fingerprint(model.mean.copy())
-        lik = likelihood(model, exact, 0, success=True, t_fail=6, config=CFG)
+        lik = likelihood_vector(model, exact, success=True, t_fail=6, config=CFG)[0]
         assert lik == pytest.approx(CFG.epsilon_floor, abs=1e-12)
 
     def test_failure_extreme_deviation_approaches_three_quarters(self):
         model, _ = fitted_model()
         probe = Fingerprint(np.full((3, 10), 500.0))
-        lik = likelihood(model, probe, 1, success=False, t_fail=6, config=CFG)
+        lik = likelihood_vector(model, probe, success=False, t_fail=6, config=CFG)[1]
         assert 0.74 < lik <= 0.75
 
     def test_inactive_function_is_neutral_on_success(self):
         model, _ = fitted_model(silent_rows=(2,))
         probe = np.abs(np.random.default_rng(5).normal(2, 0.5, (3, 10)))
         probe[2] = 0.0
-        lik = likelihood(model, Fingerprint(probe), 2, success=True, t_fail=6, config=CFG)
+        lik = likelihood_vector(model, Fingerprint(probe), success=True, t_fail=6, config=CFG)[2]
         assert lik == 0.5
 
     def test_inactive_function_is_cleared_on_failure(self):
         model, _ = fitted_model(silent_rows=(2,))
         probe = np.abs(np.random.default_rng(5).normal(2, 0.5, (3, 10)))
         probe[2] = 0.0
-        lik = likelihood(model, Fingerprint(probe), 2, success=False, t_fail=6, config=CFG)
+        lik = likelihood_vector(model, Fingerprint(probe), success=False, t_fail=6, config=CFG)[2]
         assert lik == CFG.epsilon_floor
 
     def test_bounds_and_failure_floor_randomized(self):
@@ -101,13 +101,6 @@ class TestLikelihood:
             if not success:
                 active = ~np.isclose(probe[:, max(0, t_fail - 3):t_fail + 1], 0).all(axis=1)
                 assert np.all(lik[active] >= 0.5)
-
-    def test_vector_matches_scalar(self):
-        model, _ = fitted_model()
-        probe = Fingerprint(np.abs(np.random.default_rng(9).normal(2, 1, (3, 10))))
-        vec = likelihood_vector(model, probe, False, 4, CFG)
-        for f in range(3):
-            assert vec[f] == likelihood(model, probe, f, False, 4, CFG)
 
     def test_success_ignores_given_t_fail(self):
         model, _ = fitted_model()
@@ -206,3 +199,24 @@ class TestBayesUpdate:
         model, obs = self._setup()
         with pytest.raises(ValidationError):
             bayes_update(Belief.uniform(3), {"s": model}, obs, False, None, CFG)
+
+    def test_update_builds_no_all_time_grid(self, monkeypatch):
+        # a real execution is judged at one failure time, so no grid is needed
+        import blamebox.fpf as fpf_mod
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("bayes_update built an all-T deviation grid")
+
+        monkeypatch.setattr(fpf_mod, "deviation_grid", no_grid)
+        model, obs = self._setup()
+        for success, t_fail in ((False, 6), (True, None)):
+            posterior, _ = bayes_update(Belief.uniform(3), {"s": model}, obs,
+                                        success, t_fail, CFG)
+            assert abs(posterior.probs.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("F,T", [(2, 10), (3, 9)], ids=["other-F", "other-T"])
+    def test_fingerprint_of_another_shape_rejected(self, F, T):
+        model, _ = self._setup()
+        obs = make_obs(F=F, T=T, counts=np.ones((F, T)), sensors=np.zeros((1, T)))
+        with pytest.raises(ValidationError, match=rf"\({F}, {T}\).*\(3, 10\)"):
+            bayes_update(Belief.uniform(3), {"s": model}, obs, False, 5, CFG)

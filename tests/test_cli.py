@@ -142,6 +142,29 @@ class TestLocalize:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["top"][0]["function"] == "f2"
 
+    @pytest.mark.parametrize("replay_T", [44, 33])
+    def test_replay_of_another_length(self, tmp_path, replay_T):
+        # replayed runs are cut or padded to the databases' T = 40, as stored runs are
+        reg = FunctionRegistry(["f1", "f2", "f3"])
+        rng = np.random.default_rng(2)
+        used = {"s1": ("f1", "f2"), "s2": ("f2", "f3")}
+
+        def specs(T):
+            return {s: SimSkillSpec(skill=s, used_functions=fns, T=T, dt=0.1)
+                    for s, fns in used.items()}
+
+        dbs = {s: build_database(spec, reg, rng, 8) for s, spec in specs(40).items()}
+        world = SimWorld(registry=reg, buggy_functions=frozenset({"f2"}))
+        replay = {s: [simulate_execution(spec, world, rng) for _ in range(12)]
+                  for s, spec in specs(replay_T).items()}
+        study_path = tmp_path / "study"
+        save_study(str(study_path), reg, dbs, dt=0.1, replay=replay)
+        out = tmp_path / "loc"
+        assert main(["localize", "--study", str(study_path), "--executor", "replay",
+                     "--out", str(out), "--seed", "1"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["top"][0]["function"] == "f2"
+
     def test_study_without_replay_fails_cleanly(self, tmp_path, capsys):
         reg = FunctionRegistry(["f1", "f2"])
         spec = SimSkillSpec(skill="s1", used_functions=("f1",), T=10, dt=0.1)

@@ -177,7 +177,7 @@ class TestExperienceDb:
         counts[2][3] = 0.5         # d: a whole row of another run
         db = ExperienceDb.from_observations(
             "s", [make_obs(F=5, counts=c) for c in counts], reg)
-        support = db.support()
+        support = db.support
         assert support.dtype == np.intp and list(support) == [1, 3]
         full = db.counts_stack()
         assert full.shape == (3, 5, 4)
@@ -191,5 +191,5 @@ class TestExperienceDb:
         reg = FunctionRegistry(["a", "b"])
         db = ExperienceDb.from_observations(
             "s", [make_obs(F=2, counts=np.zeros((2, 4)), sensors=np.zeros((1, 4)))], reg)
-        assert db.support().size == 0
-        assert ExperienceDb("s").support().size == 0
+        assert db.support.size == 0
+        assert ExperienceDb("s").support.size == 0

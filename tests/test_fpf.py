@@ -264,6 +264,13 @@ class TestVectorizedGrid:
                 for i in range(2):
                     x = exec_weighted_mean(Fingerprint(stacks[i]), f, t, cfg)
                     assert grid.exec_mean[t, i, f] == pytest.approx(x, rel=1e-12, abs=1e-12)
+        for c in stacks[:2]:   # the one-column form agrees with the grid's column
+            single = deviation_grid(model, c[None], cfg)
+            for t in range(T):
+                pd, inactive = deviation_at(model, Fingerprint(c), t, cfg)
+                grid_pd, grid_inactive = single.at(t, 0)
+                assert np.allclose(pd, grid_pd, rtol=0.0, atol=1e-12)
+                assert np.array_equal(inactive, grid_inactive)
 
     def test_lazy_columns_match_scalar_ops(self):
         cfg = BlameConfig(alpha=0.3, window_steps=4)
@@ -309,5 +316,5 @@ class TestVectorizedGrid:
         ts = np.arange(12)
         pd, inactive = deviation_grid(model, batch, cfg).at(ts[:, None], np.arange(2)[None, :])
         assert pd.shape == (12, 2, 3) and inactive.shape == (12, 2, 3)
-        single, _ = deviation_grid(model, stacks[0], cfg).at(ts, 0)
+        single, _ = deviation_grid(model, stacks[0][None], cfg).at(ts, 0)
         assert np.array_equal(pd[:, 0], single)

@@ -4,11 +4,11 @@ import pytest
 from blamebox import (Belief, BlameConfig, ExperienceDb, ExecutionResult,
                       ExecutorError, FunctionRegistry, PlannerConfig, SkillCache,
                       ValidationError, bayes_update, entropy,
-                      expected_information_gain, information_gain_stats,
+                      information_gain_stats,
                       run_testing_loop, select_skill)
 from blamebox.harness import SimExecutor, SimSkillSpec, SimWorld, build_database
 from blamebox.blame import combine_deviation
-from blamebox.core import Fingerprint, Observation
+from blamebox.core import Fingerprint, Observation, SensorSeries
 from blamebox.fpf import deviation_grid, fit_fpf
 from blamebox.mom import ErrorStats, MomConfig, init_model
 from blamebox.planner import _sampled_entropies
@@ -64,8 +64,8 @@ class TestExpectedInformationGain:
     def test_point_mass_is_exactly_zero(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2")})
         belief = Belief(np.array([1.0, 0.0]))
-        g = expected_information_gain(belief, "s1", dbs, fpfs, PLAN, CFG,
-                                      np.random.default_rng(0))
+        g = information_gain_stats(belief, dbs["s1"], fpfs["s1"], PLAN, CFG,
+                                   np.random.default_rng(0)).gain
         assert abs(g) <= 1e-9
 
     def test_sampled_matches_enumeration_oracle(self):
@@ -86,8 +86,8 @@ class TestExpectedInformationGain:
     def test_positive_for_discriminating_skill(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f2",)})
         belief = Belief(np.array([0.5, 0.5]))
-        g = expected_information_gain(belief, "s1", dbs, fpfs, PLAN, CFG,
-                                      np.random.default_rng(3))
+        g = information_gain_stats(belief, dbs["s1"], fpfs["s1"], PLAN, CFG,
+                                   np.random.default_rng(3)).gain
         assert g > 0.1
 
     def test_disjoint_support_gains_nothing(self):
@@ -108,10 +108,10 @@ class TestExpectedInformationGain:
         _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
         cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
         belief = Belief(np.array([0.7, 0.3]))
-        a = expected_information_gain(belief, "s1", dbs, fpfs, PLAN, CFG,
-                                      np.random.default_rng(9))
-        b = expected_information_gain(belief, "s1", dbs, fpfs, PLAN, CFG,
-                                      np.random.default_rng(9), cache=cache)
+        a = information_gain_stats(belief, dbs["s1"], fpfs["s1"], PLAN, CFG,
+                                   np.random.default_rng(9)).gain
+        b = information_gain_stats(belief, dbs["s1"], fpfs["s1"], PLAN, CFG,
+                                   np.random.default_rng(9), cache=cache).gain
         assert a == b
 
     def test_sampled_entropies_gather_from_every_column(self):
@@ -140,7 +140,7 @@ class TestExpectedInformationGain:
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f3"), "s2": ("f1",)}, F=4, T=8, n=4)
         cache = SkillCache(dbs["s2"], fpfs["s1"], CFG)
         assert list(cache.support) == [0, 2]
-        assert list(dbs["s2"].support()) == [0]
+        assert list(dbs["s2"].support) == [0]
         assert np.array_equal(cache.grid.exec_mean[:, :, 1], np.zeros((8, 4)))
         belief = Belief(np.array([0.1, 0.2, 0.3, 0.4]))
         got = _sampled_entropies(belief, cache, CFG, 8, np.random.default_rng(2))
@@ -311,14 +311,24 @@ class TestExecutionResultTFail:
         with pytest.raises(ValidationError, match="D="):
             run_testing_loop(executor, ("s1",), dbs, fpfs, {"s1": (model, stats)}, plan, CFG)
 
-    def _records(self):
+    @pytest.mark.parametrize("T_run,t_fail,expected", [(11, 9, 7), (11, 5, 5), (6, 5, 5)])
+    def test_run_of_another_length_is_cut_or_padded(self, T_run, t_fail, expected):
+        # the databases hold T = 8; a failure time past that end is taken at 7
+        _, executor, dbs, fpfs = self._records(T_run, t_fail)
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
+        _, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+        assert trace.steps[0].t_fail == expected
+
+    def _records(self, T_run=8, t_fail=5):
         registry, specs, dbs, fpfs = toy_setup({"s1": ("f1",)}, F=2, T=8)
 
         class Fixed:
             def execute(self, skill):
                 obs = dbs["s1"].observations[0]
-                failed = Observation(sensors=obs.sensors, fingerprint=obs.fingerprint,
-                                     success=False, skill="s1")
-                return ExecutionResult(observation=failed, success=False, t_fail=5)
+                sensors = np.hstack([obs.sensors.data] * 2)[:, :T_run]
+                counts = np.hstack([obs.fingerprint.counts] * 2)[:, :T_run]
+                failed = Observation(sensors=SensorSeries(sensors),
+                                     fingerprint=Fingerprint(counts), success=False, skill="s1")
+                return ExecutionResult(observation=failed, success=False, t_fail=t_fail)
 
         return registry, Fixed(), dbs, fpfs
