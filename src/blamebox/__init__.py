@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .blame import (Belief, UpdateRecord, bayes_update, coverage_indices,
                     entropy, likelihood_vector)
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
-                   SensorSeries, canonicalize_length, validate_fingerprint,
-                   validate_observation, validate_series)
+                   SensorSeries, canonicalize_length, validate_observation)
 from .errors import (BlameboxError, ConfigError, ExecutorError, KindError,
                      ScenarioError, StoreError, ValidationError, VersionError)
 from .fpf import (BlameConfig, FpfModel, deviation_mass, exec_weighted_mean,

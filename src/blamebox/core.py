@@ -1,14 +1,16 @@
 """Shared domain types: function registry, sensor series, call-count
 fingerprints, observations, and the per-skill experience database.
 
-All types are plain containers; content validation lives in the
-``validate_*`` functions so that loaders can build objects first and then
-report precise errors (row/column) for bad data. Arrays are marked
-read-only on construction, so validated objects can be shared freely.
+Every type checks its own content invariants when it is constructed,
+citing the first bad cell (row and column) of bad data, so callers need no
+separate validation step. A loader builds its objects inside a context that
+names the file they came from. Arrays are marked read-only on construction, so objects
+can be shared freely. :func:`validate_observation` adds the one check that
+needs outside context: that an observation's function rows match a registry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -75,8 +77,16 @@ class SensorSeries:
     dt: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_matrix(self.data, "sensor data"))
+        d = _as_matrix(self.data, "sensor data")
+        object.__setattr__(self, "data", d)
         object.__setattr__(self, "dt", float(self.dt))
+        if d.shape[0] < 1 or d.shape[1] < 1:
+            raise ValidationError(f"sensor series needs D >= 1 and T >= 1, got shape {d.shape}")
+        if self.dt <= 0:
+            raise ValidationError(f"sampling interval must be positive, got {self.dt}")
+        if not np.isfinite(d).all():
+            r, c = np.argwhere(~np.isfinite(d))[0]
+            raise ValidationError(f"non-finite sensor value at channel {r}, timestep {c}")
 
     @property
     def D(self) -> int:
@@ -97,8 +107,19 @@ class Fingerprint:
     dt: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _as_matrix(self.counts, "fingerprint counts"))
+        c = _as_matrix(self.counts, "fingerprint counts")
+        object.__setattr__(self, "counts", c)
         object.__setattr__(self, "dt", float(self.dt))
+        if c.shape[0] < 1 or c.shape[1] < 1:
+            raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape {c.shape}")
+        if self.dt <= 0:
+            raise ValidationError(f"sampling interval must be positive, got {self.dt}")
+        if not np.isfinite(c).all():
+            r, t = np.argwhere(~np.isfinite(c))[0]
+            raise ValidationError(f"non-finite count at function {r}, timestep {t}")
+        if not (c >= 0).all():
+            r, t = np.argwhere(c < 0)[0]
+            raise ValidationError(f"negative count {c[r, t]} at function {r}, timestep {t}")
 
     @property
     def F(self) -> int:
@@ -118,34 +139,27 @@ class Observation:
     success: bool
     skill: SkillId
 
+    def __post_init__(self):
+        if self.sensors.T != self.fingerprint.T:
+            raise ValidationError(f"sensor series has T={self.sensors.T} "
+                                  f"but fingerprint has T={self.fingerprint.T}")
+
 
 @dataclass(frozen=True)
 class ExperienceDb:
     """Per-skill store of positive (successful) executions.
 
-    ``canonical_T`` is fixed from the first ingested batch (its lower-median
-    length); everything added later is canonicalized to it so per-timestep
-    models stay well defined.
+    Holds at least one run, each a success of ``skill``. ``canonical_T`` is
+    the lower-median length of the given runs; every run is canonicalized to
+    it so per-timestep models stay well defined.
     """
 
     skill: SkillId
-    observations: tuple[Observation, ...] = field(default_factory=tuple)
-    canonical_T: int = 0
+    observations: tuple[Observation, ...]
+    canonical_T: int = field(init=False)
 
-    @classmethod
-    def from_observations(cls, skill: SkillId, observations: Sequence[Observation],
-                          registry: FunctionRegistry) -> "ExperienceDb":
-        obs = list(observations)
-        for o in obs:
-            validate_observation(o, registry)
-        return cls.from_validated(skill, obs)
-
-    @classmethod
-    def from_validated(cls, skill: SkillId,
-                       observations: Sequence[Observation]) -> "ExperienceDb":
-        """Like :meth:`from_observations`, for observations that each passed
-        :func:`validate_observation` against the database's registry."""
-        obs = list(observations)
+    def __post_init__(self):
+        obs = tuple(self.observations)
         if not obs:
             raise ValidationError("experience database needs at least one observation")
         for o in obs:
@@ -153,20 +167,20 @@ class ExperienceDb:
                 raise ValidationError(
                     f"experience databases hold successful executions only; "
                     f"got a failure for skill {o.skill!r}")
-            if o.skill != skill:
+            if o.skill != self.skill:
                 raise ValidationError(
-                    f"observation for skill {o.skill!r} added to db of {skill!r}")
+                    f"observation for skill {o.skill!r} added to db of {self.skill!r}")
         lengths = sorted(o.fingerprint.T for o in obs)
         canonical_T = int(lengths[(len(lengths) - 1) // 2])
-        canon = tuple(_canonicalize_observation(o, canonical_T) for o in obs)
-        return cls(skill=skill, observations=canon, canonical_T=canonical_T)
+        object.__setattr__(self, "canonical_T", canonical_T)
+        object.__setattr__(self, "observations",
+                           tuple(_canonicalize_observation(o, canonical_T) for o in obs))
 
-    def with_added(self, obs: Observation, registry: FunctionRegistry) -> "ExperienceDb":
-        validate_observation(obs, registry)
-        if not obs.success:
-            raise ValidationError("only successful executions belong in the experience db")
-        return replace(self, observations=self.observations
-                       + (_canonicalize_observation(obs, self.canonical_T),))
+    @classmethod
+    def from_observations(cls, skill: SkillId, observations: Sequence[Observation],
+                          registry: FunctionRegistry) -> "ExperienceDb":
+        """A database of runs whose function rows each match ``registry``."""
+        return cls(skill, [validate_observation(o, registry) for o in observations])
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -202,8 +216,6 @@ def canonicalize_length(item, target_T: int):
     else:
         raise ValidationError(f"cannot canonicalize {type(item).__name__}")
     T = mat.shape[1]
-    if T == 0:
-        raise ValidationError("cannot canonicalize an empty (T == 0) matrix")
     if T == target_T:
         return item
     if T < target_T:
@@ -221,41 +233,10 @@ def _canonicalize_observation(obs: Observation, target_T: int) -> Observation:
     )
 
 
-def validate_series(series: SensorSeries) -> SensorSeries:
-    d = series.data
-    if d.shape[0] < 1 or d.shape[1] < 1:
-        raise ValidationError(f"sensor series needs D >= 1 and T >= 1, got shape {d.shape}")
-    if series.dt <= 0:
-        raise ValidationError(f"sampling interval must be positive, got {series.dt}")
-    if not np.isfinite(d).all():
-        r, c = np.argwhere(~np.isfinite(d))[0]
-        raise ValidationError(f"non-finite sensor value at channel {r}, timestep {c}")
-    return series
-
-
-def validate_fingerprint(fp: Fingerprint, registry: FunctionRegistry | None = None) -> Fingerprint:
-    c = fp.counts
-    if c.shape[0] < 1 or c.shape[1] < 1:
-        raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape {c.shape}")
-    if fp.dt <= 0:
-        raise ValidationError(f"sampling interval must be positive, got {fp.dt}")
-    if not np.isfinite(c).all():
-        r, t = np.argwhere(~np.isfinite(c))[0]
-        raise ValidationError(f"non-finite count at function {r}, timestep {t}")
-    if not (c >= 0).all():
-        r, t = np.argwhere(c < 0)[0]
-        raise ValidationError(f"negative count {c[r, t]} at function {r}, timestep {t}")
-    if registry is not None and fp.F != registry.F:
-        raise ValidationError(
-            f"fingerprint has {fp.F} function rows, registry has {registry.F}")
-    return fp
-
-
 def validate_observation(obs: Observation, registry: FunctionRegistry) -> Observation:
-    """Return ``obs`` unchanged iff every invariant holds."""
-    validate_series(obs.sensors)
-    validate_fingerprint(obs.fingerprint, registry)
-    if obs.sensors.T != obs.fingerprint.T:
+    """Return ``obs`` unchanged iff its function rows match ``registry``; its
+    contents were checked when it was built."""
+    if obs.fingerprint.F != registry.F:
         raise ValidationError(
-            f"sensor series has T={obs.sensors.T} but fingerprint has T={obs.fingerprint.T}")
+            f"fingerprint has {obs.fingerprint.F} function rows, registry has {registry.F}")
     return obs

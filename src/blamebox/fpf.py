@@ -100,8 +100,6 @@ def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     Only the rows of the database's support are stacked: every other count
     is 0, so its mean is 0 and its variance the floor.
     """
-    if len(db) == 0:
-        raise ValidationError("cannot fit a fingerprint model on an empty database")
     support = db.support
     stack = db.counts_stack(support)
     mean = np.zeros(db.observations[0].fingerprint.counts.shape)

@@ -87,7 +87,7 @@ def simulate_execution(spec: SimSkillSpec, world: SimWorld,
     sensors = SensorSeries(np.zeros((1, spec.T)), dt=spec.dt)
     obs = Observation(sensors=sensors, fingerprint=fingerprint,
                       success=success, skill=spec.skill)
-    return ExecutionResult(observation=obs, success=success, t_fail=t_fail)
+    return ExecutionResult(observation=obs, t_fail=t_fail)
 
 
 class SimExecutor:
@@ -231,6 +231,12 @@ def gen_sensor_suite(spec: SensorSynthSpec, n_train: int, n_pos: int, n_neg: int
 # ---------------------------------------------------------------------------
 # Scenarios.
 
+# The scalar fields of a scenario description, each with its converter; an
+# absent one takes the dataclass default.
+_SCENARIO_SCALARS = {"db_size": int, "T": int, "dt": float,
+                     "count_mu": float, "count_sigma": float, "seed": int}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -275,14 +281,9 @@ class ScenarioConfig:
                 functions=tuple(d["functions"]),
                 skills=tuple((sk["skill"], tuple(sk["functions"])) for sk in d["skills"]),
                 buggy=tuple(d["buggy"]),
-                db_size=int(d.get("db_size", 70)),
-                T=int(d.get("T", 100)),
-                dt=float(d.get("dt", 0.05)),
-                count_mu=float(d.get("count_mu", 2.0)),
-                count_sigma=float(d.get("count_sigma", 0.5)),
-                seed=int(d.get("seed", 1)),
                 planner=planner,
                 blame=blame,
+                **{k: convert(d[k]) for k, convert in _SCENARIO_SCALARS.items() if k in d},
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario description: {exc}") from exc

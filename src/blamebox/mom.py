@@ -349,9 +349,10 @@ def loss_and_gradients(params: dict[str, np.ndarray],
 def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
     """Fit the model on successful sensor sequences.
 
-    The bottleneck is capped at D-1 so the configured default works on
-    low-dimensional data. Normalization constants come from the training
-    set; the per-epoch loss trace is stored on the returned model.
+    The data needs D >= 2 channels; the bottleneck is capped at D-1 so the
+    configured default works on low-dimensional data. Normalization
+    constants come from the training set; the per-epoch loss trace is stored
+    on the returned model.
     """
     seqs = list(sequences)
     if len(seqs) < 2:
@@ -361,6 +362,9 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
         if s.D != D or s.T != T:
             raise ValidationError(
                 f"inconsistent sequence shapes: ({s.D}, {s.T}) vs ({D}, {T})")
+    if D < 2:
+        raise ValidationError(
+            f"the observation model needs at least 2 sensor channels, got D={D}")
     raw = np.stack([s.data for s in seqs])
     lo = raw.min(axis=(0, 2))
     hi = raw.max(axis=(0, 2))

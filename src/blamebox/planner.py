@@ -16,7 +16,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .blame import Belief, combine_deviation, entropy
+from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
 from .fpf import BlameConfig, FpfModel, deviation_grid
@@ -55,15 +55,26 @@ class GainEstimate:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """What a skill executor reports back for one run."""
+    """What a skill executor reports back for one run; it succeeded iff its
+    observation did."""
 
     observation: Observation
-    success: bool
     t_fail: int | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.observation.success
 
 
 class SkillExecutor(Protocol):
-    """Boundary to whatever actually runs a skill (simulator, replay, robot)."""
+    """Boundary to whatever actually runs a skill (simulator, replay, robot).
+
+    The records of a run check themselves when they are built, so a malformed
+    run (a negative or non-finite count or sensor value, or sensors and
+    counts of different lengths) raises a ValidationError citing its cell
+    before the loop sees it. The loop rejects a run of another skill than
+    the one it asked for.
+    """
 
     def execute(self, skill: SkillId) -> ExecutionResult:  # pragma: no cover
         ...
@@ -79,8 +90,6 @@ class SkillCache:
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
-        if len(db) == 0:
-            raise ValidationError(f"empty database for skill {db.skill!r}")
         self.skill = db.skill
         self.T, self.F, self.n_obs = fpf.T, fpf.F, len(db)
         self.support = np.union1d(db.support, np.flatnonzero(fpf.mean.any(axis=1)))
@@ -203,10 +212,9 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
     timestep.
     Stops once the best gain stays below convergence_epsilon for
     convergence_patience consecutive planning rounds, or at max_iterations.
-    An executor error aborts the loop and returns the trace so far.
+    An executor error aborts the loop and returns the trace so far; a run of
+    another skill than the chosen one raises a ValidationError.
     """
-    from .blame import bayes_update  # local import to keep module load light
-
     skills = tuple(skills)
     mom_config = mom_config or MomConfig()
     mom_by_skill = mom_by_skill or {}
@@ -235,6 +243,9 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
         except ExecutorError as exc:
             trace.aborted = str(exc)
             break
+        if result.observation.skill != chosen:
+            raise ValidationError(f"the executor answered skill {chosen!r} "
+                                  f"with a run of skill {result.observation.skill!r}")
         T = fpfs[chosen].T
         result = replace(result, observation=_canonicalize_observation(result.observation, T))
         t_fail = (T - 1 if result.success else

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
-                   SensorSeries, SkillId, validate_observation, validate_series)
+                   SensorSeries, SkillId, validate_observation)
 from .errors import (ConfigError, ExecutorError, KindError, StoreError, ValidationError,
                      VersionError)
 from .fpf import FpfModel
@@ -196,32 +196,31 @@ def _load_records(path: str, registry: FunctionRegistry | None = None
         for entry in manifest["observations"]:
             counts_file = _inside(manifest_path, entry["counts"])
             sensors_file = _inside(manifest_path, entry["sensors"])
-            sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
             with _naming(sensors_file):
-                validate_series(sensors)
+                sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
             counts = _load_counts(counts_file, manifest["version"], registry.F, sensors.T,
                                   sensors_file)
-            obs = Observation(sensors=sensors, fingerprint=Fingerprint(counts, dt=dt),
-                              success=bool(entry["success"]), skill=skill)
             with _naming(counts_file):
-                validate_observation(obs, registry)
+                obs = validate_observation(
+                    Observation(sensors=sensors, fingerprint=Fingerprint(counts, dt=dt),
+                                success=bool(entry["success"]), skill=skill), registry)
             t_fail = entry.get("t_fail")
-            records.append(ExecutionResult(observation=obs, success=obs.success,
+            records.append(ExecutionResult(observation=obs,
                                            t_fail=None if t_fail is None else int(t_fail)))
     return skill, registry, dt, canonical_T, records
 
 
 def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
-    records = [ExecutionResult(observation=o, success=o.success) for o in db.observations]
+    records = [ExecutionResult(observation=o) for o in db.observations]
     _save_records(path, db.skill, registry, records, db.canonical_T,
-                  db.observations[0].fingerprint.dt if db.observations else 1.0)
+                  db.observations[0].fingerprint.dt)
 
 
 def load_db(path: str, registry: FunctionRegistry | None = None) -> ExperienceDb:
     """Load and validate an experience database (successful runs only); with
     ``registry``, the database must list the same functions."""
     skill, _, _, _, records = _load_records(path, registry)
-    return ExperienceDb.from_validated(skill, [r.observation for r in records])
+    return ExperienceDb(skill, [r.observation for r in records])
 
 
 def save_recorded(records: Sequence[ExecutionResult], path: str, skill: SkillId,

@@ -117,6 +117,14 @@ class TestMomCommands:
                      "--out", str(tmp_path / "e")])
         assert code == 1
 
+    def test_train_on_one_channel_names_the_channel_count(self, tmp_path, capsys):
+        code = main(["train-mom", "--db", str(make_sensor_db(tmp_path, D=1)),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the observation model needs at least 2 sensor channels, got D=1\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_db_is_io_error(self, tmp_path):
         assert main(["train-mom", "--db", str(tmp_path / "none"),
                      "--out", str(tmp_path / "m.json")]) == 2

@@ -116,9 +116,20 @@ class TestValidateObservation:
 
     def test_length_mismatch(self):
         reg = FunctionRegistry(["a", "b", "c"])
-        obs = make_obs(sensors=np.zeros((2, 5)))
         with pytest.raises(ValidationError, match="T=5"):
-            validate_observation(obs, reg)
+            validate_observation(make_obs(sensors=np.zeros((2, 5))), reg)
+
+    @pytest.mark.parametrize("bad,match", [
+        (-1.0, r"negative count -1.0 at function 2, timestep 1$"),
+        (np.nan, r"non-finite count at function 2, timestep 1$"),
+        (np.inf, r"non-finite count at function 2, timestep 1$"),
+    ])
+    def test_records_check_themselves(self, bad, match):
+        # no registry involved: the fingerprint rejects the cell when built
+        counts = np.ones((3, 4))
+        counts[2, 1] = bad
+        with pytest.raises(ValidationError, match=match):
+            Fingerprint(counts)
 
     def test_random_mutations_are_caught(self):
         # any single bad cell must be rejected, anywhere in either matrix
@@ -157,13 +168,14 @@ class TestExperienceDb:
             ExperienceDb.from_observations(
                 "s", [make_obs(F=2, skill="other", sensors=np.zeros((1, 4)))], reg)
 
-    def test_later_additions_canonicalized(self):
-        reg = FunctionRegistry(["a", "b"])
-        db = ExperienceDb.from_observations(
-            "s", [make_obs(F=2, T=4, sensors=np.zeros((1, 4)))], reg)
-        grown = db.with_added(make_obs(F=2, T=9, sensors=np.zeros((1, 9))), reg)
-        assert grown.observations[-1].fingerprint.T == 4
-        assert len(db) == 1  # original untouched
+    @pytest.mark.parametrize("runs,match", [
+        ([], "at least one observation"),
+        ([make_obs(success=False)], "successful"),
+        ([make_obs(), make_obs(skill="other")], "'other' added to db of 's'"),
+    ], ids=["no-runs", "failed-run", "foreign-skill"])
+    def test_constructor_checks_its_runs(self, runs, match):
+        with pytest.raises(ValidationError, match=match):
+            ExperienceDb("s", runs)
 
     def test_arrays_are_frozen(self):
         obs = make_obs()
@@ -192,4 +204,3 @@ class TestExperienceDb:
         db = ExperienceDb.from_observations(
             "s", [make_obs(F=2, counts=np.zeros((2, 4)), sensors=np.zeros((1, 4)))], reg)
         assert db.support.size == 0
-        assert ExperienceDb("s").support.size == 0

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -173,10 +175,8 @@ class TestExpectedInformationGain:
                                    np.random.default_rng(0))
 
     def test_empty_db_rejected(self):
-        _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
-        empty = ExperienceDb(skill="s1", observations=(), canonical_T=4)
         with pytest.raises(ValidationError):
-            SkillCache(empty, fpfs["s1"], CFG)
+            ExperienceDb(skill="s1", observations=())
 
 
 class TestSelectSkill:
@@ -319,16 +319,41 @@ class TestExecutionResultTFail:
         _, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
         assert trace.steps[0].t_fail == expected
 
-    def _records(self, T_run=8, t_fail=5):
-        registry, specs, dbs, fpfs = toy_setup({"s1": ("f1",)}, F=2, T=8)
+    @pytest.mark.parametrize("bad,match", [
+        (-1.0, r"negative count -1.0 at function 0, timestep 3$"),
+        (np.nan, r"non-finite count at function 0, timestep 3$"),
+    ], ids=["negative", "nan"])
+    def test_malformed_run_rejected_citing_its_cell(self, bad, match):
+        _, executor, dbs, fpfs = self._records(bad_count=bad)
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
+        with pytest.raises(ValidationError, match=match):
+            run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+
+    def test_run_of_another_skill_rejected(self):
+        _, executor, dbs, fpfs = self._records(skill="s2")
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
+        with pytest.raises(ValidationError, match="skill 's1' with a run of skill 's2'"):
+            run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+
+    def test_success_comes_from_the_observation(self):
+        _, executor, _, _ = self._records()
+        obs = executor.execute("s1").observation
+        assert ExecutionResult(observation=obs).success is obs.success is False
+        assert "success" not in {f.name for f in fields(ExecutionResult)}
+
+    def _records(self, T_run=8, t_fail=5, bad_count=None, skill="s1"):
+        # s2 has a database and model too, so a run of s2 could be scored
+        registry, specs, dbs, fpfs = toy_setup({"s1": ("f1",), "s2": ("f2",)}, F=2, T=8)
 
         class Fixed:
-            def execute(self, skill):
+            def execute(self, _):
                 obs = dbs["s1"].observations[0]
                 sensors = np.hstack([obs.sensors.data] * 2)[:, :T_run]
                 counts = np.hstack([obs.fingerprint.counts] * 2)[:, :T_run]
+                if bad_count is not None:
+                    counts[0, 3] = bad_count
                 failed = Observation(sensors=SensorSeries(sensors),
-                                     fingerprint=Fingerprint(counts), success=False, skill="s1")
-                return ExecutionResult(observation=failed, success=False, t_fail=t_fail)
+                                     fingerprint=Fingerprint(counts), success=False, skill=skill)
+                return ExecutionResult(observation=failed, t_fail=t_fail)
 
         return registry, Fixed(), dbs, fpfs
