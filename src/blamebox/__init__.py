@@ -24,12 +24,12 @@ from .harness import (AnomalySpec, BUILT_IN_SCENARIOS, ScenarioConfig,
                       SimWorld, built_in_scenario, candidate_set, gen_fingerprint,
                       gen_sensor_suite, load_scenario, run_scenario,
                       simulate_execution)
-from .mom import (ErrorStats, MomConfig, MomModel, cosine_objective,
-                  detect_failure_time, error_rows, error_series, fit_error_stats,
-                  init_model, reconstruct, train)
-from .planner import (ExecutionResult, GainEstimate, LoopStep, LoopTrace,
-                      PlannerConfig, SkillCache, SkillExecutor,
-                      information_gain_stats, run_testing_loop, select_skill)
+from .mom import (ErrorStats, MomConfig, MomModel, detect_failure_time,
+                  error_rows, error_series, fit_error_stats, init_model,
+                  reconstruct, train)
+from .planner import (GainEstimate, LoopStep, LoopTrace, PlannerConfig,
+                      SkillCache, SkillExecutor, information_gain_stats,
+                      run_testing_loop, select_skill)
 from .store import (MomBundle, ReplayExecutor, Study, load_db, load_model,
                     load_recorded, load_study, save_db, save_model,
                     save_recorded, save_study)

@@ -1,6 +1,9 @@
 """Shared domain types: function registry, sensor series, call-count
 fingerprints, observations, and the per-skill experience database.
 
+An :class:`Observation` is the one record of a run, down to the failure
+time its executor reported.
+
 Every type checks its own content invariants when it is constructed,
 citing the first bad cell (row and column) of bad data, so callers need no
 separate validation step. A loader builds its objects inside a context that
@@ -10,7 +13,7 @@ needs outside context: that an observation's function rows match a registry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -132,17 +135,26 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class Observation:
-    """Everything recorded for one skill execution."""
+    """Everything recorded for one skill execution. ``t_fail`` is the failure
+    time its executor reported: a failure may carry one, a success never does.
+    It may lie past the last timestep."""
 
     sensors: SensorSeries
     fingerprint: Fingerprint
     success: bool
     skill: SkillId
+    t_fail: int | None = None
 
     def __post_init__(self):
         if self.sensors.T != self.fingerprint.T:
             raise ValidationError(f"sensor series has T={self.sensors.T} "
                                   f"but fingerprint has T={self.fingerprint.T}")
+        if self.t_fail is not None:
+            if self.success:
+                raise ValidationError(
+                    f"a successful run has no failure time, got t_fail={self.t_fail}")
+            if self.t_fail < 0:
+                raise ValidationError(f"failure time t_fail={self.t_fail} is negative")
 
 
 @dataclass(frozen=True)
@@ -225,12 +237,8 @@ def canonicalize_length(item, target_T: int):
 
 
 def _canonicalize_observation(obs: Observation, target_T: int) -> Observation:
-    return Observation(
-        sensors=canonicalize_length(obs.sensors, target_T),
-        fingerprint=canonicalize_length(obs.fingerprint, target_T),
-        success=obs.success,
-        skill=obs.skill,
-    )
+    return replace(obs, sensors=canonicalize_length(obs.sensors, target_T),
+                   fingerprint=canonicalize_length(obs.fingerprint, target_T))
 
 
 def validate_observation(obs: Observation, registry: FunctionRegistry) -> Observation:

@@ -25,6 +25,8 @@ from .errors import ConfigError, ValidationError
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))
 # math.erf elementwise; numpy has no erf of its own
 _erf = np.frompyfunc(math.erf, 1, 1)
+# the wall time the blame window covers in BlameConfig.for_sampling
+_WINDOW_SECONDS = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,12 @@ class BlameConfig:
             raise ConfigError("success_deviation_weight must lie in [0, 1)")
 
     @classmethod
-    def for_sampling(cls, dt: float, window_seconds: float = 2.0, **kw) -> "BlameConfig":
-        """Window covering ``window_seconds`` of wall time at interval ``dt``."""
+    def for_sampling(cls, dt: float) -> "BlameConfig":
+        """Window covering 2 s of wall time at interval ``dt``."""
         if dt <= 0:
             raise ConfigError(f"dt must be positive, got {dt}")
-        w = max(1, math.ceil(window_seconds / dt))
-        return cls(alpha=math.log(10.0) / w, window_steps=w, **kw)
+        w = max(1, math.ceil(_WINDOW_SECONDS / dt))
+        return cls(alpha=math.log(10.0) / w, window_steps=w)
 
 
 @dataclass(frozen=True)

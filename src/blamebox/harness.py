@@ -21,8 +21,7 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, SkillId)
 from .errors import ExecutorError, ScenarioError, ValidationError
 from .fpf import BlameConfig, fit_fpf
-from .planner import (ExecutionResult, LoopTrace, PlannerConfig,
-                      run_testing_loop)
+from .planner import LoopTrace, PlannerConfig, run_testing_loop
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,9 @@ def gen_fingerprint(spec: SimSkillSpec, registry: FunctionRegistry,
 
 
 def simulate_execution(spec: SimSkillSpec, world: SimWorld,
-                       rng: np.random.Generator) -> ExecutionResult:
+                       rng: np.random.Generator) -> Observation:
     """One simulated run. Success is deterministic: the skill fails iff it
-    uses a buggy function. Failures get a true failure time drawn uniformly
+    uses a buggy function. Failures carry a true failure time drawn uniformly
     from the middle half of the execution; the sensor record is a one-channel
     placeholder (fingerprint-only studies bypass the sensor model)."""
     fingerprint = gen_fingerprint(spec, registry=world.registry, rng=rng)
@@ -85,9 +84,8 @@ def simulate_execution(spec: SimSkillSpec, world: SimWorld,
         lo, hi = spec.T // 4, max(spec.T // 4 + 1, (3 * spec.T) // 4)
         t_fail = int(rng.integers(lo, hi))
     sensors = SensorSeries(np.zeros((1, spec.T)), dt=spec.dt)
-    obs = Observation(sensors=sensors, fingerprint=fingerprint,
-                      success=success, skill=spec.skill)
-    return ExecutionResult(observation=obs, t_fail=t_fail)
+    return Observation(sensors=sensors, fingerprint=fingerprint,
+                       success=success, skill=spec.skill, t_fail=t_fail)
 
 
 class SimExecutor:
@@ -101,7 +99,7 @@ class SimExecutor:
         self._rngs = {s: np.random.default_rng(child)
                       for s, child in zip(sorted(self._specs), ss.spawn(len(self._specs)))}
 
-    def execute(self, skill: SkillId) -> ExecutionResult:
+    def execute(self, skill: SkillId) -> Observation:
         if skill not in self._specs:
             raise ExecutorError(f"no simulated skill {skill!r}")
         return simulate_execution(self._specs[skill], self._world, self._rngs[skill])
@@ -111,7 +109,7 @@ def build_database(spec: SimSkillSpec, registry: FunctionRegistry,
                    rng: np.random.Generator, size: int) -> ExperienceDb:
     """Simulate ``size`` successful executions (pre-bug world) for one skill."""
     world = SimWorld(registry=registry)  # no bugs: every run succeeds
-    obs = [simulate_execution(spec, world, rng).observation for _ in range(size)]
+    obs = [simulate_execution(spec, world, rng) for _ in range(size)]
     return ExperienceDb.from_observations(spec.skill, obs, registry)
 
 

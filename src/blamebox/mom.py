@@ -44,6 +44,11 @@ from .core import SensorSeries
 from .errors import ConfigError, ValidationError
 
 _NORM_GUARD = 1e-12  # additive guard on vector norms in the cosine
+# ADAM's step size, moment decay rates and denominator guard
+_LEARNING_RATE = 1e-3
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 _PARAM_FIELDS = (
     "enc_w", "enc_b",
@@ -57,10 +62,6 @@ _PARAM_FIELDS = (
 class MomConfig:
     bottleneck: int = 32
     epochs: int = 500
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     smoothing_window: int = 25
     z_threshold: float = 3.0
     seed: int = 0
@@ -208,17 +209,6 @@ def _cos_columns(Xt: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Per-(timestep, sequence) cosine similarity of two (T, n, D) batches."""
     dot, nx, ny = _cos_terms(Xt, Y)
     return dot / ((nx + _NORM_GUARD) * (ny + _NORM_GUARD))
-
-
-def cosine_objective(original, reconstruction) -> float:
-    """Negated mean per-timestep cosine similarity; -1 is a perfect match,
-    0 orthogonal, +1 antiparallel. Zero columns are handled by the norm guard."""
-    X = original.data if isinstance(original, SensorSeries) else np.asarray(original, float)
-    Y = (reconstruction.data if isinstance(reconstruction, SensorSeries)
-         else np.asarray(reconstruction, float))
-    if X.shape != Y.shape:
-        raise ValidationError(f"shape mismatch {X.shape} vs {Y.shape}")
-    return float(-_cos_columns(X.T[:, None], Y.T[:, None]).mean())
 
 
 def _normalized_batch(model: MomModel, sequences: Sequence[SensorSeries],
@@ -382,13 +372,12 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
     for step in range(1, config.epochs + 1):
         loss, grads = loss_and_gradients(params, X)
         losses.append(loss)
-        b1c = 1.0 - config.beta1 ** step
-        b2c = 1.0 - config.beta2 ** step
+        b1c = 1.0 - _BETA1 ** step
+        b2c = 1.0 - _BETA2 ** step
         for k in params:
-            m[k] = config.beta1 * m[k] + (1.0 - config.beta1) * grads[k]
-            v[k] = config.beta2 * v[k] + (1.0 - config.beta2) * grads[k] ** 2
-            params[k] -= config.learning_rate * (m[k] / b1c) / (np.sqrt(v[k] / b2c)
-                                                                + config.adam_eps)
+            m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * grads[k]
+            v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * grads[k] ** 2
+            params[k] -= _LEARNING_RATE * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + _ADAM_EPS)
     return MomModel(**params, norm_lo=lo, norm_hi=hi, loss_history=tuple(losses))
 
 

@@ -11,7 +11,7 @@ skill, so each skill's gain is reproducible on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -53,30 +53,19 @@ class GainEstimate:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    """What a skill executor reports back for one run; it succeeded iff its
-    observation did."""
-
-    observation: Observation
-    t_fail: int | None = None
-
-    @property
-    def success(self) -> bool:
-        return self.observation.success
-
-
 class SkillExecutor(Protocol):
     """Boundary to whatever actually runs a skill (simulator, replay, robot).
 
-    The records of a run check themselves when they are built, so a malformed
-    run (a negative or non-finite count or sensor value, or sensors and
-    counts of different lengths) raises a ValidationError citing its cell
-    before the loop sees it. The loop rejects a run of another skill than
-    the one it asked for.
+    ``execute`` returns the run's :class:`Observation`; a failure may carry
+    the failure time the executor saw in ``t_fail``. The records of a run
+    check themselves when they are built, so a malformed run (a negative or
+    non-finite count or sensor value, sensors and counts of different
+    lengths, a negative failure time or one on a success) raises a
+    ValidationError before the loop sees it. The loop rejects a run of
+    another skill than the one it asked for.
     """
 
-    def execute(self, skill: SkillId) -> ExecutionResult:  # pragma: no cover
+    def execute(self, skill: SkillId) -> Observation:  # pragma: no cover
         ...
 
 
@@ -181,17 +170,16 @@ class LoopTrace:
     aborted: str | None = None
 
 
-def _resolve_t_fail(result: ExecutionResult,
-                    mom: tuple[MomModel, ErrorStats] | None,
-                    mom_config: MomConfig, T: int) -> int:
+def _resolve_t_fail(obs: Observation, mom: tuple[MomModel, ErrorStats] | None,
+                    T: int) -> int:
     if mom is not None:
         model, stats = mom   # error_series rejects sensors of another D
         _, detected = detect_failure_time(
-            stats, error_series(model, result.observation.sensors), mom_config)
+            stats, error_series(model, obs.sensors), MomConfig())
         if detected is not None:
             return detected
-    if result.t_fail is not None:
-        return int(result.t_fail)
+    if obs.t_fail is not None:
+        return int(obs.t_fail)
     return T - 1
 
 
@@ -200,7 +188,6 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
                      fpfs: Mapping[SkillId, FpfModel],
                      mom_by_skill: Mapping[SkillId, tuple[MomModel, ErrorStats]] | None,
                      planner: PlannerConfig, blame: BlameConfig,
-                     mom_config: MomConfig | None = None,
                      ) -> tuple[Belief, LoopTrace]:
     """The autonomous testing loop.
 
@@ -216,7 +203,6 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
     another skill than the chosen one raises a ValidationError.
     """
     skills = tuple(skills)
-    mom_config = mom_config or MomConfig()
     mom_by_skill = mom_by_skill or {}
     if not skills:
         raise ValidationError("the testing loop needs at least one skill")
@@ -239,21 +225,20 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
         else:
             below = 0
         try:
-            result = world.execute(chosen)
+            obs = world.execute(chosen)
         except ExecutorError as exc:
             trace.aborted = str(exc)
             break
-        if result.observation.skill != chosen:
+        if obs.skill != chosen:
             raise ValidationError(f"the executor answered skill {chosen!r} "
-                                  f"with a run of skill {result.observation.skill!r}")
+                                  f"with a run of skill {obs.skill!r}")
         T = fpfs[chosen].T
-        result = replace(result, observation=_canonicalize_observation(result.observation, T))
-        t_fail = (T - 1 if result.success else
-                  min(_resolve_t_fail(result, mom_by_skill.get(chosen), mom_config, T), T - 1))
-        belief, record = bayes_update(belief, fpfs, result.observation,
-                                      result.success, t_fail, blame)
+        obs = _canonicalize_observation(obs, T)
+        t_fail = (T - 1 if obs.success else
+                  min(_resolve_t_fail(obs, mom_by_skill.get(chosen), T), T - 1))
+        belief, record = bayes_update(belief, fpfs, obs, obs.success, t_fail, blame)
         trace.steps.append(LoopStep(
-            step=step, chosen=chosen, gains=gains, success=result.success,
+            step=step, chosen=chosen, gains=gains, success=obs.success,
             t_fail=record.t_fail, posterior=belief.probs,
             entropy=record.posterior_entropy))
     return belief, trace

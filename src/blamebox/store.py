@@ -1,6 +1,11 @@
 """Persistence: experience databases, fingerprint/observation models, and
 whole studies, plus a replay executor over recorded executions.
 
+Databases and recordings share one layout and hold :class:`Observation`
+records, each manifest entry carrying the run's ``success`` and ``t_fail``.
+A database manifest's ``canonical_T`` must match the one its runs give; a
+recording's is written but not checked.
+
 Matrices are stored as plain CSV with 17 significant digits, so round-trips
 are value-exact; metadata lives in JSON manifests. A sensors file holds one
 row per channel and one column per timestep. A counts file of a database at
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,7 +37,6 @@ from .errors import (ConfigError, ExecutorError, KindError, StoreError, Validati
                      VersionError)
 from .fpf import FpfModel
 from .mom import ErrorStats, MomModel, _PARAM_FIELDS
-from .planner import ExecutionResult
 
 _DB_FORMAT = "blamebox-db"
 _MODEL_FORMAT = "blamebox-model"
@@ -153,14 +157,14 @@ def _load_counts(path: str, version: int, F: int, T: int, sensors_path: str) -> 
 # Recorded executions and experience databases share one directory layout.
 
 def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
-                  records: Sequence[ExecutionResult], canonical_T: int, dt: float) -> None:
+                  records: Sequence[Observation], dt: float) -> None:
     os.makedirs(path, exist_ok=True)
     entries = []
     for i, rec in enumerate(records):
         sensors_file = f"obs_{i:04d}.sensors.csv"
         counts_file = f"obs_{i:04d}.counts.csv"
-        _save_matrix(os.path.join(path, sensors_file), rec.observation.sensors.data)
-        _save_counts(os.path.join(path, counts_file), rec.observation.fingerprint.counts)
+        _save_matrix(os.path.join(path, sensors_file), rec.sensors.data)
+        _save_counts(os.path.join(path, counts_file), rec.fingerprint.counts)
         entries.append({
             "sensors": sensors_file,
             "counts": counts_file,
@@ -171,7 +175,7 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         "format": _DB_FORMAT,
         "version": _DB_VERSION,
         "skill": skill,
-        "canonical_T": int(canonical_T),
+        "canonical_T": records[0].fingerprint.T if records else 0,
         "dt": float(dt),
         "functions": list(registry.names),
         "observations": entries,
@@ -179,9 +183,9 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
 
 
 def _load_records(path: str, registry: FunctionRegistry | None = None
-                  ) -> tuple[SkillId, FunctionRegistry, float, int, list[ExecutionResult]]:
-    """Read a database directory; with ``registry``, its manifest must list
-    the same functions."""
+                  ) -> tuple[SkillId, int, list[Observation]]:
+    """The skill, the manifest's ``canonical_T`` and the runs of a database
+    directory; with ``registry``, its manifest must list the same functions."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSIONS)
     with _interpreting(manifest_path):
@@ -205,57 +209,61 @@ def _load_records(path: str, registry: FunctionRegistry | None = None
                     Observation(sensors=sensors, fingerprint=Fingerprint(counts, dt=dt),
                                 success=bool(entry["success"]), skill=skill), registry)
             t_fail = entry.get("t_fail")
-            records.append(ExecutionResult(observation=obs,
-                                           t_fail=None if t_fail is None else int(t_fail)))
-    return skill, registry, dt, canonical_T, records
+            if t_fail is not None:
+                with _naming(manifest_path):
+                    obs = replace(obs, t_fail=int(t_fail))
+            records.append(obs)
+    return skill, canonical_T, records
 
 
 def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
-    records = [ExecutionResult(observation=o) for o in db.observations]
-    _save_records(path, db.skill, registry, records, db.canonical_T,
+    _save_records(path, db.skill, registry, db.observations,
                   db.observations[0].fingerprint.dt)
 
 
 def load_db(path: str, registry: FunctionRegistry | None = None) -> ExperienceDb:
     """Load and validate an experience database (successful runs only); with
-    ``registry``, the database must list the same functions."""
-    skill, _, _, _, records = _load_records(path, registry)
-    return ExperienceDb(skill, [r.observation for r in records])
+    ``registry``, the database must list the same functions. The manifest's
+    ``canonical_T`` must be the one the runs give."""
+    skill, canonical_T, records = _load_records(path, registry)
+    db = ExperienceDb(skill, records)
+    if db.canonical_T != canonical_T:
+        raise StoreError(f"{os.path.join(path, 'manifest.json')}: canonical_T is "
+                         f"{canonical_T}, but its runs give {db.canonical_T}")
+    return db
 
 
-def save_recorded(records: Sequence[ExecutionResult], path: str, skill: SkillId,
+def save_recorded(records: Sequence[Observation], path: str, skill: SkillId,
                   registry: FunctionRegistry, dt: float) -> None:
     """Persist raw executions (successes and failures) for later replay."""
-    T = records[0].observation.fingerprint.T if records else 0
-    _save_records(path, skill, registry, records, T, dt)
+    _save_records(path, skill, registry, records, dt)
 
 
 def load_recorded(path: str, registry: FunctionRegistry | None = None
-                  ) -> list[ExecutionResult]:
+                  ) -> list[Observation]:
     """Load recorded executions; with ``registry``, the recording must list
-    the same functions."""
-    return _load_records(path, registry)[4]
+    the same functions. Their manifest's ``canonical_T`` is not checked."""
+    return _load_records(path, registry)[2]
 
 
 class ReplayExecutor:
-    """Feed recorded executions back to the testing loop, in stored order.
+    """Feed recorded executions back to the testing loop, each skill's
+    :class:`Observation` records in stored order.
 
     Requesting a skill more often than it was recorded raises
     :class:`ExecutorError`, which aborts the loop with the trace so far.
     """
 
-    def __init__(self, recorded: Mapping[SkillId, Sequence[ExecutionResult]]):
-        self._queues = {skill: list(records) for skill, records in recorded.items()}
-        self._cursors = {skill: 0 for skill in self._queues}
+    def __init__(self, recorded: Mapping[SkillId, Sequence[Observation]]):
+        self._runs = {skill: iter(tuple(records)) for skill, records in recorded.items()}
 
-    def execute(self, skill: SkillId) -> ExecutionResult:
-        if skill not in self._queues:
+    def execute(self, skill: SkillId) -> Observation:
+        if skill not in self._runs:
             raise ExecutorError(f"no recorded executions for skill {skill!r}")
-        i = self._cursors[skill]
-        if i >= len(self._queues[skill]):
+        run = next(self._runs[skill], None)
+        if run is None:
             raise ExecutorError(f"recorded executions for skill {skill!r} exhausted")
-        self._cursors[skill] = i + 1
-        return self._queues[skill][i]
+        return run
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +339,12 @@ class Study:
     skills: tuple[SkillId, ...]
     dbs: dict[SkillId, ExperienceDb]
     dt: float
-    replay: dict[SkillId, list[ExecutionResult]]
+    replay: dict[SkillId, list[Observation]]
 
 
 def save_study(path: str, registry: FunctionRegistry,
                dbs: Mapping[SkillId, ExperienceDb], dt: float,
-               replay: Mapping[SkillId, Sequence[ExecutionResult]] | None = None) -> None:
+               replay: Mapping[SkillId, Sequence[Observation]] | None = None) -> None:
     os.makedirs(path, exist_ok=True)
     skills = sorted(dbs)
     db_paths, replay_paths = {}, {}
@@ -374,7 +382,7 @@ def load_study(path: str) -> Study:
         replay = {skill: load_recorded(_inside(manifest_path, rel), registry)
                   for skill, rel in manifest.get("replay", {}).items()}
         if any(db.skill != s for s, db in dbs.items()) or any(
-                r.observation.skill != s for s, recs in replay.items() for r in recs):
+                r.skill != s for s, recs in replay.items() for r in recs):
             raise StoreError(f"{manifest_path}: a dbs or replay entry holds another skill")
         return Study(registry=registry, skills=skills, dbs=dbs,
                      dt=float(manifest["dt"]), replay=replay)

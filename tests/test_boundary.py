@@ -131,6 +131,7 @@ def _in_first(list_key, change):
 
 STUDY = os.path.join("study", "manifest.json")
 DB = os.path.join("study", "dbs", "s1", "manifest.json")
+REPLAY = os.path.join("study", "replay", "s1", "manifest.json")
 MALFORMED = [
     ("study-no-functions", STUDY, _drop("functions")),
     ("study-null-functions", STUDY, _set("functions", None)),
@@ -139,6 +140,9 @@ MALFORMED = [
     ("db-no-observations", DB, _drop("observations")),
     ("db-entry-no-counts", DB, _in_first("observations", _drop("counts"))),
     ("db-entry-infinite-t_fail", DB, _in_first("observations", _set("t_fail", float("inf")))),
+    ("db-success-entry-int-t_fail", DB, _in_first("observations", _set("t_fail", 3))),
+    ("db-canonical_T-999", DB, _set("canonical_T", 999)),
+    ("replay-entry-negative-t_fail", REPLAY, _in_first("observations", _set("t_fail", -3))),
     ("trace-step-no-gains", "trace.json", _in_first("steps", _drop("gains"))),
     ("trace-int-steps", "trace.json", _set("steps", 5)),
     ("trace-no-converged", "trace.json", _drop("converged")),

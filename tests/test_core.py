@@ -8,12 +8,12 @@ from blamebox import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                       validate_observation)
 
 
-def make_obs(F=3, T=4, success=True, skill="s", counts=None, sensors=None):
+def make_obs(F=3, T=4, success=True, skill="s", counts=None, sensors=None, t_fail=None):
     counts = np.ones((F, T)) if counts is None else counts
     sensors = np.zeros((2, T)) if sensors is None else sensors
     return Observation(sensors=SensorSeries(sensors, dt=0.1),
                        fingerprint=Fingerprint(counts, dt=0.1),
-                       success=success, skill=skill)
+                       success=success, skill=skill, t_fail=t_fail)
 
 
 class TestRegistry:
@@ -123,13 +123,19 @@ class TestValidateObservation:
         (-1.0, r"negative count -1.0 at function 2, timestep 1$"),
         (np.nan, r"non-finite count at function 2, timestep 1$"),
         (np.inf, r"non-finite count at function 2, timestep 1$"),
+        ({"success": True, "t_fail": 3}, r"successful run has no failure time, got t_fail=3$"),
+        ({"success": False, "t_fail": -1}, r"failure time t_fail=-1 is negative$"),
     ])
     def test_records_check_themselves(self, bad, match):
-        # no registry involved: the fingerprint rejects the cell when built
+        # no registry involved: the fingerprint rejects a bad count cell, and
+        # the observation a bad failure time, when built
         counts = np.ones((3, 4))
-        counts[2, 1] = bad
         with pytest.raises(ValidationError, match=match):
-            Fingerprint(counts)
+            if isinstance(bad, dict):
+                make_obs(**bad)
+            else:
+                counts[2, 1] = bad
+                Fingerprint(counts)
 
     def test_random_mutations_are_caught(self):
         # any single bad cell must be rejected, anywhere in either matrix

@@ -39,7 +39,7 @@ class TestGenFingerprint:
         spec = SimSkillSpec(skill="a", used_functions=("f1", "f5"), T=30)
         world = SimWorld(registry=REG6)
         res = simulate_execution(spec, world, np.random.default_rng(3))
-        assert validate_observation(res.observation, REG6) is res.observation
+        assert validate_observation(res, REG6) is res
 
 
 class TestSimulateExecution:

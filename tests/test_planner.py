@@ -1,9 +1,7 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
-from blamebox import (Belief, BlameConfig, ExperienceDb, ExecutionResult,
+from blamebox import (Belief, BlameConfig, ExperienceDb,
                       ExecutorError, FunctionRegistry, PlannerConfig, SkillCache,
                       ValidationError, bayes_update, entropy,
                       information_gain_stats,
@@ -335,12 +333,6 @@ class TestExecutionResultTFail:
         with pytest.raises(ValidationError, match="skill 's1' with a run of skill 's2'"):
             run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
 
-    def test_success_comes_from_the_observation(self):
-        _, executor, _, _ = self._records()
-        obs = executor.execute("s1").observation
-        assert ExecutionResult(observation=obs).success is obs.success is False
-        assert "success" not in {f.name for f in fields(ExecutionResult)}
-
     def _records(self, T_run=8, t_fail=5, bad_count=None, skill="s1"):
         # s2 has a database and model too, so a run of s2 could be scored
         registry, specs, dbs, fpfs = toy_setup({"s1": ("f1",), "s2": ("f2",)}, F=2, T=8)
@@ -352,8 +344,7 @@ class TestExecutionResultTFail:
                 counts = np.hstack([obs.fingerprint.counts] * 2)[:, :T_run]
                 if bad_count is not None:
                     counts[0, 3] = bad_count
-                failed = Observation(sensors=SensorSeries(sensors),
-                                     fingerprint=Fingerprint(counts), success=False, skill=skill)
-                return ExecutionResult(observation=failed, t_fail=t_fail)
+                return Observation(sensors=SensorSeries(sensors), fingerprint=Fingerprint(counts),
+                                   success=False, skill=skill, t_fail=t_fail)
 
         return registry, Fixed(), dbs, fpfs

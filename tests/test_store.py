@@ -137,7 +137,7 @@ class TestCountsFormat:
             save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
         for skill, db in dbs.items():
             save_version_1(tmp_path / "v1" / "dbs" / skill, db.observations)
-        save_version_1(tmp_path / "v1" / "replay" / "s1", [r.observation for r in replay["s1"]])
+        save_version_1(tmp_path / "v1" / "replay" / "s1", replay["s1"])
         v1, v2 = load_study(str(tmp_path / "v1")), load_study(str(tmp_path / "v2"))
         for skill in dbs:
             for a, b in zip(v1.dbs[skill].observations, v2.dbs[skill].observations,
@@ -145,8 +145,7 @@ class TestCountsFormat:
                 assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
         for a, b in zip(v1.replay["s1"], v2.replay["s1"], strict=True):
             assert (a.success, a.t_fail) == (b.success, b.t_fail)
-            assert np.array_equal(a.observation.fingerprint.counts,
-                                  b.observation.fingerprint.counts)
+            assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
 
     def test_all_zero_counts_saved_empty(self, tmp_path):
         obs = [Observation(sensors=SensorSeries(np.ones((2, 12)), dt=0.1),
@@ -271,8 +270,7 @@ class TestRecordedAndStudy:
         loaded = load_recorded(str(tmp_path / "rec"))
         assert [r.success for r in loaded] == [r.success for r in records]
         assert [r.t_fail for r in loaded] == [r.t_fail for r in records]
-        assert np.array_equal(loaded[0].observation.fingerprint.counts,
-                              records[0].observation.fingerprint.counts)
+        assert np.array_equal(loaded[0].fingerprint.counts, records[0].fingerprint.counts)
 
     def test_replay_executor_order_and_exhaustion(self):
         records = self._records(n=2)
