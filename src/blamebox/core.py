@@ -4,6 +4,13 @@ fingerprints, observations, and the per-skill experience database.
 An :class:`Observation` is the one record of a run, down to the failure
 time its executor reported.
 
+A run calls few of the registered functions, so a :class:`Fingerprint` is
+held row-sparse: the indices of the functions it called and their counts
+only. Building, checking, canonicalizing and gathering fingerprints, and a
+database's support, cost O(called functions x T) and allocate no F x T
+matrix; ``Fingerprint.counts`` builds the dense matrix for a caller that
+asks for it.
+
 Every type checks its own content invariants when it is constructed,
 citing the first bad cell (row and column) of bad data, so callers need no
 separate validation step. A loader builds its objects inside a context that
@@ -100,37 +107,104 @@ class SensorSeries:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fingerprint:
-    """Call-profile matrix: counts[i, t] is how many executions of function i
-    were active during timestep t. Counts are kept real-valued so synthetic
-    (Gaussian) and recorded profiles share one representation."""
+    """Call profile of one run: how many executions of each function were
+    active during each timestep. Counts are kept real-valued so synthetic
+    (Gaussian) and recorded profiles share one representation.
 
-    counts: np.ndarray
-    dt: float = 1.0
+    A run calls few of the registered functions, so only their rows are held:
+    ``rows`` lists, ascending, the functions with a non-zero count, and row r
+    of ``values`` (|rows| x T) holds the counts of function ``rows[r]``; every
+    other count is 0. ``Fingerprint(counts, dt)`` takes a dense F x T matrix
+    and :meth:`from_rows` the rows themselves; both run the same checks and
+    drop rows that are all zero.
+    """
 
-    def __post_init__(self):
-        c = _as_matrix(self.counts, "fingerprint counts")
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "dt", float(self.dt))
-        if c.shape[0] < 1 or c.shape[1] < 1:
-            raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape {c.shape}")
-        if self.dt <= 0:
-            raise ValidationError(f"sampling interval must be positive, got {self.dt}")
-        if not np.isfinite(c).all():
-            r, t = np.argwhere(~np.isfinite(c))[0]
-            raise ValidationError(f"non-finite count at function {r}, timestep {t}")
-        if not (c >= 0).all():
-            r, t = np.argwhere(c < 0)[0]
-            raise ValidationError(f"negative count {c[r, t]} at function {r}, timestep {t}")
+    rows: np.ndarray
+    values: np.ndarray
+    F: int
+    dt: float
 
-    @property
-    def F(self) -> int:
-        return self.counts.shape[0]
+    def __init__(self, counts, dt: float = 1.0):
+        c = _as_matrix(counts, "fingerprint counts")
+        # a NaN or negative cell is non-zero, so its row is kept and checked
+        rows = np.flatnonzero((c != 0).any(axis=1))
+        self._init(rows, c[rows], c.shape[0], dt)
+
+    @classmethod
+    def from_rows(cls, rows, values, F: int, dt: float = 1.0) -> "Fingerprint":
+        """The fingerprint in which function ``rows[r]`` has the counts
+        ``values[r]`` and every other function of the F has none."""
+        fp = cls.__new__(cls)
+        fp._init(rows, values, F, dt)
+        return fp
+
+    def _init(self, rows, values, F: int, dt: float) -> None:
+        values = _as_matrix(values, "fingerprint values")
+        F, T, dt = int(F), values.shape[1], float(dt)
+        if F < 1 or T < 1:
+            raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape ({F}, {T})")
+        if dt <= 0:
+            raise ValidationError(f"sampling interval must be positive, got {dt}")
+        rows = self.check_rows(rows, F)
+        if rows.size != values.shape[0]:
+            raise ValidationError(f"fingerprint has {rows.size} function rows but "
+                                  f"{values.shape[0]} rows of counts")
+        keep = values.any(axis=1)
+        if not keep.all():
+            rows, values = rows[keep], values[keep]
+        if not np.isfinite(values).all():
+            r, t = np.argwhere(~np.isfinite(values))[0]
+            raise ValidationError(f"non-finite count at function {rows[r]}, timestep {t}")
+        if not (values >= 0).all():
+            r, t = np.argwhere(values < 0)[0]
+            raise ValidationError(
+                f"negative count {values[r, t]} at function {rows[r]}, timestep {t}")
+        rows.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "dt", dt)
+
+    @staticmethod
+    def check_rows(rows, F: int) -> np.ndarray:
+        """``rows`` as function indices, which must be integers in [0, F),
+        ascending and without repeats; a ValidationError cites the first
+        that is not."""
+        idx = np.asarray(rows, dtype=np.float64)
+        if idx.ndim != 1:
+            raise ValidationError(f"function rows must be a 1-d array, got ndim={idx.ndim}")
+        ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
+        ok[1:] &= idx[1:] > idx[:-1]
+        if not ok.all():
+            r = int(np.argmin(ok))
+            raise ValidationError(f"row {r} has function index {idx[r]:g}; indices must be "
+                                  f"integers in [0, {F}), ascending and without repeats")
+        return idx.astype(np.intp)
 
     @property
     def T(self) -> int:
-        return self.counts.shape[1]
+        return self.values.shape[1]
+
+    def gather(self, rows) -> np.ndarray:
+        """(|rows|, T) counts of the functions ``rows``; 0 for a function
+        this run never called."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = np.zeros((rows.size, self.T))
+        pos = np.searchsorted(self.rows, rows)
+        hit = pos < self.rows.size
+        hit[hit] = self.rows[pos[hit]] == rows[hit]
+        out[hit] = self.values[pos[hit]]
+        return out
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The dense F x T count matrix, built on each access (read-only)."""
+        counts = self.gather(np.arange(self.F))
+        counts.setflags(write=False)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -182,6 +256,10 @@ class ExperienceDb:
             if o.skill != self.skill:
                 raise ValidationError(
                     f"observation for skill {o.skill!r} added to db of {self.skill!r}")
+            if o.fingerprint.F != obs[0].fingerprint.F:
+                raise ValidationError(
+                    f"a run with {o.fingerprint.F} function rows added to a db whose "
+                    f"first run has {obs[0].fingerprint.F}")
         lengths = sorted(o.fingerprint.T for o in obs)
         canonical_T = int(lengths[(len(lengths) - 1) // 2])
         object.__setattr__(self, "canonical_T", canonical_T)
@@ -198,17 +276,17 @@ class ExperienceDb:
         return len(self.observations)
 
     def counts_stack(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """(n, F, T) array of all stored fingerprints, or (n, |rows|, T) of
-        the given function rows only."""
-        rows = slice(None) if rows is None else rows
-        return np.stack([o.fingerprint.counts[rows] for o in self.observations])
+        """(n, |rows|, T) counts of the given function rows in every stored
+        run, gathered from each run's rows; all F rows when ``rows`` is None."""
+        if rows is None:
+            rows = np.arange(self.observations[0].fingerprint.F)
+        return np.stack([o.fingerprint.gather(rows) for o in self.observations])
 
     @cached_property
     def support(self) -> np.ndarray:
         """Sorted indices of the functions with a non-zero count in some
-        stored run, computed once per database."""
-        support = np.flatnonzero(np.logical_or.reduce(
-            [o.fingerprint.counts.any(axis=1) for o in self.observations]))
+        stored run: the union of the runs' rows, computed once per database."""
+        support = np.unique(np.concatenate([o.fingerprint.rows for o in self.observations]))
         support.setflags(write=False)
         return support
 
@@ -217,14 +295,16 @@ def canonicalize_length(item, target_T: int):
     """Force a series or fingerprint to ``target_T`` timesteps.
 
     Shorter inputs are padded by repeating the final column, longer ones are
-    truncated. Idempotent for matching lengths (the same object is returned).
+    truncated; a fingerprint's rows alone are, and a row that truncation
+    leaves all zero is dropped. Idempotent for matching lengths (the same
+    object is returned).
     """
     if target_T < 1:
         raise ValidationError(f"target_T must be >= 1, got {target_T}")
     if isinstance(item, SensorSeries):
         mat, rebuild = item.data, lambda m: SensorSeries(m, dt=item.dt)
     elif isinstance(item, Fingerprint):
-        mat, rebuild = item.counts, lambda m: Fingerprint(m, dt=item.dt)
+        mat, rebuild = item.values, lambda m: Fingerprint.from_rows(item.rows, m, item.F, item.dt)
     else:
         raise ValidationError(f"cannot canonicalize {type(item).__name__}")
     T = mat.shape[1]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,14 @@ class FpfModel:
     def F(self) -> int:
         return self.mean.shape[0]
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Sorted indices of the functions with a non-zero mean somewhere;
+        every other row has mean 0 and variance the floor."""
+        support = np.flatnonzero(self.mean.any(axis=1))
+        support.setflags(write=False)
+        return support
+
     @property
     def T(self) -> int:
         return self.mean.shape[1]
@@ -104,7 +113,8 @@ def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     """
     support = db.support
     stack = db.counts_stack(support)
-    mean = np.zeros(db.observations[0].fingerprint.counts.shape)
+    first = db.observations[0].fingerprint
+    mean = np.zeros((first.F, first.T))
     var = np.full_like(mean, config.var_floor)
     mean[support] = stack.mean(axis=0)
     var[support] = np.maximum(stack.var(axis=0), config.var_floor)
@@ -132,9 +142,12 @@ def expected_weighted_stats(model: FpfModel, f, t_fail: int, config: BlameConfig
 
 
 def exec_weighted_mean(fingerprint: Fingerprint, f, t_fail: int, config: BlameConfig):
-    """Same window, weights and normalization, applied to observed counts."""
+    """Same window, weights and normalization, applied to observed counts:
+    formed on the fingerprint's rows, and exactly 0 for every other function."""
     window, w, n_w = _window(t_fail, fingerprint.T, config)
-    return fingerprint.counts[f, window] @ w / n_w
+    x = np.zeros(fingerprint.F)
+    x[fingerprint.rows] = fingerprint.values[:, window] @ w / n_w
+    return x[f]
 
 
 def _mass(z):
@@ -228,14 +241,22 @@ def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> 
 
 def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
                  config: BlameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-function deviation mass and inactivity mask at one failure time."""
-    counts = fingerprint.counts
-    if counts.shape != model.mean.shape:
-        raise ValidationError(
-            f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
+    """Per-function deviation mass and inactivity mask at one failure time.
+
+    The mass is evaluated on the model's support and the run's rows only:
+    every other function has window means of exactly 0 on both sides, so its
+    mass is 0, and it is inactive.
+    """
+    if (fingerprint.F, fingerprint.T) != model.mean.shape:
+        raise ValidationError(f"counts of shape {(fingerprint.F, fingerprint.T)} "
+                              f"do not match the model's {model.mean.shape}")
     mean, var = expected_weighted_stats(model, slice(None), t_fail, config)
     x = exec_weighted_mean(fingerprint, slice(None), t_fail, config)
     window, _, _ = _window(t_fail, model.T, config)
-    inactive = ~((model.mean[:, window].sum(axis=1) > 1e-9)
-                 | (counts[:, window].sum(axis=1) > 1e-9))
-    return _mass((x - mean) / np.sqrt(var)), inactive
+    live = np.union1d(model.support, fingerprint.rows)
+    pd = np.zeros(model.F)
+    pd[live] = _mass((x[live] - mean[live]) / np.sqrt(var[live]))
+    exec_active = np.zeros(model.F, dtype=bool)
+    exec_active[fingerprint.rows] = fingerprint.values[:, window].sum(axis=1) > 1e-9
+    inactive = ~((model.mean[:, window].sum(axis=1) > 1e-9) | exec_active)
+    return pd, inactive

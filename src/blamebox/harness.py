@@ -62,13 +62,15 @@ class SimWorld:
 def gen_fingerprint(spec: SimSkillSpec, registry: FunctionRegistry,
                     rng: np.random.Generator) -> Fingerprint:
     """Counts ~ N(mu, sigma^2) clamped at zero for used functions;
-    exactly zero rows for everything else."""
-    counts = np.zeros((registry.F, spec.T))
-    for name in spec.used_functions:
-        i = registry.index(name)
-        draw = rng.normal(spec.count_mu, spec.count_sigma, size=spec.T)
-        counts[i] = np.maximum(draw, 0.0)
-    return Fingerprint(counts, dt=spec.dt)
+    exactly zero rows for everything else.
+
+    Rows are drawn in ``used_functions`` order; a function listed twice keeps
+    its last draw.
+    """
+    idx = registry.indices(spec.used_functions)
+    draws = np.maximum(rng.normal(spec.count_mu, spec.count_sigma, size=(idx.size, spec.T)), 0.0)
+    rows, last = np.unique(idx[::-1], return_index=True)
+    return Fingerprint.from_rows(rows, draws[::-1][last], registry.F, dt=spec.dt)
 
 
 def simulate_execution(spec: SimSkillSpec, world: SimWorld,

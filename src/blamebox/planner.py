@@ -81,7 +81,7 @@ class SkillCache:
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
         self.skill = db.skill
         self.T, self.F, self.n_obs = fpf.T, fpf.F, len(db)
-        self.support = np.union1d(db.support, np.flatnonzero(fpf.mean.any(axis=1)))
+        self.support = np.union1d(db.support, fpf.support)
         on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
                               n_samples=fpf.n_samples, var_floor=fpf.var_floor)
         self.grid = deviation_grid(on_support, db.counts_stack(self.support), config)

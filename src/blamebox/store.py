@@ -11,8 +11,11 @@ are value-exact; metadata lives in JSON manifests. A sensors file holds one
 row per channel and one column per timestep. A counts file of a database at
 version 2 holds one row ``index, c_0, ..., c_{T-1}`` per function with a
 non-zero count, in ascending index order, so an all-zero matrix is an empty
-file; T is the width of the paired sensors file. Version 1 databases, whose
-counts files hold the dense F x T matrix, are still read. Databases are
+file; T is the width of the paired sensors file. It is read straight into
+the row-sparse :class:`Fingerprint` and written from it, so neither way
+builds an F x T matrix. Version 1 databases, whose counts files hold the
+dense F x T matrix, are still read, through the dense constructor, which
+keeps the non-zero rows. Databases are
 written at version 2, studies and models at version 1. Every file is
 self-describing through ``format``, ``version`` and, for models, ``kind``
 fields, and loading validates shapes and contents rather than trusting them.
@@ -101,12 +104,13 @@ def _read_document(path: str, expected_format: str,
 
 
 @contextmanager
-def _naming(path: str):
-    """Prefix ``path`` to a ValidationError raised inside the block."""
+def _naming(path: str, error: type[Exception] = ValidationError):
+    """Report a ValidationError raised inside the block as ``error``, with
+    ``path`` prefixed to its message."""
     try:
         yield
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
 
 
 def _save_matrix(path: str, mat: np.ndarray) -> None:
@@ -124,33 +128,28 @@ def _load_matrix(path: str) -> np.ndarray:
             raise StoreError(f"{path}: unreadable matrix: {exc}") from exc
 
 
-def _save_counts(path: str, counts: np.ndarray) -> None:
-    rows = np.flatnonzero(counts.any(axis=1))
-    _save_matrix(path, np.column_stack([rows, counts[rows]]))
+def _save_counts(path: str, fingerprint: Fingerprint) -> None:
+    _save_matrix(path, np.column_stack([fingerprint.rows, fingerprint.values]))
 
 
-def _load_counts(path: str, version: int, F: int, T: int, sensors_path: str) -> np.ndarray:
-    """The F x T counts matrix of a database at ``version``: read densely
-    (version 1), or scattered from its non-zero rows (version 2), whose width
-    must be one more than the T of the paired sensors file."""
+def _load_fingerprint(path: str, version: int, F: int, T: int, dt: float,
+                      sensors_path: str) -> Fingerprint:
+    """The fingerprint in the counts file of a database at ``version``: a
+    dense F x T matrix (version 1), or its non-zero rows (version 2), each one
+    wider than the T of the paired sensors file and led by its function index."""
     mat = _load_matrix(path)
     if version == 1:
-        return mat
-    counts = np.zeros((F, T))
+        with _naming(path):
+            return Fingerprint(mat, dt=dt)
     if len(mat) == 0:
-        return counts
+        mat = np.empty((0, T + 1))
     if mat.shape[1] != T + 1:
         raise StoreError(f"{path}: a row holds {mat.shape[1]} values, expected a function "
                          f"index and {T} counts, T being the width of {sensors_path}")
-    idx = mat[:, 0]
-    ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
-    ok[1:] &= idx[1:] > idx[:-1]
-    if not ok.all():
-        r = int(np.argmin(ok))
-        raise StoreError(f"{path}: row {r} has function index {idx[r]:g}; indices must be "
-                         f"integers in [0, {F}), ascending and without repeats")
-    counts[idx.astype(np.intp)] = mat[:, 1:]
-    return counts
+    with _naming(path, StoreError):  # a bad index is a malformed file, not bad data
+        rows = Fingerprint.check_rows(mat[:, 0], F)
+    with _naming(path):
+        return Fingerprint.from_rows(rows, mat[:, 1:], F, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         sensors_file = f"obs_{i:04d}.sensors.csv"
         counts_file = f"obs_{i:04d}.counts.csv"
         _save_matrix(os.path.join(path, sensors_file), rec.sensors.data)
-        _save_counts(os.path.join(path, counts_file), rec.fingerprint.counts)
+        _save_counts(os.path.join(path, counts_file), rec.fingerprint)
         entries.append({
             "sensors": sensors_file,
             "counts": counts_file,
@@ -202,11 +201,11 @@ def _load_records(path: str, registry: FunctionRegistry | None = None
             sensors_file = _inside(manifest_path, entry["sensors"])
             with _naming(sensors_file):
                 sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
-            counts = _load_counts(counts_file, manifest["version"], registry.F, sensors.T,
-                                  sensors_file)
+            fingerprint = _load_fingerprint(counts_file, manifest["version"], registry.F,
+                                            sensors.T, dt, sensors_file)
             with _naming(counts_file):
                 obs = validate_observation(
-                    Observation(sensors=sensors, fingerprint=Fingerprint(counts, dt=dt),
+                    Observation(sensors=sensors, fingerprint=fingerprint,
                                 success=bool(entry["success"]), skill=skill), registry)
             t_fail = entry.get("t_fail")
             if t_fail is not None:
@@ -226,9 +225,11 @@ def load_db(path: str, registry: FunctionRegistry | None = None) -> ExperienceDb
     ``registry``, the database must list the same functions. The manifest's
     ``canonical_T`` must be the one the runs give."""
     skill, canonical_T, records = _load_records(path, registry)
-    db = ExperienceDb(skill, records)
+    manifest_path = os.path.join(path, "manifest.json")
+    with _naming(manifest_path):
+        db = ExperienceDb(skill, records)
     if db.canonical_T != canonical_T:
-        raise StoreError(f"{os.path.join(path, 'manifest.json')}: canonical_T is "
+        raise StoreError(f"{manifest_path}: canonical_T is "
                          f"{canonical_T}, but its runs give {db.canonical_T}")
     return db
 

@@ -142,6 +142,8 @@ MALFORMED = [
     ("db-entry-infinite-t_fail", DB, _in_first("observations", _set("t_fail", float("inf")))),
     ("db-success-entry-int-t_fail", DB, _in_first("observations", _set("t_fail", 3))),
     ("db-canonical_T-999", DB, _set("canonical_T", 999)),
+    ("db-failed-entry", DB, _in_first("observations", _set("success", False))),
+    ("db-empty-observations", DB, _set("observations", [])),
     ("replay-entry-negative-t_fail", REPLAY, _in_first("observations", _set("t_fail", -3))),
     ("trace-step-no-gains", "trace.json", _in_first("steps", _drop("gains"))),
     ("trace-int-steps", "trace.json", _set("steps", 5)),

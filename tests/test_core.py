@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,7 +180,8 @@ class TestExperienceDb:
         ([], "at least one observation"),
         ([make_obs(success=False)], "successful"),
         ([make_obs(), make_obs(skill="other")], "'other' added to db of 's'"),
-    ], ids=["no-runs", "failed-run", "foreign-skill"])
+        ([make_obs(), make_obs(F=4)], "4 function rows added to a db whose first run has 3"),
+    ], ids=["no-runs", "failed-run", "foreign-skill", "other-F"])
     def test_constructor_checks_its_runs(self, runs, match):
         with pytest.raises(ValidationError, match=match):
             ExperienceDb("s", runs)
@@ -210,3 +213,94 @@ class TestExperienceDb:
         db = ExperienceDb.from_observations(
             "s", [make_obs(F=2, counts=np.zeros((2, 4)), sensors=np.zeros((1, 4)))], reg)
         assert db.support.size == 0
+
+
+@st.composite
+def sparse_counts(draw):
+    """A dense F x T count matrix in which some rows are all zero."""
+    F, T = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.uniform(0, 3, (F, T)) * (rng.uniform(size=(F, T)) < 0.5)
+    counts[rng.uniform(size=F) < 0.5] = 0.0
+    return counts
+
+
+class TestRowSparse:
+    @given(counts=sparse_counts())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_round_trip(self, counts):
+        fp = Fingerprint(counts, dt=0.1)
+        rows = np.flatnonzero(counts.any(axis=1))
+        assert fp.rows.dtype == np.intp and np.array_equal(fp.rows, rows)
+        assert np.array_equal(fp.values, counts[rows])
+        assert (fp.F, fp.T) == counts.shape
+        assert np.array_equal(fp.counts, counts)
+        again = Fingerprint.from_rows(fp.rows, fp.values, fp.F, dt=0.1)
+        assert np.array_equal(again.counts, counts)
+
+    @given(counts=sparse_counts(), bad=st.sampled_from([np.nan, np.inf, -np.inf, -2.5]),
+           cell=st.tuples(st.integers(0, 7), st.integers(0, 5)))
+    @settings(max_examples=60, deadline=None)
+    def test_bad_cell_same_message_both_ways(self, counts, bad, cell):
+        r, t = cell[0] % counts.shape[0], cell[1] % counts.shape[1]
+        counts[r, t] = bad
+        with pytest.raises(ValidationError) as dense:
+            Fingerprint(counts)
+        rows = np.flatnonzero((counts != 0).any(axis=1))
+        with pytest.raises(ValidationError) as sparse:
+            Fingerprint.from_rows(rows, counts[rows], counts.shape[0])
+        assert str(dense.value) == str(sparse.value)
+        assert f"function {r}, timestep {t}" in str(dense.value)
+
+    @pytest.mark.parametrize("rows,match", [
+        ([2, 1], "row 1 has function index 1"),
+        ([1, 1], "row 1 has function index 1"),
+        ([0, 3], "row 1 has function index 3"),
+        ([-1, 0], "row 0 has function index -1"),
+        ([0.5, 1], "row 0 has function index 0.5"),
+        ([0], "1 function rows but 2 rows of counts"),
+    ], ids=["unsorted", "repeated", "equal-to-F", "negative", "fractional", "count-mismatch"])
+    def test_from_rows_rejects_bad_rows(self, rows, match):
+        with pytest.raises(ValidationError, match=match):
+            Fingerprint.from_rows(rows, np.ones((2, 4)), F=3)
+
+    def test_zero_rows_dropped(self):
+        values = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        fp = Fingerprint.from_rows([0, 2, 4], values, F=5)
+        assert list(fp.rows) == [0, 4]
+        cut = canonicalize_length(fp, 1)
+        assert list(cut.rows) == [0] and np.array_equal(cut.values, [[1.0]])
+        assert np.array_equal(cut.counts, fp.counts[:, :1])
+
+    def test_counts_stack_is_zero_off_a_runs_rows(self):
+        reg = FunctionRegistry(["a", "b", "c", "d"])
+        fps = [Fingerprint.from_rows([1], [[2.0, 3.0]], F=4, dt=0.1),
+               Fingerprint.from_rows([0, 3], [[1.0, 1.0], [4.0, 0.0]], F=4, dt=0.1)]
+        db = ExperienceDb.from_observations("s", [
+            Observation(sensors=SensorSeries(np.zeros((1, 2)), dt=0.1), fingerprint=fp,
+                        success=True, skill="s") for fp in fps], reg)
+        assert list(db.support) == [0, 1, 3]
+        stack = db.counts_stack([3, 2, 1])
+        assert np.array_equal(stack, [[[0.0, 0.0], [0.0, 0.0], [2.0, 3.0]],
+                                      [[4.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+
+    def test_wide_db_stays_small(self):
+        # One dense 50,000 x 200 fingerprint would take 80 MB.
+        F, T = 50_000, 200
+        rows = np.array([17, 20_000, 49_999])
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            runs = [Observation(sensors=SensorSeries(np.zeros((1, T + k % 2)), dt=0.1),
+                                fingerprint=Fingerprint.from_rows(
+                                    rows, rng.uniform(1, 2, (3, T + k % 2)), F, dt=0.1),
+                                success=True, skill="s") for k in range(3)]
+            db = ExperienceDb("s", runs)
+            support = db.support
+            stack = db.counts_stack(support)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert db.canonical_T == T and np.array_equal(support, rows)
+        assert stack.shape == (3, 3, T)

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
                       ValidationError, deviation_mass, exec_weighted_mean,
                       expected_weighted_stats, fit_fpf)
-from blamebox.fpf import DeviationGrid, deviation_at, deviation_grid
+from blamebox.fpf import DeviationGrid, FpfModel, _mass, _window, deviation_at, deviation_grid
 from tests.test_core import make_obs
 
 REG = FunctionRegistry(["a", "b", "c"])
@@ -318,3 +318,39 @@ class TestVectorizedGrid:
         assert pd.shape == (12, 2, 3) and inactive.shape == (12, 2, 3)
         single, _ = deviation_grid(model, stacks[0][None], cfg).at(ts, 0)
         assert np.array_equal(pd[:, 0], single)
+
+
+def dense_deviation_at(model, counts, t_fail, cfg):
+    """deviation_at over every row of the dense (F, T) ``counts``: the oracle
+    for the form that evaluates live rows only."""
+    window, w, n_w = _window(t_fail, model.T, cfg)
+    mean = model.mean[:, window] @ w / n_w
+    var = model.var[:, window] @ (w * w) / (n_w * n_w)
+    x = counts[:, window] @ w / n_w
+    inactive = ~((model.mean[:, window].sum(axis=1) > 1e-9)
+                 | (counts[:, window].sum(axis=1) > 1e-9))
+    return _mass((x - mean) / np.sqrt(var)), inactive
+
+
+class TestDeviationAtOracle:
+    @given(seed=st.integers(0, 2**32 - 1), F=st.integers(1, 60), T=st.integers(1, 50),
+           W=st.integers(1, 45))
+    @settings(max_examples=80, deadline=None)
+    def test_live_rows_match_the_dense_formula(self, seed, F, T, W):
+        rng = np.random.default_rng(seed)
+        cfg = BlameConfig(alpha=rng.uniform(0, 0.5), window_steps=W, var_floor=1e-6)
+        # The run's called rows count 2-3 in every cell and the model expects
+        # at most 1, so the deviation never cancels: the executed window mean,
+        # formed on fewer rows, may differ from the dense one in its last bit,
+        # and the mass then differs by a few ulps only.
+        mean = (rng.uniform(0, 1, (F, T)) * (rng.uniform(size=(F, 1)) < 0.3)
+                * (rng.uniform(size=(F, T)) < 0.6))
+        var = cfg.var_floor + rng.uniform(0, 200, (F, T))
+        model = FpfModel(mean=mean, var=var, n_samples=5, var_floor=cfg.var_floor)
+        counts = rng.uniform(2, 3, (F, T)) * (rng.uniform(size=(F, 1)) < 0.3)
+        fingerprint = Fingerprint(counts)
+        for t_fail in {0, T - 1, int(rng.integers(0, T))}:
+            pd, inactive = deviation_at(model, fingerprint, t_fail, cfg)
+            ref_pd, ref_inactive = dense_deviation_at(model, counts, t_fail, cfg)
+            np.testing.assert_allclose(pd, ref_pd, rtol=1e-14, atol=0.0)
+            assert np.array_equal(inactive, ref_inactive)

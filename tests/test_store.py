@@ -171,6 +171,15 @@ class TestCountsFormat:
             assert 0 < len(lines) == np.count_nonzero(counts.any(axis=1)) <= len(used)
             assert np.array_equal(b.fingerprint.counts, counts)
 
+    def test_all_zero_row_dropped_on_load(self, tmp_path):
+        db = small_db()
+        save_db(db, str(tmp_path / "db"), REG)
+        target = tmp_path / "db" / "obs_0001.counts.csv"
+        target.write_text(target.read_text() + "2" + ",0" * db.canonical_T + "\n")
+        fp = load_db(str(tmp_path / "db")).observations[1].fingerprint
+        assert list(fp.rows) == [0, 1]
+        assert np.array_equal(fp.counts, db.observations[1].fingerprint.counts)
+
     @pytest.mark.parametrize("rewrite", list(MALFORMED_ROWS.values()), ids=list(MALFORMED_ROWS))
     def test_malformed_rows_name_the_file(self, tmp_path, rewrite):
         db = small_db()
