@@ -17,8 +17,7 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, canonicalize_length, validate_observation)
 from .errors import (BlameboxError, ConfigError, ExecutorError, KindError,
                      ScenarioError, StoreError, ValidationError, VersionError)
-from .fpf import (BlameConfig, FpfModel, deviation_mass, exec_weighted_mean,
-                  expected_weighted_stats, fit_fpf)
+from .fpf import BlameConfig, FpfModel, deviation_mass, fit_fpf
 from .harness import (AnomalySpec, BUILT_IN_SCENARIOS, ScenarioConfig,
                       ScenarioResult, SensorSynthSpec, SimExecutor, SimSkillSpec,
                       SimWorld, built_in_scenario, candidate_set, gen_fingerprint,

@@ -28,6 +28,8 @@ from .errors import ValidationError
 from .fpf import BlameConfig, FpfModel, deviation_at
 
 _NORM_TOL = 1e-9
+# share of the blame mass the candidate set covers
+_COVERAGE = 0.99
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,13 @@ def entropy(belief) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def coverage_indices(probs, coverage: float = 0.99) -> np.ndarray:
-    """Indices of the smallest set of functions covering ``coverage`` of the
+def coverage_indices(probs) -> np.ndarray:
+    """Indices of the smallest set of functions covering ``_COVERAGE`` of the
     blame mass, in descending-probability order (the candidate set)."""
     p = probs.probs if isinstance(probs, Belief) else np.asarray(probs, dtype=np.float64)
     order = np.argsort(p, kind="stable")[::-1]
     cum = np.cumsum(p[order])
-    keep = int(np.searchsorted(cum, coverage)) + 1
+    keep = int(np.searchsorted(cum, _COVERAGE)) + 1
     return order[:min(keep, p.size)]
 
 

@@ -2,9 +2,11 @@
 fitted over successful executions, plus the exponentially weighted window
 statistics that feed the blame likelihood.
 
-The window helpers give the statistics at one failure time, for a real
-execution's update (``deviation_at``); ``deviation_grid`` keeps them for every
-failure time, for the planner's hypothetical failures.
+Every window statistic comes from one kernel, ``_window_sums``, through one
+grid builder. The planner's ``deviation_grid`` covers the whole run, one row
+per failure time, for its hypothetical failures; a real execution's update,
+``deviation_at``, builds the grid over the blame window alone and reads its
+last row.
 
 Both the expected statistic and the executed statistic are normalized by the
 same 1/N_w factor over the same window, so they are directly comparable in
@@ -121,35 +123,6 @@ def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     return FpfModel(mean=mean, var=var, n_samples=len(db), var_floor=config.var_floor)
 
 
-def _window(t_fail: int, T: int, config: BlameConfig) -> tuple[slice, np.ndarray, int]:
-    """The blame window of a failure at ``t_fail``: its slice, its decay
-    weights (oldest first) and its length N_w."""
-    if not (0 <= t_fail < T):
-        raise ValidationError(f"t_fail={t_fail} outside [0, {T})")
-    t0 = max(0, t_fail - config.window_steps + 1)
-    weights = np.exp(-config.alpha * np.arange(t_fail - t0, -1, -1.0))
-    return slice(t0, t_fail + 1), weights, t_fail - t0 + 1
-
-
-def expected_weighted_stats(model: FpfModel, f, t_fail: int, config: BlameConfig):
-    """Weighted window mean of the model's expectation for row(s) ``f`` and
-    the variance of that weighted mean (independent timesteps).
-
-    ``f`` is any row index: an int gives scalars, ``slice(None)`` every row.
-    """
-    window, w, n_w = _window(t_fail, model.T, config)
-    return model.mean[f, window] @ w / n_w, model.var[f, window] @ (w * w) / (n_w * n_w)
-
-
-def exec_weighted_mean(fingerprint: Fingerprint, f, t_fail: int, config: BlameConfig):
-    """Same window, weights and normalization, applied to observed counts:
-    formed on the fingerprint's rows, and exactly 0 for every other function."""
-    window, w, n_w = _window(t_fail, fingerprint.T, config)
-    x = np.zeros(fingerprint.F)
-    x[fingerprint.rows] = fingerprint.values[:, window] @ w / n_w
-    return x[f]
-
-
 def _mass(z):
     """|Phi(z) - 0.5| elementwise, clamped below the unattained 0.5."""
     half = 0.5 * np.abs(np.asarray(_erf(z / math.sqrt(2.0)), dtype=np.float64))
@@ -169,11 +142,12 @@ def deviation_mass(x: float, mean: float, var: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forms. The planner scores hypothetical failures of every stored
-# observation at sampled failure times, so its grid keeps the window statistics
-# for every failure time, and erf is evaluated only at the times a caller reads.
-# A real execution is judged at one failure time, so deviation_at applies the
-# window helpers above to every row at once and builds no grid.
+# Vectorized forms. Every window sum goes through _window_sums, and a grid
+# keeps the window statistics for every failure time of its time axis; erf is
+# evaluated only at the times a caller reads. The planner scores hypothetical
+# failures of every stored observation at sampled failure times, so its grid
+# covers the whole run; a real execution is judged at one failure time, so
+# deviation_at builds a grid over that window alone and reads its last row.
 
 
 def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
@@ -217,19 +191,16 @@ class DeviationGrid:
         return pd, inactive
 
 
-def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:
-    """Window statistics of a fingerprint stack (n, F, T) against ``model``
-    for all failure times."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 3 or counts.shape[1:] != model.mean.shape:
-        raise ValidationError(
-            f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
-    x = np.moveaxis(counts, -1, 0).copy()   # (T, n, F)
+def _grid(mean: np.ndarray, var: np.ndarray, counts: np.ndarray,
+          config: BlameConfig) -> DeviationGrid:
+    """Window statistics of raw (R, T) model arrays and an (n, R, T) count
+    stack for every failure time 0..T-1."""
+    x = np.moveaxis(counts, -1, 0).copy()   # (T, n, R)
     W, r = config.window_steps, math.exp(-config.alpha)
-    n_w = np.minimum(np.arange(1.0, model.T + 1.0), W)[:, None]
+    n_w = np.minimum(np.arange(1.0, mean.shape[1] + 1.0), W)[:, None]
     exec_mean = _window_sums(x.copy(), r, W)
     exec_mean /= n_w[:, :, None]
-    mean, var = model.mean.T, model.var.T
+    mean, var = mean.T, var.T
     return DeviationGrid(
         mean=_window_sums(mean.copy(), r, W) / n_w,
         var=_window_sums(var.copy(), r * r, W) / (n_w * n_w),
@@ -239,24 +210,36 @@ def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> 
     )
 
 
+def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:
+    """Window statistics of a fingerprint stack (n, F, T) against ``model``
+    for all failure times."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 3 or counts.shape[1:] != model.mean.shape:
+        raise ValidationError(
+            f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
+    return _grid(model.mean, model.var, counts, config)
+
+
 def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
                  config: BlameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-function deviation mass and inactivity mask at one failure time.
 
-    The mass is evaluated on the model's support and the run's rows only:
+    The grid covers exactly the blame window, so its last row is the window
+    statistic. It is built on the model's support and the run's rows only:
     every other function has window means of exactly 0 on both sides, so its
     mass is 0, and it is inactive.
     """
     if (fingerprint.F, fingerprint.T) != model.mean.shape:
         raise ValidationError(f"counts of shape {(fingerprint.F, fingerprint.T)} "
                               f"do not match the model's {model.mean.shape}")
-    mean, var = expected_weighted_stats(model, slice(None), t_fail, config)
-    x = exec_weighted_mean(fingerprint, slice(None), t_fail, config)
-    window, _, _ = _window(t_fail, model.T, config)
+    if not (0 <= t_fail < model.T):
+        raise ValidationError(f"t_fail={t_fail} outside [0, {model.T})")
+    window = slice(max(0, t_fail - config.window_steps + 1), t_fail + 1)
     live = np.union1d(model.support, fingerprint.rows)
+    live_pd, live_inactive = _grid(model.mean[live, window], model.var[live, window],
+                                   fingerprint.gather(live)[None, :, window], config).at(-1, 0)
     pd = np.zeros(model.F)
-    pd[live] = _mass((x[live] - mean[live]) / np.sqrt(var[live]))
-    exec_active = np.zeros(model.F, dtype=bool)
-    exec_active[fingerprint.rows] = fingerprint.values[:, window].sum(axis=1) > 1e-9
-    inactive = ~((model.mean[:, window].sum(axis=1) > 1e-9) | exec_active)
+    pd[live] = live_pd
+    inactive = np.ones(model.F, dtype=bool)
+    inactive[live] = live_inactive
     return pd, inactive

@@ -377,11 +377,9 @@ class ScenarioResult:
         return [(self.registry.names[i], float(self.belief.probs[i])) for i in order]
 
 
-def candidate_set(belief: Belief, registry: FunctionRegistry,
-                  coverage: float = 0.99) -> tuple[str, ...]:
-    """Smallest set of functions covering the given share of blame mass,
-    reported in registry order."""
-    idx = sorted(coverage_indices(belief, coverage))
+def candidate_set(belief: Belief, registry: FunctionRegistry) -> tuple[str, ...]:
+    """The candidate set of :func:`coverage_indices`, in registry order."""
+    idx = sorted(coverage_indices(belief))
     return tuple(registry.names[i] for i in idx)
 
 

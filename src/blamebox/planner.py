@@ -20,7 +20,7 @@ from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
 from .fpf import BlameConfig, FpfModel, deviation_grid
-from .mom import ErrorStats, MomConfig, MomModel, detect_failure_time, error_series
+from .mom import ErrorStats, MomConfig, MomModel, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
 
@@ -173,9 +173,9 @@ class LoopTrace:
 def _resolve_t_fail(obs: Observation, mom: tuple[MomModel, ErrorStats] | None,
                     T: int) -> int:
     if mom is not None:
-        model, stats = mom   # error_series rejects sensors of another D
+        model, stats = mom   # error_rows rejects sensors of another D
         _, detected = detect_failure_time(
-            stats, error_series(model, obs.sensors), MomConfig())
+            stats, error_rows(model, [obs.sensors])[0], MomConfig())
         if detected is not None:
             return detected
     if obs.t_fail is not None:
@@ -234,7 +234,7 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
                                   f"with a run of skill {obs.skill!r}")
         T = fpfs[chosen].T
         obs = _canonicalize_observation(obs, T)
-        t_fail = (T - 1 if obs.success else
+        t_fail = (None if obs.success else
                   min(_resolve_t_fail(obs, mom_by_skill.get(chosen), T), T - 1))
         belief, record = bayes_update(belief, fpfs, obs, obs.success, t_fail, blame)
         trace.steps.append(LoopStep(

@@ -23,6 +23,9 @@ from .blame import coverage_indices
 from .planner import LoopTrace
 from .store import _write_json
 
+# how many of the most blamed functions summary.json lists
+_TOP_K = 10
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -63,7 +66,7 @@ def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
     }
 
 
-def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
+def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
     """Emit gains.csv / belief.csv / trace.json / summary.json for a trace.
 
     Every file's content is built before the first file is written, so a
@@ -88,7 +91,7 @@ def write_trace_files(out_dir: str, trace_dict: dict, top_k: int = 10) -> dict:
         final = np.asarray(steps[-1]["posterior"])
     else:
         final = np.full(len(functions), 1.0 / len(functions))
-    order = np.argsort(final)[::-1][:top_k]
+    order = np.argsort(final)[::-1][:_TOP_K]
     summary = {
         "steps": len(steps),
         "converged": trace_dict["converged"],

@@ -214,6 +214,25 @@ class TestBayesUpdate:
                                         success, t_fail, CFG)
             assert abs(posterior.probs.sum() - 1.0) <= 1e-9
 
+    def test_update_reads_a_window_sized_grid(self, monkeypatch):
+        # the update sums its window with the planner's kernel, over the
+        # blame window alone, not over the whole run
+        import blamebox.fpf as fpf_mod
+        kernel, lengths = fpf_mod._window_sums, []
+
+        def spy(y, r, W):
+            lengths.append(y.shape[0])
+            return kernel(y, r, W)
+
+        monkeypatch.setattr(fpf_mod, "_window_sums", spy)
+        T = 400
+        model, stacks = fitted_model(T=T)
+        obs = make_obs(F=3, T=T, counts=stacks[0], sensors=np.zeros((1, T)))
+        for success, t_fail in ((False, 200), (True, None)):
+            lengths.clear()
+            bayes_update(Belief.uniform(3), {"s": model}, obs, success, t_fail, CFG)
+            assert lengths and max(lengths) <= CFG.window_steps
+
     @pytest.mark.parametrize("F,T", [(2, 10), (3, 9)], ids=["other-F", "other-T"])
     def test_fingerprint_of_another_shape_rejected(self, F, T):
         model, _ = self._setup()

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
-                      ValidationError, deviation_mass, exec_weighted_mean,
-                      expected_weighted_stats, fit_fpf)
-from blamebox.fpf import DeviationGrid, FpfModel, _mass, _window, deviation_at, deviation_grid
+                      ValidationError, deviation_mass, fit_fpf)
+from blamebox.fpf import DeviationGrid, FpfModel, _mass, deviation_at, deviation_grid
 from tests.test_core import make_obs
 
 REG = FunctionRegistry(["a", "b", "c"])
@@ -20,6 +19,22 @@ def db_from_counts(stacks, skill="s"):
                     sensors=np.zeros((1, stacks[0].shape[1])), skill=skill)
            for c in stacks]
     return ExperienceDb.from_observations(skill, obs, REG)
+
+
+def direct_window(rows, t_fail, cfg, power=1):
+    """Direct window sum of ``rows`` (..., T) at ``t_fail``: weights
+    exp(-alpha*(t_fail - s)) over the window's timesteps s, normalized by
+    1/n_w. ``power=2`` squares both, giving the variance of the weighted mean."""
+    t0 = max(0, t_fail - cfg.window_steps + 1)
+    w = np.exp(-cfg.alpha * (t_fail - np.arange(t0, t_fail + 1.0)))
+    n_w = t_fail - t0 + 1
+    return rows[..., t0:t_fail + 1] @ w ** power / n_w ** power
+
+
+def model_window(model, t_fail, cfg, f=slice(None)):
+    """The model's direct weighted window mean for row(s) ``f`` and the
+    variance of that mean."""
+    return direct_window(model.mean[f], t_fail, cfg), direct_window(model.var[f], t_fail, cfg, 2)
 
 
 def dense_fit(db, cfg):
@@ -90,46 +105,45 @@ class TestFit:
 class TestWeightedStats:
     def test_constant_mean_alpha_zero(self):
         cfg = BlameConfig(alpha=0.0, window_steps=4)
-        db = db_from_counts([np.full((3, 8), 3.0)] * 4)
-        model = fit_fpf(db, cfg)
-        mean_exp, _ = expected_weighted_stats(model, 0, 6, cfg)
-        assert mean_exp == pytest.approx(3.0)
+        counts = np.full((3, 8), 3.0)
+        model = fit_fpf(db_from_counts([counts] * 4), cfg)
+        assert deviation_grid(model, counts[None], cfg).mean[6, 0] == pytest.approx(3.0)
 
     def test_half_decay_hand_value(self):
         # alpha = ln 2, W = 2, means (2, 2): (2*0.5 + 2*1)/2 = 1.5
         cfg = BlameConfig(alpha=math.log(2.0), window_steps=2)
-        db = db_from_counts([np.full((3, 8), 2.0)] * 4)
-        model = fit_fpf(db, cfg)
-        mean_exp, _ = expected_weighted_stats(model, 1, 5, cfg)
-        assert mean_exp == pytest.approx(1.5)
+        counts = np.full((3, 8), 2.0)
+        model = fit_fpf(db_from_counts([counts] * 4), cfg)
+        assert deviation_grid(model, counts[None], cfg).mean[5, 1] == pytest.approx(1.5)
 
     def test_large_alpha_limit(self):
         # only the t_fail term survives, still divided by the window length
         cfg = BlameConfig(alpha=50.0, window_steps=4)
-        db = db_from_counts([np.full((3, 8), 2.0)] * 4)
-        model = fit_fpf(db, cfg)
-        mean_exp, _ = expected_weighted_stats(model, 0, 6, cfg)
-        assert mean_exp == pytest.approx(0.5, abs=1e-12)
+        counts = np.full((3, 8), 2.0)
+        model = fit_fpf(db_from_counts([counts] * 4), cfg)
+        assert deviation_grid(model, counts[None], cfg).mean[6, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_exec_mean_hand_value(self):
         # alpha = 0, W = 4, window counts (1, 2, 3, 4) -> 2.5
         cfg = BlameConfig(alpha=0.0, window_steps=4)
+        model = fit_fpf(db_from_counts([np.ones((3, 8))] * 2), cfg)
         counts = np.zeros((3, 8))
         counts[1, 2:6] = [1, 2, 3, 4]
-        assert exec_weighted_mean(Fingerprint(counts), 1, 5, cfg) == pytest.approx(2.5)
+        assert deviation_grid(model, counts[None], cfg).exec_mean[5, 0, 1] == pytest.approx(2.5)
 
     def test_exec_zero_window(self):
         cfg = BlameConfig(alpha=0.3, window_steps=4)
-        assert exec_weighted_mean(Fingerprint(np.zeros((3, 8))), 0, 5, cfg) == 0.0
+        model = fit_fpf(db_from_counts([np.ones((3, 8))] * 2), cfg)
+        assert deviation_grid(model, np.zeros((1, 3, 8)), cfg).exec_mean[5, 0, 0] == 0.0
 
     def test_exec_matches_model_on_same_input(self):
         cfg = BlameConfig()
         counts = np.abs(np.random.default_rng(1).normal(2, 0.5, (3, 50)))
         db = db_from_counts([counts, counts.copy()])
         model = fit_fpf(db, cfg)
+        grid = deviation_grid(model, counts[None], cfg)
         for f in range(3):
-            m, _ = expected_weighted_stats(model, f, 30, cfg)
-            assert exec_weighted_mean(Fingerprint(counts), f, 30, cfg) == pytest.approx(m)
+            assert grid.exec_mean[30, 0, f] == pytest.approx(grid.mean[30, f])
 
     def test_full_window_alpha_zero_equals_plain_average(self):
         # direct-summation oracle for the unweighted full-window case
@@ -138,18 +152,16 @@ class TestWeightedStats:
         rng = np.random.default_rng(5)
         stacks = [rng.uniform(0, 4, (3, T)) for _ in range(6)]
         model = fit_fpf(db_from_counts(stacks), cfg)
+        grid = deviation_grid(model, np.stack(stacks[:1]), cfg)
         for f in range(3):
-            mean_exp, _ = expected_weighted_stats(model, f, T - 1, cfg)
-            assert mean_exp == pytest.approx(model.mean[f].mean())
+            assert grid.mean[T - 1, f] == pytest.approx(model.mean[f].mean())
 
     def test_t_fail_out_of_range(self):
         cfg = BlameConfig()
-        db = db_from_counts([np.ones((3, 8))] * 2)
-        model = fit_fpf(db, cfg)
-        with pytest.raises(ValidationError):
-            expected_weighted_stats(model, 0, 8, cfg)
-        with pytest.raises(ValidationError):
-            exec_weighted_mean(Fingerprint(np.ones((3, 8))), 0, -1, cfg)
+        model = fit_fpf(db_from_counts([np.ones((3, 8))] * 2), cfg)
+        for t_fail in (8, -1):
+            with pytest.raises(ValidationError, match=rf"t_fail={t_fail} outside \[0, 8\)"):
+                deviation_at(model, Fingerprint(np.ones((3, 8))), t_fail, cfg)
 
 
 class TestDeviationMass:
@@ -221,8 +233,8 @@ class TestVectorizedGrid:
         probe = np.abs(rng.normal(2, 0.7, (3, 10)))
         pd, inactive = deviation_at(model, Fingerprint(probe), 7, cfg)
         for f in range(3):
-            mean_exp, var_exp = expected_weighted_stats(model, f, 7, cfg)
-            x = exec_weighted_mean(Fingerprint(probe), f, 7, cfg)
+            mean_exp, var_exp = model_window(model, 7, cfg, f)
+            x = direct_window(probe[f], 7, cfg)
             assert pd[f] == pytest.approx(deviation_mass(x, mean_exp, var_exp), abs=1e-12)
             assert not inactive[f]
 
@@ -258,11 +270,11 @@ class TestVectorizedGrid:
         assert grid.exec_mean.shape == (T, 2, 3)
         for t in range(T):
             for f in range(3):
-                mean_exp, var_exp = expected_weighted_stats(model, f, t, cfg)
+                mean_exp, var_exp = model_window(model, t, cfg, f)
                 assert grid.mean[t, f] == pytest.approx(mean_exp, rel=1e-12, abs=1e-12)
                 assert grid.var[t, f] == pytest.approx(var_exp, rel=1e-12, abs=1e-12)
                 for i in range(2):
-                    x = exec_weighted_mean(Fingerprint(stacks[i]), f, t, cfg)
+                    x = direct_window(stacks[i][f], t, cfg)
                     assert grid.exec_mean[t, i, f] == pytest.approx(x, rel=1e-12, abs=1e-12)
         for c in stacks[:2]:   # the one-column form agrees with the grid's column
             single = deviation_grid(model, c[None], cfg)
@@ -292,8 +304,8 @@ class TestVectorizedGrid:
             t0 = max(0, t - cfg.window_steps + 1)
             for i in range(3):
                 for f in range(3):
-                    mean_exp, var_exp = expected_weighted_stats(model, f, t, cfg)
-                    x = exec_weighted_mean(Fingerprint(probes[i]), f, t, cfg)
+                    mean_exp, var_exp = model_window(model, t, cfg, f)
+                    x = direct_window(probes[i, f], t, cfg)
                     assert pd[t, i, f] == pytest.approx(
                         deviation_mass(x, mean_exp, var_exp), abs=1e-12)
                     silent = (model.mean[f, t0:t + 1].sum() <= 1e-9
@@ -323,10 +335,9 @@ class TestVectorizedGrid:
 def dense_deviation_at(model, counts, t_fail, cfg):
     """deviation_at over every row of the dense (F, T) ``counts``: the oracle
     for the form that evaluates live rows only."""
-    window, w, n_w = _window(t_fail, model.T, cfg)
-    mean = model.mean[:, window] @ w / n_w
-    var = model.var[:, window] @ (w * w) / (n_w * n_w)
-    x = counts[:, window] @ w / n_w
+    mean, var = model_window(model, t_fail, cfg)
+    x = direct_window(counts, t_fail, cfg)
+    window = slice(max(0, t_fail - cfg.window_steps + 1), t_fail + 1)
     inactive = ~((model.mean[:, window].sum(axis=1) > 1e-9)
                  | (counts[:, window].sum(axis=1) > 1e-9))
     return _mass((x - mean) / np.sqrt(var)), inactive
