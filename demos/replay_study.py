@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from blamebox import (BlameConfig, FunctionRegistry, PlannerConfig, ReplayExecutor,
-                      fit_fpf, load_study, run_testing_loop, save_study)
+                      load_study, run_testing_loop, save_study)
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
 
 registry = FunctionRegistry(["parse", "plan", "actuate", "log"])
@@ -33,14 +33,11 @@ replay = {s: [simulate_execution(spec, world, rng) for _ in range(15)]
 with tempfile.TemporaryDirectory() as tmp:
     save_study(tmp, registry, dbs, dt=0.1, replay=replay)
     study = load_study(tmp)
-    print(f"study reloaded from {tmp}: skills {study.skills}, "
+    print(f"study reloaded from {tmp}: skills {tuple(study.dbs)}, "
           f"{len(study.dbs['deliver'])} stored successes each")
 
-    blame = BlameConfig.for_sampling(study.dt)
-    fpfs = {s: fit_fpf(study.dbs[s], blame) for s in study.skills}
-    belief, trace = run_testing_loop(
-        ReplayExecutor(study.replay), study.skills, study.dbs, fpfs, None,
-        PlannerConfig(seed=1), blame)
+    belief, trace = run_testing_loop(ReplayExecutor(study.replay), study.dbs, None,
+                                     PlannerConfig(seed=1), BlameConfig.for_sampling(study.dt))
 
 print("\nreplayed steps:")
 for step in trace.steps:

@@ -11,8 +11,8 @@ gain about where the bug lives.
 
 __version__ = "0.1.0"
 
-from .blame import (Belief, UpdateRecord, bayes_update, coverage_indices,
-                    entropy, likelihood_vector)
+from .blame import (Belief, bayes_update, coverage_indices, entropy,
+                    likelihood_vector)
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, canonicalize_length, validate_observation)
 from .errors import (BlameboxError, ConfigError, ExecutorError, KindError,
@@ -23,14 +23,13 @@ from .harness import (AnomalySpec, BUILT_IN_SCENARIOS, ScenarioConfig,
                       SimWorld, built_in_scenario, candidate_set, gen_fingerprint,
                       gen_sensor_suite, load_scenario, run_scenario,
                       simulate_execution)
-from .mom import (ErrorStats, MomConfig, MomModel, detect_failure_time,
+from .mom import (ErrorStats, MomBundle, MomConfig, MomModel, detect_failure_time,
                   error_rows, error_series, fit_error_stats, init_model,
                   reconstruct, train)
 from .planner import (GainEstimate, LoopStep, LoopTrace, PlannerConfig,
                       SkillCache, SkillExecutor, information_gain_stats,
                       run_testing_loop, select_skill)
-from .store import (MomBundle, ReplayExecutor, Study, load_db, load_model,
-                    load_recorded, load_study, save_db, save_model,
-                    save_recorded, save_study)
+from .store import (ReplayExecutor, Study, load_db, load_model, load_recorded,
+                    load_study, save_db, save_model, save_recorded, save_study)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

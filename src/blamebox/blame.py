@@ -57,18 +57,6 @@ class Belief:
         return self.probs.size
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
-    """Audit trail of one Bayesian update."""
-
-    skill: SkillId
-    success: bool
-    t_fail: int
-    likelihoods: np.ndarray
-    prior_entropy: float
-    posterior_entropy: float
-
-
 def entropy(belief) -> float:
     """Shannon entropy in nats, with 0*log(0) = 0."""
     p = belief.probs if isinstance(belief, Belief) else np.asarray(belief, dtype=np.float64)
@@ -110,10 +98,12 @@ def likelihood_vector(fpf: FpfModel, fingerprint_exec: Fingerprint, success: boo
 
 def bayes_update(belief: Belief, fpf_by_skill: Mapping[SkillId, FpfModel],
                  obs: Observation, success: bool, t_fail: int | None,
-                 config: BlameConfig) -> tuple[Belief, UpdateRecord]:
-    """Posterior ~ likelihood * prior, renormalized.
+                 config: BlameConfig) -> tuple[Belief, int]:
+    """Posterior ~ likelihood * prior, renormalized, and the failure time
+    the run was judged at.
 
-    On success ``t_fail`` is ignored and the full execution window is used.
+    On success ``t_fail`` is ignored and the full execution window is used,
+    so the run is judged at its last timestep T - 1.
     The epsilon floor keeps the unnormalized posterior strictly positive
     wherever the prior is positive.
     """
@@ -131,13 +121,4 @@ def bayes_update(belief: Belief, fpf_by_skill: Mapping[SkillId, FpfModel],
         raise ValidationError(
             f"likelihood has {lik.size} entries, belief has {len(belief)}")
     weights = lik * belief.probs
-    posterior = Belief(weights / weights.sum())
-    record = UpdateRecord(
-        skill=obs.skill,
-        success=success,
-        t_fail=t_used,
-        likelihoods=lik,
-        prior_entropy=entropy(belief),
-        posterior_entropy=entropy(posterior),
-    )
-    return posterior, record
+    return Belief(weights / weights.sum()), t_used

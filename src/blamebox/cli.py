@@ -15,14 +15,15 @@ import sys
 from dataclasses import asdict
 
 from .errors import BlameboxError
-from .fpf import BlameConfig, fit_fpf
+from .fpf import BlameConfig
 from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
-from .mom import MomConfig, detect_failure_time, error_rows, fit_error_stats, train
+from .mom import (MomBundle, MomConfig, detect_failure_time, error_rows, fit_error_stats,
+                  train)
 from .planner import PlannerConfig, run_testing_loop
 from .reports import (trace_to_dict, write_mom_eval, write_run_info,
                       write_trace_files)
-from .store import (MomBundle, ReplayExecutor, _interpreting, _read_json, load_db,
-                    load_model, load_study, save_model)
+from .store import (ReplayExecutor, _interpreting, _read_json, load_db, load_model,
+                    load_study, save_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,10 +70,7 @@ def _cmd_localize(args) -> int:
         raise BlameboxError(f"study {args.study} holds no recorded executions to replay")
     blame = BlameConfig.for_sampling(study.dt)
     planner = PlannerConfig(seed=args.seed)
-    fpfs = {s: fit_fpf(study.dbs[s], blame) for s in study.skills}
-    executor = ReplayExecutor(study.replay)
-    _, trace = run_testing_loop(executor, study.skills, study.dbs, fpfs, None,
-                                planner, blame)
+    _, trace = run_testing_loop(ReplayExecutor(study.replay), study.dbs, None, planner, blame)
     write_trace_files(args.out, trace_to_dict(trace, study.registry.names))
     write_run_info(args.out, "localize",
                    {"study": args.study, "executor": args.executor, "seed": args.seed,

@@ -20,7 +20,7 @@ from .blame import Belief, coverage_indices
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, SkillId)
 from .errors import ExecutorError, ScenarioError, ValidationError
-from .fpf import BlameConfig, fit_fpf
+from .fpf import BlameConfig
 from .planner import LoopTrace, PlannerConfig, run_testing_loop
 
 
@@ -384,7 +384,7 @@ def candidate_set(belief: Belief, registry: FunctionRegistry) -> tuple[str, ...]
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
-    """Build the study (registry, databases, models), run the testing loop
+    """Build the study (registry, databases), run the testing loop
     against the buggy world, and optionally write the report bundle.
 
     The scenario seed drives every stream: database simulation, loop
@@ -404,10 +404,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     for child, skill in zip(db_ss.spawn(len(skills)), skills):
         dbs[skill] = build_database(specs[skill], registry,
                                     np.random.default_rng(child), config.db_size)
-    fpfs = {s: fit_fpf(dbs[s], blame) for s in skills}
     world = SimWorld(registry=registry, buggy_functions=frozenset(config.buggy))
     executor = SimExecutor(specs, world, seed=exec_ss)
-    belief, trace = run_testing_loop(executor, skills, dbs, fpfs, None, config.planner, blame)
+    belief, trace = run_testing_loop(executor, dbs, None, config.planner, blame)
     result = ScenarioResult(config=config, registry=registry, belief=belief,
                             trace=trace, candidates=candidate_set(belief, registry))
     if out_dir is not None:

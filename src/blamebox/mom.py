@@ -49,6 +49,8 @@ _LEARNING_RATE = 1e-3
 _BETA1 = 0.9
 _BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# lower bound on the per-timestep error std of ErrorStats
+_SIGMA_FLOOR = 1e-6
 
 _PARAM_FIELDS = (
     "enc_w", "enc_b",
@@ -405,16 +407,23 @@ class ErrorStats:
         return self.mu.size
 
 
-def fit_error_stats(model: MomModel, sequences: Sequence[SensorSeries],
-                    sigma_floor: float = 1e-6) -> ErrorStats:
+@dataclass(frozen=True)
+class MomBundle:
+    """An observation model plus whatever was fitted alongside it."""
+
+    model: MomModel
+    error_stats: ErrorStats | None = None
+
+
+def fit_error_stats(model: MomModel, sequences: Sequence[SensorSeries]) -> ErrorStats:
     """Mean and maximum-likelihood std of the reconstruction error at each
-    timestep across successful sequences, std floored at ``sigma_floor``."""
+    timestep across successful sequences, std floored at ``_SIGMA_FLOOR``."""
     seqs = list(sequences)
     if len(seqs) < 2:
         raise ValidationError("error statistics need at least two sequences")
     errs = error_rows(model, seqs)
     return ErrorStats(mu=errs.mean(axis=0),
-                      sigma=np.maximum(errs.std(axis=0), sigma_floor))
+                      sigma=np.maximum(errs.std(axis=0), _SIGMA_FLOOR))
 
 
 def _centered_moving_average(x: np.ndarray, width: int) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Skill selection by expected information gain and the outer testing loop.
 
+The loop fits each skill's fingerprint model from the skill's experience
+database and builds its :class:`SkillCache` itself. The skills come in the
+order of the databases, which orders the gain columns and breaks gain ties.
+
 The gain of a skill is estimated by hypothetical Bayesian updates: for every
 stored observation of that skill, sample (success, t_fail) pairs with success
 uniform over {true, false} and t_fail uniform over the execution window
@@ -12,15 +16,15 @@ skill, so each skill's gain is reproducible on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 import numpy as np
 
 from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
-from .fpf import BlameConfig, FpfModel, deviation_grid
-from .mom import ErrorStats, MomConfig, MomModel, detect_failure_time, error_rows
+from .fpf import BlameConfig, FpfModel, deviation_grid, fit_fpf
+from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
 
@@ -79,8 +83,7 @@ class SkillCache:
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
-        self.skill = db.skill
-        self.T, self.F, self.n_obs = fpf.T, fpf.F, len(db)
+        self.db, self.fpf = db, fpf
         self.support = np.union1d(db.support, fpf.support)
         on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
                               n_samples=fpf.n_samples, var_floor=fpf.var_floor)
@@ -89,9 +92,9 @@ class SkillCache:
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
                        samples: int, rng: np.random.Generator) -> np.ndarray:
-    if len(belief) != cache.F:
-        raise ValidationError(f"belief has {len(belief)} entries, the model {cache.F}")
-    n, T = cache.n_obs, cache.T
+    if len(belief) != cache.fpf.F:
+        raise ValidationError(f"belief has {len(belief)} entries, the model {cache.fpf.F}")
+    n, T = len(cache.db), cache.fpf.T
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
     t_fail = rng.integers(0, T, size=(n, samples))
     t_eff = np.where(succ, T - 1, t_fail)  # successes judge the full window
@@ -130,20 +133,17 @@ def information_gain_stats(belief: Belief, db: ExperienceDb, fpf: FpfModel,
                         stderr=se, n_samples=int(h_sam.size))
 
 
-def select_skill(belief: Belief, skills: Sequence[SkillId],
-                 dbs: Mapping[SkillId, ExperienceDb],
-                 fpfs: Mapping[SkillId, FpfModel],
-                 planner: PlannerConfig, blame: BlameConfig,
-                 rng: np.random.Generator,
-                 caches: Mapping[SkillId, SkillCache] | None = None,
+def select_skill(belief: Belief, caches: Mapping[SkillId, SkillCache],
+                 planner: PlannerConfig, blame: BlameConfig, rng: np.random.Generator,
                  ) -> tuple[SkillId, GainEstimate, dict[SkillId, GainEstimate]]:
-    """Gain-maximizing skill; ties within 1e-12 go to the lowest index."""
+    """Gain-maximizing skill of ``caches``; ties within 1e-12 go to the one
+    that comes first."""
+    skills = tuple(caches)
     if not skills:
         raise ValidationError("need at least one skill to select from")
     estimates = [
-        information_gain_stats(belief, dbs[s], fpfs[s], planner, blame, stream,
-                               cache=None if caches is None else caches.get(s))
-        for s, stream in zip(skills, rng.spawn(len(skills)))]
+        information_gain_stats(belief, c.db, c.fpf, planner, blame, stream, cache=c)
+        for c, stream in zip(caches.values(), rng.spawn(len(skills)))]
     best = 0
     for i in range(1, len(skills)):
         if estimates[i].gain > estimates[best].gain + _TIE_TOL:
@@ -170,12 +170,10 @@ class LoopTrace:
     aborted: str | None = None
 
 
-def _resolve_t_fail(obs: Observation, mom: tuple[MomModel, ErrorStats] | None,
-                    T: int) -> int:
-    if mom is not None:
-        model, stats = mom   # error_rows rejects sensors of another D
+def _resolve_t_fail(obs: Observation, mom: MomBundle | None, T: int) -> int:
+    if mom is not None:   # error_rows rejects sensors of another D
         _, detected = detect_failure_time(
-            stats, error_rows(model, [obs.sensors])[0], MomConfig())
+            mom.error_stats, error_rows(mom.model, [obs.sensors])[0], MomConfig())
         if detected is not None:
             return detected
     if obs.t_fail is not None:
@@ -183,17 +181,18 @@ def _resolve_t_fail(obs: Observation, mom: tuple[MomModel, ErrorStats] | None,
     return T - 1
 
 
-def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
-                     dbs: Mapping[SkillId, ExperienceDb],
-                     fpfs: Mapping[SkillId, FpfModel],
-                     mom_by_skill: Mapping[SkillId, tuple[MomModel, ErrorStats]] | None,
+def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
+                     mom_by_skill: Mapping[SkillId, MomBundle] | None,
                      planner: PlannerConfig, blame: BlameConfig,
                      ) -> tuple[Belief, LoopTrace]:
-    """The autonomous testing loop.
+    """The autonomous testing loop over the skills of ``dbs``, in its order.
 
-    Starts from a uniform belief, repeatedly selects the gain-maximizing
-    skill, executes it, locates the failure time (detector first, then the
-    executor's report, then the final timestep), and updates the belief.
+    Fits each skill's fingerprint model from its database and builds its
+    cache once; an observation model in ``mom_by_skill`` must carry its error
+    statistics. Starts from a uniform belief, repeatedly selects the
+    gain-maximizing skill, executes it, locates the failure time (detector
+    first, then the executor's report, then the final timestep), and updates
+    the belief.
     Each executed run is cut or padded to its skill's database length first,
     as stored runs are; a failure time past that end is taken at its last
     timestep.
@@ -202,21 +201,20 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
     An executor error aborts the loop and returns the trace so far; a run of
     another skill than the chosen one raises a ValidationError.
     """
-    skills = tuple(skills)
-    mom_by_skill = mom_by_skill or {}
-    if not skills:
+    if not dbs:
         raise ValidationError("the testing loop needs at least one skill")
-    for s in skills:
-        if s not in dbs or s not in fpfs:
-            raise ValidationError(f"skill {s!r} is missing a database or model")
-    caches = {s: SkillCache(dbs[s], fpfs[s], blame) for s in skills}
-    belief = Belief.uniform(fpfs[skills[0]].F)
-    trace = LoopTrace(skills=skills)
+    mom_by_skill = mom_by_skill or {}
+    for s, bundle in mom_by_skill.items():
+        if bundle.error_stats is None:
+            raise ValidationError(f"the observation model of skill {s!r} has no "
+                                  "error statistics")
+    caches = {s: SkillCache(db, fit_fpf(db, blame), blame) for s, db in dbs.items()}
+    trace = LoopTrace(skills=tuple(caches))
+    belief = Belief.uniform(caches[trace.skills[0]].fpf.F)
     root = np.random.default_rng(planner.seed)
     below = 0
     for step in range(planner.max_iterations):
-        chosen, best, gains = select_skill(
-            belief, skills, dbs, fpfs, planner, blame, root.spawn(1)[0], caches=caches)
+        chosen, best, gains = select_skill(belief, caches, planner, blame, root.spawn(1)[0])
         if best.gain < planner.convergence_epsilon:
             below += 1
             if below >= planner.convergence_patience:
@@ -232,13 +230,12 @@ def run_testing_loop(world: SkillExecutor, skills: Sequence[SkillId],
         if obs.skill != chosen:
             raise ValidationError(f"the executor answered skill {chosen!r} "
                                   f"with a run of skill {obs.skill!r}")
-        T = fpfs[chosen].T
-        obs = _canonicalize_observation(obs, T)
+        fpf = caches[chosen].fpf
+        obs = _canonicalize_observation(obs, fpf.T)
         t_fail = (None if obs.success else
-                  min(_resolve_t_fail(obs, mom_by_skill.get(chosen), T), T - 1))
-        belief, record = bayes_update(belief, fpfs, obs, obs.success, t_fail, blame)
+                  min(_resolve_t_fail(obs, mom_by_skill.get(chosen), fpf.T), fpf.T - 1))
+        belief, t_used = bayes_update(belief, {chosen: fpf}, obs, obs.success, t_fail, blame)
         trace.steps.append(LoopStep(
             step=step, chosen=chosen, gains=gains, success=obs.success,
-            t_fail=record.t_fail, posterior=belief.probs,
-            entropy=record.posterior_entropy))
+            t_fail=t_used, posterior=belief.probs, entropy=entropy(belief)))
     return belief, trace

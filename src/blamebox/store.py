@@ -39,7 +39,7 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
 from .errors import (ConfigError, ExecutorError, KindError, StoreError, ValidationError,
                      VersionError)
 from .fpf import FpfModel
-from .mom import ErrorStats, MomModel, _PARAM_FIELDS
+from .mom import ErrorStats, MomBundle, MomModel, _PARAM_FIELDS
 
 _DB_FORMAT = "blamebox-db"
 _MODEL_FORMAT = "blamebox-model"
@@ -157,6 +157,13 @@ def _load_fingerprint(path: str, version: int, F: int, T: int, dt: float,
 
 def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
                   records: Sequence[Observation], dt: float) -> None:
+    """Write the runs, each of which must be sampled at ``dt``, and their manifest."""
+    dt = float(dt)
+    for i, rec in enumerate(records):
+        if rec.sensors.dt != dt or rec.fingerprint.dt != dt:
+            raise ValidationError(
+                f"run {i} of skill {skill!r} is sampled at dt={rec.sensors.dt} (sensors) "
+                f"and dt={rec.fingerprint.dt} (fingerprint), not at the dt={dt} written")
     os.makedirs(path, exist_ok=True)
     entries = []
     for i, rec in enumerate(records):
@@ -175,7 +182,7 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         "version": _DB_VERSION,
         "skill": skill,
         "canonical_T": records[0].fingerprint.T if records else 0,
-        "dt": float(dt),
+        "dt": dt,
         "functions": list(registry.names),
         "observations": entries,
     })
@@ -270,14 +277,6 @@ class ReplayExecutor:
 # ---------------------------------------------------------------------------
 # Model files.
 
-@dataclass(frozen=True)
-class MomBundle:
-    """An observation model plus whatever was fitted alongside it."""
-
-    model: MomModel
-    error_stats: ErrorStats | None = None
-
-
 def save_model(model: FpfModel | MomModel | MomBundle, path: str) -> None:
     bundle, model = (model, model.model) if isinstance(model, MomBundle) else (None, model)
     payload: dict = {"format": _MODEL_FORMAT, "version": _VERSION}
@@ -336,8 +335,9 @@ def load_model(path: str, expect: str | None = None):
 
 @dataclass
 class Study:
+    """A loaded study; ``dbs`` is in the manifest's skill order."""
+
     registry: FunctionRegistry
-    skills: tuple[SkillId, ...]
     dbs: dict[SkillId, ExperienceDb]
     dt: float
     replay: dict[SkillId, list[Observation]]
@@ -351,7 +351,7 @@ def save_study(path: str, registry: FunctionRegistry,
     db_paths, replay_paths = {}, {}
     for skill in skills:
         rel = os.path.join("dbs", skill)
-        save_db(dbs[skill], os.path.join(path, rel), registry)
+        _save_records(os.path.join(path, rel), skill, registry, dbs[skill].observations, dt)
         db_paths[skill] = rel
     for skill in sorted(replay or {}):
         rel = os.path.join("replay", skill)
@@ -369,13 +369,14 @@ def save_study(path: str, registry: FunctionRegistry,
 
 
 def load_study(path: str) -> Study:
+    """Load a study; every db and replay manifest must hold the study's ``dt``."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _STUDY_FORMAT)
     with _interpreting(manifest_path):
         registry = FunctionRegistry(manifest["functions"])
-        skills = tuple(manifest["skills"])
+        dt = float(manifest["dt"])
         dbs = {}
-        for skill in skills:
+        for skill in manifest["skills"]:
             rel = manifest["dbs"].get(skill)
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
@@ -385,6 +386,12 @@ def load_study(path: str) -> Study:
         if any(db.skill != s for s, db in dbs.items()) or any(
                 r.skill != s for s, recs in replay.items() for r in recs):
             raise StoreError(f"{manifest_path}: a dbs or replay entry holds another skill")
-        return Study(registry=registry, skills=skills, dbs=dbs,
-                     dt=float(manifest["dt"]), replay=replay)
+        for kind, runs_of in (("dbs", {s: db.observations for s, db in dbs.items()}),
+                              ("replay", replay)):
+            for s, runs in runs_of.items():   # a manifest's runs carry its dt
+                if runs and runs[0].sensors.dt != dt:
+                    entry = os.path.join(manifest[kind][s], "manifest.json")
+                    raise StoreError(f"{_inside(manifest_path, entry)}: dt is "
+                                     f"{runs[0].sensors.dt}, but {manifest_path} gives {dt}")
+        return Study(registry=registry, dbs=dbs, dt=dt, replay=replay)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from blamebox import (Belief, BlameConfig, Fingerprint, FunctionRegistry,
-                      UpdateRecord, ValidationError, bayes_update, entropy,
-                      fit_fpf, likelihood_vector)
+                      ValidationError, bayes_update, entropy, fit_fpf,
+                      likelihood_vector)
 from blamebox.blame import combine_deviation
 from tests.test_core import make_obs
 from tests.test_fpf import db_from_counts
@@ -179,16 +179,13 @@ class TestBayesUpdate:
         assert posterior.probs[0] <= prior.probs[0]
         assert posterior.probs[1] <= prior.probs[1]
 
-    def test_record_contents(self):
+    def test_time_judged_at(self):
+        # a failure is judged at its t_fail, a success at T - 1 = 9 whatever is passed
         model, obs = self._setup()
-        prior = Belief.uniform(3)
-        posterior, rec = bayes_update(prior, {"s": model}, obs, False, 6, CFG)
-        assert isinstance(rec, UpdateRecord)
-        assert rec.skill == "s" and rec.t_fail == 6 and not rec.success
-        assert rec.prior_entropy == pytest.approx(math.log(3))
-        assert rec.posterior_entropy == pytest.approx(entropy(posterior))
-        assert np.all(rec.likelihoods >= CFG.epsilon_floor)
-        assert np.all(rec.likelihoods <= 0.75)
+        for success, t_fail, expected in [(False, 0, 0), (False, 6, 6), (True, None, 9),
+                                          (True, 0, 9), (True, 6, 9)]:
+            _, t_used = bayes_update(Belief.uniform(3), {"s": model}, obs, success, t_fail, CFG)
+            assert t_used == expected
 
     def test_missing_model_rejected(self):
         _, obs = self._setup()

@@ -144,7 +144,10 @@ MALFORMED = [
     ("db-canonical_T-999", DB, _set("canonical_T", 999)),
     ("db-failed-entry", DB, _in_first("observations", _set("success", False))),
     ("db-empty-observations", DB, _set("observations", [])),
+    ("db-dt-not-the-study's", DB, _set("dt", 0.5)),
+    ("study-dt-not-the-runs'", STUDY, _set("dt", 0.5)),
     ("replay-entry-negative-t_fail", REPLAY, _in_first("observations", _set("t_fail", -3))),
+    ("replay-dt-not-the-study's", REPLAY, _set("dt", 0.5)),
     ("trace-step-no-gains", "trace.json", _in_first("steps", _drop("gains"))),
     ("trace-int-steps", "trace.json", _set("steps", 5)),
     ("trace-no-converged", "trace.json", _drop("converged")),

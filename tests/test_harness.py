@@ -179,7 +179,7 @@ class TestScenarios:
         used = []
 
         def recording_loop(*args):
-            used.append(args[5].seed)
+            used.append(args[3].seed)
             return run_testing_loop(*args)
 
         monkeypatch.setattr(harness, "run_testing_loop", recording_loop)

@@ -4,8 +4,8 @@ import pytest
 from blamebox import (ConfigError, ErrorStats, MomConfig, MomModel, SensorSeries,
                       ValidationError, detect_failure_time, error_rows,
                       error_series, fit_error_stats, init_model, reconstruct, train)
-from blamebox.mom import (_PARAM_FIELDS, _centered_moving_average, _cos_columns,
-                          loss_and_gradients)
+from blamebox.mom import (_PARAM_FIELDS, _SIGMA_FLOOR, _centered_moving_average,
+                          _cos_columns, loss_and_gradients)
 
 
 def fd_gradients(params, X, step=1e-5):
@@ -303,8 +303,8 @@ class TestErrorStats:
     def test_identical_sequences_hit_floor(self):
         seq = SensorSeries(np.random.default_rng(0).uniform(0, 1, (4, 8)))
         model = init_model(4, MomConfig(bottleneck=2), seed=3)
-        stats = fit_error_stats(model, [seq, seq, seq], sigma_floor=1e-6)
-        assert np.all(stats.sigma == 1e-6)
+        stats = fit_error_stats(model, [seq, seq, seq])
+        assert np.all(stats.sigma == _SIGMA_FLOOR)
         assert stats.T == 8
 
     def test_moments_match_direct_computation(self):
@@ -312,9 +312,9 @@ class TestErrorStats:
         model = init_model(3, MomConfig(bottleneck=2), seed=9)
         seqs = [SensorSeries(rng.uniform(0, 1, (3, 6))) for _ in range(5)]
         errs = np.stack([error_series(model, s) for s in seqs])
-        stats = fit_error_stats(model, seqs, sigma_floor=1e-9)
+        stats = fit_error_stats(model, seqs)
         assert np.allclose(stats.mu, errs.mean(axis=0))
-        assert np.allclose(stats.sigma, np.maximum(errs.std(axis=0), 1e-9))
+        assert np.allclose(stats.sigma, np.maximum(errs.std(axis=0), _SIGMA_FLOOR))
 
     def test_two_point_hand_value(self):
         # errors {0.1, 0.3} at a timestep: mean 0.2, ML std 0.1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blamebox import (Belief, BlameConfig, ExperienceDb,
-                      ExecutorError, FunctionRegistry, PlannerConfig, SkillCache,
+                      ExecutorError, FunctionRegistry, MomBundle, PlannerConfig, SkillCache,
                       ValidationError, bayes_update, entropy,
                       information_gain_stats,
                       run_testing_loop, select_skill)
@@ -27,6 +27,11 @@ def toy_setup(used_by_skill, F=2, T=4, n=3, seed=0, mu=2.0, sigma=0.4):
     dbs = {s: build_database(specs[s], registry, rng, n) for s in specs}
     fpfs = {s: fit_fpf(dbs[s], CFG) for s in specs}
     return registry, specs, dbs, fpfs
+
+
+def caches_of(dbs, fpfs, skills):
+    """The skills' caches, in the order of ``skills``."""
+    return {s: SkillCache(dbs[s], fpfs[s], CFG) for s in skills}
 
 
 def enumerate_expected_entropy(belief, db, fpf, blame):
@@ -180,7 +185,7 @@ class TestExpectedInformationGain:
 class TestSelectSkill:
     def test_single_skill(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
-        chosen, est, gains = select_skill(Belief.uniform(2), ("s1",), dbs, fpfs,
+        chosen, est, gains = select_skill(Belief.uniform(2), caches_of(dbs, fpfs, ("s1",)),
                                           PLAN, CFG, np.random.default_rng(0))
         assert chosen == "s1" and set(gains) == {"s1"}
 
@@ -190,14 +195,14 @@ class TestSelectSkill:
         monkeypatch.setattr(
             planner_mod, "information_gain_stats",
             lambda *a, **k: planner_mod.GainEstimate(gain=0.25, stderr=0.0, n_samples=1))
-        chosen, _, _ = select_skill(Belief.uniform(2), ("s2", "s1"), dbs, fpfs,
+        chosen, _, _ = select_skill(Belief.uniform(2), caches_of(dbs, fpfs, ("s2", "s1")),
                                     PLAN, CFG, np.random.default_rng(0))
         assert chosen == "s2"  # first in the given ordering
 
     def test_discriminating_skill_wins(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2"), "s2": ("f2",)}, F=3)
         belief = Belief(np.array([0.5, 0.5, 0.0]))
-        chosen, _, gains = select_skill(belief, ("s1", "s2"), dbs, fpfs, PLAN, CFG,
+        chosen, _, gains = select_skill(belief, caches_of(dbs, fpfs, ("s1", "s2")), PLAN, CFG,
                                         np.random.default_rng(2))
         assert chosen == "s2"
         assert gains["s2"].gain > gains["s1"].gain
@@ -205,26 +210,25 @@ class TestSelectSkill:
 
 class TestLoop:
     def _world(self, used_by_skill, buggy, F=4, seed=0, n=20):
-        registry, specs, dbs, fpfs = toy_setup(used_by_skill, F=F, T=8, n=n, seed=seed)
+        registry, specs, dbs, _ = toy_setup(used_by_skill, F=F, T=8, n=n, seed=seed)
         world = SimWorld(registry=registry, buggy_functions=frozenset(buggy))
         executor = SimExecutor(specs, world, seed=seed + 100)
-        return registry, executor, dbs, fpfs
+        return registry, executor, dbs
 
     def test_identifies_buggy_function(self):
-        registry, executor, dbs, fpfs = self._world(
+        registry, executor, dbs = self._world(
             {"s1": ("f1", "f2"), "s2": ("f2", "f3")}, buggy=("f2",))
         plan = PlannerConfig(samples_per_observation=16, max_iterations=30, seed=3)
-        belief, trace = run_testing_loop(executor, ("s1", "s2"), dbs, fpfs, None,
-                                         plan, CFG)
+        belief, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         assert registry.names[int(np.argmax(belief.probs))] == "f2"
         assert trace.aborted is None
 
     def test_deterministic_given_seed(self):
         def run():
-            _, executor, dbs, fpfs = self._world(
+            _, executor, dbs = self._world(
                 {"s1": ("f1", "f2"), "s2": ("f2", "f3")}, buggy=("f2",))
             plan = PlannerConfig(samples_per_observation=8, max_iterations=12, seed=5)
-            return run_testing_loop(executor, ("s1", "s2"), dbs, fpfs, None, plan, CFG)
+            return run_testing_loop(executor, dbs, None, plan, CFG)
 
         (b1, t1), (b2, t2) = run(), run()
         assert np.array_equal(b1.probs, b2.probs)
@@ -234,28 +238,28 @@ class TestLoop:
             assert a.gains == b.gains
 
     def test_bug_free_world_suppresses_used_functions(self):
-        registry, executor, dbs, fpfs = self._world(
+        registry, executor, dbs = self._world(
             {"s1": ("f1", "f2")}, buggy=(), F=4)
         plan = PlannerConfig(samples_per_observation=8, max_iterations=6,
                              convergence_epsilon=1e-12, seed=1)
-        belief, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+        belief, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         assert all(s.success for s in trace.steps)
         used = belief.probs[[0, 1]]
         untouched = belief.probs[[2, 3]]
         assert used.max() < untouched.min()
 
     def test_terminates_at_max_iterations(self):
-        _, executor, dbs, fpfs = self._world({"s1": ("f1", "f2")}, buggy=("f1",))
+        _, executor, dbs = self._world({"s1": ("f1", "f2")}, buggy=("f1",))
         plan = PlannerConfig(samples_per_observation=4, max_iterations=5,
                              convergence_epsilon=1e-12, seed=0)
-        _, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+        _, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         assert len(trace.steps) == 5 and not trace.converged
 
     def test_converges_and_stops(self):
-        _, executor, dbs, fpfs = self._world(
+        _, executor, dbs = self._world(
             {"s1": ("f1", "f2"), "s2": ("f2", "f3")}, buggy=("f2",))
         plan = PlannerConfig(samples_per_observation=16, max_iterations=50, seed=2)
-        _, trace = run_testing_loop(executor, ("s1", "s2"), dbs, fpfs, None, plan, CFG)
+        _, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         assert trace.converged
         assert len(trace.steps) < 50
 
@@ -270,51 +274,59 @@ class TestLoop:
                     raise ExecutorError("hardware unavailable")
                 return self.inner.execute(skill)
 
-        _, executor, dbs, fpfs = self._world({"s1": ("f1", "f2")}, buggy=("f1",))
+        _, executor, dbs = self._world({"s1": ("f1", "f2")}, buggy=("f1",))
         plan = PlannerConfig(samples_per_observation=4, max_iterations=10,
                              convergence_epsilon=1e-12, seed=0)
-        _, trace = run_testing_loop(Flaky(executor, 3), ("s1",), dbs, fpfs, None,
-                                    plan, CFG)
+        _, trace = run_testing_loop(Flaky(executor, 3), dbs, None, plan, CFG)
         assert trace.aborted == "hardware unavailable"
         assert len(trace.steps) == 3
 
-    def test_missing_db_rejected(self):
-        _, executor, dbs, fpfs = self._world({"s1": ("f1",)}, buggy=())
-        with pytest.raises(ValidationError):
-            run_testing_loop(executor, ("s1", "ghost"), dbs, fpfs, None, PLAN, CFG)
+    def test_skills_in_the_order_of_the_databases(self):
+        _, executor, dbs = self._world({"s1": ("f1", "f2"), "s2": ("f2", "f3")},
+                                       buggy=("f2",))
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=2, seed=0)
+        _, trace = run_testing_loop(executor, {"s2": dbs["s2"], "s1": dbs["s1"]}, None,
+                                    plan, CFG)
+        assert trace.skills == ("s2", "s1") and trace.steps
+        assert all(list(step.gains) == ["s2", "s1"] for step in trace.steps)
 
     def test_epsilon_mass_stays_suppressed(self):
-        registry, executor, dbs, fpfs = self._world(
+        registry, executor, dbs = self._world(
             {"s1": ("f1", "f2"), "s2": ("f3",)}, buggy=("f1",), F=4)
         plan = PlannerConfig(samples_per_observation=8, max_iterations=20, seed=4)
-        belief, trace = run_testing_loop(executor, ("s1", "s2"), dbs, fpfs, None,
-                                         plan, CFG)
+        belief, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         # f4 is never used by any skill: failures clear it and it must not recover
         assert belief.probs[3] < 1e-3
 
 
 class TestExecutionResultTFail:
     def test_loop_uses_executor_t_fail_without_detector(self):
-        _, executor, dbs, fpfs = self._records()
+        _, executor, dbs = self._records()
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
-        _, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+        _, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         assert trace.steps[0].t_fail == 5
 
     def test_detector_of_another_sensor_dimension_rejected(self):
-        _, executor, dbs, fpfs = self._records()
+        _, executor, dbs = self._records()
         D = dbs["s1"].observations[0].sensors.D
         model = init_model(D + 2, MomConfig(bottleneck=2), seed=0)
         stats = ErrorStats(mu=np.zeros(8), sigma=np.ones(8))
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
         with pytest.raises(ValidationError, match="D="):
-            run_testing_loop(executor, ("s1",), dbs, fpfs, {"s1": (model, stats)}, plan, CFG)
+            run_testing_loop(executor, dbs, {"s1": MomBundle(model, stats)}, plan, CFG)
+
+    def test_detector_without_error_stats_rejected(self):
+        _, executor, dbs = self._records()
+        model = init_model(3, MomConfig(bottleneck=2))
+        with pytest.raises(ValidationError, match="skill 's1' has no error statistics"):
+            run_testing_loop(executor, dbs, {"s1": MomBundle(model)}, PLAN, CFG)
 
     @pytest.mark.parametrize("T_run,t_fail,expected", [(11, 9, 7), (11, 5, 5), (6, 5, 5)])
     def test_run_of_another_length_is_cut_or_padded(self, T_run, t_fail, expected):
         # the databases hold T = 8; a failure time past that end is taken at 7
-        _, executor, dbs, fpfs = self._records(T_run, t_fail)
+        _, executor, dbs = self._records(T_run, t_fail)
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
-        _, trace = run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+        _, trace = run_testing_loop(executor, dbs, None, plan, CFG)
         assert trace.steps[0].t_fail == expected
 
     @pytest.mark.parametrize("bad,match", [
@@ -322,20 +334,19 @@ class TestExecutionResultTFail:
         (np.nan, r"non-finite count at function 0, timestep 3$"),
     ], ids=["negative", "nan"])
     def test_malformed_run_rejected_citing_its_cell(self, bad, match):
-        _, executor, dbs, fpfs = self._records(bad_count=bad)
+        _, executor, dbs = self._records(bad_count=bad)
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
         with pytest.raises(ValidationError, match=match):
-            run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+            run_testing_loop(executor, dbs, None, plan, CFG)
 
     def test_run_of_another_skill_rejected(self):
-        _, executor, dbs, fpfs = self._records(skill="s2")
+        _, executor, dbs = self._records(skill="s2")
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
         with pytest.raises(ValidationError, match="skill 's1' with a run of skill 's2'"):
-            run_testing_loop(executor, ("s1",), dbs, fpfs, None, plan, CFG)
+            run_testing_loop(executor, dbs, None, plan, CFG)
 
     def _records(self, T_run=8, t_fail=5, bad_count=None, skill="s1"):
-        # s2 has a database and model too, so a run of s2 could be scored
-        registry, specs, dbs, fpfs = toy_setup({"s1": ("f1",), "s2": ("f2",)}, F=2, T=8)
+        registry, _, dbs, _ = toy_setup({"s1": ("f1",)}, F=2, T=8)
 
         class Fixed:
             def execute(self, _):
@@ -347,4 +358,4 @@ class TestExecutionResultTFail:
                 return Observation(sensors=SensorSeries(sensors), fingerprint=Fingerprint(counts),
                                    success=False, skill=skill, t_fail=t_fail)
 
-        return registry, Fixed(), dbs, fpfs
+        return registry, Fixed(), dbs

@@ -1,6 +1,7 @@
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,7 +297,7 @@ class TestRecordedAndStudy:
         replay = {"s1": self._records()}
         save_study(str(tmp_path / "study"), REG, dbs, dt=0.1, replay=replay)
         study = load_study(str(tmp_path / "study"))
-        assert study.skills == ("s1", "s2")
+        assert tuple(study.dbs) == ("s1", "s2")
         assert study.registry.names == REG.names
         assert study.dt == 0.1
         assert len(study.dbs["s2"]) == 4
@@ -315,3 +316,19 @@ class TestRecordedAndStudy:
             load_study(str(study))
         assert main(["localize", "--study", str(study), "--out", str(tmp_path / "o")]) == 1
         assert replay_manifest in capsys.readouterr().err
+
+    def test_study_saved_at_another_dt_rejected(self, tmp_path):
+        # the runs are sampled at 0.1 s; written as 0.5 s, they would reload
+        # with a blame window a fifth of the right length
+        dbs = {"s1": small_db(seed=0, skill="s1")}
+        with pytest.raises(ValidationError, match="run 0 of skill 's1'.*dt=0.5"):
+            save_study(str(tmp_path / "a"), REG, dbs, dt=0.5)
+        with pytest.raises(ValidationError, match="run 0 of skill 's1'"):
+            save_study(str(tmp_path / "b"), REG, {"s1": small_db(seed=0, skill="s1")},
+                       dt=0.1, replay={"s1": [replace(r, sensors=SensorSeries(
+                           r.sensors.data, dt=0.5)) for r in self._records()]})
+        with pytest.raises(ValidationError, match="run 2 of skill 's1'"):
+            records = self._records()
+            records[2] = replace(records[2], fingerprint=Fingerprint(
+                records[2].fingerprint.counts, dt=0.2))
+            save_recorded(records, str(tmp_path / "rec"), "s1", REG, dt=0.1)

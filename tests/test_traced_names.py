@@ -1,13 +1,17 @@
-"""The benchmark's traced run wraps program functions by name; a rename or
-deletion in the package would break only traced runs, so check the names
-here, where every test run sees them."""
+"""The benchmark's traced run wraps program functions by name, and its input
+generator imports program names; a rename or deletion in the package would
+break only benchmark runs, so check the names here, where every test run
+sees them."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+GEN = PERFBENCH / "gen.py"
 
 
 def _targets():
@@ -23,3 +27,21 @@ def _targets():
 def test_traced_name_resolves(module, attr):
     assert module.split(".")[0] == "blamebox"
     assert hasattr(importlib.import_module(module), attr)
+
+
+def _gen_imports():
+    # parsed, not imported, so an import inside a function body counts too
+    tree = ast.parse(GEN.read_text(encoding="utf-8"))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "blamebox"
+            for alias in node.names]
+
+
+def test_gen_imports_program_names():
+    assert len(_gen_imports()) >= 10
+
+
+@pytest.mark.parametrize("module,name", _gen_imports())
+def test_gen_import_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
