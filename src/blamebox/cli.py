@@ -14,7 +14,7 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .errors import BlameboxError
+from .errors import BlameboxError, ValidationError
 from .fpf import BlameConfig
 from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
 from .mom import (MomBundle, MomConfig, detect_failure_time, error_rows, fit_error_stats,
@@ -36,10 +36,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _sensor_series(path: str) -> list:
+    """The sensor series of every run of the database at ``path``."""
+    db = load_db(path)
+    for i, obs in enumerate(db.observations):
+        if obs.sensors is None:
+            raise ValidationError(f"{path}: run {i} carries no sensor data, which the "
+                                  "observation model needs")
+    return [o.sensors for o in db.observations]
+
+
 def _cmd_train_mom(args) -> int:
-    db = load_db(args.db)
     config = MomConfig(bottleneck=args.bottleneck, epochs=args.epochs, seed=args.seed)
-    sequences = [o.sensors for o in db.observations]
+    sequences = _sensor_series(args.db)
     model = train(sequences, config)
     stats = fit_error_stats(model, sequences)
     save_model(MomBundle(model=model, error_stats=stats), args.out)
@@ -50,10 +59,8 @@ def _cmd_eval_mom(args) -> int:
     bundle = load_model(args.model, expect="mom")
     if bundle.error_stats is None:
         raise BlameboxError(f"{args.model} has no error statistics; retrain first")
-    db = load_db(args.db)
     config = MomConfig()
-    errors = error_rows(bundle.model, [o.sensors for o in db.observations],
-                        T=bundle.error_stats.T)
+    errors = error_rows(bundle.model, _sensor_series(args.db), T=bundle.error_stats.T)
     names = [f"obs_{i:04d}" for i in range(len(errors))]
     liks, flags = zip(*(detect_failure_time(bundle.error_stats, e, config) for e in errors))
     write_mom_eval(args.out, names, liks, flags)

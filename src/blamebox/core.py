@@ -209,18 +209,19 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class Observation:
-    """Everything recorded for one skill execution. ``t_fail`` is the failure
-    time its executor reported: a failure may carry one, a success never does.
-    It may lie past the last timestep."""
+    """Everything recorded for one skill execution. ``sensors`` is None for a
+    fingerprint-only run. ``t_fail`` is the failure time its executor
+    reported: a failure may carry one, a success never does. It may lie past
+    the last timestep."""
 
-    sensors: SensorSeries
+    sensors: SensorSeries | None
     fingerprint: Fingerprint
     success: bool
     skill: SkillId
     t_fail: int | None = None
 
     def __post_init__(self):
-        if self.sensors.T != self.fingerprint.T:
+        if self.sensors is not None and self.sensors.T != self.fingerprint.T:
             raise ValidationError(f"sensor series has T={self.sensors.T} "
                                   f"but fingerprint has T={self.fingerprint.T}")
         if self.t_fail is not None:
@@ -317,7 +318,8 @@ def canonicalize_length(item, target_T: int):
 
 
 def _canonicalize_observation(obs: Observation, target_T: int) -> Observation:
-    return replace(obs, sensors=canonicalize_length(obs.sensors, target_T),
+    sensors = None if obs.sensors is None else canonicalize_length(obs.sensors, target_T)
+    return replace(obs, sensors=sensors,
                    fingerprint=canonicalize_length(obs.fingerprint, target_T))
 
 

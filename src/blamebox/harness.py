@@ -77,16 +77,15 @@ def simulate_execution(spec: SimSkillSpec, world: SimWorld,
                        rng: np.random.Generator) -> Observation:
     """One simulated run. Success is deterministic: the skill fails iff it
     uses a buggy function. Failures carry a true failure time drawn uniformly
-    from the middle half of the execution; the sensor record is a one-channel
-    placeholder (fingerprint-only studies bypass the sensor model)."""
+    from the middle half of the execution. The run carries no sensor record
+    (fingerprint-only studies bypass the sensor model)."""
     fingerprint = gen_fingerprint(spec, registry=world.registry, rng=rng)
     success = not (set(spec.used_functions) & world.buggy_functions)
     t_fail = None
     if not success:
         lo, hi = spec.T // 4, max(spec.T // 4 + 1, (3 * spec.T) // 4)
         t_fail = int(rng.integers(lo, hi))
-    sensors = SensorSeries(np.zeros((1, spec.T)), dt=spec.dt)
-    return Observation(sensors=sensors, fingerprint=fingerprint,
+    return Observation(sensors=None, fingerprint=fingerprint,
                        success=success, skill=spec.skill, t_fail=t_fail)
 
 
@@ -251,6 +250,13 @@ class ScenarioConfig:
     seed: int = 1
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     blame: BlameConfig | None = None
+
+    def __post_init__(self):
+        seen = set()
+        for skill, _ in self.skills:
+            if skill in seen:
+                raise ScenarioError(f"skill {skill!r} is listed more than once")
+            seen.add(skill)
 
     def resolved_blame(self) -> BlameConfig:
         return self.blame if self.blame is not None else BlameConfig.for_sampling(self.dt)

@@ -78,8 +78,11 @@ class SkillCache:
 
     Built once per loop in O(n_obs * |S| * T) by ``deviation_grid`` on the
     skill's support S: the functions with a non-zero count in a stored run or
-    in the model mean. A gain evaluation then gathers the sampled failure
-    times and evaluates the deviation mass (erf) only there.
+    in the model mean. A success is judged at the last timestep, so the
+    deviation mass and inactivity mask there, ``success_pd`` and
+    ``success_inactive`` (n_obs, |S|), are evaluated once here; a gain
+    evaluation gathers the sampled failure times and evaluates the deviation
+    mass (erf) only there.
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
@@ -88,6 +91,7 @@ class SkillCache:
         on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
                               n_samples=fpf.n_samples, var_floor=fpf.var_floor)
         self.grid = deviation_grid(on_support, db.counts_stack(self.support), config)
+        self.success_pd, self.success_inactive = self.grid.at(fpf.T - 1, np.arange(len(db)))
 
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
@@ -97,13 +101,12 @@ def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
     n, T = len(cache.db), cache.fpf.T
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
     t_fail = rng.integers(0, T, size=(n, samples))
-    t_eff = np.where(succ, T - 1, t_fail)  # successes judge the full window
-    pd, inactive = cache.grid.at(t_eff, np.arange(n)[:, None])   # (n, samples, |S|)
-    lik = np.where(
-        succ[:, :, None],
-        combine_deviation(pd, inactive, True, config),
-        combine_deviation(pd, inactive, False, config),
-    )
+    # successes judge the full window, whose statistics the cache holds
+    lik = np.empty((n, samples, cache.support.size))
+    succ_obs, fail_obs = np.nonzero(succ)[0], np.nonzero(~succ)[0]
+    lik[succ] = combine_deviation(cache.success_pd, cache.success_inactive, True,
+                                  config)[succ_obs]
+    lik[~succ] = combine_deviation(*cache.grid.at(t_fail[~succ], fail_obs), False, config)
     # Off the support pd = 0 and both sides are inactive, so every such
     # function has the same likelihood c and the block of them has a closed
     # form: with q = c/Z, it adds -q * (sum p log p + log(q) * sum p).
@@ -172,6 +175,9 @@ class LoopTrace:
 
 def _resolve_t_fail(obs: Observation, mom: MomBundle | None, T: int) -> int:
     if mom is not None:   # error_rows rejects sensors of another D
+        if obs.sensors is None:
+            raise ValidationError(f"a run of skill {obs.skill!r} carries no sensor data, "
+                                  "but the skill has an observation model")
         _, detected = detect_failure_time(
             mom.error_stats, error_rows(mom.model, [obs.sensors])[0], MomConfig())
         if detected is not None:
@@ -189,10 +195,10 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
 
     Fits each skill's fingerprint model from its database and builds its
     cache once; an observation model in ``mom_by_skill`` must carry its error
-    statistics. Starts from a uniform belief, repeatedly selects the
-    gain-maximizing skill, executes it, locates the failure time (detector
-    first, then the executor's report, then the final timestep), and updates
-    the belief.
+    statistics, and every skill in it must have a database. Starts from a
+    uniform belief, repeatedly selects the gain-maximizing skill, executes
+    it, locates the failure time (detector first, then the executor's report,
+    then the final timestep), and updates the belief.
     Each executed run is cut or padded to its skill's database length first,
     as stored runs are; a failure time past that end is taken at its last
     timestep.
@@ -205,6 +211,9 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
         raise ValidationError("the testing loop needs at least one skill")
     mom_by_skill = mom_by_skill or {}
     for s, bundle in mom_by_skill.items():
+        if s not in dbs:
+            raise ValidationError(f"an observation model is given for skill {s!r}, "
+                                  "which has no experience database")
         if bundle.error_stats is None:
             raise ValidationError(f"the observation model of skill {s!r} has no "
                                   "error statistics")

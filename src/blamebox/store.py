@@ -2,27 +2,33 @@
 whole studies, plus a replay executor over recorded executions.
 
 Databases and recordings share one layout and hold :class:`Observation`
-records, each manifest entry carrying the run's ``success`` and ``t_fail``.
-A database manifest's ``canonical_T`` must match the one its runs give; a
-recording's is written but not checked.
+records. A database manifest's ``canonical_T`` must match the one its runs
+give; a recording's is written but not checked.
 
-Matrices are stored as plain CSV with 17 significant digits, so round-trips
-are value-exact; metadata lives in JSON manifests. A sensors file holds one
-row per channel and one column per timestep. A counts file of a database at
-version 2 holds one row ``index, c_0, ..., c_{T-1}`` per function with a
-non-zero count, in ascending index order, so an all-zero matrix is an empty
-file; T is the width of the paired sensors file. It is read straight into
-the row-sparse :class:`Fingerprint` and written from it, so neither way
-builds an F x T matrix. Version 1 databases, whose counts files hold the
-dense F x T matrix, are still read, through the dense constructor, which
-keeps the non-zero rows. Databases are
-written at version 2, studies and models at version 1. Every file is
-self-describing through ``format``, ``version`` and, for models, ``kind``
-fields, and loading validates shapes and contents rather than trusting them.
-File entries in a manifest are relative paths inside the manifest's
-directory. Every JSON document goes through :func:`_write_json` and
-:func:`_read_json`, and a missing or mistyped field met while interpreting
-one is a :class:`StoreError` naming the file.
+Databases are written at version 3: a directory holds ``manifest.json``, one
+``counts.npy`` and, only when some run carries sensors, one ``sensors.npy``,
+both 1-d float64 arrays in numpy's own format, so round-trips are
+value-exact and a database is read in one binary read per file. The counts
+file concatenates each run's row-major (rows, 1 + T) block, one row
+``index, c_0, ..., c_{T-1}`` per function with a non-zero count, in
+ascending index order; the sensors file concatenates each sensed run's
+row-major (D, T) block, one row per channel. Each manifest entry records the
+run's ``success``, ``t_fail``, ``T``, ``rows`` and ``D`` (null for a run
+without sensors). A file is never unpickled, and one whose dtype, ndim or
+size disagrees with its manifest is a :class:`StoreError` naming it. Counts
+are read straight into the row-sparse :class:`Fingerprint`, so neither way
+builds an F x T matrix.
+
+Version 2 databases are still read: a CSV sensors file (17 significant
+digits) and a CSV counts file of the same rows per run, named in each
+manifest entry, T being the width of the sensors file. Studies and models
+are written at version 1. Every file is self-describing through ``format``,
+``version`` and, for models, ``kind`` fields, and loading validates shapes
+and contents rather than trusting them. File entries in a manifest are
+relative paths inside the manifest's directory. Every JSON document goes
+through :func:`_write_json` and :func:`_read_json`, and a missing or
+mistyped field met while interpreting one is a :class:`StoreError` naming
+the file.
 """
 from __future__ import annotations
 
@@ -45,9 +51,8 @@ _DB_FORMAT = "blamebox-db"
 _MODEL_FORMAT = "blamebox-model"
 _STUDY_FORMAT = "blamebox-study"
 _VERSION = 1
-_DB_VERSION = 2
-_DB_VERSIONS = (1, 2)
-_FLOAT_FMT = "%.17g"
+_DB_VERSION = 3
+_DB_VERSIONS = (2, 3)
 _MALFORMED = (KeyError, TypeError, AttributeError, IndexError, ValueError, ArithmeticError)
 
 
@@ -113,12 +118,24 @@ def _naming(path: str, error: type[Exception] = ValidationError):
         raise error(f"{path}: {exc}") from exc
 
 
-def _save_matrix(path: str, mat: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(mat), delimiter=",", fmt=_FLOAT_FMT)
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    """The CSV matrix at ``path``; an empty file is a 0 x 0 matrix."""
+def _load_matrix(path: str, npy: bool = False) -> np.ndarray:
+    """The array at ``path``: with ``npy``, the 1-d float64 array of a
+    ``.npy`` file, which is never unpickled; else a CSV matrix, where an empty
+    file is a 0 x 0 matrix."""
+    if npy:
+        from tokenize import TokenError   # numpy parses the header with tokenize
+        with open(path, "rb") as fh:
+            try:
+                arr = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError, SyntaxError, TokenError, MemoryError) as exc:
+                # a short file, a bad header, pickled data, or a shape past memory
+                raise StoreError(f"{path}: unreadable array: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != 1:
+            found = (f"a {arr.ndim}-d {arr.dtype} array" if isinstance(arr, np.ndarray)
+                     else type(arr).__name__)
+            raise StoreError(f"{path}: expected a 1-d float64 array, found {found}")
+        return arr
     with open(path, "r", encoding="utf-8") as fh:
         if os.fstat(fh.fileno()).st_size == 0:
             return np.empty((0, 0))
@@ -128,28 +145,83 @@ def _load_matrix(path: str) -> np.ndarray:
             raise StoreError(f"{path}: unreadable matrix: {exc}") from exc
 
 
-def _save_counts(path: str, fingerprint: Fingerprint) -> None:
-    _save_matrix(path, np.column_stack([fingerprint.rows, fingerprint.values]))
-
-
-def _load_fingerprint(path: str, version: int, F: int, T: int, dt: float,
-                      sensors_path: str) -> Fingerprint:
-    """The fingerprint in the counts file of a database at ``version``: a
-    dense F x T matrix (version 1), or its non-zero rows (version 2), each one
-    wider than the T of the paired sensors file and led by its function index."""
-    mat = _load_matrix(path)
-    if version == 1:
-        with _naming(path):
-            return Fingerprint(mat, dt=dt)
-    if len(mat) == 0:
-        mat = np.empty((0, T + 1))
-    if mat.shape[1] != T + 1:
-        raise StoreError(f"{path}: a row holds {mat.shape[1]} values, expected a function "
-                         f"index and {T} counts, T being the width of {sensors_path}")
+def _fingerprint(path: str, block: np.ndarray, F: int, dt: float) -> Fingerprint:
+    """The fingerprint whose rows ``index, c_0, ..., c_{T-1}`` are the rows of
+    ``block``, read from the file at ``path``."""
     with _naming(path, StoreError):  # a bad index is a malformed file, not bad data
-        rows = Fingerprint.check_rows(mat[:, 0], F)
+        rows = Fingerprint.check_rows(block[:, 0], F)
     with _naming(path):
-        return Fingerprint.from_rows(rows, mat[:, 1:], F, dt=dt)
+        return Fingerprint.from_rows(rows, block[:, 1:], F, dt=dt)
+
+
+def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> list[np.ndarray]:
+    """The ``.npy`` array at ``path`` cut into consecutive row-major blocks
+    of the given shapes, which must use up all of it."""
+    flat = _load_matrix(path, npy=True)
+    sizes = [rows * cols for rows, cols in shapes]
+    if flat.size != sum(sizes):
+        raise StoreError(f"{path}: holds {flat.size} values, but the blocks that "
+                         f"{manifest_path} lists take {sum(sizes)}")
+    blocks, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        blocks.append(flat[start:start + size].reshape(shape))
+        start += size
+    return blocks
+
+
+def _dimension(manifest_path: str, entry: dict, key: str, least: int) -> int:
+    """``entry[key]``, which must be a JSON integer >= ``least``."""
+    value = entry[key]
+    if type(value) is not int or value < least:
+        raise StoreError(f"{manifest_path}: an entry's {key!r} must be an integer "
+                         f">= {least}, found {value!r}")
+    return value
+
+
+def _runs_v2(manifest_path: str, manifest: dict, F: int, dt: float):
+    """(entry, sensors, fingerprint, counts file) of each run of a version-2
+    manifest: a sensors CSV and a row-sparse counts CSV per run, T being the
+    width of the sensors file."""
+    for entry in manifest["observations"]:
+        counts_file = _inside(manifest_path, entry["counts"])
+        sensors_file = _inside(manifest_path, entry["sensors"])
+        with _naming(sensors_file):
+            sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
+        mat = _load_matrix(counts_file)
+        if len(mat) == 0:
+            mat = np.empty((0, sensors.T + 1))
+        if mat.shape[1] != sensors.T + 1:
+            raise StoreError(f"{counts_file}: a row holds {mat.shape[1]} values, expected a "
+                             f"function index and {sensors.T} counts, T being the width "
+                             f"of {sensors_file}")
+        yield entry, sensors, _fingerprint(counts_file, mat, F, dt), counts_file
+
+
+def _runs_v3(manifest_path: str, manifest: dict, F: int, dt: float):
+    """(entry, sensors, fingerprint, counts file) of each run of a version-3
+    manifest: every run's (rows, 1 + T) counts block in one counts file, and
+    the (D, T) sensors block of each run with a D in one sensors file."""
+    entries = manifest["observations"]
+    shapes = [(_dimension(manifest_path, e, "T", 1), _dimension(manifest_path, e, "rows", 0),
+               None if e["D"] is None else _dimension(manifest_path, e, "D", 1))
+              for e in entries]
+    counts_file = _inside(manifest_path, manifest["counts"])
+    counts = _blocks(counts_file, [(rows, T + 1) for T, rows, _ in shapes], manifest_path)
+    sensed = [(D, T) for T, _, D in shapes if D is not None]
+    if manifest["sensors"] is None:
+        if sensed:
+            raise StoreError(f"{manifest_path}: runs carry sensors, but no sensors "
+                             "file is listed")
+        sensors_file, series = None, iter(())
+    else:
+        sensors_file = _inside(manifest_path, manifest["sensors"])
+        series = iter(_blocks(sensors_file, sensed, manifest_path))
+    for entry, (T, _, D), block in zip(entries, shapes, counts):
+        sensors = None
+        if D is not None:
+            with _naming(sensors_file):
+                sensors = SensorSeries(next(series), dt=dt)
+        yield entry, sensors, _fingerprint(counts_file, block, F, dt), counts_file
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +232,20 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
     """Write the runs, each of which must be sampled at ``dt``, and their manifest."""
     dt = float(dt)
     for i, rec in enumerate(records):
-        if rec.sensors.dt != dt or rec.fingerprint.dt != dt:
+        if rec.fingerprint.dt != dt or (rec.sensors is not None and rec.sensors.dt != dt):
+            sensed = "no sensors" if rec.sensors is None else f"dt={rec.sensors.dt} (sensors)"
             raise ValidationError(
-                f"run {i} of skill {skill!r} is sampled at dt={rec.sensors.dt} (sensors) "
-                f"and dt={rec.fingerprint.dt} (fingerprint), not at the dt={dt} written")
+                f"run {i} of skill {skill!r} is sampled at dt={rec.fingerprint.dt} "
+                f"(fingerprint) with {sensed}, not at the dt={dt} written")
     os.makedirs(path, exist_ok=True)
-    entries = []
-    for i, rec in enumerate(records):
-        sensors_file = f"obs_{i:04d}.sensors.csv"
-        counts_file = f"obs_{i:04d}.counts.csv"
-        _save_matrix(os.path.join(path, sensors_file), rec.sensors.data)
-        _save_counts(os.path.join(path, counts_file), rec.fingerprint)
-        entries.append({
-            "sensors": sensors_file,
-            "counts": counts_file,
-            "success": bool(rec.success),
-            "t_fail": None if rec.t_fail is None else int(rec.t_fail),
-        })
+    counts = [np.column_stack([r.fingerprint.rows, r.fingerprint.values]).ravel()
+              for r in records]
+    sensors = [r.sensors.data.ravel() for r in records if r.sensors is not None]
+    np.save(os.path.join(path, "counts.npy"), np.concatenate([np.empty(0)] + counts),
+            allow_pickle=False)
+    if sensors:
+        np.save(os.path.join(path, "sensors.npy"), np.concatenate(sensors),
+                allow_pickle=False)
     _write_json(os.path.join(path, "manifest.json"), {
         "format": _DB_FORMAT,
         "version": _DB_VERSION,
@@ -184,7 +253,15 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         "canonical_T": records[0].fingerprint.T if records else 0,
         "dt": dt,
         "functions": list(registry.names),
-        "observations": entries,
+        "counts": "counts.npy",
+        "sensors": "sensors.npy" if sensors else None,
+        "observations": [{
+            "success": bool(r.success),
+            "t_fail": None if r.t_fail is None else int(r.t_fail),
+            "T": r.fingerprint.T,
+            "rows": r.fingerprint.rows.size,
+            "D": None if r.sensors is None else r.sensors.D,
+        } for r in records],
     })
 
 
@@ -195,21 +272,17 @@ def _load_records(path: str, registry: FunctionRegistry | None = None
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSIONS)
     with _interpreting(manifest_path):
-        listed = FunctionRegistry(manifest["functions"])
-        if registry is not None and listed.names != registry.names:
+        if registry is None:
+            registry = FunctionRegistry(manifest["functions"])
+        elif manifest["functions"] != list(registry.names):
             raise StoreError(f"{manifest_path}: lists other functions than expected")
-        registry = listed
         skill = manifest["skill"]
         dt = float(manifest["dt"])
         canonical_T = int(manifest["canonical_T"])
+        runs = _runs_v2 if manifest["version"] == 2 else _runs_v3
         records = []
-        for entry in manifest["observations"]:
-            counts_file = _inside(manifest_path, entry["counts"])
-            sensors_file = _inside(manifest_path, entry["sensors"])
-            with _naming(sensors_file):
-                sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
-            fingerprint = _load_fingerprint(counts_file, manifest["version"], registry.F,
-                                            sensors.T, dt, sensors_file)
+        for entry, sensors, fingerprint, counts_file in runs(manifest_path, manifest,
+                                                             registry.F, dt):
             with _naming(counts_file):
                 obs = validate_observation(
                     Observation(sensors=sensors, fingerprint=fingerprint,
@@ -389,9 +462,9 @@ def load_study(path: str) -> Study:
         for kind, runs_of in (("dbs", {s: db.observations for s, db in dbs.items()}),
                               ("replay", replay)):
             for s, runs in runs_of.items():   # a manifest's runs carry its dt
-                if runs and runs[0].sensors.dt != dt:
+                if runs and runs[0].fingerprint.dt != dt:
                     entry = os.path.join(manifest[kind][s], "manifest.json")
                     raise StoreError(f"{_inside(manifest_path, entry)}: dt is "
-                                     f"{runs[0].sensors.dt}, but {manifest_path} gives {dt}")
+                                     f"{runs[0].fingerprint.dt}, but {manifest_path} gives {dt}")
         return Study(registry=registry, dbs=dbs, dt=dt, replay=replay)
 

@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import os
+import pathlib
 import shutil
 import tempfile
 from dataclasses import asdict, replace
@@ -25,6 +26,7 @@ from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
                       save_model, save_recorded, save_study)
 from blamebox.cli import main
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
+from tests.test_store import save_version_2
 
 SRC = os.path.dirname(os.path.abspath(blamebox.__file__))
 LAYERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -39,13 +41,17 @@ SPECS = {
 def _save_base(root):
     """A small replay study, the trace.json of localizing over it, a sensor
     database with a model file that scores it, and a scenario file, all under
-    ``root``."""
+    ``root``; the study and the database also as version-2 copies."""
     rng = np.random.default_rng(2)
     dbs = {s: build_database(SPECS[s], REG, rng, 6) for s in SPECS}
     world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
     replay = {s: [simulate_execution(SPECS[s], world, rng) for _ in range(8)]
               for s in SPECS}
     save_study(os.path.join(root, "study"), REG, dbs, dt=0.1, replay=replay)
+    save_study(os.path.join(root, "study_v2"), REG, dbs, dt=0.1, replay=replay)
+    for s in SPECS:
+        save_version_2(pathlib.Path(root, "study_v2", "dbs", s), dbs[s].observations)
+        save_version_2(pathlib.Path(root, "study_v2", "replay", s), replay[s])
     assert main(["localize", "--study", os.path.join(root, "study"),
                  "--out", os.path.join(root, "loc"), "--seed", "1"]) == 0
     shutil.copy(os.path.join(root, "loc", "trace.json"), os.path.join(root, "trace.json"))
@@ -54,7 +60,9 @@ def _save_base(root):
     db = ExperienceDb.from_observations("s1", [
         Observation(sensors=x, fingerprint=c, success=True, skill="s1")
         for x, c in zip(sensors, counts)], REG)
-    save_db(db, os.path.join(root, "sensor_db"), REG)
+    for name in ("sensor_db", "sensor_db_v2"):
+        save_db(db, os.path.join(root, name), REG)
+    save_version_2(pathlib.Path(root, "sensor_db_v2"), db.observations)
     model = init_model(3, MomConfig(bottleneck=2), seed=0)
     save_model(MomBundle(model=model, error_stats=fit_error_stats(model, sensors)),
                os.path.join(root, "mom.json"))
@@ -138,7 +146,12 @@ MALFORMED = [
     ("study-no-dbs", STUDY, _drop("dbs")),
     ("study-int-skills", STUDY, _set("skills", 5)),
     ("db-no-observations", DB, _drop("observations")),
-    ("db-entry-no-counts", DB, _in_first("observations", _drop("counts"))),
+    ("db-no-counts", DB, _drop("counts")),
+    ("db-no-sensors", DB, _drop("sensors")),
+    ("db-entry-no-rows", DB, _in_first("observations", _drop("rows"))),
+    ("db-entry-negative-rows", DB, _in_first("observations", _set("rows", -2))),
+    ("db-entry-fractional-T", DB, _in_first("observations", _set("T", 15.5))),
+    ("db-entry-sensors-not-listed", DB, _in_first("observations", _set("D", 2))),
     ("db-entry-infinite-t_fail", DB, _in_first("observations", _set("t_fail", float("inf")))),
     ("db-success-entry-int-t_fail", DB, _in_first("observations", _set("t_fail", 3))),
     ("db-canonical_T-999", DB, _set("canonical_T", 999)),
@@ -198,10 +211,10 @@ class TestMalformedDocuments:
     def test_counts_entry_climbing_out_rejected(self, base, tmp_path):
         _copy(base, str(tmp_path))
         db = tmp_path / "study" / "dbs" / "s1"
-        shutil.copy(str(db / "obs_0000.counts.csv"), str(tmp_path / "outside.counts.csv"))
-        climb = os.path.join("..", "..", "..", "outside.counts.csv")
-        _edit(str(tmp_path / DB), _in_first("observations", _set("counts", climb)))
-        with pytest.raises(StoreError, match="outside.counts.csv"):
+        shutil.copy(str(db / "counts.npy"), str(tmp_path / "outside.counts.npy"))
+        climb = os.path.join("..", "..", "..", "outside.counts.npy")
+        _edit(str(tmp_path / DB), _set("counts", climb))
+        with pytest.raises(StoreError, match="outside.counts.npy"):
             load_study(str(tmp_path / "study"))
 
     @pytest.mark.parametrize("entry", [5, None, ["dbs", "s1"], ""])
@@ -229,10 +242,11 @@ class TestMalformedDocuments:
 
     def test_missing_file_is_io_error(self, base, tmp_path):
         _copy(base, str(tmp_path))
-        os.remove(str(tmp_path / "study" / "dbs" / "s1" / "obs_0002.sensors.csv"))
+        missing = os.path.join("study", "dbs", "s1", "counts.npy")
+        os.remove(str(tmp_path / missing))
         code, err = _run(_argv(str(tmp_path), STUDY))
         assert code == 2
-        assert "obs_0002.sensors.csv" in err
+        assert missing in err
 
 
 # (document, path to the mutated object inside it) for the fuzz test
@@ -240,8 +254,8 @@ FIELDS = [(STUDY, (), k) for k in ("format", "version", "functions", "skills", "
                                    "dbs", "replay")]
 FIELDS += [(m, (), k) for m in (DB, os.path.join("study", "replay", "s2", "manifest.json"))
            for k in ("format", "version", "skill", "canonical_T", "dt", "functions",
-                     "observations")]
-FIELDS += [(DB, ("observations", 1), k) for k in ("sensors", "counts", "success", "t_fail")]
+                     "counts", "sensors", "observations")]
+FIELDS += [(DB, ("observations", 1), k) for k in ("success", "t_fail", "T", "rows", "D")]
 FIELDS += [("trace.json", (), k) for k in ("skills", "functions", "converged", "aborted",
                                            "steps")]
 FIELDS += [("trace.json", ("steps", 0), k) for k in ("step", "chosen", "success", "t_fail",
@@ -280,13 +294,23 @@ def test_fuzzed_field_never_escapes(base, field, value):
     assert code == 0 or "error: " in err
 
 
-# CSV files for the CSV fuzz: localize reads the study's, train-mom the sensor db's
-CSV_FILES = [os.path.join("study", "dbs", "s1", "obs_0002.counts.csv"),
-             os.path.join("study", "dbs", "s2", "obs_0004.sensors.csv"),
-             os.path.join("study", "replay", "s2", "obs_0001.counts.csv"),
-             os.path.join("study", "replay", "s1", "obs_0005.sensors.csv"),
-             os.path.join("sensor_db", "obs_0001.counts.csv"),
-             os.path.join("sensor_db", "obs_0003.sensors.csv")]
+def _data_argv(root, target):
+    """The command that reads the data file ``target``: localize for a
+    study's, train-mom for a sensor database's."""
+    top = target.split(os.sep)[0]
+    if top.startswith("study"):
+        return ["localize", "--study", os.path.join(root, top), "--out", os.path.join(root, "o")]
+    return ["train-mom", "--db", os.path.join(root, top),
+            "--out", os.path.join(root, "m.json"), "--epochs", "1"]
+
+
+# CSV files of the version-2 copies for the CSV fuzz
+CSV_FILES = [os.path.join("study_v2", "dbs", "s1", "obs_0002.counts.csv"),
+             os.path.join("study_v2", "dbs", "s2", "obs_0004.sensors.csv"),
+             os.path.join("study_v2", "replay", "s2", "obs_0001.counts.csv"),
+             os.path.join("study_v2", "replay", "s1", "obs_0005.sensors.csv"),
+             os.path.join("sensor_db_v2", "obs_0001.counts.csv"),
+             os.path.join("sensor_db_v2", "obs_0003.sensors.csv")]
 
 
 def _rewrite_csv(path, kind, r, c):
@@ -338,12 +362,70 @@ def test_fuzzed_csv_never_escapes(base, target, kind, r, c):
     with tempfile.TemporaryDirectory() as root:
         _copy(base, root)
         malformed = _rewrite_csv(os.path.join(root, target), kind, r, c)
-        if target.startswith("study"):
-            argv = _argv(root, STUDY)
+        code, err = _run(_data_argv(root, target))
+    assert code in (0, 1, 2)
+    assert code == 0 or (err.startswith("error: ") and target in err)
+    assert code == 1 or not malformed
+
+
+# version-3 data files for the .npy fuzz
+NPY_FILES = [os.path.join("study", "dbs", "s1", "counts.npy"),
+             os.path.join("study", "replay", "s2", "counts.npy"),
+             os.path.join("sensor_db", "counts.npy"),
+             os.path.join("sensor_db", "sensors.npy")]
+NPY_REWRITES = ["nan", "inf", "-1", "+0.5", "cut-bytes", "drop-value", "add-value",
+                "int64", "float32", "two-d", "header-byte", "object"]
+
+
+def _rewrite_npy(path, kind, i, b):
+    """Apply the rewrite ``kind`` to value ``i`` or byte ``b`` (taken modulo
+    the file's size) of a .npy data file; True when the result is malformed."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    arr = np.load(path)
+    sensors = path.endswith("sensors.npy")
+    malformed = True
+    if kind in ("nan", "inf", "-1", "+0.5"):
+        if arr.size == 0:
+            return False
+        if kind == "+0.5":
+            arr[i % arr.size] += 0.5   # malformed only on a function index
+            malformed = False
         else:
-            argv = ["train-mom", "--db", os.path.join(root, "sensor_db"),
-                    "--out", os.path.join(root, "m.json"), "--epochs", "1"]
-        code, err = _run(argv)
+            arr[i % arr.size] = float(kind)
+            malformed = not (sensors and kind == "-1")
+    elif kind == "drop-value":
+        if arr.size == 0:
+            return False
+        arr = np.delete(arr, i % arr.size)
+    elif kind == "add-value":
+        arr = np.insert(arr, i % (arr.size + 1), 1.0)
+    elif kind in ("int64", "float32", "object"):
+        arr = arr.astype(kind)
+    elif kind == "two-d":
+        arr = arr[None, :]
+    if kind in ("cut-bytes", "header-byte"):
+        if kind == "cut-bytes":
+            raw = raw[:b % len(raw)]
+        else:   # the header may still parse to the same array
+            raw = raw[:b % 128] + b"\x07" + raw[b % 128 + 1:]
+            malformed = False
+        with open(path, "wb") as fh:
+            fh.write(raw)
+    else:
+        with open(path, "wb") as fh:
+            np.save(fh, arr, allow_pickle=kind == "object")
+    return malformed
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from(NPY_FILES), kind=st.sampled_from(NPY_REWRITES),
+       i=st.integers(0, 400), b=st.integers(0, 2000))
+def test_fuzzed_npy_never_escapes(base, target, kind, i, b):
+    with tempfile.TemporaryDirectory() as root:
+        _copy(base, root)
+        malformed = _rewrite_npy(os.path.join(root, target), kind, i, b)
+        code, err = _run(_data_argv(root, target))
     assert code in (0, 1, 2)
     assert code == 0 or (err.startswith("error: ") and target in err)
     assert code == 1 or not malformed

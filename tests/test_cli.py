@@ -125,6 +125,23 @@ class TestMomCommands:
             "error: the observation model needs at least 2 sensor channels, got D=1\n")
         assert not (tmp_path / "m.json").exists()
 
+    def test_database_without_sensors_exits_one_naming_it(self, tmp_path, capsys):
+        reg = FunctionRegistry(["f1", "f2"])
+        spec = SimSkillSpec(skill="s1", used_functions=("f1",), T=30, dt=0.1)
+        bare = tmp_path / "bare"
+        save_db(build_database(spec, reg, np.random.default_rng(0), 4), str(bare), reg)
+        model_path = tmp_path / "mom.json"
+        assert main(["train-mom", "--db", str(bare), "--out", str(model_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bare}: run 0 carries no sensor")
+        assert not model_path.exists()
+        assert main(["train-mom", "--db", str(make_sensor_db(tmp_path)),
+                     "--out", str(model_path), "--epochs", "2", "--bottleneck", "2"]) == 0
+        capsys.readouterr()
+        assert main(["eval-mom", "--model", str(model_path), "--db", str(bare),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bare}: run 0 carries no sensor")
+        assert not (tmp_path / "eval").exists()
+
     def test_missing_db_is_io_error(self, tmp_path):
         assert main(["train-mom", "--db", str(tmp_path / "none"),
                      "--out", str(tmp_path / "m.json")]) == 2

@@ -152,6 +152,23 @@ class TestScenarios:
         with pytest.raises(ScenarioError):
             load_scenario(str(path))
 
+    def test_repeated_skill_rejected(self, tmp_path, capsys):
+        import json
+        from blamebox.cli import main
+        skills = (("a1", ("f1",)), ("a2", ("f2",)), ("a1", ("f2", "f3")))
+        with pytest.raises(ScenarioError, match="skill 'a1' is listed more than once"):
+            ScenarioConfig(name="twice", functions=("f1", "f2", "f3"), skills=skills,
+                           buggy=("f2",))
+        d = {"name": "twice", "functions": ["f1", "f2", "f3"], "buggy": ["f2"],
+             "skills": [{"skill": s, "functions": list(fns)} for s, fns in skills]}
+        with pytest.raises(ScenarioError, match="skill 'a1' is listed more than once"):
+            ScenarioConfig.from_dict(d)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(d))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "skill 'a1' is listed more than once" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_fig3_shapes(self):
         cfg = built_in_scenario("fig3")
         assert len(cfg.functions) == 241

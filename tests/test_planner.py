@@ -65,6 +65,29 @@ def full_registry_entropies(belief, db, fpf, samples, seed):
         return -np.where(w > 0, w * np.log(w), 0.0).sum(axis=2).ravel(), succ
 
 
+def gathered_entropies(belief, cache, samples, seed):
+    """``_sampled_entropies`` with every sampled time, successes' T - 1
+    included, gathered from the grid, from the same draws."""
+    n, T = len(cache.db), cache.fpf.T
+    rng = np.random.default_rng(seed)
+    succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
+    t_eff = np.where(succ, T - 1, rng.integers(0, T, size=(n, samples)))
+    pd, inactive = cache.grid.at(t_eff, np.arange(n)[:, None])
+    lik = np.where(succ[:, :, None], combine_deviation(pd, inactive, True, CFG),
+                   combine_deviation(pd, inactive, False, CFG))
+    c = np.where(succ, combine_deviation(0.0, True, True, CFG),
+                 combine_deviation(0.0, True, False, CFG))
+    p_out = np.delete(belief.probs, cache.support)
+    mass_out, plogp_out = p_out.sum(), -entropy(p_out)
+    w = lik * belief.probs[cache.support]
+    z = w.sum(axis=2) + c * mass_out
+    w /= z[:, :, None]
+    q = c / z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0, w * np.log(w), 0.0)
+    return -(terms.sum(axis=2) + q * (plogp_out + np.log(q) * mass_out)).ravel()
+
+
 class TestExpectedInformationGain:
     def test_point_mass_is_exactly_zero(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2")})
@@ -128,6 +151,17 @@ class TestExpectedInformationGain:
         got = _sampled_entropies(belief, cache, CFG, 5, np.random.default_rng(6))
         expected, _ = full_registry_entropies(belief, dbs["s1"], fpfs["s1"], 5, 6)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_success_column_cached_bit_for_bit(self, seed):
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f3")}, F=4, T=10, n=5, seed=seed)
+        cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
+        pd, inactive = cache.grid.at(9, np.arange(5))
+        assert np.array_equal(cache.success_pd, pd)
+        assert np.array_equal(cache.success_inactive, inactive)
+        belief = Belief(np.array([0.4, 0.3, 0.2, 0.1]))
+        got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(seed))
+        assert np.array_equal(got, gathered_entropies(belief, cache, 16, seed))
 
     def test_support_block_matches_full_registry(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f2", "f3", "f5")}, F=6, T=12, n=5, seed=7)
@@ -308,12 +342,28 @@ class TestExecutionResultTFail:
 
     def test_detector_of_another_sensor_dimension_rejected(self):
         _, executor, dbs = self._records()
-        D = dbs["s1"].observations[0].sensors.D
+        D = executor.execute("s1").sensors.D
         model = init_model(D + 2, MomConfig(bottleneck=2), seed=0)
         stats = ErrorStats(mu=np.zeros(8), sigma=np.ones(8))
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
         with pytest.raises(ValidationError, match="D="):
             run_testing_loop(executor, dbs, {"s1": MomBundle(model, stats)}, plan, CFG)
+
+    def test_detector_for_a_skill_without_database_rejected(self):
+        _, executor, dbs = self._records()
+        model = init_model(3, MomConfig(bottleneck=2), seed=0)
+        bundle = MomBundle(model, ErrorStats(mu=np.zeros(8), sigma=np.ones(8)))
+        with pytest.raises(ValidationError, match="skill 'S1-typo', which has no"):
+            run_testing_loop(executor, dbs, {"S1-typo": bundle}, PLAN, CFG)
+
+    def test_detector_needs_sensors(self):
+        _, executor, dbs = self._records(sensors=False)
+        model = init_model(3, MomConfig(bottleneck=2), seed=0)
+        bundle = MomBundle(model, ErrorStats(mu=np.zeros(8), sigma=np.ones(8)))
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
+        with pytest.raises(ValidationError, match="skill 's1' carries no sensor data"):
+            run_testing_loop(executor, dbs, {"s1": bundle}, plan, CFG)
+        assert run_testing_loop(executor, dbs, None, plan, CFG)[1].steps[0].t_fail == 5
 
     def test_detector_without_error_stats_rejected(self):
         _, executor, dbs = self._records()
@@ -345,17 +395,18 @@ class TestExecutionResultTFail:
         with pytest.raises(ValidationError, match="skill 's1' with a run of skill 's2'"):
             run_testing_loop(executor, dbs, None, plan, CFG)
 
-    def _records(self, T_run=8, t_fail=5, bad_count=None, skill="s1"):
+    def _records(self, T_run=8, t_fail=5, bad_count=None, skill="s1", sensors=True):
         registry, _, dbs, _ = toy_setup({"s1": ("f1",)}, F=2, T=8)
 
         class Fixed:
             def execute(self, _):
                 obs = dbs["s1"].observations[0]
-                sensors = np.hstack([obs.sensors.data] * 2)[:, :T_run]
+                # one sensor channel, for the detector tests
+                series = SensorSeries(np.zeros((1, T_run))) if sensors else None
                 counts = np.hstack([obs.fingerprint.counts] * 2)[:, :T_run]
                 if bad_count is not None:
                     counts[0, 3] = bad_count
-                return Observation(sensors=SensorSeries(sensors), fingerprint=Fingerprint(counts),
+                return Observation(sensors=series, fingerprint=Fingerprint(counts),
                                    success=False, skill=skill, t_fail=t_fail)
 
         return registry, Fixed(), dbs

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -20,18 +21,70 @@ REG = FunctionRegistry(["f1", "f2", "f3"])
 
 
 def small_db(seed=0, n=4, skill="s1"):
+    """A database of ``n`` runs, each with a two-channel sensor record."""
     spec = SimSkillSpec(skill=skill, used_functions=("f1", "f2"), T=12, dt=0.1)
-    return build_database(spec, REG, np.random.default_rng(seed), n)
+    db = build_database(spec, REG, np.random.default_rng(seed), n)
+    rng = np.random.default_rng([seed, 1])
+    return ExperienceDb(skill, [
+        replace(o, sensors=SensorSeries(rng.normal(size=(2, o.fingerprint.T)), dt=0.1))
+        for o in db.observations])
 
 
-def save_version_1(path, observations):
-    """Rewrite the database saved at ``path`` in the dense version-1 layout,
-    each counts file holding the full F x T matrix of its observation."""
+def save_version_2(path, observations):
+    """Rewrite the database saved at ``path`` in the version-2 layout: a
+    sensors CSV (a one-channel placeholder for a run without sensors, as
+    version-2 writers stored) and a row-sparse counts CSV per run."""
     manifest = json.loads((path / "manifest.json").read_text())
-    for entry, obs in zip(manifest["observations"], observations):
-        np.savetxt(path / entry["counts"], obs.fingerprint.counts, delimiter=",", fmt="%.17g")
-    manifest["version"] = 1
+    entries = []
+    for i, (entry, obs) in enumerate(zip(manifest["observations"], observations, strict=True)):
+        fp = obs.fingerprint
+        sensors = np.zeros((1, fp.T)) if obs.sensors is None else obs.sensors.data
+        files = {"sensors": f"obs_{i:04d}.sensors.csv", "counts": f"obs_{i:04d}.counts.csv"}
+        np.savetxt(path / files["sensors"], sensors, delimiter=",", fmt="%.17g")
+        np.savetxt(path / files["counts"], np.column_stack([fp.rows, fp.values]),
+                   delimiter=",", fmt="%.17g")
+        entries.append({**files, "success": entry["success"], "t_fail": entry["t_fail"]})
+    for name in ("counts.npy", "sensors.npy"):
+        if (path / name).exists():
+            (path / name).unlink()
+    del manifest["counts"], manifest["sensors"]
+    manifest.update(version=2, observations=entries)
     (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def run_block(path, i):
+    """(counts.npy as an array, the offset of run ``i``'s block, its rows, its T)."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    entries = manifest["observations"]
+    start = sum(e["rows"] * (e["T"] + 1) for e in entries[:i])
+    return np.load(path / "counts.npy"), start, entries[i]["rows"], entries[i]["T"]
+
+
+def assert_same_runs(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert (a.skill, a.success, a.t_fail) == (b.skill, b.success, b.t_fail)
+        assert (a.fingerprint.F, a.fingerprint.dt) == (b.fingerprint.F, b.fingerprint.dt)
+        assert np.array_equal(a.fingerprint.rows, b.fingerprint.rows)
+        assert np.array_equal(a.fingerprint.values, b.fingerprint.values)
+        assert (a.sensors is None) == (b.sensors is None)
+        if a.sensors is not None:
+            assert a.sensors.dt == b.sensors.dt
+            assert np.array_equal(a.sensors.data, b.sensors.data)
+
+
+def mixed_records(Ts=(12, 9, 15, 12), sensed=(True, False, True, False)):
+    """Recorded runs of several lengths, failures with a t_fail among them,
+    some with sensors of a different D and some without."""
+    spec = SimSkillSpec(skill="s1", used_functions=("f1", "f2"), T=12, dt=0.1)
+    world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
+    rng = np.random.default_rng(5)
+    records = []
+    for i, (T, with_sensors) in enumerate(zip(Ts, sensed)):
+        run = simulate_execution(replace(spec, T=T), world, rng)
+        if with_sensors:
+            run = replace(run, sensors=SensorSeries(rng.normal(size=(1 + i, T)), dt=0.1))
+        records.append(run)
+    return records
 
 
 class TestDbRoundTrip:
@@ -52,10 +105,10 @@ class TestDbRoundTrip:
         path = tmp_path / "db"
         save_db(db, str(path), REG)
         manifest = json.loads((path / "manifest.json").read_text())
-        for version in (3, 99):
+        for version in (1, 4, 99):
             manifest["version"] = version
             (path / "manifest.json").write_text(json.dumps(manifest))
-            with pytest.raises(VersionError):
+            with pytest.raises(VersionError, match=r"supported: 2, 3\)"):
                 load_db(str(path))
 
     def test_wrong_format_field(self, tmp_path):
@@ -72,18 +125,198 @@ class TestDbRoundTrip:
         db = small_db()
         path = tmp_path / "db"
         save_db(db, str(path), REG)
-        target = path / "obs_0001.counts.csv"
-        rows = target.read_text().splitlines()
-        cells = rows[0].split(",")
-        cells[3] = "-4.5"
-        rows[0] = ",".join(cells)
-        target.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValidationError, match="obs_0001.counts.csv"):
+        counts, start, _, _ = run_block(path, 1)
+        counts[start + 3] = -4.5   # the third count of the run's first row
+        np.save(path / "counts.npy", counts)
+        with pytest.raises(ValidationError, match="counts.npy"):
             load_db(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_db(str(tmp_path / "nowhere"))
+
+
+class TestVersion3:
+    def test_ragged_runs_with_and_without_sensors_round_trip(self, tmp_path):
+        records = mixed_records()
+        save_recorded(records, str(tmp_path / "rec"), "s1", REG, dt=0.1)
+        assert sorted(os.listdir(tmp_path / "rec")) == ["counts.npy", "manifest.json",
+                                                       "sensors.npy"]
+        entries = json.loads((tmp_path / "rec" / "manifest.json").read_text())["observations"]
+        assert [(e["T"], e["D"]) for e in entries] == [(12, 1), (9, None), (15, 3), (12, None)]
+        assert_same_runs(load_recorded(str(tmp_path / "rec")), records)
+
+    def test_runs_without_sensors_write_no_sensors_file(self, tmp_path):
+        records = mixed_records(sensed=(False,) * 4)
+        save_recorded(records, str(tmp_path / "rec"), "s1", REG, dt=0.1)
+        assert sorted(os.listdir(tmp_path / "rec")) == ["counts.npy", "manifest.json"]
+        assert json.loads((tmp_path / "rec" / "manifest.json").read_text())["sensors"] is None
+        loaded = load_recorded(str(tmp_path / "rec"))
+        assert all(r.sensors is None for r in loaded)
+        assert_same_runs(loaded, records)
+
+    def test_version_2_study_loads_equal(self, tmp_path):
+        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+        replay = {"s1": mixed_records(Ts=(12,) * 4, sensed=(True,) * 4)}
+        for name in ("v2", "v3"):
+            save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
+        for skill, db in dbs.items():
+            save_version_2(tmp_path / "v2" / "dbs" / skill, db.observations)
+        save_version_2(tmp_path / "v2" / "replay" / "s1", replay["s1"])
+        v2, v3 = load_study(str(tmp_path / "v2")), load_study(str(tmp_path / "v3"))
+        for skill in dbs:
+            assert v2.dbs[skill].canonical_T == v3.dbs[skill].canonical_T
+            assert_same_runs(v2.dbs[skill].observations, v3.dbs[skill].observations)
+            assert_same_runs(v3.dbs[skill].observations, dbs[skill].observations)
+        assert_same_runs(v2.replay["s1"], v3.replay["s1"])
+
+    def test_version_2_and_3_localize_byte_identical(self, tmp_path):
+        # fingerprint-only runs: the version-2 copy holds placeholder sensors
+        specs = {s: SimSkillSpec(skill=s, used_functions=fns, T=16, dt=0.1)
+                 for s, fns in (("s1", ("f1", "f2")), ("s2", ("f2", "f3")))}
+        rng = np.random.default_rng(4)
+        dbs = {s: build_database(spec, REG, rng, 6) for s, spec in specs.items()}
+        world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
+        replay = {s: [simulate_execution(spec, world, rng) for _ in range(6)]
+                  for s, spec in specs.items()}
+        for name in ("v2", "v3"):
+            save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
+        for skill in dbs:
+            save_version_2(tmp_path / "v2" / "dbs" / skill, dbs[skill].observations)
+            save_version_2(tmp_path / "v2" / "replay" / skill, replay[skill])
+        for name in ("v2", "v3"):
+            assert main(["localize", "--study", str(tmp_path / name), "--seed", "2",
+                         "--out", str(tmp_path / f"out-{name}")]) == 0
+        for name in ("gains.csv", "belief.csv", "trace.json", "summary.json"):
+            assert ((tmp_path / "out-v2" / name).read_bytes()
+                    == (tmp_path / "out-v3" / name).read_bytes()), name
+
+    def test_version_1_db_rejected(self, tmp_path):
+        db = small_db()
+        save_db(db, str(tmp_path / "db"), REG)
+        save_version_2(tmp_path / "db", db.observations)
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        manifest["version"] = 1
+        (tmp_path / "db" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(VersionError, match=r"manifest.json: .*supported: 2, 3\)"):
+            load_db(str(tmp_path / "db"))
+
+    def test_version_1_study_rejected(self, tmp_path, capsys):
+        save_study(str(tmp_path / "study"), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": mixed_records()})
+        manifest_path = tmp_path / "study" / "dbs" / "s1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(VersionError):
+            load_study(str(tmp_path / "study"))
+        assert main(["localize", "--study", str(tmp_path / "study"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert os.path.join("dbs", "s1", "manifest.json") in capsys.readouterr().err
+
+
+def _save_npy(path, arr, archive=False, **kwargs):
+    with open(path, "wb") as fh:
+        if archive:
+            np.savez(fh, a=arr)
+        else:
+            np.save(fh, arr, **kwargs)
+
+
+def _truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 9])
+
+
+def _claim_values(path, n):
+    """Rewrite the header to claim ``n`` float64 values, keeping the data."""
+    data = np.load(path)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (n,)})
+        fh.write(data.tobytes())
+
+
+def _pickled(path):
+    path.write_bytes(pickle.dumps(np.load(path)))
+
+
+# rewrites of a version-3 data file, none of which leaves a readable float64
+# array of the manifest's size
+MALFORMED_NPY = {
+    "truncated": _truncated,
+    "truncated-header": lambda path: path.write_bytes(path.read_bytes()[:20]),
+    "unbalanced-header": lambda path: path.write_bytes(   # {'descr': (<f8', ...
+        path.read_bytes()[:20] + b"(" + path.read_bytes()[21:]),
+    "empty-file": lambda path: path.write_bytes(b""),
+    "object-dtype": lambda path: _save_npy(path, np.load(path).astype(object),
+                                           allow_pickle=True),
+    "int-dtype": lambda path: _save_npy(path, np.load(path).astype(np.int64)),
+    "two-d": lambda path: _save_npy(path, np.load(path)[None, :]),
+    "one-value-short": lambda path: _save_npy(path, np.load(path)[:-1]),
+    "one-value-long": lambda path: _save_npy(path, np.append(np.load(path), 1.0)),
+    "pickle": _pickled,
+    "shape-past-memory": lambda path: _claim_values(path, 2 ** 40),
+    "npz-archive": lambda path: _save_npy(path, np.load(path), archive=True),
+    "csv-text": lambda path: np.savetxt(path, np.load(path)[None, :], delimiter=","),
+}
+
+
+class TestMalformedVersion3:
+    @pytest.mark.parametrize("name", ["counts.npy", "sensors.npy"])
+    @pytest.mark.parametrize("rewrite", list(MALFORMED_NPY.values()), ids=list(MALFORMED_NPY))
+    def test_names_the_file_and_loads_no_pickle(self, tmp_path, monkeypatch, name, rewrite):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        rewrite(tmp_path / "db" / name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pickle was loaded")
+
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        with pytest.raises(StoreError, match=name):
+            load_db(str(tmp_path / "db"))
+
+    @pytest.mark.parametrize("key,value", [
+        ("T", 0), ("T", -1), ("T", 12.0), ("T", True), ("T", "12"), ("rows", -1),
+        ("rows", 1.5), ("D", 0), ("D", [2]), ("T", None)])
+    def test_bad_entry_size_names_the_manifest(self, tmp_path, key, value):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["observations"][1][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="manifest.json"):
+            load_db(str(tmp_path / "db"))
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("rows", 3, "counts.npy"), ("T", 13, "counts.npy"), ("D", 3, "sensors.npy"),
+        ("D", None, "sensors.npy")])
+    def test_entry_that_does_not_fit_its_file(self, tmp_path, key, value, named):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["observations"][1][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=named):
+            load_db(str(tmp_path / "db"))
+
+    def test_sensed_runs_without_a_sensors_file(self, tmp_path):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sensors"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="manifest.json: runs carry sensors"):
+            load_db(str(tmp_path / "db"))
+
+    def test_non_finite_sensor_names_the_file(self, tmp_path):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        sensors = np.load(tmp_path / "db" / "sensors.npy")
+        sensors[30] = np.inf
+        np.save(tmp_path / "db" / "sensors.npy", sensors)
+        with pytest.raises(ValidationError, match="sensors.npy: non-finite sensor value"):
+            load_db(str(tmp_path / "db"))
 
 
 def _cell(r, c, value):
@@ -113,47 +346,20 @@ MALFORMED_ROWS = {
     "every-row-long": lambda rows: [row.append("1") for row in rows],
     "index-and-one-count": _truncate(2),
 }
+# the rewrites that keep every row T + 1 wide, so they apply to a version-3 block too
+INDEX_REWRITES = ["fractional-index", "index-equal-to-F", "negative-index", "nan-index",
+                  "repeated-index", "descending-index"]
 
 
 class TestCountsFormat:
-    def test_version_1_db_loads_equal(self, tmp_path):
-        db = small_db()
-        save_db(db, str(tmp_path / "v2"), REG)
-        save_db(db, str(tmp_path / "v1"), REG)
-        save_version_1(tmp_path / "v1", db.observations)
-        assert len((tmp_path / "v1" / "obs_0000.counts.csv").read_text().splitlines()) == REG.F
-        v1, v2 = load_db(str(tmp_path / "v1")), load_db(str(tmp_path / "v2"))
-        assert v1.canonical_T == v2.canonical_T
-        for a, b in zip(v1.observations, v2.observations, strict=True):
-            assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
-            assert np.array_equal(a.sensors.data, b.sensors.data)
-
-    def test_version_1_study_loads_equal(self, tmp_path):
-        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
-        spec = SimSkillSpec(skill="s1", used_functions=("f1", "f2"), T=12, dt=0.1)
-        world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
-        rng = np.random.default_rng(1)
-        replay = {"s1": [simulate_execution(spec, world, rng) for _ in range(3)]}
-        for name in ("v1", "v2"):
-            save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
-        for skill, db in dbs.items():
-            save_version_1(tmp_path / "v1" / "dbs" / skill, db.observations)
-        save_version_1(tmp_path / "v1" / "replay" / "s1", replay["s1"])
-        v1, v2 = load_study(str(tmp_path / "v1")), load_study(str(tmp_path / "v2"))
-        for skill in dbs:
-            for a, b in zip(v1.dbs[skill].observations, v2.dbs[skill].observations,
-                            strict=True):
-                assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
-        for a, b in zip(v1.replay["s1"], v2.replay["s1"], strict=True):
-            assert (a.success, a.t_fail) == (b.success, b.t_fail)
-            assert np.array_equal(a.fingerprint.counts, b.fingerprint.counts)
-
     def test_all_zero_counts_saved_empty(self, tmp_path):
         obs = [Observation(sensors=SensorSeries(np.ones((2, 12)), dt=0.1),
                            fingerprint=Fingerprint(np.zeros((REG.F, 12)), dt=0.1),
                            success=True, skill="s1") for _ in range(2)]
         save_db(ExperienceDb.from_observations("s1", obs, REG), str(tmp_path / "db"), REG)
-        assert os.path.getsize(tmp_path / "db" / "obs_0000.counts.csv") == 0
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        assert [e["rows"] for e in manifest["observations"]] == [0, 0]
+        assert np.load(tmp_path / "db" / "counts.npy").size == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = load_db(str(tmp_path / "db"))
@@ -166,17 +372,24 @@ class TestCountsFormat:
         db = build_database(spec, wide, np.random.default_rng(3), 3)
         save_db(db, str(tmp_path / "db"), wide)
         loaded = load_db(str(tmp_path / "db"))
-        for i, (a, b) in enumerate(zip(db.observations, loaded.observations, strict=True)):
+        entries = json.loads((tmp_path / "db" / "manifest.json").read_text())["observations"]
+        for a, b, entry in zip(db.observations, loaded.observations, entries, strict=True):
             counts = a.fingerprint.counts
-            lines = (tmp_path / "db" / f"obs_{i:04d}.counts.csv").read_text().splitlines()
-            assert 0 < len(lines) == np.count_nonzero(counts.any(axis=1)) <= len(used)
+            assert 0 < entry["rows"] == np.count_nonzero(counts.any(axis=1)) <= len(used)
             assert np.array_equal(b.fingerprint.counts, counts)
+        assert np.load(tmp_path / "db" / "counts.npy").size == sum(
+            e["rows"] * (e["T"] + 1) for e in entries)
 
     def test_all_zero_row_dropped_on_load(self, tmp_path):
         db = small_db()
         save_db(db, str(tmp_path / "db"), REG)
-        target = tmp_path / "db" / "obs_0001.counts.csv"
-        target.write_text(target.read_text() + "2" + ",0" * db.canonical_T + "\n")
+        counts, start, rows, T = run_block(tmp_path / "db", 1)
+        end = start + rows * (T + 1)
+        np.save(tmp_path / "db" / "counts.npy",
+                np.concatenate([counts[:end], [2.0] + [0.0] * T, counts[end:]]))
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        manifest["observations"][1]["rows"] += 1
+        (tmp_path / "db" / "manifest.json").write_text(json.dumps(manifest))
         fp = load_db(str(tmp_path / "db")).observations[1].fingerprint
         assert list(fp.rows) == [0, 1]
         assert np.array_equal(fp.counts, db.observations[1].fingerprint.counts)
@@ -185,12 +398,26 @@ class TestCountsFormat:
     def test_malformed_rows_name_the_file(self, tmp_path, rewrite):
         db = small_db()
         save_db(db, str(tmp_path / "db"), REG)
+        save_version_2(tmp_path / "db", db.observations)
         target = tmp_path / "db" / "obs_0001.counts.csv"
         rows = [line.split(",") for line in target.read_text().splitlines()]
         assert [row[0] for row in rows] == ["0", "1"]
         rewrite(rows)
         target.write_text("".join(",".join(row) + "\n" for row in rows))
         with pytest.raises(StoreError, match="obs_0001.counts.csv"):
+            load_db(str(tmp_path / "db"))
+
+    @pytest.mark.parametrize("kind", INDEX_REWRITES)
+    def test_malformed_index_names_the_counts_file(self, tmp_path, kind):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        counts, start, rows, T = run_block(tmp_path / "db", 1)
+        block = counts[start:start + rows * (T + 1)].reshape(rows, T + 1)
+        cells = [[repr(v) for v in row] for row in block.tolist()]
+        assert [float(row[0]) for row in cells] == [0.0, 1.0]
+        MALFORMED_ROWS[kind](cells)
+        counts[start:start + rows * (T + 1)] = np.array(cells, dtype=float).ravel()
+        np.save(tmp_path / "db" / "counts.npy", counts)
+        with pytest.raises(StoreError, match="counts.npy: row"):
             load_db(str(tmp_path / "db"))
 
     def test_each_manifest_read_once(self, tmp_path, monkeypatch):
@@ -201,6 +428,34 @@ class TestCountsFormat:
         monkeypatch.setattr(store, "_read_json", lambda path: read.append(path) or real(path))
         load_study(str(tmp_path / "study"))
         assert len(read) == len(set(read)) == 3
+
+    def test_each_data_file_read_once(self, tmp_path, monkeypatch):
+        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+        save_study(str(tmp_path / "study"), REG, dbs, dt=0.1,
+                   replay={"s1": mixed_records(sensed=(False,) * 4)})
+        read = []
+        real = store._load_matrix
+        monkeypatch.setattr(store, "_load_matrix",
+                            lambda path, **kw: read.append(path) or real(path, **kw))
+        load_study(str(tmp_path / "study"))
+        names = sorted(os.path.relpath(p, tmp_path / "study") for p in read)
+        assert names == [os.path.join("dbs", "s1", "counts.npy"),
+                         os.path.join("dbs", "s1", "sensors.npy"),
+                         os.path.join("dbs", "s2", "counts.npy"),
+                         os.path.join("dbs", "s2", "sensors.npy"),
+                         os.path.join("replay", "s1", "counts.npy")]
+
+    def test_one_registry_per_study(self, tmp_path, monkeypatch):
+        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+        save_study(str(tmp_path / "study"), REG, dbs, dt=0.1, replay={"s1": mixed_records()})
+        built = []
+        real = store.FunctionRegistry
+        monkeypatch.setattr(store, "FunctionRegistry", lambda names: built.append(names)
+                            or real(names))
+        load_study(str(tmp_path / "study"))
+        assert len(built) == 1
+        load_db(str(tmp_path / "study" / "dbs" / "s1"))
+        assert len(built) == 2
 
     def test_each_record_validated_once(self, tmp_path, monkeypatch):
         save_db(small_db(n=5), str(tmp_path / "db"), REG)
@@ -326,7 +581,7 @@ class TestRecordedAndStudy:
         with pytest.raises(ValidationError, match="run 0 of skill 's1'"):
             save_study(str(tmp_path / "b"), REG, {"s1": small_db(seed=0, skill="s1")},
                        dt=0.1, replay={"s1": [replace(r, sensors=SensorSeries(
-                           r.sensors.data, dt=0.5)) for r in self._records()]})
+                           np.zeros((1, r.fingerprint.T)), dt=0.5)) for r in self._records()]})
         with pytest.raises(ValidationError, match="run 2 of skill 's1'"):
             records = self._records()
             records[2] = replace(records[2], fingerprint=Fingerprint(
