@@ -14,8 +14,11 @@ file concatenates each run's row-major (rows, 1 + T) block, one row
 ascending index order; the sensors file concatenates each sensed run's
 row-major (D, T) block, one row per channel. Each manifest entry records the
 run's ``success``, ``t_fail``, ``T``, ``rows`` and ``D`` (null for a run
-without sensors). A file is never unpickled, and one whose dtype, ndim or
-size disagrees with its manifest is a :class:`StoreError` naming it. Counts
+without sensors). A run with neither sensors nor a non-zero count stores one
+all-zero counts row, so each run's T is backed by values in a file and a
+manifest cannot ask for more than its files hold. A file is never
+unpickled, and one whose dtype, ndim or size disagrees with its manifest is
+a :class:`StoreError` naming it. Counts
 are read straight into the row-sparse :class:`Fingerprint`, so neither way
 builds an F x T matrix.
 
@@ -199,24 +202,23 @@ def _runs_v2(manifest_path: str, manifest: dict, F: int, dt: float):
 
 def _runs_v3(manifest_path: str, manifest: dict, F: int, dt: float):
     """(entry, sensors, fingerprint, counts file) of each run of a version-3
-    manifest: every run's (rows, 1 + T) counts block in one counts file, and
-    the (D, T) sensors block of each run with a D in one sensors file."""
+    manifest: every run's (rows, 1 + T) counts block in the directory's
+    ``counts.npy``, and the (D, T) sensors block of each run with a D in its
+    ``sensors.npy``, which is read only then. A run without sensors holds at
+    least one counts row, so every T is paid for by values in a file."""
     entries = manifest["observations"]
-    shapes = [(_dimension(manifest_path, e, "T", 1), _dimension(manifest_path, e, "rows", 0),
-               None if e["D"] is None else _dimension(manifest_path, e, "D", 1))
-              for e in entries]
-    counts_file = _inside(manifest_path, manifest["counts"])
+    shapes = []
+    for e in entries:
+        D = None if e["D"] is None else _dimension(manifest_path, e, "D", 1)
+        shapes.append((_dimension(manifest_path, e, "T", 1),
+                       _dimension(manifest_path, e, "rows", 1 if D is None else 0), D))
+    directory = os.path.dirname(manifest_path)
+    counts_file = os.path.join(directory, "counts.npy")
     counts = _blocks(counts_file, [(rows, T + 1) for T, rows, _ in shapes], manifest_path)
     sensed = [(D, T) for T, _, D in shapes if D is not None]
-    if manifest["sensors"] is None:
-        if sensed:
-            raise StoreError(f"{manifest_path}: runs carry sensors, but no sensors "
-                             "file is listed")
-        sensors_file, series = None, iter(())
-    else:
-        sensors_file = _inside(manifest_path, manifest["sensors"])
-        series = iter(_blocks(sensors_file, sensed, manifest_path))
-    for entry, (T, _, D), block in zip(entries, shapes, counts):
+    sensors_file = os.path.join(directory, "sensors.npy")
+    series = iter(_blocks(sensors_file, sensed, manifest_path) if sensed else ())
+    for entry, (_, _, D), block in zip(entries, shapes, counts):
         sensors = None
         if D is not None:
             with _naming(sensors_file):
@@ -238,10 +240,15 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
                 f"run {i} of skill {skill!r} is sampled at dt={rec.fingerprint.dt} "
                 f"(fingerprint) with {sensed}, not at the dt={dt} written")
     os.makedirs(path, exist_ok=True)
-    counts = [np.column_stack([r.fingerprint.rows, r.fingerprint.values]).ravel()
-              for r in records]
+    counts = []
+    for r in records:
+        rows, values = r.fingerprint.rows, r.fingerprint.values
+        if rows.size == 0 and r.sensors is None:   # an all-zero row keeps T in the file
+            rows, values = np.zeros(1), np.zeros((1, r.fingerprint.T))
+        counts.append(np.column_stack([rows, values]))
     sensors = [r.sensors.data.ravel() for r in records if r.sensors is not None]
-    np.save(os.path.join(path, "counts.npy"), np.concatenate([np.empty(0)] + counts),
+    np.save(os.path.join(path, "counts.npy"),
+            np.concatenate([np.empty(0)] + [block.ravel() for block in counts]),
             allow_pickle=False)
     if sensors:
         np.save(os.path.join(path, "sensors.npy"), np.concatenate(sensors),
@@ -253,15 +260,13 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
         "canonical_T": records[0].fingerprint.T if records else 0,
         "dt": dt,
         "functions": list(registry.names),
-        "counts": "counts.npy",
-        "sensors": "sensors.npy" if sensors else None,
         "observations": [{
             "success": bool(r.success),
             "t_fail": None if r.t_fail is None else int(r.t_fail),
             "T": r.fingerprint.T,
-            "rows": r.fingerprint.rows.size,
+            "rows": len(block),
             "D": None if r.sensors is None else r.sensors.D,
-        } for r in records],
+        } for r, block in zip(records, counts)],
     })
 
 

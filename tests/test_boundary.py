@@ -106,7 +106,8 @@ def _argv(root, target):
     if target == "scenario.json":
         return ["simulate", "--scenario", os.path.join(root, target),
                 "--out", os.path.join(root, "o")]
-    return ["localize", "--study", os.path.join(root, "study"), "--out", os.path.join(root, "o")]
+    study = os.path.join(root, target.split(os.sep)[0])
+    return ["localize", "--study", study, "--out", os.path.join(root, "o")]
 
 
 def _run(argv):
@@ -137,8 +138,20 @@ def _in_first(list_key, change):
     return outer
 
 
+def _with_runs_without_data(T, n):
+    """Append ``n`` entries of length ``T`` that hold neither a counts row nor
+    sensors, enough to make ``T`` the database's canonical length."""
+    def change(doc):
+        doc["observations"] += [{"success": True, "t_fail": None, "T": T, "rows": 0,
+                                 "D": None}] * n
+        doc["canonical_T"] = T
+        return doc
+    return change
+
+
 STUDY = os.path.join("study", "manifest.json")
 DB = os.path.join("study", "dbs", "s1", "manifest.json")
+DB_V2 = os.path.join("study_v2", "dbs", "s1", "manifest.json")
 REPLAY = os.path.join("study", "replay", "s1", "manifest.json")
 MALFORMED = [
     ("study-no-functions", STUDY, _drop("functions")),
@@ -146,12 +159,11 @@ MALFORMED = [
     ("study-no-dbs", STUDY, _drop("dbs")),
     ("study-int-skills", STUDY, _set("skills", 5)),
     ("db-no-observations", DB, _drop("observations")),
-    ("db-no-counts", DB, _drop("counts")),
-    ("db-no-sensors", DB, _drop("sensors")),
+    ("db-entry-no-counts", DB_V2, _in_first("observations", _drop("counts"))),
     ("db-entry-no-rows", DB, _in_first("observations", _drop("rows"))),
     ("db-entry-negative-rows", DB, _in_first("observations", _set("rows", -2))),
     ("db-entry-fractional-T", DB, _in_first("observations", _set("T", 15.5))),
-    ("db-entry-sensors-not-listed", DB, _in_first("observations", _set("D", 2))),
+    ("db-entries-without-data-huge-T", DB, _with_runs_without_data(10 ** 9, 7)),
     ("db-entry-infinite-t_fail", DB, _in_first("observations", _set("t_fail", float("inf")))),
     ("db-success-entry-int-t_fail", DB, _in_first("observations", _set("t_fail", 3))),
     ("db-canonical_T-999", DB, _set("canonical_T", 999)),
@@ -210,12 +222,12 @@ class TestMalformedDocuments:
 
     def test_counts_entry_climbing_out_rejected(self, base, tmp_path):
         _copy(base, str(tmp_path))
-        db = tmp_path / "study" / "dbs" / "s1"
-        shutil.copy(str(db / "counts.npy"), str(tmp_path / "outside.counts.npy"))
-        climb = os.path.join("..", "..", "..", "outside.counts.npy")
-        _edit(str(tmp_path / DB), _set("counts", climb))
-        with pytest.raises(StoreError, match="outside.counts.npy"):
-            load_study(str(tmp_path / "study"))
+        db = tmp_path / "study_v2" / "dbs" / "s1"
+        shutil.copy(str(db / "obs_0000.counts.csv"), str(tmp_path / "outside.counts.csv"))
+        climb = os.path.join("..", "..", "..", "outside.counts.csv")
+        _edit(str(tmp_path / DB_V2), _in_first("observations", _set("counts", climb)))
+        with pytest.raises(StoreError, match="outside.counts.csv"):
+            load_study(str(tmp_path / "study_v2"))
 
     @pytest.mark.parametrize("entry", [5, None, ["dbs", "s1"], ""])
     def test_db_entry_must_be_a_path_inside(self, base, tmp_path, entry):
@@ -254,7 +266,7 @@ FIELDS = [(STUDY, (), k) for k in ("format", "version", "functions", "skills", "
                                    "dbs", "replay")]
 FIELDS += [(m, (), k) for m in (DB, os.path.join("study", "replay", "s2", "manifest.json"))
            for k in ("format", "version", "skill", "canonical_T", "dt", "functions",
-                     "counts", "sensors", "observations")]
+                     "observations")]
 FIELDS += [(DB, ("observations", 1), k) for k in ("success", "t_fail", "T", "rows", "D")]
 FIELDS += [("trace.json", (), k) for k in ("skills", "functions", "converged", "aborted",
                                            "steps")]
@@ -299,7 +311,7 @@ def _data_argv(root, target):
     study's, train-mom for a sensor database's."""
     top = target.split(os.sep)[0]
     if top.startswith("study"):
-        return ["localize", "--study", os.path.join(root, top), "--out", os.path.join(root, "o")]
+        return _argv(root, target)
     return ["train-mom", "--db", os.path.join(root, top),
             "--out", os.path.join(root, "m.json"), "--epochs", "1"]
 

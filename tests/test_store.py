@@ -47,7 +47,6 @@ def save_version_2(path, observations):
     for name in ("counts.npy", "sensors.npy"):
         if (path / name).exists():
             (path / name).unlink()
-    del manifest["counts"], manifest["sensors"]
     manifest.update(version=2, observations=entries)
     (path / "manifest.json").write_text(json.dumps(manifest))
 
@@ -150,10 +149,36 @@ class TestVersion3:
         records = mixed_records(sensed=(False,) * 4)
         save_recorded(records, str(tmp_path / "rec"), "s1", REG, dt=0.1)
         assert sorted(os.listdir(tmp_path / "rec")) == ["counts.npy", "manifest.json"]
-        assert json.loads((tmp_path / "rec" / "manifest.json").read_text())["sensors"] is None
         loaded = load_recorded(str(tmp_path / "rec"))
         assert all(r.sensors is None for r in loaded)
         assert_same_runs(loaded, records)
+
+    def test_run_without_sensors_or_counts_keeps_a_zero_row(self, tmp_path):
+        runs = [Observation(sensors=None, fingerprint=Fingerprint(np.zeros((REG.F, T)), dt=0.1),
+                            success=True, skill="s1") for T in (7, 5)]
+        save_recorded(runs, str(tmp_path / "rec"), "s1", REG, dt=0.1)
+        entries = json.loads((tmp_path / "rec" / "manifest.json").read_text())["observations"]
+        assert [(e["T"], e["rows"], e["D"]) for e in entries] == [(7, 1, None), (5, 1, None)]
+        assert np.array_equal(np.load(tmp_path / "rec" / "counts.npy"), np.zeros(8 + 6))
+        loaded = load_recorded(str(tmp_path / "rec"))
+        assert [r.fingerprint.rows.size for r in loaded] == [0, 0]
+        assert_same_runs(loaded, runs)
+
+    @pytest.mark.parametrize("T", [12, 10 ** 12])
+    def test_entry_without_data_rejected_before_any_read(self, tmp_path, T):
+        # a T that no value in a file backs would size arrays past memory later
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["canonical_T"] = T
+        manifest["observations"] = [{"success": True, "t_fail": None, "T": T, "rows": 0,
+                                     "D": None}]
+        manifest_path.write_text(json.dumps(manifest))
+        for name in ("counts.npy", "sensors.npy"):
+            (tmp_path / "db" / name).unlink()
+        with pytest.raises(StoreError, match="manifest.json: an entry's 'rows' must be "
+                                             "an integer >= 1, found 0"):
+            load_db(str(tmp_path / "db"))
 
     def test_version_2_study_loads_equal(self, tmp_path):
         dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
@@ -301,14 +326,14 @@ class TestMalformedVersion3:
         with pytest.raises(StoreError, match=named):
             load_db(str(tmp_path / "db"))
 
-    def test_sensed_runs_without_a_sensors_file(self, tmp_path):
+    def test_sensors_file_read_only_for_sensed_runs(self, tmp_path):
         save_db(small_db(), str(tmp_path / "db"), REG)
-        manifest_path = tmp_path / "db" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["sensors"] = None
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="manifest.json: runs carry sensors"):
+        (tmp_path / "db" / "sensors.npy").unlink()
+        with pytest.raises(FileNotFoundError, match="sensors.npy"):
             load_db(str(tmp_path / "db"))
+        save_recorded(mixed_records(sensed=(False,) * 4), str(tmp_path / "rec"), "s1", REG, 0.1)
+        (tmp_path / "rec" / "sensors.npy").write_bytes(b"not an array")
+        assert len(load_recorded(str(tmp_path / "rec"))) == 4
 
     def test_non_finite_sensor_names_the_file(self, tmp_path):
         save_db(small_db(), str(tmp_path / "db"), REG)
