@@ -1,9 +1,9 @@
 """Persist a study to disk and localize a bug from recorded executions only.
 
 This is the offline workflow: experience databases and raw execution records
-are written as CSV + JSON manifests, reloaded, and fed to the testing loop
-through the replay executor - no simulator in the loop. The same directory
-works with the command line:  blamebox localize --study <dir> --out <dir>
+are written as `.npy` data files with JSON manifests, reloaded, and fed to
+the testing loop through the replay executor - no simulator in the loop. The
+same directory works with the command line:  blamebox localize --study <dir> --out <dir>
 
 Run:  python demos/replay_study.py
 """

@@ -92,8 +92,8 @@ class SensorSeries:
         object.__setattr__(self, "dt", float(self.dt))
         if d.shape[0] < 1 or d.shape[1] < 1:
             raise ValidationError(f"sensor series needs D >= 1 and T >= 1, got shape {d.shape}")
-        if self.dt <= 0:
-            raise ValidationError(f"sampling interval must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValidationError(f"sampling interval must be positive and finite, got {self.dt}")
         if not np.isfinite(d).all():
             r, c = np.argwhere(~np.isfinite(d))[0]
             raise ValidationError(f"non-finite sensor value at channel {r}, timestep {c}")
@@ -145,8 +145,8 @@ class Fingerprint:
         F, T, dt = int(F), values.shape[1], float(dt)
         if F < 1 or T < 1:
             raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape ({F}, {T})")
-        if dt <= 0:
-            raise ValidationError(f"sampling interval must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ValidationError(f"sampling interval must be positive and finite, got {dt}")
         rows = self.check_rows(rows, F)
         if rows.size != values.shape[0]:
             raise ValidationError(f"fingerprint has {rows.size} function rows but "

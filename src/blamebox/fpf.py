@@ -62,8 +62,8 @@ class BlameConfig:
     @classmethod
     def for_sampling(cls, dt: float) -> "BlameConfig":
         """Window covering 2 s of wall time at interval ``dt``."""
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {dt}")
         w = max(1, math.ceil(_WINDOW_SECONDS / dt))
         return cls(alpha=math.log(10.0) / w, window_steps=w)
 

@@ -5,33 +5,29 @@ Databases and recordings share one layout and hold :class:`Observation`
 records. A database manifest's ``canonical_T`` must match the one its runs
 give; a recording's is written but not checked.
 
-Databases are written at version 3: a directory holds ``manifest.json``, one
-``counts.npy`` and, only when some run carries sensors, one ``sensors.npy``,
-both 1-d float64 arrays in numpy's own format, so round-trips are
-value-exact and a database is read in one binary read per file. The counts
-file concatenates each run's row-major (rows, 1 + T) block, one row
-``index, c_0, ..., c_{T-1}`` per function with a non-zero count, in
-ascending index order; the sensors file concatenates each sensed run's
-row-major (D, T) block, one row per channel. Each manifest entry records the
-run's ``success``, ``t_fail``, ``T``, ``rows`` and ``D`` (null for a run
-without sensors). A run with neither sensors nor a non-zero count stores one
-all-zero counts row, so each run's T is backed by values in a file and a
-manifest cannot ask for more than its files hold. A file is never
+A database directory holds ``manifest.json`` (version 3), one ``counts.npy``
+and, only when some run carries sensors, one ``sensors.npy``: 1-d float64
+arrays in numpy's own format, so round-trips are value-exact and each file
+is one binary read. The counts file concatenates each run's row-major
+(rows, 1 + T) block, one row ``index, c_0, ..., c_{T-1}`` per function with
+a non-zero count, in ascending index order; the sensors file concatenates
+each sensed run's row-major (D, T) block, one row per channel. Each manifest
+entry records the run's ``success`` (a boolean), ``t_fail`` (null or an
+integer >= 0), ``T``, ``rows`` and ``D`` (null for a run without sensors).
+A run with neither sensors nor a non-zero count stores one all-zero counts
+row, so a manifest cannot ask for more than its files hold. A file is never
 unpickled, and one whose dtype, ndim or size disagrees with its manifest is
-a :class:`StoreError` naming it. Counts
-are read straight into the row-sparse :class:`Fingerprint`, so neither way
-builds an F x T matrix.
+a :class:`StoreError` naming it. Counts are read straight into the
+row-sparse :class:`Fingerprint`, so loading builds no F x T matrix.
 
-Version 2 databases are still read: a CSV sensors file (17 significant
-digits) and a CSV counts file of the same rows per run, named in each
-manifest entry, T being the width of the sensors file. Studies and models
-are written at version 1. Every file is self-describing through ``format``,
-``version`` and, for models, ``kind`` fields, and loading validates shapes
-and contents rather than trusting them. File entries in a manifest are
-relative paths inside the manifest's directory. Every JSON document goes
-through :func:`_write_json` and :func:`_read_json`, and a missing or
-mistyped field met while interpreting one is a :class:`StoreError` naming
-the file.
+Studies and models are written at version 1. Every file is self-describing
+through ``format``, ``version`` and, for models, ``kind`` fields; another
+version (a database of version 1 or 2 among them) is a :class:`VersionError`,
+and loading validates shapes and contents rather than trusting them. A
+study's ``dbs`` and ``replay`` entries are relative paths inside its
+directory. Every JSON document goes through :func:`_write_json` and
+:func:`_read_json`, and a missing or mistyped field met while interpreting
+one is a :class:`StoreError` naming the file.
 """
 from __future__ import annotations
 
@@ -55,7 +51,6 @@ _MODEL_FORMAT = "blamebox-model"
 _STUDY_FORMAT = "blamebox-study"
 _VERSION = 1
 _DB_VERSION = 3
-_DB_VERSIONS = (2, 3)
 _MALFORMED = (KeyError, TypeError, AttributeError, IndexError, ValueError, ArithmeticError)
 
 
@@ -96,18 +91,14 @@ def _inside(manifest_path: str, rel) -> str:
     return os.path.join(os.path.dirname(manifest_path), rel)
 
 
-def _read_document(path: str, expected_format: str,
-                   versions: tuple[int, ...] = (_VERSION,)) -> dict:
-    """A JSON document whose ``format`` matches and whose ``version`` is one
-    of ``versions``."""
+def _read_document(path: str, expected_format: str, supported: int = _VERSION) -> dict:
+    """A JSON document whose ``format`` matches and whose ``version`` is ``supported``."""
     payload = _read_json(path)
-    fmt = payload.get("format")
+    fmt, version = payload.get("format"), payload.get("version")
     if fmt != expected_format:
         raise StoreError(f"{path}: expected format {expected_format!r}, found {fmt!r}")
-    version = payload.get("version")
-    if version not in versions:
-        raise VersionError(f"{path}: unsupported version {version!r} "
-                           f"(supported: {', '.join(map(str, versions))})")
+    if version != supported:
+        raise VersionError(f"{path}: unsupported version {version!r} (supported: {supported})")
     return payload
 
 
@@ -121,31 +112,20 @@ def _naming(path: str, error: type[Exception] = ValidationError):
         raise error(f"{path}: {exc}") from exc
 
 
-def _load_matrix(path: str, npy: bool = False) -> np.ndarray:
-    """The array at ``path``: with ``npy``, the 1-d float64 array of a
-    ``.npy`` file, which is never unpickled; else a CSV matrix, where an empty
-    file is a 0 x 0 matrix."""
-    if npy:
-        from tokenize import TokenError   # numpy parses the header with tokenize
-        with open(path, "rb") as fh:
-            try:
-                arr = np.load(fh, allow_pickle=False)
-            except (ValueError, EOFError, SyntaxError, TokenError, MemoryError) as exc:
-                # a short file, a bad header, pickled data, or a shape past memory
-                raise StoreError(f"{path}: unreadable array: "
-                                 f"{type(exc).__name__}: {exc}") from exc
-        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != 1:
-            found = (f"a {arr.ndim}-d {arr.dtype} array" if isinstance(arr, np.ndarray)
-                     else type(arr).__name__)
-            raise StoreError(f"{path}: expected a 1-d float64 array, found {found}")
-        return arr
-    with open(path, "r", encoding="utf-8") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:
-            return np.empty((0, 0))
+def _load_matrix(path: str) -> np.ndarray:
+    """The 1-d float64 array of the ``.npy`` file at ``path``, never unpickled."""
+    from tokenize import TokenError   # numpy parses the header with tokenize
+    with open(path, "rb") as fh:
         try:
-            return np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:  # a non-numeric cell, a ragged row or bad UTF-8
-            raise StoreError(f"{path}: unreadable matrix: {exc}") from exc
+            arr = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, SyntaxError, TokenError, MemoryError) as exc:
+            # a short file, a bad header, pickled data, or a shape past memory
+            raise StoreError(f"{path}: unreadable array: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.float64 or arr.ndim != 1:
+        found = (f"a {arr.ndim}-d {arr.dtype} array" if isinstance(arr, np.ndarray)
+                 else type(arr).__name__)
+        raise StoreError(f"{path}: expected a 1-d float64 array, found {found}")
+    return arr
 
 
 def _fingerprint(path: str, block: np.ndarray, F: int, dt: float) -> Fingerprint:
@@ -160,7 +140,7 @@ def _fingerprint(path: str, block: np.ndarray, F: int, dt: float) -> Fingerprint
 def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> list[np.ndarray]:
     """The ``.npy`` array at ``path`` cut into consecutive row-major blocks
     of the given shapes, which must use up all of it."""
-    flat = _load_matrix(path, npy=True)
+    flat = _load_matrix(path)
     sizes = [rows * cols for rows, cols in shapes]
     if flat.size != sum(sizes):
         raise StoreError(f"{path}: holds {flat.size} values, but the blocks that "
@@ -172,43 +152,38 @@ def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> lis
     return blocks
 
 
-def _dimension(manifest_path: str, entry: dict, key: str, least: int) -> int:
-    """``entry[key]``, which must be a JSON integer >= ``least``."""
-    value = entry[key]
-    if type(value) is not int or value < least:
-        raise StoreError(f"{manifest_path}: an entry's {key!r} must be an integer "
-                         f">= {least}, found {value!r}")
+def _field(manifest_path: str, doc: dict, key: str, want: str, ok, owner="an entry's"):
+    """``doc[key]``, which ``ok`` must accept; else a StoreError: it must be ``want``."""
+    value = doc[key]
+    if not ok(value):
+        raise StoreError(f"{manifest_path}: {owner} {key!r} must be {want}, found {value!r}")
     return value
 
 
-def _runs_v2(manifest_path: str, manifest: dict, F: int, dt: float):
-    """(entry, sensors, fingerprint, counts file) of each run of a version-2
-    manifest: a sensors CSV and a row-sparse counts CSV per run, T being the
-    width of the sensors file."""
-    for entry in manifest["observations"]:
-        counts_file = _inside(manifest_path, entry["counts"])
-        sensors_file = _inside(manifest_path, entry["sensors"])
-        with _naming(sensors_file):
-            sensors = SensorSeries(_load_matrix(sensors_file), dt=dt)
-        mat = _load_matrix(counts_file)
-        if len(mat) == 0:
-            mat = np.empty((0, sensors.T + 1))
-        if mat.shape[1] != sensors.T + 1:
-            raise StoreError(f"{counts_file}: a row holds {mat.shape[1]} values, expected a "
-                             f"function index and {sensors.T} counts, T being the width "
-                             f"of {sensors_file}")
-        yield entry, sensors, _fingerprint(counts_file, mat, F, dt), counts_file
+def _dimension(manifest_path: str, doc: dict, key: str, least: int,
+               owner: str = "an entry's") -> int:
+    """``doc[key]``, which must be a JSON integer >= ``least``."""
+    return _field(manifest_path, doc, key, f"an integer >= {least}",
+                  lambda v: type(v) is int and v >= least, owner)
 
 
-def _runs_v3(manifest_path: str, manifest: dict, F: int, dt: float):
-    """(entry, sensors, fingerprint, counts file) of each run of a version-3
-    manifest: every run's (rows, 1 + T) counts block in the directory's
-    ``counts.npy``, and the (D, T) sensors block of each run with a D in its
-    ``sensors.npy``, which is read only then. A run without sensors holds at
-    least one counts row, so every T is paid for by values in a file."""
+def _interval(manifest_path: str, manifest: dict) -> float:
+    """The manifest's sampling interval ``dt``, a finite JSON number > 0."""
+    return float(_field(manifest_path, manifest, "dt", "a finite number > 0",
+                        lambda v: type(v) in (int, float) and 0 < v < np.inf, "its"))
+
+
+def _runs(manifest_path: str, manifest: dict, F: int, dt: float):
+    """(entry, sensors, fingerprint, counts file) of each run: its (rows, 1 + T)
+    block in the directory's ``counts.npy`` and, if it has a D, its (D, T) block
+    in ``sensors.npy``, read only then. Every entry is checked before any file
+    is read, and one without sensors needs a counts row, so values back each T."""
     entries = manifest["observations"]
     shapes = []
     for e in entries:
+        _field(manifest_path, e, "success", "a boolean", lambda v: type(v) is bool)
+        _field(manifest_path, e, "t_fail", "null or an integer >= 0",
+               lambda v: v is None or type(v) is int and v >= 0)
         D = None if e["D"] is None else _dimension(manifest_path, e, "D", 1)
         shapes.append((_dimension(manifest_path, e, "T", 1),
                        _dimension(manifest_path, e, "rows", 1 if D is None else 0), D))
@@ -275,27 +250,25 @@ def _load_records(path: str, registry: FunctionRegistry | None = None
     """The skill, the manifest's ``canonical_T`` and the runs of a database
     directory; with ``registry``, its manifest must list the same functions."""
     manifest_path = os.path.join(path, "manifest.json")
-    manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSIONS)
+    manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSION)
     with _interpreting(manifest_path):
         if registry is None:
             registry = FunctionRegistry(manifest["functions"])
         elif manifest["functions"] != list(registry.names):
             raise StoreError(f"{manifest_path}: lists other functions than expected")
         skill = manifest["skill"]
-        dt = float(manifest["dt"])
-        canonical_T = int(manifest["canonical_T"])
-        runs = _runs_v2 if manifest["version"] == 2 else _runs_v3
+        dt = _interval(manifest_path, manifest)
+        canonical_T = _dimension(manifest_path, manifest, "canonical_T", 0, "its")
         records = []
-        for entry, sensors, fingerprint, counts_file in runs(manifest_path, manifest,
-                                                             registry.F, dt):
+        for entry, sensors, fingerprint, counts_file in _runs(manifest_path, manifest,
+                                                              registry.F, dt):
             with _naming(counts_file):
                 obs = validate_observation(
                     Observation(sensors=sensors, fingerprint=fingerprint,
-                                success=bool(entry["success"]), skill=skill), registry)
-            t_fail = entry.get("t_fail")
-            if t_fail is not None:
+                                success=entry["success"], skill=skill), registry)
+            if entry["t_fail"] is not None:
                 with _naming(manifest_path):
-                    obs = replace(obs, t_fail=int(t_fail))
+                    obs = replace(obs, t_fail=entry["t_fail"])
             records.append(obs)
     return skill, canonical_T, records
 
@@ -452,7 +425,7 @@ def load_study(path: str) -> Study:
     manifest = _read_document(manifest_path, _STUDY_FORMAT)
     with _interpreting(manifest_path):
         registry = FunctionRegistry(manifest["functions"])
-        dt = float(manifest["dt"])
+        dt = _interval(manifest_path, manifest)
         dbs = {}
         for skill in manifest["skills"]:
             rel = manifest["dbs"].get(skill)

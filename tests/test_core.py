@@ -111,6 +111,14 @@ class TestValidateObservation:
         with pytest.raises(ValidationError, match=r"channel 0, timestep 3"):
             validate_observation(make_obs(sensors=sensors), reg)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_sampling_interval_must_be_positive_and_finite(self, dt):
+        for build in (lambda: SensorSeries(np.zeros((2, 4)), dt=dt),
+                      lambda: Fingerprint(np.ones((3, 4)), dt=dt),
+                      lambda: Fingerprint.from_rows([0], np.ones((1, 4)), F=3, dt=dt)):
+            with pytest.raises(ValidationError, match="positive and finite"):
+                build()
+
     def test_row_count_mismatch(self):
         reg = FunctionRegistry(["a", "b", "c"])
         with pytest.raises(ValidationError, match="4 function rows"):

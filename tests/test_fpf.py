@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from blamebox import (BlameConfig, ExperienceDb, Fingerprint, FunctionRegistry,
+from blamebox import (BlameConfig, ConfigError, ExperienceDb, Fingerprint, FunctionRegistry,
                       ValidationError, deviation_mass, fit_fpf)
 from blamebox.fpf import DeviationGrid, FpfModel, _mass, deviation_at, deviation_grid
 from tests.test_core import make_obs
@@ -41,6 +41,12 @@ def dense_fit(db, cfg):
     """The fit over the whole (n, F, T) stack, as an oracle for the support fit."""
     stack = db.counts_stack()
     return stack.mean(axis=0), np.maximum(stack.var(axis=0), cfg.var_floor)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_window_for_a_bad_sampling_interval_rejected(dt):
+    with pytest.raises(ConfigError, match="positive and finite"):
+        BlameConfig.for_sampling(dt)
 
 
 class TestFit:

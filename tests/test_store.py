@@ -30,27 +30,6 @@ def small_db(seed=0, n=4, skill="s1"):
         for o in db.observations])
 
 
-def save_version_2(path, observations):
-    """Rewrite the database saved at ``path`` in the version-2 layout: a
-    sensors CSV (a one-channel placeholder for a run without sensors, as
-    version-2 writers stored) and a row-sparse counts CSV per run."""
-    manifest = json.loads((path / "manifest.json").read_text())
-    entries = []
-    for i, (entry, obs) in enumerate(zip(manifest["observations"], observations, strict=True)):
-        fp = obs.fingerprint
-        sensors = np.zeros((1, fp.T)) if obs.sensors is None else obs.sensors.data
-        files = {"sensors": f"obs_{i:04d}.sensors.csv", "counts": f"obs_{i:04d}.counts.csv"}
-        np.savetxt(path / files["sensors"], sensors, delimiter=",", fmt="%.17g")
-        np.savetxt(path / files["counts"], np.column_stack([fp.rows, fp.values]),
-                   delimiter=",", fmt="%.17g")
-        entries.append({**files, "success": entry["success"], "t_fail": entry["t_fail"]})
-    for name in ("counts.npy", "sensors.npy"):
-        if (path / name).exists():
-            (path / name).unlink()
-    manifest.update(version=2, observations=entries)
-    (path / "manifest.json").write_text(json.dumps(manifest))
-
-
 def run_block(path, i):
     """(counts.npy as an array, the offset of run ``i``'s block, its rows, its T)."""
     manifest = json.loads((path / "manifest.json").read_text())
@@ -104,10 +83,10 @@ class TestDbRoundTrip:
         path = tmp_path / "db"
         save_db(db, str(path), REG)
         manifest = json.loads((path / "manifest.json").read_text())
-        for version in (1, 4, 99):
+        for version in (1, 2, 4, 99):
             manifest["version"] = version
             (path / "manifest.json").write_text(json.dumps(manifest))
-            with pytest.raises(VersionError, match=r"supported: 2, 3\)"):
+            with pytest.raises(VersionError, match=r"supported: 3\)"):
                 load_db(str(path))
 
     def test_wrong_format_field(self, tmp_path):
@@ -180,50 +159,12 @@ class TestVersion3:
                                              "an integer >= 1, found 0"):
             load_db(str(tmp_path / "db"))
 
-    def test_version_2_study_loads_equal(self, tmp_path):
-        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
-        replay = {"s1": mixed_records(Ts=(12,) * 4, sensed=(True,) * 4)}
-        for name in ("v2", "v3"):
-            save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
-        for skill, db in dbs.items():
-            save_version_2(tmp_path / "v2" / "dbs" / skill, db.observations)
-        save_version_2(tmp_path / "v2" / "replay" / "s1", replay["s1"])
-        v2, v3 = load_study(str(tmp_path / "v2")), load_study(str(tmp_path / "v3"))
-        for skill in dbs:
-            assert v2.dbs[skill].canonical_T == v3.dbs[skill].canonical_T
-            assert_same_runs(v2.dbs[skill].observations, v3.dbs[skill].observations)
-            assert_same_runs(v3.dbs[skill].observations, dbs[skill].observations)
-        assert_same_runs(v2.replay["s1"], v3.replay["s1"])
-
-    def test_version_2_and_3_localize_byte_identical(self, tmp_path):
-        # fingerprint-only runs: the version-2 copy holds placeholder sensors
-        specs = {s: SimSkillSpec(skill=s, used_functions=fns, T=16, dt=0.1)
-                 for s, fns in (("s1", ("f1", "f2")), ("s2", ("f2", "f3")))}
-        rng = np.random.default_rng(4)
-        dbs = {s: build_database(spec, REG, rng, 6) for s, spec in specs.items()}
-        world = SimWorld(registry=REG, buggy_functions=frozenset({"f2"}))
-        replay = {s: [simulate_execution(spec, world, rng) for _ in range(6)]
-                  for s, spec in specs.items()}
-        for name in ("v2", "v3"):
-            save_study(str(tmp_path / name), REG, dbs, dt=0.1, replay=replay)
-        for skill in dbs:
-            save_version_2(tmp_path / "v2" / "dbs" / skill, dbs[skill].observations)
-            save_version_2(tmp_path / "v2" / "replay" / skill, replay[skill])
-        for name in ("v2", "v3"):
-            assert main(["localize", "--study", str(tmp_path / name), "--seed", "2",
-                         "--out", str(tmp_path / f"out-{name}")]) == 0
-        for name in ("gains.csv", "belief.csv", "trace.json", "summary.json"):
-            assert ((tmp_path / "out-v2" / name).read_bytes()
-                    == (tmp_path / "out-v3" / name).read_bytes()), name
-
     def test_version_1_db_rejected(self, tmp_path):
-        db = small_db()
-        save_db(db, str(tmp_path / "db"), REG)
-        save_version_2(tmp_path / "db", db.observations)
+        save_db(small_db(), str(tmp_path / "db"), REG)
         manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
         manifest["version"] = 1
         (tmp_path / "db" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(VersionError, match=r"manifest.json: .*supported: 2, 3\)"):
+        with pytest.raises(VersionError, match=r"manifest.json: .*supported: 3\)"):
             load_db(str(tmp_path / "db"))
 
     def test_version_1_study_rejected(self, tmp_path, capsys):
@@ -238,6 +179,33 @@ class TestVersion3:
         assert main(["localize", "--study", str(tmp_path / "study"),
                      "--out", str(tmp_path / "o")]) == 1
         assert os.path.join("dbs", "s1", "manifest.json") in capsys.readouterr().err
+
+    def test_version_2_study_rejected(self, tmp_path, capsys):
+        save_study(str(tmp_path / "study"), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": mixed_records()})
+        manifest_path = tmp_path / "study" / "dbs" / "s1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 2   # the CSV layout, no longer read
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["localize", "--study", str(tmp_path / "study"),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(supported: 3)" in err
+        assert os.path.join("dbs", "s1", "manifest.json") in err
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_study_at_a_non_finite_dt_exits_one(self, tmp_path, capsys, dt):
+        save_study(str(tmp_path / "study"), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": mixed_records()})
+        for rel in ("", os.path.join("dbs", "s1"), os.path.join("replay", "s1")):
+            manifest_path = tmp_path / "study" / rel / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["dt"] = dt
+            manifest_path.write_text(json.dumps(manifest))
+        assert main(["localize", "--study", str(tmp_path / "study"),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json: its 'dt' must be" in err
 
 
 def _save_npy(path, arr, archive=False, **kwargs):
@@ -314,6 +282,39 @@ class TestMalformedVersion3:
         with pytest.raises(StoreError, match="manifest.json"):
             load_db(str(tmp_path / "db"))
 
+    @pytest.mark.parametrize("key,value", [
+        ("success", "false"), ("success", 0), ("t_fail", 7.9), ("t_fail", True),
+        ("t_fail", -1), ("t_fail", "3")])
+    def test_mistyped_entry_field_names_the_manifest(self, tmp_path, key, value):
+        save_recorded(mixed_records(), str(tmp_path / "rec"), "s1", REG, dt=0.1)
+        manifest_path = tmp_path / "rec" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["observations"][1].update(success=False, t_fail=3)
+        manifest["observations"][1][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"manifest.json: an entry's '{key}' must be"):
+            load_recorded(str(tmp_path / "rec"))
+
+    @pytest.mark.parametrize("value", ["20", 20.0, -1, None])
+    def test_mistyped_canonical_T_names_the_manifest(self, tmp_path, value):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["canonical_T"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="manifest.json: its 'canonical_T' must be"):
+            load_db(str(tmp_path / "db"))
+
+    @pytest.mark.parametrize("dt", [0, -1, float("nan"), float("inf"), "0.1", True])
+    def test_bad_dt_names_the_manifest(self, tmp_path, dt):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["dt"] = dt
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="manifest.json: its 'dt' must be"):
+            load_db(str(tmp_path / "db"))
+
     @pytest.mark.parametrize("key,value,named", [
         ("rows", 3, "counts.npy"), ("T", 13, "counts.npy"), ("D", 3, "sensors.npy"),
         ("D", None, "sensors.npy")])
@@ -350,30 +351,15 @@ def _cell(r, c, value):
     return rewrite
 
 
-def _truncate(width):
-    def rewrite(rows):
-        for row in rows:
-            del row[width:]
-    return rewrite
-
-
-# rewrites of a version-2 counts file whose two rows are functions 0 and 1
-MALFORMED_ROWS = {
+# rewrites of the rows of a counts block whose two rows are functions 0 and 1
+INDEX_REWRITES = {
     "fractional-index": _cell(0, 0, "0.5"),
     "index-equal-to-F": _cell(1, 0, "3"),
     "negative-index": _cell(0, 0, "-1"),
     "nan-index": _cell(0, 0, "nan"),
     "repeated-index": _cell(1, 0, "0"),
     "descending-index": lambda rows: rows.reverse(),
-    "one-row-short": lambda rows: rows[0].pop(),
-    "one-row-long": lambda rows: rows[1].append("1"),
-    "every-row-short": _truncate(-1),
-    "every-row-long": lambda rows: [row.append("1") for row in rows],
-    "index-and-one-count": _truncate(2),
 }
-# the rewrites that keep every row T + 1 wide, so they apply to a version-3 block too
-INDEX_REWRITES = ["fractional-index", "index-equal-to-F", "negative-index", "nan-index",
-                  "repeated-index", "descending-index"]
 
 
 class TestCountsFormat:
@@ -419,19 +405,6 @@ class TestCountsFormat:
         assert list(fp.rows) == [0, 1]
         assert np.array_equal(fp.counts, db.observations[1].fingerprint.counts)
 
-    @pytest.mark.parametrize("rewrite", list(MALFORMED_ROWS.values()), ids=list(MALFORMED_ROWS))
-    def test_malformed_rows_name_the_file(self, tmp_path, rewrite):
-        db = small_db()
-        save_db(db, str(tmp_path / "db"), REG)
-        save_version_2(tmp_path / "db", db.observations)
-        target = tmp_path / "db" / "obs_0001.counts.csv"
-        rows = [line.split(",") for line in target.read_text().splitlines()]
-        assert [row[0] for row in rows] == ["0", "1"]
-        rewrite(rows)
-        target.write_text("".join(",".join(row) + "\n" for row in rows))
-        with pytest.raises(StoreError, match="obs_0001.counts.csv"):
-            load_db(str(tmp_path / "db"))
-
     @pytest.mark.parametrize("kind", INDEX_REWRITES)
     def test_malformed_index_names_the_counts_file(self, tmp_path, kind):
         save_db(small_db(), str(tmp_path / "db"), REG)
@@ -439,7 +412,7 @@ class TestCountsFormat:
         block = counts[start:start + rows * (T + 1)].reshape(rows, T + 1)
         cells = [[repr(v) for v in row] for row in block.tolist()]
         assert [float(row[0]) for row in cells] == [0.0, 1.0]
-        MALFORMED_ROWS[kind](cells)
+        INDEX_REWRITES[kind](cells)
         counts[start:start + rows * (T + 1)] = np.array(cells, dtype=float).ravel()
         np.save(tmp_path / "db" / "counts.npy", counts)
         with pytest.raises(StoreError, match="counts.npy: row"):
@@ -460,8 +433,7 @@ class TestCountsFormat:
                    replay={"s1": mixed_records(sensed=(False,) * 4)})
         read = []
         real = store._load_matrix
-        monkeypatch.setattr(store, "_load_matrix",
-                            lambda path, **kw: read.append(path) or real(path, **kw))
+        monkeypatch.setattr(store, "_load_matrix", lambda path: read.append(path) or real(path))
         load_study(str(tmp_path / "study"))
         names = sorted(os.path.relpath(p, tmp_path / "study") for p in read)
         assert names == [os.path.join("dbs", "s1", "counts.npy"),

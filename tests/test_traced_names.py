@@ -5,6 +5,7 @@ sees them."""
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -14,19 +15,34 @@ LAYERS = PERFBENCH / "layers.py"
 GEN = PERFBENCH / "gen.py"
 
 
-def _targets():
+def _layers():
     # layers.py imports nothing from blamebox or numpy, so loading it by path
     # runs no program code
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return [(module, attr) for module, attr, *_ in layers.TARGETS]
+    return layers
+
+
+def _targets():
+    return [(module, attr) for module, attr, *_ in _layers().TARGETS]
 
 
 @pytest.mark.parametrize("module,attr", _targets())
 def test_traced_name_resolves(module, attr):
     assert module.split(".")[0] == "blamebox"
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_read_hooks_find_the_path():
+    # the _read_bytes hook sizes the file at args[0] or kwargs["path"]
+    layers = _layers()
+    readers = [(module, attr) for module, attr, _, hook in layers.TARGETS
+               if hook is layers._read_bytes]
+    assert readers
+    for module, attr in readers:
+        params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        assert next(iter(params)) == "path", f"{module}.{attr}"
 
 
 def _gen_imports():
