@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import warnings
 from dataclasses import replace
 
@@ -405,18 +406,33 @@ class TestCountsFormat:
         assert list(fp.rows) == [0, 1]
         assert np.array_equal(fp.counts, db.observations[1].fingerprint.counts)
 
-    @pytest.mark.parametrize("kind", INDEX_REWRITES)
-    def test_malformed_index_names_the_counts_file(self, tmp_path, kind):
-        save_db(small_db(), str(tmp_path / "db"), REG)
-        counts, start, rows, T = run_block(tmp_path / "db", 1)
+    @staticmethod
+    def rewrite_block(path, i, kind):
+        """Apply ``INDEX_REWRITES[kind]`` to run ``i``'s counts block under ``path``."""
+        counts, start, rows, T = run_block(path, i)
         block = counts[start:start + rows * (T + 1)].reshape(rows, T + 1)
         cells = [[repr(v) for v in row] for row in block.tolist()]
         assert [float(row[0]) for row in cells] == [0.0, 1.0]
         INDEX_REWRITES[kind](cells)
         counts[start:start + rows * (T + 1)] = np.array(cells, dtype=float).ravel()
-        np.save(tmp_path / "db" / "counts.npy", counts)
+        np.save(path / "counts.npy", counts)
+
+    @pytest.mark.parametrize("kind", INDEX_REWRITES)
+    def test_malformed_index_names_the_counts_file(self, tmp_path, kind):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        self.rewrite_block(tmp_path / "db", 1, kind)
         with pytest.raises(StoreError, match="counts.npy: row"):
             load_db(str(tmp_path / "db"))
+
+    @pytest.mark.parametrize("kind", INDEX_REWRITES)
+    def test_malformed_rows_name_the_file(self, tmp_path, kind):
+        # a recording of runs of several T, with and without sensors: the bad
+        # block sits among blocks of other widths, and the error names its file
+        save_recorded(mixed_records(), str(tmp_path / "rec"), "s1", REG, 0.1)
+        self.rewrite_block(tmp_path / "rec", 1, kind)
+        counts_file = re.escape(str(tmp_path / "rec" / "counts.npy"))
+        with pytest.raises(StoreError, match=counts_file + ": row"):
+            load_recorded(str(tmp_path / "rec"))
 
     def test_each_manifest_read_once(self, tmp_path, monkeypatch):
         dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
