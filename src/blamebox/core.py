@@ -107,6 +107,18 @@ class SensorSeries:
         return self.data.shape[1]
 
 
+def gather_rows(held: np.ndarray, values: np.ndarray, rows, fill: float) -> np.ndarray:
+    """(|rows|, T) rows of a row-sparse matrix whose row r, ``values[r]``, is
+    function ``held[r]`` (ascending); ``fill`` in every row it does not hold."""
+    rows = np.asarray(rows, dtype=np.intp)
+    out = np.full((rows.size, values.shape[1]), fill)
+    pos = np.searchsorted(held, rows)
+    hit = pos < held.size
+    hit[hit] = held[pos[hit]] == rows[hit]
+    out[hit] = values[pos[hit]]
+    return out
+
+
 @dataclass(frozen=True, init=False)
 class Fingerprint:
     """Call profile of one run: how many executions of each function were
@@ -191,13 +203,7 @@ class Fingerprint:
     def gather(self, rows) -> np.ndarray:
         """(|rows|, T) counts of the functions ``rows``; 0 for a function
         this run never called."""
-        rows = np.asarray(rows, dtype=np.intp)
-        out = np.zeros((rows.size, self.T))
-        pos = np.searchsorted(self.rows, rows)
-        hit = pos < self.rows.size
-        hit[hit] = self.rows[pos[hit]] == rows[hit]
-        out[hit] = self.values[pos[hit]]
-        return out
+        return gather_rows(self.rows, self.values, rows, 0.0)
 
     @property
     def counts(self) -> np.ndarray:
@@ -276,11 +282,9 @@ class ExperienceDb:
     def __len__(self) -> int:
         return len(self.observations)
 
-    def counts_stack(self, rows: np.ndarray | None = None) -> np.ndarray:
+    def counts_stack(self, rows: np.ndarray) -> np.ndarray:
         """(n, |rows|, T) counts of the given function rows in every stored
-        run, gathered from each run's rows; all F rows when ``rows`` is None."""
-        if rows is None:
-            rows = np.arange(self.observations[0].fingerprint.F)
+        run, gathered from each run's rows."""
         return np.stack([o.fingerprint.gather(rows) for o in self.observations])
 
     @cached_property

@@ -2,6 +2,10 @@
 fitted over successful executions, plus the exponentially weighted window
 statistics that feed the blame likelihood.
 
+A model is held row-sparse, as a :class:`Fingerprint` is: on its support,
+the functions some stored run called. Every other function has mean 0 and
+variance the floor; :meth:`FpfModel.on` adds such rows where a caller needs them.
+
 Every window statistic comes from one kernel, ``_window_sums``, through one
 grid builder. The planner's ``deviation_grid`` covers the whole run, one row
 per failure time, for its hypothetical failures; a real execution's update,
@@ -16,12 +20,11 @@ independence (diagonal covariance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ExperienceDb, Fingerprint
+from .core import ExperienceDb, Fingerprint, gather_rows
 from .errors import ConfigError, ValidationError
 
 # deviation_mass asymptotically approaches 0.5 but must never attain it
@@ -70,57 +73,50 @@ class BlameConfig:
 
 @dataclass(frozen=True)
 class FpfModel:
-    """Per-cell Gaussian fit of call counts across a skill's experiences."""
+    """Per-cell Gaussian fit of call counts across a skill's experiences, held
+    on its support: row r of ``mean`` and ``var`` (|support| x T) is the fit of
+    function ``support[r]`` (ascending); each other of the F functions has
+    mean 0 and variance ``var_floor``."""
 
+    support: np.ndarray
     mean: np.ndarray
     var: np.ndarray
+    F: int
     n_samples: int
     var_floor: float
 
     def __post_init__(self):
-        mean = np.ascontiguousarray(np.asarray(self.mean, dtype=np.float64))
-        var = np.ascontiguousarray(np.asarray(self.var, dtype=np.float64))
-        if mean.shape != var.shape or mean.ndim != 2:
-            raise ValidationError("mean and var must be matching (F, T) matrices")
+        support = Fingerprint.check_rows(self.support, self.F)
+        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
+        var = np.ascontiguousarray(self.var, dtype=np.float64)
+        if mean.shape != var.shape or mean.ndim != 2 or mean.shape[0] != support.size:
+            raise ValidationError(f"mean and var must be matching ({support.size}, T) matrices")
         if np.any(var < self.var_floor):
             raise ValidationError("variance entries below the configured floor")
-        mean.setflags(write=False)
-        var.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
-
-    @property
-    def F(self) -> int:
-        return self.mean.shape[0]
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Sorted indices of the functions with a non-zero mean somewhere;
-        every other row has mean 0 and variance the floor."""
-        support = np.flatnonzero(self.mean.any(axis=1))
-        support.setflags(write=False)
-        return support
+        for name, arr in (("support", support), ("mean", mean), ("var", var)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def T(self) -> int:
         return self.mean.shape[1]
 
+    def on(self, rows) -> "FpfModel":
+        """This fit held on its support and ``rows``; a new row has mean 0, variance the floor."""
+        live = np.union1d(self.support, np.asarray(rows, dtype=np.intp))
+        return replace(self, support=live,
+                       mean=gather_rows(self.support, self.mean, live, 0.0),
+                       var=gather_rows(self.support, self.var, live, self.var_floor))
+
 
 def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
     """Cell-wise sample mean and maximum-likelihood (population) variance,
-    floored at ``config.var_floor``.
-
-    Only the rows of the database's support are stacked: every other count
-    is 0, so its mean is 0 and its variance the floor.
-    """
-    support = db.support
-    stack = db.counts_stack(support)
-    first = db.observations[0].fingerprint
-    mean = np.zeros((first.F, first.T))
-    var = np.full_like(mean, config.var_floor)
-    mean[support] = stack.mean(axis=0)
-    var[support] = np.maximum(stack.var(axis=0), config.var_floor)
-    return FpfModel(mean=mean, var=var, n_samples=len(db), var_floor=config.var_floor)
+    floored at ``config.var_floor``, of the database's support rows."""
+    stack = db.counts_stack(db.support)
+    return FpfModel(support=db.support, mean=stack.mean(axis=0),
+                    var=np.maximum(stack.var(axis=0), config.var_floor),
+                    F=db.observations[0].fingerprint.F, n_samples=len(db),
+                    var_floor=config.var_floor)
 
 
 def _mass(z):
@@ -170,10 +166,10 @@ class DeviationGrid:
     """Window statistics for every failure time, stored time-major so that
     gathering failure times reads contiguous rows.
 
-    ``mean``/``var`` (T, F): the model's weighted window mean and the variance
-    of that mean; ``exec_mean`` (T, n, F): each fingerprint's weighted window
-    mean; ``model_active``/``exec_active``: the window sum of the model mean or
-    of the executed counts is above 1e-9.
+    ``mean``/``var`` (T, R), on the model's R rows: its weighted window mean and
+    the variance of that mean; ``exec_mean`` (T, n, R): each fingerprint's
+    weighted window mean; ``model_active``/``exec_active``: the window sum of the
+    model mean or of the executed counts is above 1e-9.
     """
 
     mean: np.ndarray
@@ -184,7 +180,7 @@ class DeviationGrid:
 
     def at(self, t_idx, obs_idx) -> tuple[np.ndarray, np.ndarray]:
         """Deviation mass and inactivity mask at broadcast (t_fail, observation)
-        index arrays; outputs have the broadcast shape plus a trailing F axis.
+        index arrays; outputs have the broadcast shape plus a trailing R axis.
         A function is inactive when neither side is active in the window."""
         pd = _mass((self.exec_mean[t_idx, obs_idx] - self.mean[t_idx]) / np.sqrt(self.var[t_idx]))
         inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
@@ -211,8 +207,8 @@ def _grid(mean: np.ndarray, var: np.ndarray, counts: np.ndarray,
 
 
 def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:
-    """Window statistics of a fingerprint stack (n, F, T) against ``model``
-    for all failure times."""
+    """Window statistics of a stack (n, |support|, T) of counts of the model's
+    support functions against ``model`` for all failure times."""
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 3 or counts.shape[1:] != model.mean.shape:
         raise ValidationError(
@@ -229,17 +225,18 @@ def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
     every other function has window means of exactly 0 on both sides, so its
     mass is 0, and it is inactive.
     """
-    if (fingerprint.F, fingerprint.T) != model.mean.shape:
+    if (fingerprint.F, fingerprint.T) != (model.F, model.T):
         raise ValidationError(f"counts of shape {(fingerprint.F, fingerprint.T)} "
-                              f"do not match the model's {model.mean.shape}")
+                              f"do not match the model's {(model.F, model.T)}")
     if not (0 <= t_fail < model.T):
         raise ValidationError(f"t_fail={t_fail} outside [0, {model.T})")
     window = slice(max(0, t_fail - config.window_steps + 1), t_fail + 1)
-    live = np.union1d(model.support, fingerprint.rows)
-    live_pd, live_inactive = _grid(model.mean[live, window], model.var[live, window],
-                                   fingerprint.gather(live)[None, :, window], config).at(-1, 0)
+    live = model.on(fingerprint.rows)
+    live_pd, live_inactive = _grid(live.mean[:, window], live.var[:, window],
+                                   fingerprint.gather(live.support)[None, :, window],
+                                   config).at(-1, 0)
     pd = np.zeros(model.F)
-    pd[live] = live_pd
+    pd[live.support] = live_pd
     inactive = np.ones(model.F, dtype=bool)
-    inactive[live] = live_inactive
+    inactive[live.support] = live_inactive
     return pd, inactive

@@ -78,7 +78,7 @@ class SkillCache:
 
     Built once per loop in O(n_obs * |S| * T) by ``deviation_grid`` on the
     skill's support S: the functions with a non-zero count in a stored run or
-    in the model mean. A success is judged at the last timestep, so the
+    in the model's support. A success is judged at the last timestep, so the
     deviation mass and inactivity mask there, ``success_pd`` and
     ``success_inactive`` (n_obs, |S|), are evaluated once here; a gain
     evaluation gathers the sampled failure times and evaluates the deviation
@@ -87,10 +87,9 @@ class SkillCache:
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
         self.db, self.fpf = db, fpf
-        self.support = np.union1d(db.support, fpf.support)
-        on_support = FpfModel(mean=fpf.mean[self.support], var=fpf.var[self.support],
-                              n_samples=fpf.n_samples, var_floor=fpf.var_floor)
-        self.grid = deviation_grid(on_support, db.counts_stack(self.support), config)
+        model = fpf.on(db.support)
+        self.support = model.support
+        self.grid = deviation_grid(model, db.counts_stack(self.support), config)
         self.success_pd, self.success_inactive = self.grid.at(fpf.T - 1, np.arange(len(db)))
 
 

@@ -20,14 +20,15 @@ unpickled, and one whose dtype, ndim or size disagrees with its manifest is
 a :class:`StoreError` naming it. Counts are read straight into the
 row-sparse :class:`Fingerprint`, so loading builds no F x T matrix.
 
-Studies and models are written at version 1. Every file is self-describing
-through ``format``, ``version`` and, for models, ``kind`` fields; another
-version (a database of version 1 or 2 among them) is a :class:`VersionError`,
-and loading validates shapes and contents rather than trusting them. A
-study's ``dbs`` and ``replay`` entries are relative paths inside its
-directory. Every JSON document goes through :func:`_write_json` and
-:func:`_read_json`, and a missing or mistyped field met while interpreting
-one is a :class:`StoreError` naming the file.
+Studies and ``mom`` models are written at version 1, ``fpf`` models at version
+2: ``support``, ``F``, ``T`` and the |support| x T ``mean`` and ``var``. Every
+file is self-describing through ``format``, ``version`` and, for models,
+``kind`` fields; another version (a version-1 or -2 database, a version-1
+``fpf`` model) is a :class:`VersionError`, and loading validates shapes and
+contents rather than trusting them. A study's ``dbs`` and ``replay`` entries
+are relative paths inside its directory. Every JSON document goes through
+:func:`_write_json` and :func:`_read_json`, and a missing or mistyped field
+met while interpreting one is a :class:`StoreError` naming the file.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ _MODEL_FORMAT = "blamebox-model"
 _STUDY_FORMAT = "blamebox-study"
 _VERSION = 1
 _DB_VERSION = 3
+_MODEL_VERSIONS = {"fpf": 2, "mom": _VERSION}
 _MALFORMED = (KeyError, TypeError, AttributeError, IndexError, ValueError, ArithmeticError)
 
 
@@ -91,12 +93,15 @@ def _inside(manifest_path: str, rel) -> str:
     return os.path.join(os.path.dirname(manifest_path), rel)
 
 
-def _read_document(path: str, expected_format: str, supported: int = _VERSION) -> dict:
-    """A JSON document whose ``format`` matches and whose ``version`` is ``supported``."""
+def _read_document(path: str, expected_format: str, supported=_VERSION) -> dict:
+    """A JSON document whose ``format`` matches and whose ``version`` is
+    ``supported``, or the version that ``supported`` gives its ``kind``."""
     payload = _read_json(path)
     fmt, version = payload.get("format"), payload.get("version")
     if fmt != expected_format:
         raise StoreError(f"{path}: expected format {expected_format!r}, found {fmt!r}")
+    if isinstance(supported, dict):
+        supported = supported.get(str(payload.get("kind")), _VERSION)
     if version != supported:
         raise VersionError(f"{path}: unsupported version {version!r} (supported: {supported})")
     return payload
@@ -167,9 +172,9 @@ def _dimension(manifest_path: str, doc: dict, key: str, least: int,
                   lambda v: type(v) is int and v >= least, owner)
 
 
-def _interval(manifest_path: str, manifest: dict) -> float:
-    """The manifest's sampling interval ``dt``, a finite JSON number > 0."""
-    return float(_field(manifest_path, manifest, "dt", "a finite number > 0",
+def _positive(path: str, doc: dict, key: str) -> float:
+    """``doc[key]``, a finite JSON number > 0, as a float."""
+    return float(_field(path, doc, key, "a finite number > 0",
                         lambda v: type(v) in (int, float) and 0 < v < np.inf, "its"))
 
 
@@ -245,10 +250,11 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
     })
 
 
-def _load_records(path: str, registry: FunctionRegistry | None = None
+def _load_records(path: str, registry: FunctionRegistry | None = None, listed=None
                   ) -> tuple[SkillId, int, list[Observation]]:
     """The skill, the manifest's ``canonical_T`` and the runs of a database
-    directory; with ``registry``, its manifest must list the same functions."""
+    directory; with ``registry``, its manifest must list the same functions, and
+    with ``listed``, (the study manifest listing it, skill, dt), that skill and dt."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSION)
     with _interpreting(manifest_path):
@@ -257,7 +263,10 @@ def _load_records(path: str, registry: FunctionRegistry | None = None
         elif manifest["functions"] != list(registry.names):
             raise StoreError(f"{manifest_path}: lists other functions than expected")
         skill = manifest["skill"]
-        dt = _interval(manifest_path, manifest)
+        dt = _positive(manifest_path, manifest, "dt")
+        if listed is not None and (skill, dt) != listed[1:]:
+            raise StoreError(f"{manifest_path}: holds skill {skill!r} at dt={dt}, but "
+                             f"{listed[0]} lists it for skill {listed[1]!r} at dt={listed[2]}")
         canonical_T = _dimension(manifest_path, manifest, "canonical_T", 0, "its")
         records = []
         for entry, sensors, fingerprint, counts_file in _runs(manifest_path, manifest,
@@ -278,11 +287,11 @@ def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
                   db.observations[0].fingerprint.dt)
 
 
-def load_db(path: str, registry: FunctionRegistry | None = None) -> ExperienceDb:
+def load_db(path: str, registry: FunctionRegistry | None = None, listed=None) -> ExperienceDb:
     """Load and validate an experience database (successful runs only); with
-    ``registry``, the database must list the same functions. The manifest's
-    ``canonical_T`` must be the one the runs give."""
-    skill, canonical_T, records = _load_records(path, registry)
+    ``registry`` and ``listed``, as :func:`_load_records` checks them. The
+    manifest's ``canonical_T`` must be the one the runs give."""
+    skill, canonical_T, records = _load_records(path, registry, listed)
     manifest_path = os.path.join(path, "manifest.json")
     with _naming(manifest_path):
         db = ExperienceDb(skill, records)
@@ -298,11 +307,11 @@ def save_recorded(records: Sequence[Observation], path: str, skill: SkillId,
     _save_records(path, skill, registry, records, dt)
 
 
-def load_recorded(path: str, registry: FunctionRegistry | None = None
-                  ) -> list[Observation]:
-    """Load recorded executions; with ``registry``, the recording must list
-    the same functions. Their manifest's ``canonical_T`` is not checked."""
-    return _load_records(path, registry)[2]
+def load_recorded(path: str, registry: FunctionRegistry | None = None,
+                  listed=None) -> list[Observation]:
+    """Load recorded executions; with ``registry`` and ``listed``, as
+    :func:`_load_records` checks them. Their ``canonical_T`` is not checked."""
+    return _load_records(path, registry, listed)[2]
 
 
 class ReplayExecutor:
@@ -332,8 +341,9 @@ def save_model(model: FpfModel | MomModel | MomBundle, path: str) -> None:
     bundle, model = (model, model.model) if isinstance(model, MomBundle) else (None, model)
     payload: dict = {"format": _MODEL_FORMAT, "version": _VERSION}
     if isinstance(model, FpfModel):
-        payload.update(kind="fpf", n_samples=model.n_samples, var_floor=model.var_floor,
-                       mean=model.mean.tolist(), var=model.var.tolist())
+        payload.update(kind="fpf", version=_MODEL_VERSIONS["fpf"], support=model.support.tolist(),
+                       F=model.F, T=model.T, n_samples=model.n_samples,
+                       var_floor=model.var_floor, mean=model.mean.tolist(), var=model.var.tolist())
     elif isinstance(model, MomModel):
         payload.update(
             kind="mom",
@@ -355,16 +365,21 @@ def load_model(path: str, expect: str | None = None):
 
     ``expect`` ("fpf" or "mom") turns a kind mismatch into :class:`KindError`.
     """
-    payload = _read_document(path, _MODEL_FORMAT)
+    payload = _read_document(path, _MODEL_FORMAT, _MODEL_VERSIONS)
     kind = payload.get("kind")
     if expect is not None and kind != expect:
         raise KindError(f"{path}: holds a {kind!r} model, expected {expect!r}")
     with _interpreting(path, ValidationError, ConfigError):
         if kind == "fpf":
-            return FpfModel(mean=np.array(payload["mean"], dtype=np.float64),
-                            var=np.array(payload["var"], dtype=np.float64),
-                            n_samples=int(payload["n_samples"]),
-                            var_floor=float(payload["var_floor"]))
+            F, T = (_dimension(path, payload, key, 1, "its") for key in ("F", "T"))
+            support = Fingerprint.check_rows(payload["support"], F)
+            shape = (support.size, T) if support.size else (0,)   # no rows are written []
+            if np.shape(payload["mean"]) != shape or np.shape(payload["var"]) != shape:
+                raise StoreError(f"{path}: its mean and var must be {support.size} x {T} matrices")
+            return FpfModel(support=support, mean=np.reshape(payload["mean"], (-1, T)),
+                            var=np.reshape(payload["var"], (-1, T)), F=F,
+                            n_samples=_dimension(path, payload, "n_samples", 1, "its"),
+                            var_floor=_positive(path, payload, "var_floor"))
         if kind == "mom":
             params = {name: np.array(payload["params"][name], dtype=np.float64)
                       for name in _PARAM_FIELDS}
@@ -425,24 +440,15 @@ def load_study(path: str) -> Study:
     manifest = _read_document(manifest_path, _STUDY_FORMAT)
     with _interpreting(manifest_path):
         registry = FunctionRegistry(manifest["functions"])
-        dt = _interval(manifest_path, manifest)
+        dt = _positive(manifest_path, manifest, "dt")
         dbs = {}
         for skill in manifest["skills"]:
             rel = manifest["dbs"].get(skill)
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
-            dbs[skill] = load_db(_inside(manifest_path, rel), registry)
-        replay = {skill: load_recorded(_inside(manifest_path, rel), registry)
+            dbs[skill] = load_db(_inside(manifest_path, rel), registry, (manifest_path, skill, dt))
+        replay = {skill: load_recorded(_inside(manifest_path, rel), registry,
+                                       (manifest_path, skill, dt))
                   for skill, rel in manifest.get("replay", {}).items()}
-        if any(db.skill != s for s, db in dbs.items()) or any(
-                r.skill != s for s, recs in replay.items() for r in recs):
-            raise StoreError(f"{manifest_path}: a dbs or replay entry holds another skill")
-        for kind, runs_of in (("dbs", {s: db.observations for s, db in dbs.items()}),
-                              ("replay", replay)):
-            for s, runs in runs_of.items():   # a manifest's runs carry its dt
-                if runs and runs[0].fingerprint.dt != dt:
-                    entry = os.path.join(manifest[kind][s], "manifest.json")
-                    raise StoreError(f"{_inside(manifest_path, entry)}: dt is "
-                                     f"{runs[0].fingerprint.dt}, but {manifest_path} gives {dt}")
         return Study(registry=registry, dbs=dbs, dt=dt, replay=replay)
 

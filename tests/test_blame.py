@@ -172,7 +172,7 @@ class TestBayesUpdate:
 
     def test_success_never_raises_matching_active_mass(self):
         model, _ = fitted_model(silent_rows=(2,))
-        exact = model.mean.copy()
+        exact = model.on(np.arange(3)).mean.copy()
         obs = make_obs(F=3, T=10, counts=exact, sensors=np.zeros((1, 10)))
         prior = Belief(np.array([0.4, 0.4, 0.2]))
         posterior, _ = bayes_update(prior, {"s": model}, obs, True, None, CFG)

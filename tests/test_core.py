@@ -208,7 +208,7 @@ class TestExperienceDb:
             "s", [make_obs(F=5, counts=c) for c in counts], reg)
         support = db.support
         assert support.dtype == np.intp and list(support) == [1, 3]
-        full = db.counts_stack()
+        full = db.counts_stack(np.arange(5))
         assert full.shape == (3, 5, 4)
         assert np.array_equal(full, np.stack(counts))
         sub = db.counts_stack(support)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from blamebox import (BlameConfig, ConfigError, ExperienceDb, Fingerprint, FunctionRegistry,
-                      ValidationError, deviation_mass, fit_fpf)
+                      Observation, ValidationError, deviation_mass, fit_fpf)
 from blamebox.fpf import DeviationGrid, FpfModel, _mass, deviation_at, deviation_grid
 from tests.test_core import make_obs
 
@@ -39,7 +39,7 @@ def model_window(model, t_fail, cfg, f=slice(None)):
 
 def dense_fit(db, cfg):
     """The fit over the whole (n, F, T) stack, as an oracle for the support fit."""
-    stack = db.counts_stack()
+    stack = db.counts_stack(np.arange(REG.F))
     return stack.mean(axis=0), np.maximum(stack.var(axis=0), cfg.var_floor)
 
 
@@ -71,7 +71,7 @@ class TestFit:
         cfg = BlameConfig()
         counts = np.ones((3, 4))
         counts[2] = 0.0
-        model = fit_fpf(db_from_counts([counts, counts.copy()]), cfg)
+        model = fit_fpf(db_from_counts([counts, counts.copy()]), cfg).on(np.arange(3))
         assert np.all(model.mean[2] == 0.0)
         assert np.all(model.var[2] == cfg.var_floor)
 
@@ -102,9 +102,10 @@ class TestFit:
             stacks[5][2, 4] = 1.25                # ... or at one timestep only
         db = db_from_counts(stacks)
         model = fit_fpf(db, cfg)
+        dense = model.on(np.arange(3))
         mean, var = dense_fit(db, cfg)
-        assert np.array_equal(model.mean, mean)
-        assert np.array_equal(model.var, var)
+        assert np.array_equal(dense.mean, mean)
+        assert np.array_equal(dense.var, var)
         assert model.n_samples == n and model.var_floor == cfg.var_floor
 
 
@@ -363,11 +364,68 @@ class TestDeviationAtOracle:
         mean = (rng.uniform(0, 1, (F, T)) * (rng.uniform(size=(F, 1)) < 0.3)
                 * (rng.uniform(size=(F, T)) < 0.6))
         var = cfg.var_floor + rng.uniform(0, 200, (F, T))
-        model = FpfModel(mean=mean, var=var, n_samples=5, var_floor=cfg.var_floor)
+        support = np.flatnonzero(mean.any(axis=1))
+        model = FpfModel(support=support, mean=mean[support], var=var[support], F=F,
+                         n_samples=5, var_floor=cfg.var_floor)
         counts = rng.uniform(2, 3, (F, T)) * (rng.uniform(size=(F, 1)) < 0.3)
         fingerprint = Fingerprint(counts)
         for t_fail in {0, T - 1, int(rng.integers(0, T))}:
             pd, inactive = deviation_at(model, fingerprint, t_fail, cfg)
-            ref_pd, ref_inactive = dense_deviation_at(model, counts, t_fail, cfg)
+            ref_pd, ref_inactive = dense_deviation_at(model.on(np.arange(F)), counts,
+                                                      t_fail, cfg)
             np.testing.assert_allclose(pd, ref_pd, rtol=1e-14, atol=0.0)
             assert np.array_equal(inactive, ref_inactive)
+
+
+def sparse_model(support=(0, 2), rows=2, T=4, F=3):
+    return FpfModel(support=support, mean=np.zeros((rows, T)), var=np.ones((rows, T)), F=F,
+                    n_samples=1, var_floor=1e-6)
+
+
+class TestRowSparseModel:
+    @pytest.mark.parametrize("support", [(2, 0), (1, 1), (0, 3), (-1, 2), (0, 1.5)],
+                             ids=["unsorted", "repeated", "past-F", "negative", "fractional"])
+    def test_bad_support_rejected(self, support):
+        with pytest.raises(ValidationError, match="integers in \\[0, 3\\), ascending"):
+            sparse_model(support)
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_one_matrix_row_per_support_function(self, rows):
+        with pytest.raises(ValidationError, match=r"matching \(2, T\) matrices"):
+            sparse_model(rows=rows)
+        with pytest.raises(ValidationError, match=r"matching \(2, T\) matrices"):
+            FpfModel(support=(0, 2), mean=np.zeros((2, 4)), var=np.ones((rows, 4)), F=3,
+                     n_samples=1, var_floor=1e-6)
+
+    def test_wide_registry_fit_holds_the_support_only(self):
+        F, T, rows = 100_000, 50, [7, 4_242, 99_999]
+        rng = np.random.default_rng(4)
+        runs = [Observation(sensors=None, success=True, skill="s", fingerprint=(
+            Fingerprint.from_rows(rows, rng.uniform(0.5, 3.0, (3, T)), F))) for _ in range(5)]
+        db = ExperienceDb("s", runs)
+        model = fit_fpf(db, BlameConfig())
+        assert model.mean.shape == model.var.shape == (db.support.size, T) == (3, T)
+        assert list(model.support) == rows and (model.F, model.T) == (F, T)
+        stack = db.counts_stack(db.support)
+        assert np.array_equal(model.mean, stack.mean(axis=0))
+
+    @pytest.mark.parametrize("rows", [[], [0], [1], [0, 1, 2], [2, 0]])
+    def test_on_equals_the_dense_fit_on_every_row(self, rows):
+        rng = np.random.default_rng(9)
+        stacks = [rng.uniform(0, 4, (3, 7)) for _ in range(5)]
+        for c in stacks:
+            c[0] = 0.0                      # row a is silent in every run
+        db = db_from_counts(stacks)
+        cfg = BlameConfig(var_floor=0.01)
+        model = fit_fpf(db, cfg)
+        assert list(model.support) == [1, 2]
+        held = model.on(rows)
+        mean, var = dense_fit(db, cfg)
+        assert list(held.support) == sorted({1, 2} | set(rows))
+        assert np.array_equal(held.mean, mean[held.support])
+        assert np.array_equal(held.var, var[held.support])
+        assert (held.F, held.n_samples, held.var_floor) == (3, 5, cfg.var_floor)
+
+    def test_on_rejects_rows_outside_the_registry(self):
+        with pytest.raises(ValidationError):
+            sparse_model().on([3])

@@ -56,7 +56,9 @@ def full_registry_entropies(belief, db, fpf, samples, seed):
     rng = np.random.default_rng(seed)
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
     t_eff = np.where(succ, T - 1, rng.integers(0, T, size=(n, samples)))
-    pd, inactive = deviation_grid(fpf, db.counts_stack(), CFG).at(t_eff, np.arange(n)[:, None])
+    rows = np.arange(fpf.F)
+    pd, inactive = deviation_grid(fpf.on(rows), db.counts_stack(rows), CFG).at(
+        t_eff, np.arange(n)[:, None])
     lik = np.where(succ[:, :, None], combine_deviation(pd, inactive, True, CFG),
                    combine_deviation(pd, inactive, False, CFG))
     w = lik * belief.probs

@@ -600,3 +600,124 @@ class TestRecordedAndStudy:
             records[2] = replace(records[2], fingerprint=Fingerprint(
                 records[2].fingerprint.counts, dt=0.2))
             save_recorded(records, str(tmp_path / "rec"), "s1", REG, dt=0.1)
+
+    def test_empty_recording_at_another_dt_names_its_manifest(self, tmp_path, capsys):
+        study = tmp_path / "study"
+        save_study(str(study), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": self._records()})
+        save_recorded([], str(study / "replay" / "s1"), "s1", REG, dt=0.25)
+        replay_manifest = os.path.join("study", "replay", "s1", "manifest.json")
+        with pytest.raises(StoreError, match=f"{re.escape(replay_manifest)}: .*dt=0.25"):
+            load_study(str(study))
+        assert main(["localize", "--study", str(study), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and replay_manifest in err
+
+    @pytest.mark.parametrize("kind", ["dbs", "replay"])
+    def test_entry_of_another_skill_names_its_manifest(self, tmp_path, kind):
+        study = tmp_path / "study"
+        save_study(str(study), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": self._records()})
+        manifest_path = study / kind / "s1" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["skill"] = "s2"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=re.escape(os.path.join(kind, "s1", "manifest.json"))
+                           + ": holds skill 's2'"):
+            load_study(str(study))
+
+
+def fpf_file(tmp_path, db=None):
+    """The path of a saved fpf model of ``db`` (by default ``small_db()``)
+    and the saved document."""
+    path = tmp_path / "fpf.json"
+    save_model(fit_fpf(small_db() if db is None else db, BlameConfig()), str(path))
+    return path, json.loads(path.read_text())
+
+
+def edited(path, doc, **fields):
+    path.write_text(json.dumps({**doc, **fields}))
+    return str(path)
+
+
+class TestFpfModelFile:
+    def test_written_on_the_support_at_version_2(self, tmp_path):
+        used = SimSkillSpec(skill="s1", used_functions=("f1", "f3"), T=12, dt=0.1)
+        db = build_database(used, REG, np.random.default_rng(0), 4)
+        path, doc = fpf_file(tmp_path, db)
+        assert (doc["version"], doc["support"], doc["F"], doc["T"]) == (2, [0, 2], 3, 12)
+        assert np.shape(doc["mean"]) == np.shape(doc["var"]) == (2, 12)
+        model, loaded = fit_fpf(db, BlameConfig()), load_model(str(path), expect="fpf")
+        for name in ("support", "mean", "var"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
+        assert (loaded.F, loaded.T, loaded.n_samples, loaded.var_floor) == (
+            model.F, model.T, model.n_samples, model.var_floor)
+
+    def test_all_zero_db_round_trips_with_its_T(self, tmp_path):
+        runs = [Observation(sensors=None, fingerprint=Fingerprint(np.zeros((REG.F, 9)), dt=0.1),
+                            success=True, skill="s1") for _ in range(3)]
+        path, doc = fpf_file(tmp_path, ExperienceDb("s1", runs))
+        assert (doc["support"], doc["mean"], doc["T"]) == ([], [], 9)
+        loaded = load_model(str(path), expect="fpf")
+        assert loaded.support.size == 0 and loaded.mean.shape == loaded.var.shape == (0, 9)
+        assert (loaded.F, loaded.T, loaded.n_samples) == (3, 9, 3)
+        dense = loaded.on(np.arange(3))
+        assert np.array_equal(dense.mean, np.zeros((3, 9)))
+        assert np.array_equal(dense.var, np.full((3, 9), BlameConfig().var_floor))
+
+    def test_version_1_rejected(self, tmp_path, capsys):
+        path = tmp_path / "fpf.json"
+        dense = fit_fpf(small_db(), BlameConfig()).on(np.arange(REG.F))
+        v1 = {"format": "blamebox-model", "version": 1, "kind": "fpf", "n_samples": 4,
+              "var_floor": 1e-6, "mean": dense.mean.tolist(), "var": dense.var.tolist()}
+        path.write_text(json.dumps(v1))
+        for expect in ("fpf", None):
+            with pytest.raises(VersionError, match=r"fpf.json: unsupported version 1 "
+                                                   r"\(supported: 2\)"):
+                load_model(str(path), expect=expect)
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        assert main(["eval-mom", "--model", str(path), "--db", str(tmp_path / "db"),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "(supported: 2)" in err
+
+    def test_mom_file_of_version_1_still_loads_and_saves_the_same_bytes(self, tmp_path):
+        # written by the code before fpf files moved to version 2
+        fixture = os.path.join(os.path.dirname(__file__), "data", "mom_v1.json")
+        bundle = load_model(fixture, expect="mom")
+        assert bundle.error_stats is not None and len(bundle.model.loss_history) == 2
+        save_model(bundle, str(tmp_path / "again.json"))
+        with open(fixture, "rb") as fh:
+            assert (tmp_path / "again.json").read_bytes() == fh.read()
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_samples", 7.9), ("n_samples", True), ("n_samples", -3), ("n_samples", 0),
+        ("n_samples", "7"), ("var_floor", "1e-06"), ("var_floor", 0), ("var_floor", -1.0),
+        ("var_floor", float("nan")), ("var_floor", float("inf")), ("var_floor", True),
+        ("F", 3.0), ("F", 0), ("F", True), ("T", 12.5), ("T", 0), ("T", "12"),
+    ])
+    def test_mistyped_field_names_the_file(self, tmp_path, key, value):
+        path, doc = fpf_file(tmp_path)
+        with pytest.raises(StoreError, match=f"fpf.json: its '{key}' must be"):
+            load_model(edited(path, doc, **{key: value}))
+
+    @pytest.mark.parametrize("support", [[1, 0], [0, 0], [0, 3], [-1, 0], [0, 0.5], "01",
+                                         [[0, 1]], [0, 1, 2]],
+                             ids=["unsorted", "repeated", "past-F", "negative", "fractional",
+                                  "string", "nested", "longer-than-mean"])
+    def test_bad_support_names_the_file(self, tmp_path, support):
+        path, doc = fpf_file(tmp_path)
+        assert doc["support"] == [0, 1]
+        with pytest.raises(StoreError, match="fpf.json: "):
+            load_model(edited(path, doc, support=support))
+
+    @pytest.mark.parametrize("key", ["mean", "var"])
+    @pytest.mark.parametrize("change", ["drop-row", "drop-column", "flatten", "ragged", "empty"])
+    def test_misshapen_matrix_names_the_file(self, tmp_path, key, change):
+        path, doc = fpf_file(tmp_path)
+        rows = doc[key]
+        value = {"drop-row": rows[:1], "drop-column": [r[:-1] for r in rows],
+                 "flatten": [x for r in rows for x in r], "ragged": [rows[0], rows[1][:-1]],
+                 "empty": []}[change]
+        with pytest.raises(StoreError, match="fpf.json: "):
+            load_model(edited(path, doc, **{key: value}))
