@@ -322,6 +322,9 @@ def canonicalize_length(item, target_T: int):
 
 
 def _canonicalize_observation(obs: Observation, target_T: int) -> Observation:
+    """``obs`` at ``target_T`` timesteps; ``obs`` itself when it is already."""
+    if obs.fingerprint.T == target_T:   # the sensors match it, as Observation checks
+        return obs
     sensors = None if obs.sensors is None else canonicalize_length(obs.sensors, target_T)
     return replace(obs, sensors=sensors,
                    fingerprint=canonicalize_length(obs.fingerprint, target_T))

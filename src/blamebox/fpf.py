@@ -10,7 +10,10 @@ Every window statistic comes from one kernel, ``_window_sums``, through one
 grid builder. The planner's ``deviation_grid`` covers the whole run, one row
 per failure time, for its hypothetical failures; a real execution's update,
 ``deviation_at``, builds the grid over the blame window alone and reads its
-last row.
+last row. The kernel is a decayed prefix sum taken by a two-level scan over
+blocks of about sqrt(T) timesteps, so a call costs about 3*sqrt(T) array
+steps rather than 2*T; it multiplies only by powers of the decay, all at most
+1, so it needs no scaling against overflow.
 
 Both the expected statistic and the executed statistic are normalized by the
 same 1/N_w factor over the same window, so they are directly comparable in
@@ -148,16 +151,34 @@ def deviation_mass(x: float, mean: float, var: float) -> float:
 
 def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
     """In place, y[t] <- sum_{k < W, k <= t} r**k * y[t - k] along the leading
-    (time) axis; returns ``y``.
+    (time) axis, for 0 <= r <= 1; returns ``y``.
 
     The window is a truncated exponential, so this is the decayed prefix sum
-    P[t] = r*P[t-1] + y[t] minus r**W * P[t-W]: O(T) per cell. With r = 1 a
-    window of zeros sums to exactly 0, since its two prefix sums are equal.
+    P[t] = r*P[t-1] + y[t] minus r**W * P[t-W]. P comes from a two-level scan
+    (Blelloch 1990) over blocks of B = ceil(sqrt(T)) timesteps: the recursion
+    runs inside every block at once (B strided array steps; the last block may
+    be shorter), then block by block adds r**(j+1) times the previous block's
+    last prefix to its row j (one step per block). The subtraction runs from
+    the end in slices of max(W, B) rows, whose sources are still prefixes.
+    That is about 3*sqrt(T) array steps, and no temporary is larger than a
+    slice. Only powers r**k <= 1 multiply the data, so nothing can overflow
+    and no scaling is needed: r = 0, r**k underflowing to 0, W >= T and T = 1
+    need no special case. With r = 1 every weight is exactly 1, so a window
+    of zeros sums to exactly 0: its two prefix sums are the same float.
     """
-    for t in range(1, y.shape[0]):
-        y[t] += r * y[t - 1]
-    for t in range(y.shape[0] - 1, W - 1, -1):   # backwards: y[t - W] is still P[t - W]
-        y[t] -= r ** W * y[t - W]
+    T = y.shape[0]
+    B = max(1, math.ceil(math.sqrt(T)))
+    for j in range(1, B):
+        row = y[j::B]
+        row += r * y[j - 1::B][:len(row)]
+    decay = (r ** np.arange(1.0, B + 1.0)).reshape((B,) + (1,) * (y.ndim - 1))
+    for start in range(B, T, B):
+        block = y[start:start + B]
+        block += decay[:len(block)] * y[start - 1]
+    step, rW = max(W, B), r ** W
+    for end in range(T, W, -step):   # backwards: rows below ``end`` still hold P
+        start = max(W, end - step)
+        y[start:end] -= rW * y[start - W:end - W]
     return y
 
 

@@ -25,7 +25,11 @@ Studies and ``mom`` models are written at version 1, ``fpf`` models at version
 file is self-describing through ``format``, ``version`` and, for models,
 ``kind`` fields; another version (a version-1 or -2 database, a version-1
 ``fpf`` model) is a :class:`VersionError`, and loading validates shapes and
-contents rather than trusting them. A study's ``dbs`` and ``replay`` entries
+contents rather than trusting them. A model file is checked against its JSON
+types, not coerced: an fpf ``support`` lists JSON integers, and every numeric
+cell (fpf ``mean`` and ``var``; mom ``params``, ``norm_lo``, ``norm_hi``,
+``loss_history`` and ``error_stats``) is a JSON number, not a bool or a
+string. A study's ``dbs`` and ``replay`` entries
 are relative paths inside its directory. Every JSON document goes through
 :func:`_write_json` and :func:`_read_json`, and a missing or mistyped field
 met while interpreting one is a :class:`StoreError` naming the file.
@@ -170,6 +174,25 @@ def _dimension(manifest_path: str, doc: dict, key: str, least: int,
     """``doc[key]``, which must be a JSON integer >= ``least``."""
     return _field(manifest_path, doc, key, f"an integer >= {least}",
                   lambda v: type(v) is int and v >= least, owner)
+
+
+def _leaves(value):
+    """The cells of nested JSON lists ``value``, depth first."""
+    if type(value) is list:
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _numbers(path: str, doc: dict, key: str) -> np.ndarray:
+    """``doc[key]``, nested lists whose every cell is a JSON number (a bool or
+    a string is not one), as a float64 array."""
+    value = doc[key]
+    bad = [v for v in _leaves(value) if type(v) not in (int, float)]
+    if bad:
+        raise StoreError(f"{path}: its {key!r} must hold JSON numbers only, found {bad[0]!r}")
+    return np.array(value, dtype=np.float64)
 
 
 def _positive(path: str, doc: dict, key: str) -> float:
@@ -372,25 +395,25 @@ def load_model(path: str, expect: str | None = None):
     with _interpreting(path, ValidationError, ConfigError):
         if kind == "fpf":
             F, T = (_dimension(path, payload, key, 1, "its") for key in ("F", "T"))
-            support = Fingerprint.check_rows(payload["support"], F)
+            support = Fingerprint.check_rows(_field(
+                path, payload, "support", "a list of integers",
+                lambda v: type(v) is list and all(type(i) is int for i in v), "its"), F)
+            mean, var = _numbers(path, payload, "mean"), _numbers(path, payload, "var")
             shape = (support.size, T) if support.size else (0,)   # no rows are written []
-            if np.shape(payload["mean"]) != shape or np.shape(payload["var"]) != shape:
+            if mean.shape != shape or var.shape != shape:
                 raise StoreError(f"{path}: its mean and var must be {support.size} x {T} matrices")
-            return FpfModel(support=support, mean=np.reshape(payload["mean"], (-1, T)),
-                            var=np.reshape(payload["var"], (-1, T)), F=F,
-                            n_samples=_dimension(path, payload, "n_samples", 1, "its"),
+            return FpfModel(support=support, mean=mean.reshape(-1, T), var=var.reshape(-1, T),
+                            F=F, n_samples=_dimension(path, payload, "n_samples", 1, "its"),
                             var_floor=_positive(path, payload, "var_floor"))
         if kind == "mom":
-            params = {name: np.array(payload["params"][name], dtype=np.float64)
-                      for name in _PARAM_FIELDS}
-            model = MomModel(**params,
-                             norm_lo=np.array(payload["norm_lo"], dtype=np.float64),
-                             norm_hi=np.array(payload["norm_hi"], dtype=np.float64),
-                             loss_history=tuple(payload.get("loss_history", ())))
+            params = {name: _numbers(path, payload["params"], name) for name in _PARAM_FIELDS}
+            model = MomModel(**params, norm_lo=_numbers(path, payload, "norm_lo"),
+                             norm_hi=_numbers(path, payload, "norm_hi"),
+                             loss_history=(_numbers(path, payload, "loss_history")
+                                           if "loss_history" in payload else ()))
             stats = payload.get("error_stats")
-            es = None if stats is None else ErrorStats(
-                mu=np.array(stats["mu"], dtype=np.float64),
-                sigma=np.array(stats["sigma"], dtype=np.float64))
+            es = None if stats is None else ErrorStats(mu=_numbers(path, stats, "mu"),
+                                                       sigma=_numbers(path, stats, "sigma"))
             return MomBundle(model=model, error_stats=es)
     raise KindError(f"{path}: unknown model kind {kind!r}")
 

@@ -172,6 +172,16 @@ class TestExperienceDb:
         assert db.canonical_T == 6
         assert all(o.fingerprint.T == 6 and o.sensors.T == 6 for o in db.observations)
 
+    def test_runs_already_canonical_are_kept_as_given(self):
+        # only the runs whose length differs are rebuilt
+        runs = [make_obs(F=2, T=t) for t in (6, 4, 6, 8)]
+        runs[2] = Observation(sensors=None, fingerprint=runs[2].fingerprint,
+                              success=True, skill="s")   # a fingerprint-only run
+        db = ExperienceDb("s", runs)
+        assert db.canonical_T == 6
+        kept = [got is given for got, given in zip(db.observations, runs)]
+        assert kept == [True, False, True, False]
+
     def test_rejects_failures(self):
         reg = FunctionRegistry(["a", "b"])
         with pytest.raises(ValidationError, match="successful"):

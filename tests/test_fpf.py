@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from blamebox import (BlameConfig, ConfigError, ExperienceDb, Fingerprint, FunctionRegistry,
                       Observation, ValidationError, deviation_mass, fit_fpf)
-from blamebox.fpf import DeviationGrid, FpfModel, _mass, deviation_at, deviation_grid
+from blamebox.fpf import (DeviationGrid, FpfModel, _mass, _window_sums, deviation_at,
+                          deviation_grid)
 from tests.test_core import make_obs
 
 REG = FunctionRegistry(["a", "b", "c"])
@@ -337,6 +338,47 @@ class TestVectorizedGrid:
         assert pd.shape == (12, 2, 3) and inactive.shape == (12, 2, 3)
         single, _ = deviation_grid(model, stacks[0][None], cfg).at(ts, 0)
         assert np.array_equal(pd[:, 0], single)
+
+
+def direct_sums(y, r, W):
+    """sum_{k < W, k <= t} r**k * y[t - k] for every t, one lag at a time:
+    the O(T*W) oracle for the kernel's scan."""
+    out = np.zeros_like(y)
+    for k in range(min(W, len(y))):
+        out[k:] += r ** k * y[:len(y) - k]
+    return out
+
+
+class TestWindowSums:
+    WINDOWS = {"one": lambda T: 1, "below-T": lambda T: max(1, T // 3),
+               "T": lambda T: T, "above-T": lambda T: T + 7}
+
+    @staticmethod
+    def series(T, shape, seed):
+        """Counts over ``shape`` = (T, ...) with silent stretches: the first
+        quarter of the run, and a quarter of it from its middle on."""
+        y = np.random.default_rng(seed).uniform(0, 4, shape)
+        y[:T // 4] = 0.0
+        y[T // 2:T // 2 + T // 4 + 1] = 0.0
+        return y
+
+    @pytest.mark.parametrize("alpha", [0.0, math.log(10) / 40, 50.0, 400.0, 800.0])
+    @pytest.mark.parametrize("window", WINDOWS)
+    # blocks of B = ceil(sqrt(T)) steps: T = 7 ends in a one-row block, and
+    # B = 21 does not divide 401
+    @pytest.mark.parametrize("T", [1, 2, 7, 50, 401, 1600])
+    def test_scan_matches_the_direct_sum(self, alpha, window, T):
+        W = self.WINDOWS[window](T)
+        for i, shape in enumerate([(T,), (T, 3), (T, 2, 3)]):
+            y = self.series(T, shape, seed=[T, W, i])
+            for r in (math.exp(-alpha), math.exp(-2 * alpha)):   # the mean's and the var's
+                got = y.copy()
+                assert _window_sums(got, r, W) is got   # in place
+                np.testing.assert_allclose(got, direct_sums(y, r, W), rtol=1e-12, atol=1e-12)
+            # with r = 1 a silent window sums to exactly 0, as the activity masks need
+            silent = direct_sums((y != 0).astype(float), 1.0, W) == 0
+            assert silent.any() or T == 2   # at T = 2 only W = 1 leaves a silent window
+            assert np.all(_window_sums(y.copy(), 1.0, W)[silent] == 0.0)
 
 
 def dense_deviation_at(model, counts, t_fail, cfg):

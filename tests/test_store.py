@@ -702,14 +702,26 @@ class TestFpfModelFile:
             load_model(edited(path, doc, **{key: value}))
 
     @pytest.mark.parametrize("support", [[1, 0], [0, 0], [0, 3], [-1, 0], [0, 0.5], "01",
-                                         [[0, 1]], [0, 1, 2]],
+                                         [[0, 1]], [0, 1, 2], [0, True], [False, 1],
+                                         [0, 1.0], [0, "1"]],
                              ids=["unsorted", "repeated", "past-F", "negative", "fractional",
-                                  "string", "nested", "longer-than-mean"])
+                                  "string", "nested", "longer-than-mean", "bool", "false",
+                                  "integral-float", "string-index"])
     def test_bad_support_names_the_file(self, tmp_path, support):
         path, doc = fpf_file(tmp_path)
         assert doc["support"] == [0, 1]
         with pytest.raises(StoreError, match="fpf.json: "):
             load_model(edited(path, doc, support=support))
+
+    @pytest.mark.parametrize("key", ["mean", "var"])
+    @pytest.mark.parametrize("cell", [True, False, "1.5", None, {}],
+                             ids=["true", "false", "string", "null", "object"])
+    def test_cell_that_is_not_a_number_names_the_file(self, tmp_path, key, cell):
+        path, doc = fpf_file(tmp_path)
+        doc[key][1][3] = cell
+        with pytest.raises(StoreError, match=f"fpf.json: its '{key}' must hold JSON numbers "
+                                             f"only, found {re.escape(repr(cell))}"):
+            load_model(edited(path, doc))
 
     @pytest.mark.parametrize("key", ["mean", "var"])
     @pytest.mark.parametrize("change", ["drop-row", "drop-column", "flatten", "ragged", "empty"])
@@ -721,3 +733,33 @@ class TestFpfModelFile:
                  "empty": []}[change]
         with pytest.raises(StoreError, match="fpf.json: "):
             load_model(edited(path, doc, **{key: value}))
+
+
+class TestMomModelFile:
+    FIXTURE = os.path.join(os.path.dirname(__file__), "data", "mom_v1.json")
+
+    @pytest.mark.parametrize("where", [("params", "enc_b"), ("params", "enc_w"),
+                                       ("params", "cand_u"), ("norm_lo",), ("norm_hi",),
+                                       ("error_stats", "mu"), ("error_stats", "sigma"),
+                                       ("loss_history",)], ids="-".join)
+    @pytest.mark.parametrize("cell", ["0.5", True, False, None],
+                             ids=["string", "true", "false", "null"])
+    def test_cell_that_is_not_a_number_names_the_file(self, tmp_path, capsys, where, cell):
+        with open(self.FIXTURE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        cells = doc
+        for key in where:
+            cells = cells[key]
+        while isinstance(cells[0], list):
+            cells = cells[0]
+        cells[0] = cell
+        path = tmp_path / "mom.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StoreError, match=f"mom.json: its '{where[-1]}' must hold "
+                                             f"JSON numbers only, found {re.escape(repr(cell))}"):
+            load_model(str(path), expect="mom")
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        assert main(["eval-mom", "--model", str(path), "--db", str(tmp_path / "db"),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
