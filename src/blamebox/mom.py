@@ -20,16 +20,18 @@ training set and stored on the model).
 Training is full batch with ADAM and a fixed epoch count; everything is a
 deterministic function of (data, config, seed).
 
-Layout. A batch of n sequences runs time-major, as (T, n, D) arrays, and
-whatever does not depend on the hidden state is computed for all T at once
-(after Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946): the encodings
-as one matmul, and the three gates' input products as one stacked matmul
-into G (3, T, n, D), one (T, n, D) slab per gate in the order z, r, c. The
-recurrence then makes two products per step, h with the stacked
-[upd_u; rst_u] and r * h with cand_u. The backward pass forms the gates'
-local derivatives for all T before its loop, makes the two products that
-depend on dh per step, and forms each weight gradient after the loop as a
-product over all T n rows. Scoring (``error_rows``, ``error_series``,
+Layout. The model holds the gates stacked in the order z, r, c, as the
+passes use them: ``gate_w`` = [upd_w; rst_w; cand_w] (3, D, B), ``gate_u`` =
+[upd_u; rst_u; cand_u] (3, D, D) and ``gate_b`` (3, D). A batch of n
+sequences runs time-major, as (T, n, D) arrays, and whatever does not depend
+on the hidden state is computed for all T at once (after Appleyard, Kocisky
+& Blunsom 2016, arXiv:1604.01946): the encodings as one matmul, and the
+gates' input products as one matmul with ``gate_w`` into G (3, T, n, D), one
+(T, n, D) slab per gate. The recurrence then makes two products per step, h
+with ``gate_u[:2]`` and r * h with ``gate_u[2]``. The backward pass forms the
+gates' local derivatives for all T before its loop, makes the two products
+that depend on dh per step, and forms each weight gradient after the loop as
+a product over all T n rows. Scoring (``error_rows``, ``error_series``,
 ``reconstruct``) runs the same forward pass over the whole batch.
 """
 from __future__ import annotations
@@ -52,12 +54,7 @@ _ADAM_EPS = 1e-8
 # lower bound on the per-timestep error std of ErrorStats
 _SIGMA_FLOOR = 1e-6
 
-_PARAM_FIELDS = (
-    "enc_w", "enc_b",
-    "upd_w", "upd_u", "upd_b",
-    "rst_w", "rst_u", "rst_b",
-    "cand_w", "cand_u", "cand_b",
-)
+_PARAM_FIELDS = ("enc_w", "enc_b", "gate_w", "gate_u", "gate_b")
 
 
 @dataclass(frozen=True)
@@ -81,17 +78,14 @@ class MomConfig:
 
 @dataclass(frozen=True)
 class MomModel:
+    """The encoder (``enc_w`` B x D, ``enc_b``), the gates stacked as the
+    module docstring lays out, and the normalization box."""
+
     enc_w: np.ndarray
     enc_b: np.ndarray
-    upd_w: np.ndarray
-    upd_u: np.ndarray
-    upd_b: np.ndarray
-    rst_w: np.ndarray
-    rst_u: np.ndarray
-    rst_b: np.ndarray
-    cand_w: np.ndarray
-    cand_u: np.ndarray
-    cand_b: np.ndarray
+    gate_w: np.ndarray
+    gate_u: np.ndarray
+    gate_b: np.ndarray
     norm_lo: np.ndarray
     norm_hi: np.ndarray
     loss_history: tuple[float, ...] = ()
@@ -103,10 +97,18 @@ class MomModel:
                 raise ValidationError(f"non-finite values in {name}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.bottleneck >= self.D:
+        if self.enc_w.ndim != 2:
+            raise ValidationError(f"enc_w must be a B x D matrix, found shape {self.enc_w.shape}")
+        B, D = self.enc_w.shape
+        shapes = {"enc_b": (B,), "gate_w": (3, D, B), "gate_u": (3, D, D),
+                  "gate_b": (3, D), "norm_lo": (D,), "norm_hi": (D,)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValidationError(f"{name} has shape {getattr(self, name).shape}, "
+                                      f"expected {shape} for B={B}, D={D}")
+        if B >= D:
             raise ConfigError(
-                f"bottleneck ({self.bottleneck}) must be smaller than the "
-                f"input dimensionality ({self.D})")
+                f"bottleneck ({B}) must be smaller than the input dimensionality ({D})")
         object.__setattr__(self, "loss_history", tuple(float(x) for x in self.loss_history))
 
     @property
@@ -127,25 +129,22 @@ class MomModel:
         return (data - self.norm_lo[:, None]) / span[:, None]
 
 
-def init_model(D: int, config: MomConfig, seed: int | None = None) -> MomModel:
+def init_model(D: int, config: MomConfig) -> MomModel:
     """Fresh model with weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)) and zero
-    biases; identity normalization until trained. Deterministic given seed."""
+    biases; identity normalization until trained. Deterministic given
+    ``config.seed``: enc_w is drawn first, then each gate's w and u in turn."""
     B = config.bottleneck
-    if B >= D:
-        raise ConfigError(f"bottleneck ({B}) must be smaller than D ({D})")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
 
     def u(fan_in, shape):
         s = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-s, s, size=shape)
 
-    return MomModel(
-        enc_w=u(D, (B, D)), enc_b=np.zeros(B),
-        upd_w=u(B, (D, B)), upd_u=u(D, (D, D)), upd_b=np.zeros(D),
-        rst_w=u(B, (D, B)), rst_u=u(D, (D, D)), rst_b=np.zeros(D),
-        cand_w=u(B, (D, B)), cand_u=u(D, (D, D)), cand_b=np.zeros(D),
-        norm_lo=np.zeros(D), norm_hi=np.ones(D),
-    )
+    enc_w = u(D, (B, D))
+    gate_w, gate_u = zip(*[(u(B, (D, B)), u(D, (D, D))) for _ in range(3)])
+    return MomModel(enc_w=enc_w, enc_b=np.zeros(B), gate_w=np.stack(gate_w),
+                    gate_u=np.stack(gate_u), gate_b=np.zeros((3, D)),
+                    norm_lo=np.zeros(D), norm_hi=np.ones(D))
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -161,16 +160,6 @@ def _time_major(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X.transpose(2, 0, 1))
 
 
-def _stacked(p: dict[str, np.ndarray]):
-    """The gates' parameters stacked in the order update, reset, candidate:
-    input weights (3, D, B) and biases (3, 1, D), and the recurrent weights
-    of the update and reset gates (2, D, D)."""
-    W = np.stack([p["upd_w"], p["rst_w"], p["cand_w"]])
-    b = np.stack([p["upd_b"], p["rst_b"], p["cand_b"]])[:, None, :]
-    U = np.stack([p["upd_u"], p["rst_u"]])
-    return W, b, U
-
-
 def _forward(p: dict[str, np.ndarray], Xt: np.ndarray):
     """Run the network over a time-major batch ``Xt`` of shape (T, n, D).
 
@@ -179,21 +168,20 @@ def _forward(p: dict[str, np.ndarray], Xt: np.ndarray):
     and the states H (T + 1, n, D) with H[0] = 0.
     """
     T, n, D = Xt.shape
-    W, b, U = _stacked(p)
     E = Xt @ p["enc_w"].T
     E += p["enc_b"]
     np.maximum(E, 0.0, out=E)
-    G = np.matmul(E.reshape(T * n, -1), W.swapaxes(1, 2))
-    G += b
+    G = np.matmul(E.reshape(T * n, -1), p["gate_w"].swapaxes(1, 2))
+    G += p["gate_b"][:, None, :]
     G = G.reshape(3, T, n, D)
     H = np.zeros((T + 1, n, D))
     rh = np.empty((n, D))
-    U_T, cand_u_T = U.swapaxes(1, 2), p["cand_u"].T
+    Uzr_T, Uc_T = p["gate_u"][:2].swapaxes(1, 2), p["gate_u"][2].T
     for h, h_new, zr, z, r, c in zip(H[:-1], H[1:], G[:2].swapaxes(0, 1), *G):
-        zr += np.matmul(h, U_T)
+        zr += np.matmul(h, Uzr_T)
         _sigmoid(zr, out=zr)
         np.multiply(r, h, out=rh)
-        c += rh @ cand_u_T
+        c += rh @ Uc_T
         np.tanh(c, out=c)
         np.multiply(z, h, out=h_new)
         h_new += (1.0 - z) * c
@@ -276,7 +264,7 @@ def _backward(p: dict[str, np.ndarray], dH: np.ndarray, G: np.ndarray,
     Z, R, C = G
     # The coefficients of dh in the gate gradients, for all t at once:
     # dz' = dh (h - c) z (1 - z), dc' = dh (1 - z)(1 - c^2) and dr' = du h r (1 - r)
-    # with du = dc' cand_u. Step t overwrites K[:, t] by dz', dr' and dc'.
+    # with du = dc' gate_u[2]. Step t overwrites K[:, t] by dz', dr' and dc'.
     K = np.empty((3, T, n, D))
     Kz, Kr, Kc = K
     np.subtract(1.0, R, out=Kc)               # Kc holds 1 - r until its own turn
@@ -289,17 +277,16 @@ def _backward(p: dict[str, np.ndarray], dH: np.ndarray, G: np.ndarray,
     np.multiply(C, C, out=C)
     Kc *= np.subtract(1.0, C, out=C)
 
-    _, _, U = _stacked(p)
-    cand_u = p["cand_u"]
+    Uzr, Uc = p["gate_u"][:2], p["gate_u"][2]
     dh_next = np.zeros((n, D))
     steps = (dH, K[:2].swapaxes(0, 1), K[::2].swapaxes(0, 1), Kr, Kc, Z, R)
     for dh, dzr, dzc, dr, dc, z, r in zip(*(a[::-1] for a in steps)):
         dh += dh_next
         dzc *= dh                             # dz' and dc'
-        du = dc @ cand_u                      # gradient wrt r * h_prev
+        du = dc @ Uc                          # gradient wrt r * h_prev
         dr *= du
         dh_next = dh * z
-        dh_next += np.matmul(dzr, U).sum(axis=0)
+        dh_next += np.matmul(dzr, Uzr).sum(axis=0)
         dh_next += du * r
     return K
 
@@ -319,23 +306,19 @@ def loss_and_gradients(params: dict[str, np.ndarray],
     Y, (E, G, H) = _forward(params, Xt)
     loss, dH = _output_gradient(Xt, Y)
     dG = _backward(params, dH, G, H[:-1]).reshape(3, N, D)
-    g_cand_u = dG[2].T @ (G[1] * H[:-1]).reshape(N, D)     # with r_t * h_{t-1}
+    gU = np.empty((3, D, D))
+    np.matmul(dG[2].T, (G[1] * H[:-1]).reshape(N, D), out=gU[2])   # with r_t * h_{t-1}
     del Y, dH, G                              # spent: make room for the products below
-    W, _, _ = _stacked(params)
     E2, H2 = E.reshape(N, -1), H[:-1].reshape(N, D)
-    gW = np.matmul(dG.swapaxes(1, 2), E2)
-    gU = np.matmul(dG[:2].swapaxes(1, 2), H2)
-    gb = dG.sum(axis=1)
+    np.matmul(dG[:2].swapaxes(1, 2), H2, out=gU[:2])
+    W = params["gate_w"]
     de = dG[0] @ W[0]
     for g, w in zip(dG[1:], W[1:]):
         de += g @ w
     de *= E2 > 0                              # relu: e > 0 exactly where its input is
-    return loss, {
-        "enc_w": de.T @ Xt.reshape(N, D), "enc_b": de.sum(axis=0),
-        "upd_w": gW[0], "upd_u": gU[0], "upd_b": gb[0],
-        "rst_w": gW[1], "rst_u": gU[1], "rst_b": gb[1],
-        "cand_w": gW[2], "cand_u": g_cand_u, "cand_b": gb[2],
-    }
+    return loss, {"enc_w": de.T @ Xt.reshape(N, D), "enc_b": de.sum(axis=0),
+                  "gate_w": np.matmul(dG.swapaxes(1, 2), E2), "gate_u": gU,
+                  "gate_b": dG.sum(axis=1)}
 
 
 def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
@@ -358,14 +341,9 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
         raise ValidationError(
             f"the observation model needs at least 2 sensor channels, got D={D}")
     raw = np.stack([s.data for s in seqs])
-    lo = raw.min(axis=(0, 2))
-    hi = raw.max(axis=(0, 2))
-    span = np.where(hi - lo < _NORM_GUARD, 1.0, hi - lo)
-    X = (raw - lo[None, :, None]) / span[None, :, None]
-
-    eff = replace(config, bottleneck=min(config.bottleneck, D - 1)) \
-        if config.bottleneck >= D else config
-    model = init_model(D, eff, seed=config.seed)
+    model = replace(init_model(D, replace(config, bottleneck=min(config.bottleneck, D - 1))),
+                    norm_lo=raw.min(axis=(0, 2)), norm_hi=raw.max(axis=(0, 2)))
+    X = model.normalize(raw)
     params = {k: v.copy() for k, v in model.params().items()}
 
     m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -380,7 +358,7 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
             m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * grads[k]
             v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * grads[k] ** 2
             params[k] -= _LEARNING_RATE * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + _ADAM_EPS)
-    return MomModel(**params, norm_lo=lo, norm_hi=hi, loss_history=tuple(losses))
+    return replace(model, **params, loss_history=tuple(losses))
 
 
 @dataclass(frozen=True)
@@ -395,8 +373,8 @@ class ErrorStats:
         sigma = np.ascontiguousarray(np.asarray(self.sigma, dtype=np.float64))
         if mu.shape != sigma.shape or mu.ndim != 1:
             raise ValidationError("mu and sigma must be matching vectors")
-        if np.any(sigma <= 0):
-            raise ValidationError("sigma entries must be positive")
+        if not (np.all(np.isfinite(mu)) and np.all((sigma > 0) & (sigma < np.inf))):
+            raise ValidationError("mu must be finite and sigma entries finite and positive")
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)

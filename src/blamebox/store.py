@@ -29,10 +29,13 @@ contents rather than trusting them. A model file is checked against its JSON
 types, not coerced: an fpf ``support`` lists JSON integers, and every numeric
 cell (fpf ``mean`` and ``var``; mom ``params``, ``norm_lo``, ``norm_hi``,
 ``loss_history`` and ``error_stats``) is a JSON number, not a bool or a
-string. A study's ``dbs`` and ``replay`` entries
-are relative paths inside its directory. Every JSON document goes through
-:func:`_write_json` and :func:`_read_json`, and a missing or mistyped field
-met while interpreting one is a :class:`StoreError` naming the file.
+string. A mom file names each gate's parameters (``upd_*``, ``rst_*``,
+``cand_*``), which loading stacks into :class:`MomModel`'s ``gate_w``,
+``gate_u`` and ``gate_b`` and saving splits again. A study's ``dbs`` and
+``replay`` entries are relative paths inside its directory. Every JSON
+document goes through :func:`_write_json` and :func:`_read_json`, and a
+missing or mistyped field met while interpreting one is a
+:class:`StoreError` naming the file.
 """
 from __future__ import annotations
 
@@ -49,7 +52,7 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
 from .errors import (ConfigError, ExecutorError, KindError, StoreError, ValidationError,
                      VersionError)
 from .fpf import FpfModel
-from .mom import ErrorStats, MomBundle, MomModel, _PARAM_FIELDS
+from .mom import ErrorStats, MomBundle, MomModel
 
 _DB_FORMAT = "blamebox-db"
 _MODEL_FORMAT = "blamebox-model"
@@ -57,6 +60,8 @@ _STUDY_FORMAT = "blamebox-study"
 _VERSION = 1
 _DB_VERSION = 3
 _MODEL_VERSIONS = {"fpf": 2, "mom": _VERSION}
+# the gates of a mom file's parameter names, in MomModel's stacking order
+_MOM_GATES = ("upd", "rst", "cand")
 _MALFORMED = (KeyError, TypeError, AttributeError, IndexError, ValueError, ArithmeticError)
 
 
@@ -193,6 +198,16 @@ def _numbers(path: str, doc: dict, key: str) -> np.ndarray:
     if bad:
         raise StoreError(f"{path}: its {key!r} must hold JSON numbers only, found {bad[0]!r}")
     return np.array(value, dtype=np.float64)
+
+
+def _gate_stack(path: str, params: dict, part: str) -> np.ndarray:
+    """The gates' ``part`` ("w", "u" or "b") of a mom file's ``params``, stacked."""
+    names = [f"{gate}_{part}" for gate in _MOM_GATES]
+    arrays = [_numbers(path, params, name) for name in names]
+    if len({a.shape for a in arrays}) > 1:
+        raise StoreError(f"{path}: its {', '.join(names)} must share one shape, found "
+                         f"{', '.join(str(a.shape) for a in arrays)}")
+    return np.stack(arrays)
 
 
 def _positive(path: str, doc: dict, key: str) -> float:
@@ -370,7 +385,9 @@ def save_model(model: FpfModel | MomModel | MomBundle, path: str) -> None:
     elif isinstance(model, MomModel):
         payload.update(
             kind="mom",
-            params={name: getattr(model, name).tolist() for name in _PARAM_FIELDS},
+            params={"enc_w": model.enc_w.tolist(), "enc_b": model.enc_b.tolist(),
+                    **{f"{gate}_{part}": getattr(model, f"gate_{part}")[i].tolist()
+                       for i, gate in enumerate(_MOM_GATES) for part in "wub"}},
             norm_lo=model.norm_lo.tolist(),
             norm_hi=model.norm_hi.tolist(),
             loss_history=list(model.loss_history),
@@ -406,8 +423,10 @@ def load_model(path: str, expect: str | None = None):
                             F=F, n_samples=_dimension(path, payload, "n_samples", 1, "its"),
                             var_floor=_positive(path, payload, "var_floor"))
         if kind == "mom":
-            params = {name: _numbers(path, payload["params"], name) for name in _PARAM_FIELDS}
-            model = MomModel(**params, norm_lo=_numbers(path, payload, "norm_lo"),
+            params = payload["params"]
+            model = MomModel(**{name: _numbers(path, params, name) for name in ("enc_w", "enc_b")},
+                             **{f"gate_{part}": _gate_stack(path, params, part) for part in "wub"},
+                             norm_lo=_numbers(path, payload, "norm_lo"),
                              norm_hi=_numbers(path, payload, "norm_hi"),
                              loss_history=(_numbers(path, payload, "loss_history")
                                            if "loss_history" in payload else ()))

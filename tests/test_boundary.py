@@ -55,7 +55,7 @@ def _save_base(root):
         Observation(sensors=x, fingerprint=c, success=True, skill="s1")
         for x, c in zip(sensors, counts)], REG)
     save_db(db, os.path.join(root, "sensor_db"), REG)
-    model = init_model(3, MomConfig(bottleneck=2), seed=0)
+    model = init_model(3, MomConfig(bottleneck=2, seed=0))
     save_model(MomBundle(model=model, error_stats=fit_error_stats(model, sensors)),
                os.path.join(root, "mom.json"))
     assert main(_argv(root, "mom.json")) == 0

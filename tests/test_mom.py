@@ -1,9 +1,13 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from blamebox import (ConfigError, ErrorStats, MomConfig, MomModel, SensorSeries,
                       ValidationError, detect_failure_time, error_rows,
-                      error_series, fit_error_stats, init_model, reconstruct, train)
+                      error_series, fit_error_stats, init_model, load_model,
+                      reconstruct, train)
 from blamebox.mom import (_PARAM_FIELDS, _SIGMA_FLOOR, _centered_moving_average,
                           _cos_columns, loss_and_gradients)
 
@@ -37,35 +41,35 @@ def max_relative_error(analytic, numeric):
 
 
 def random_params(D, B, rng):
-    model = init_model(D, MomConfig(bottleneck=B), seed=int(rng.integers(2**31)))
+    model = init_model(D, MomConfig(bottleneck=B, seed=int(rng.integers(2**31))))
     return {k: rng.uniform(-0.6, 0.6, size=v.shape) for k, v in model.params().items()}
 
 
 def zero_model(D=4, B=2):
     fields = {}
     for name in _PARAM_FIELDS:
-        ref = init_model(D, MomConfig(bottleneck=B), seed=0)
+        ref = init_model(D, MomConfig(bottleneck=B, seed=0))
         fields[name] = np.zeros_like(getattr(ref, name))
     return MomModel(**fields, norm_lo=np.zeros(D), norm_hi=np.ones(D))
 
 
 class TestInit:
     def test_deterministic(self):
-        cfg = MomConfig(bottleneck=2)
-        a = init_model(8, cfg, seed=7)
-        b = init_model(8, cfg, seed=7)
+        cfg = MomConfig(bottleneck=2, seed=7)
+        a = init_model(8, cfg)
+        b = init_model(8, cfg)
         for name in _PARAM_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_bottleneck_must_compress(self):
         with pytest.raises(ConfigError):
-            init_model(8, MomConfig(bottleneck=8), seed=0)
+            init_model(8, MomConfig(bottleneck=8, seed=0))
 
     def test_fan_in_bounds(self):
-        m = init_model(3, MomConfig(bottleneck=2), seed=1)
+        m = init_model(3, MomConfig(bottleneck=2, seed=1))
         assert np.all(np.abs(m.enc_w) <= 1.0 / np.sqrt(3))
-        assert np.all(np.abs(m.upd_w) <= 1.0 / np.sqrt(2))
-        assert np.all(np.abs(m.upd_u) <= 1.0 / np.sqrt(3))
+        assert np.all(np.abs(m.gate_w) <= 1.0 / np.sqrt(2))
+        assert np.all(np.abs(m.gate_u) <= 1.0 / np.sqrt(3))
         assert np.all(m.enc_b == 0.0)
 
 
@@ -78,7 +82,7 @@ class TestForward:
 
     def test_causality_bit_exact(self):
         rng = np.random.default_rng(3)
-        m = init_model(5, MomConfig(bottleneck=3), seed=11)
+        m = init_model(5, MomConfig(bottleneck=3, seed=11))
         base = rng.uniform(0, 1, (5, 9))
         for t in (0, 4, 8):
             bumped = base.copy()
@@ -89,7 +93,7 @@ class TestForward:
 
     def test_perturbation_reaches_later_outputs(self):
         # all-positive encoder keeps units live, so the bump must propagate
-        ref = init_model(5, MomConfig(bottleneck=3), seed=11)
+        ref = init_model(5, MomConfig(bottleneck=3, seed=11))
         fields = {name: np.abs(getattr(ref, name)) + 0.05 for name in _PARAM_FIELDS}
         m = MomModel(**fields, norm_lo=np.zeros(5), norm_hi=np.ones(5))
         base = np.random.default_rng(3).uniform(0, 1, (5, 9))
@@ -101,7 +105,7 @@ class TestForward:
         assert not np.array_equal(ya[:, 4:], yb[:, 4:])
 
     def test_dimension_mismatch(self):
-        m = init_model(5, MomConfig(bottleneck=3), seed=0)
+        m = init_model(5, MomConfig(bottleneck=3, seed=0))
         with pytest.raises(ValidationError):
             reconstruct(m, SensorSeries(np.zeros((4, 6))))
 
@@ -200,6 +204,24 @@ def reference_loss_and_gradients(p, X):
     return loss, grads, Y
 
 
+GATES = ("upd", "rst", "cand")
+
+
+def per_gate(params):
+    """Stacked parameters (or gradients) under the oracle's per-gate names."""
+    named = {"enc_w": params["enc_w"], "enc_b": params["enc_b"]}
+    for i, gate in enumerate(GATES):
+        named.update({f"{gate}_{part}": params[f"gate_{part}"][i] for part in "wub"})
+    return named
+
+
+def stacked(named):
+    """Per-gate parameters (or gradients) stacked as the model holds them."""
+    return {"enc_w": named["enc_w"], "enc_b": named["enc_b"],
+            **{f"gate_{part}": np.stack([named[f"{gate}_{part}"] for gate in GATES])
+               for part in "wub"}}
+
+
 def relative_difference(a, b):
     """Largest entry of |a - b| relative to the largest entry of |b|."""
     a, b = np.asarray(a, float), np.asarray(b, float)
@@ -211,12 +233,12 @@ class TestStepwiseOracle:
     @pytest.mark.parametrize("n,D,B,T", [(30, 8, 7, 200), (1, 2, 1, 1), (3, 5, 2, 1)])
     def test_loss_and_gradients_match(self, n, D, B, T):
         rng = np.random.default_rng(n * 1000 + T)
-        params = {k: v.copy() for k, v in init_model(D, MomConfig(bottleneck=B),
-                                                     seed=n + T).params().items()}
+        params = init_model(D, MomConfig(bottleneck=B, seed=n + T)).params()
         params = {k: v + rng.uniform(-0.3, 0.3, v.shape) for k, v in params.items()}
         X = rng.uniform(0.0, 1.0, (n, D, T))
         loss, grads = loss_and_gradients(params, X)
-        ref_loss, ref_grads, _ = reference_loss_and_gradients(params, X)
+        ref_loss, ref_grads, _ = reference_loss_and_gradients(per_gate(params), X)
+        ref_grads = stacked(ref_grads)
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
         assert set(grads) == set(ref_grads)
         for name in ref_grads:
@@ -225,14 +247,25 @@ class TestStepwiseOracle:
 
     def test_reconstruction_matches(self):
         rng = np.random.default_rng(5)
-        model = init_model(6, MomConfig(bottleneck=3), seed=2)
+        model = init_model(6, MomConfig(bottleneck=3, seed=2))
         seq = SensorSeries(rng.uniform(0.0, 1.0, (6, 40)))
-        _, _, Y = reference_loss_and_gradients(model.params(), seq.data[None])
+        _, _, Y = reference_loss_and_gradients(per_gate(model.params()), seq.data[None])
+        assert relative_difference(reconstruct(model, seq).data, Y[0]) <= 1e-12
+
+    def test_model_file_names_map_to_gate_slots(self):
+        # the oracle reads the file's per-gate names directly, so a gate
+        # loaded into the wrong slot changes the loaded model's output
+        fixture = os.path.join(os.path.dirname(__file__), "data", "mom_v1.json")
+        with open(fixture, encoding="utf-8") as fh:
+            named = {k: np.array(v) for k, v in json.load(fh)["params"].items()}
+        model = load_model(fixture, expect="mom").model
+        seq = SensorSeries(np.random.default_rng(7).uniform(-1.0, 2.0, (model.D, 30)))
+        _, _, Y = reference_loss_and_gradients(named, model.normalize(seq.data)[None])
         assert relative_difference(reconstruct(model, seq).data, Y[0]) <= 1e-12
 
     def test_batched_rows_equal_error_series(self):
         rng = np.random.default_rng(6)
-        model = init_model(8, MomConfig(bottleneck=7), seed=4)
+        model = init_model(8, MomConfig(bottleneck=7, seed=4))
         model = MomModel(**model.params(), norm_lo=np.full(8, -0.5), norm_hi=np.full(8, 1.5))
         seqs = [SensorSeries(rng.normal(0.5, 0.4, (8, 60))) for _ in range(12)]
         rows = error_rows(model, seqs)
@@ -242,7 +275,7 @@ class TestStepwiseOracle:
 
     @pytest.mark.parametrize("shape,T", [((4, 9), None), ((3, 10), None), ((4, 10), 9)])
     def test_shape_mismatch_named_before_stacking(self, shape, T):
-        model = init_model(4, MomConfig(bottleneck=2), seed=0)
+        model = init_model(4, MomConfig(bottleneck=2, seed=0))
         seqs = [SensorSeries(np.zeros((4, 10))), SensorSeries(np.zeros(shape))]
         expected = 0 if T is not None else 1
         with pytest.raises(ValidationError, match=f"sequence {expected} has shape"):
@@ -302,14 +335,14 @@ class TestTrain:
 class TestErrorStats:
     def test_identical_sequences_hit_floor(self):
         seq = SensorSeries(np.random.default_rng(0).uniform(0, 1, (4, 8)))
-        model = init_model(4, MomConfig(bottleneck=2), seed=3)
+        model = init_model(4, MomConfig(bottleneck=2, seed=3))
         stats = fit_error_stats(model, [seq, seq, seq])
         assert np.all(stats.sigma == _SIGMA_FLOOR)
         assert stats.T == 8
 
     def test_moments_match_direct_computation(self):
         rng = np.random.default_rng(4)
-        model = init_model(3, MomConfig(bottleneck=2), seed=9)
+        model = init_model(3, MomConfig(bottleneck=2, seed=9))
         seqs = [SensorSeries(rng.uniform(0, 1, (3, 6))) for _ in range(5)]
         errs = np.stack([error_series(model, s) for s in seqs])
         stats = fit_error_stats(model, seqs)
@@ -322,7 +355,7 @@ class TestErrorStats:
 
     def test_error_series_bounds(self):
         rng = np.random.default_rng(8)
-        model = init_model(4, MomConfig(bottleneck=2), seed=2)
+        model = init_model(4, MomConfig(bottleneck=2, seed=2))
         for _ in range(20):
             e = error_series(model, SensorSeries(rng.normal(0.5, 2.0, (4, 12))))
             assert np.all(e >= 0.0) and np.all(e <= 2.0)

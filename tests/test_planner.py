@@ -345,7 +345,7 @@ class TestExecutionResultTFail:
     def test_detector_of_another_sensor_dimension_rejected(self):
         _, executor, dbs = self._records()
         D = executor.execute("s1").sensors.D
-        model = init_model(D + 2, MomConfig(bottleneck=2), seed=0)
+        model = init_model(D + 2, MomConfig(bottleneck=2, seed=0))
         stats = ErrorStats(mu=np.zeros(8), sigma=np.ones(8))
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
         with pytest.raises(ValidationError, match="D="):
@@ -353,14 +353,14 @@ class TestExecutionResultTFail:
 
     def test_detector_for_a_skill_without_database_rejected(self):
         _, executor, dbs = self._records()
-        model = init_model(3, MomConfig(bottleneck=2), seed=0)
+        model = init_model(3, MomConfig(bottleneck=2, seed=0))
         bundle = MomBundle(model, ErrorStats(mu=np.zeros(8), sigma=np.ones(8)))
         with pytest.raises(ValidationError, match="skill 'S1-typo', which has no"):
             run_testing_loop(executor, dbs, {"S1-typo": bundle}, PLAN, CFG)
 
     def test_detector_needs_sensors(self):
         _, executor, dbs = self._records(sensors=False)
-        model = init_model(3, MomConfig(bottleneck=2), seed=0)
+        model = init_model(3, MomConfig(bottleneck=2, seed=0))
         bundle = MomBundle(model, ErrorStats(mu=np.zeros(8), sigma=np.ones(8)))
         plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
         with pytest.raises(ValidationError, match="skill 's1' carries no sensor data"):

@@ -528,7 +528,7 @@ class TestModelRoundTrip:
             load_model(str(path), expect="mom")
 
     def test_mom_without_stats(self, tmp_path):
-        model = init_model(3, MomConfig(bottleneck=2), seed=0)
+        model = init_model(3, MomConfig(bottleneck=2, seed=0))
         path = tmp_path / "m.json"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -753,13 +753,50 @@ class TestMomModelFile:
         while isinstance(cells[0], list):
             cells = cells[0]
         cells[0] = cell
+        self._rejected_naming_the_file(tmp_path, capsys, doc,
+                                       f"mom.json: its '{where[-1]}' must hold JSON numbers "
+                                       f"only, found {re.escape(repr(cell))}")
+
+    def _rejected_naming_the_file(self, tmp_path, capsys, doc, match="mom.json: "):
+        """``doc`` written as a mom file fails to load with a StoreError
+        matching ``match``, and eval-mom on it exits 1 naming the file."""
         path = tmp_path / "mom.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(StoreError, match=f"mom.json: its '{where[-1]}' must hold "
-                                             f"JSON numbers only, found {re.escape(repr(cell))}"):
+        with pytest.raises(StoreError, match=match):
             load_model(str(path), expect="mom")
         save_db(small_db(), str(tmp_path / "db"), REG)
         assert main(["eval-mom", "--model", str(path), "--db", str(tmp_path / "db"),
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("where", [
+        ("params", name) for name in ("enc_w", "enc_b", "upd_w", "upd_u", "upd_b", "rst_w",
+                                      "rst_u", "rst_b", "cand_w", "cand_u", "cand_b")
+    ] + [("norm_lo",), ("norm_hi",)], ids="-".join)
+    @pytest.mark.parametrize("change", ["cut-short", "nested"])
+    def test_array_of_the_wrong_shape_names_the_file(self, tmp_path, capsys, where, change):
+        with open(self.FIXTURE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        owner = doc
+        for key in where[:-1]:
+            owner = owner[key]
+        value = owner[where[-1]]
+        if change == "nested":
+            owner[where[-1]] = [value]
+        elif isinstance(value[0], list):
+            owner[where[-1]] = [row[:-1] for row in value]
+        else:
+            owner[where[-1]] = value[:-1]
+        # a column cut off enc_w changes D, which the gates then no longer fit
+        named = "gate_w" if (where[-1], change) == ("enc_w", "cut-short") else where[-1]
+        self._rejected_naming_the_file(tmp_path, capsys, doc, f"mom.json: .*{named}")
+
+    @pytest.mark.parametrize("key", ["mu", "sigma"])
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_error_stats_name_the_file(self, tmp_path, capsys, key, cell):
+        # json reads NaN and Infinity; with either, no failure would ever be detected
+        with open(self.FIXTURE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["error_stats"][key][0] = cell
+        self._rejected_naming_the_file(tmp_path, capsys, doc, "mom.json: .*must be finite")
