@@ -14,7 +14,7 @@ import argparse
 import sys
 from dataclasses import asdict
 
-from .errors import BlameboxError, ValidationError
+from .errors import BlameboxError, StoreError, ValidationError
 from .fpf import BlameConfig
 from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
 from .mom import (MomBundle, MomConfig, detect_failure_time, error_rows, fit_error_stats,
@@ -22,8 +22,8 @@ from .mom import (MomBundle, MomConfig, detect_failure_time, error_rows, fit_err
 from .planner import PlannerConfig, run_testing_loop
 from .reports import (trace_to_dict, write_mom_eval, write_run_info,
                       write_trace_files)
-from .store import (ReplayExecutor, _interpreting, _read_json, load_db, load_model,
-                    load_study, save_model)
+from .store import (ReplayExecutor, _interpreting, _naming, _read_json, load_db,
+                    load_model, load_study, save_model)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,7 +60,12 @@ def _cmd_eval_mom(args) -> int:
     if bundle.error_stats is None:
         raise BlameboxError(f"{args.model} has no error statistics; retrain first")
     config = MomConfig()
-    errors = error_rows(bundle.model, _sensor_series(args.db), T=bundle.error_stats.T)
+    sequences = _sensor_series(args.db)
+    try:
+        errors = error_rows(bundle.model, sequences, T=bundle.error_stats.T)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.db}: its runs do not fit the model {args.model}: "
+                              f"{exc}") from exc
     names = [f"obs_{i:04d}" for i in range(len(errors))]
     liks, flags = zip(*(detect_failure_time(bundle.error_stats, e, config) for e in errors))
     write_mom_eval(args.out, names, liks, flags)
@@ -87,7 +92,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_report(args) -> int:
     trace_dict = _read_json(args.trace)
-    with _interpreting(args.trace):
+    with _interpreting(args.trace), _naming(args.trace, StoreError):
         write_trace_files(args.out, trace_dict)
     write_run_info(args.out, "report", {"trace": args.trace})
     return EXIT_OK

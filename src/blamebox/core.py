@@ -46,7 +46,8 @@ class FunctionRegistry:
     """Ordered set of function identifiers under study.
 
     Indices 0..F-1 are stable for the lifetime of a study; every matrix row
-    and belief entry is aligned with this ordering.
+    and belief entry is aligned with this ordering. A name's index is looked
+    up in O(1).
     """
 
     names: tuple[FunctionId, ...]
@@ -55,9 +56,11 @@ class FunctionRegistry:
         names = tuple(str(n) for n in names)
         if len(names) == 0:
             raise ValidationError("registry needs at least one function")
-        if len(set(names)) != len(names):
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) != len(names):
             raise ValidationError("function names must be unique")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def F(self) -> int:
@@ -65,15 +68,18 @@ class FunctionRegistry:
 
     def index(self, name: FunctionId) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):   # TypeError: an unhashable name
             raise ValidationError(f"unknown function {name!r}") from None
 
     def indices(self, names: Sequence[FunctionId]) -> np.ndarray:
         return np.array([self.index(n) for n in names], dtype=np.intp)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.names
+        try:
+            return name in self._positions
+        except TypeError:   # an unhashable object is no name
+            return False
 
     def __len__(self) -> int:
         return len(self.names)

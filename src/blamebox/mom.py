@@ -109,7 +109,10 @@ class MomModel:
         if B >= D:
             raise ConfigError(
                 f"bottleneck ({B}) must be smaller than the input dimensionality ({D})")
-        object.__setattr__(self, "loss_history", tuple(float(x) for x in self.loss_history))
+        history = tuple(float(x) for x in self.loss_history)
+        if not np.all(np.isfinite(history)):
+            raise ValidationError("non-finite values in loss_history")
+        object.__setattr__(self, "loss_history", history)
 
     @property
     def D(self) -> int:

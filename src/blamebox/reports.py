@@ -8,11 +8,22 @@ summary.json top blamed functions, candidate set, convergence status;
 run.json     the fully resolved configuration and seed, enough to reproduce
              the run byte for byte.
 
+A run moves only the few functions its skills touch away from the value that
+every other function shares, so ``trace.json`` holds each step's posterior
+in one O(support) form: ``{"shared": p, "index": [...], "value": [...]}``.
+``shared`` is the value that most entries hold (the smaller one on a tie),
+``index`` lists in ascending order every entry whose float is not bitwise
+``shared``, and ``value`` holds the float at each listed index.
+``belief.csv`` and ``summary.json`` are built from that form, so the shared
+cell is formatted once per step. :func:`write_trace_files` checks the form
+before it writes anything; a dense (list) posterior is rejected.
+
 Floats are written with repr (shortest round-trip form), and JSON keys are
 sorted, so identical runs produce identical bytes.
 """
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Sequence
 
@@ -20,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .blame import coverage_indices
+from .errors import ValidationError
 from .planner import LoopTrace
 from .store import _write_json
 
@@ -31,16 +43,71 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _cell(c) -> str:
+    return str(c) if isinstance(c, (str, int)) else _fmt(c)
+
+
 def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(header)]
-    lines += [",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row)
-              for row in rows]
+    lines += [",".join(_cell(c) for c in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def posterior_form(posterior: np.ndarray) -> dict:
+    """The trace form of a dense posterior (see the module docstring)."""
+    bits = np.ascontiguousarray(posterior, dtype=np.float64).view(np.uint64)
+    keys, counts = np.unique(bits, return_counts=True)
+    shared = keys[counts == counts.max()].view(np.float64).min()
+    index = np.flatnonzero(bits != shared.view(np.uint64))
+    return {"shared": float(shared), "index": index.tolist(),
+            "value": bits[index].view(np.float64).tolist()}
+
+
+def _number(v) -> bool:
+    """Whether ``v`` is a JSON number: an int or a finite float, not a bool."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
+    """(shared, index, value) of ``where``, a posterior in trace form over F
+    functions; a form that breaks the module docstring's rules is a
+    ValidationError."""
+    if type(form) is not dict:
+        raise ValidationError(f"{where} must be an object with shared, index and value, "
+                              f"found {type(form).__name__} (a dense posterior of an "
+                              "older trace.json is not read)")
+    shared, index, value = form["shared"], form["index"], form["value"]
+    if not _number(shared):
+        raise ValidationError(f"{where}: shared must be a JSON number, found {shared!r}")
+    if type(index) is not list or type(value) is not list:
+        raise ValidationError(f"{where}: index and value must be lists")
+    if len(index) != len(value):
+        raise ValidationError(f"{where}: index lists {len(index)} entries, "
+                              f"but value holds {len(value)}")
+    bad = [i for i in index if type(i) is not int]
+    if bad:
+        raise ValidationError(f"{where}: index must hold JSON integers, found {bad[0]!r}")
+    if index and not (0 <= index[0] and index[-1] < F
+                      and all(a < b for a, b in zip(index, index[1:]))):
+        raise ValidationError(f"{where}: index must ascend strictly within [0, {F})")
+    bad = [v for v in value if not _number(v)]
+    if bad:
+        raise ValidationError(f"{where}: value must hold JSON numbers, found {bad[0]!r}")
+    return shared, index, value
+
+
+def expand_posterior(form, F: int) -> np.ndarray:
+    """The dense posterior over F functions of a posterior in trace form,
+    which is checked first."""
+    shared, index, value = _checked_form(form, F, "the posterior")
+    dense = np.full(F, float(shared))
+    dense[index] = np.asarray(value, dtype=np.float64)
+    return dense
 
 
 def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
@@ -59,7 +126,7 @@ def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
                 "gains": {k: {"gain": g.gain, "stderr": g.stderr,
                               "n_samples": g.n_samples}
                           for k, g in s.gains.items()},
-                "posterior": [float(p) for p in s.posterior],
+                "posterior": posterior_form(s.posterior),
             }
             for s in trace.steps
         ],
@@ -69,11 +136,15 @@ def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
 def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
     """Emit gains.csv / belief.csv / trace.json / summary.json for a trace.
 
-    Every file's content is built before the first file is written, so a
-    malformed trace leaves ``out_dir`` untouched."""
+    Every file's content is built, and every posterior's form checked, before
+    the first file is written, so a malformed trace leaves ``out_dir``
+    untouched."""
     skills = trace_dict["skills"]
     functions = trace_dict["functions"]
     steps = trace_dict["steps"]
+    F = len(functions)
+    if F == 0:
+        raise ValidationError("a trace must list at least one function")
 
     gain_header = ["step", "chosen", "success"]
     for s in skills:
@@ -85,12 +156,21 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
             row += [st["gains"][s]["gain"], st["gains"][s]["stderr"]]
         gain_rows.append(row)
     gains_csv = _csv(gain_header, gain_rows)
-    belief_csv = _csv(["step"] + list(functions), ([st["step"]] + st["posterior"] for st in steps))
+
+    forms = [_checked_form(st["posterior"], F, f"step {st['step']!r}'s posterior")
+             for st in steps]
+    belief_lines = [",".join(["step"] + list(functions))]
+    for st, (shared, index, value) in zip(steps, forms):
+        cells = [_fmt(shared)] * F
+        for i, v in zip(index, value):
+            cells[i] = _fmt(v)
+        belief_lines.append(_cell(st["step"]) + "," + ",".join(cells))
+    belief_csv = "\n".join(belief_lines) + "\n"
 
     if steps:
-        final = np.asarray(steps[-1]["posterior"])
+        final = expand_posterior(steps[-1]["posterior"], F)
     else:
-        final = np.full(len(functions), 1.0 / len(functions))
+        final = np.full(F, 1.0 / F)
     order = np.argsort(final)[::-1][:_TOP_K]
     summary = {
         "steps": len(steps),
@@ -98,7 +178,7 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
         "aborted": trace_dict["aborted"],
         "top": [{"function": functions[i], "p": float(final[i])} for i in order],
         "candidates": [functions[i] for i in sorted(coverage_indices(final))],
-        "final_entropy": steps[-1]["entropy"] if steps else float(np.log(len(functions))),
+        "final_entropy": steps[-1]["entropy"] if steps else float(np.log(F)),
     }
 
     os.makedirs(out_dir, exist_ok=True)

@@ -130,6 +130,10 @@ def _in_first(list_key, change):
     return outer
 
 
+def _in_first_posterior(change):
+    return _in_first("steps", lambda step: {**step, "posterior": change(step["posterior"])})
+
+
 def _with_runs_without_data(T, n):
     """Append ``n`` entries of length ``T`` that hold neither a counts row nor
     sensors, enough to make ``T`` the database's canonical length."""
@@ -194,14 +198,25 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("change", [
         _drop("converged"),
-        _in_first("steps", lambda step: {**step, "posterior": step["posterior"][:-1] + [None]}),
-    ], ids=["no-converged", "null-posterior-cell"])
+        _in_first_posterior(lambda form: {**form, "value": form["value"][:-1] + [None]}),
+        _in_first_posterior(lambda form: {**form, "index": form["index"][::-1]}),
+        _in_first_posterior(lambda form: {**form, "index": form["index"][:1] * 2}),
+        _in_first_posterior(lambda form: {**form, "index": form["index"][:-1] + [3]}),
+        _in_first_posterior(lambda form: {**form, "index": form["index"][:-1] + [-1]}),
+        _in_first_posterior(lambda form: {**form, "index": [True] + form["index"][1:]}),
+        _in_first_posterior(lambda form: {**form, "value": form["value"] + [0.5]}),
+        _in_first_posterior(lambda form: {**form, "shared": "0.5"}),
+        _in_first_posterior(lambda form: [form["shared"]] * 3),
+    ], ids=["no-converged", "null-posterior-cell", "unsorted-index", "repeated-index",
+            "index-past-F", "negative-index", "boolean-index", "length-mismatch",
+            "string-shared", "dense-list-posterior"])
     def test_late_malformed_trace_writes_nothing(self, base, tmp_path, change):
         trace, out = tmp_path / "trace.json", tmp_path / "out"
         shutil.copy(os.path.join(base, "trace.json"), trace)
         _edit(str(trace), change)
-        code, _ = _run(["report", "--trace", str(trace), "--out", str(out)])
+        code, err = _run(["report", "--trace", str(trace), "--out", str(out)])
         assert code == 1
+        assert err.startswith(f"error: {trace}: ")
         assert not out.exists() or os.listdir(out) == []
 
     def test_replay_entry_outside_study_rejected(self, base, tmp_path):

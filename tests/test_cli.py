@@ -104,7 +104,8 @@ class TestMomCommands:
                      "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: sequence 0 has shape")
+        assert err.startswith(f"error: {probe_db}: its runs do not fit the model "
+                              f"{model_path}: sequence 0 has shape")
         assert f"(D={D}, T={T})" in err and "(D=4, T=30)" in err
         assert not out.exists()
 
@@ -215,13 +216,49 @@ class TestReport:
         out2 = tmp_path / "b"
         assert main(["report", "--trace", str(out1 / "trace.json"),
                      "--out", str(out2)]) == 0
-        assert (out2 / "gains.csv").read_text() == (out1 / "gains.csv").read_text()
-        assert (out2 / "belief.csv").read_text() == (out1 / "belief.csv").read_text()
+        for name in ("gains.csv", "belief.csv", "trace.json", "summary.json"):
+            assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
 
     def test_non_trace_json_rejected(self, tmp_path):
         bad = tmp_path / "x.json"
         bad.write_text("{}")
         assert main(["report", "--trace", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_written_json_is_strict(tmp_path):
+    """No bundle or model file holds NaN or Infinity, which json.dump would
+    write and a strict parser rejects."""
+    from blamebox.harness import BUILT_IN_SCENARIOS
+    for name in BUILT_IN_SCENARIOS:
+        assert main(["simulate", "--scenario", name, "--seed", "1",
+                     "--out", str(tmp_path / "sim" / name)]) == 0
+    reg = FunctionRegistry(["f1", "f2", "f3"])
+    rng = np.random.default_rng(0)
+    world = SimWorld(registry=reg, buggy_functions=frozenset({"f2"}))
+    specs = [SimSkillSpec(skill=s, used_functions=fs, T=16, dt=0.1)
+             for s, fs in (("s1", ("f1", "f2")), ("s2", ("f2", "f3")))]
+    save_study(str(tmp_path / "study"), reg,
+               {sp.skill: build_database(sp, reg, rng, 6) for sp in specs}, dt=0.1,
+               replay={sp.skill: [simulate_execution(sp, world, rng) for _ in range(8)]
+                       for sp in specs})
+    assert main(["localize", "--study", str(tmp_path / "study"),
+                 "--out", str(tmp_path / "loc")]) == 0
+    db = make_sensor_db(tmp_path)
+    model = tmp_path / "mom" / "model.json"
+    model.parent.mkdir()
+    assert main(["train-mom", "--db", str(db), "--out", str(model),
+                 "--epochs", "5", "--bottleneck", "2"]) == 0
+    assert main(["eval-mom", "--model", str(model), "--db", str(db),
+                 "--out", str(tmp_path / "mom" / "eval")]) == 0
+    # trace, summary and run.json of each bundle; the model, summary and run.json
+    written = [p for where in ("sim", "loc", "mom") for p in (tmp_path / where).rglob("*.json")]
+    assert len(written) == 3 * len(BUILT_IN_SCENARIOS) + 3 + 3
+    for path in written:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

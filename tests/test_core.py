@@ -37,6 +37,22 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             FunctionRegistry(["a"]).index("zz")
 
+    def test_wide_registry_lookups(self):
+        names = [f"fn{i}" for i in range(50_000)]
+        reg = FunctionRegistry(names)
+        assert reg.index("fn0") == 0 and reg.index("fn49999") == 49_999
+        assert reg.indices(["fn49999", "fn0", "fn123"]).tolist() == [49_999, 0, 123]
+        assert "fn49999" in reg and "fn50000" not in reg and ["fn0"] not in reg
+        with pytest.raises(ValidationError, match="unknown function 'fn50000'"):
+            reg.index("fn50000")
+        with pytest.raises(ValidationError, match="must be unique"):
+            FunctionRegistry(names + ["fn123"])
+
+    def test_equality_and_repr_follow_the_names(self):
+        a, b = FunctionRegistry(["a", "b"]), FunctionRegistry(("a", "b"))
+        assert a == b and hash(a) == hash(b) and a != FunctionRegistry(["b", "a"])
+        assert repr(a) == "FunctionRegistry(names=('a', 'b'))"
+
 
 class TestCanonicalize:
     def test_identity(self):

@@ -800,3 +800,19 @@ class TestMomModelFile:
             doc = json.load(fh)
         doc["error_stats"][key][0] = cell
         self._rejected_naming_the_file(tmp_path, capsys, doc, "mom.json: .*must be finite")
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_loss_history_names_the_file(self, tmp_path, capsys, cell):
+        # json reads NaN and Infinity; saving such a model again would write
+        # JSON that a strict parser rejects
+        with open(self.FIXTURE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["loss_history"][-1] = cell
+        self._rejected_naming_the_file(tmp_path, capsys, doc,
+                                       "mom.json: .*non-finite values in loss_history")
+
+    def test_model_with_non_finite_loss_history_cannot_be_built(self, tmp_path):
+        model = load_model(self.FIXTURE, expect="mom").model
+        with pytest.raises(ValidationError, match="loss_history"):
+            replace(model, loss_history=model.loss_history + (float("nan"),))
