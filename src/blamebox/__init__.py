@@ -15,13 +15,13 @@ from .blame import (Belief, bayes_update, coverage_indices, entropy,
                     likelihood_vector)
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, canonicalize_length, validate_observation)
-from .errors import (BlameboxError, ConfigError, ExecutorError, KindError,
-                     ScenarioError, StoreError, ValidationError, VersionError)
+from .errors import (BlameboxError, ConfigError, ExecutorError, FunctionIndexError,
+                     KindError, ScenarioError, StoreError, ValidationError, VersionError)
 from .fpf import BlameConfig, FpfModel, deviation_mass, fit_fpf
 from .harness import (AnomalySpec, BUILT_IN_SCENARIOS, ScenarioConfig,
                       ScenarioResult, SensorSynthSpec, SimExecutor, SimSkillSpec,
                       SimWorld, built_in_scenario, candidate_set, gen_fingerprint,
-                      gen_sensor_suite, load_scenario, run_scenario,
+                      gen_fingerprints, gen_sensor_suite, load_scenario, run_scenario,
                       simulate_execution)
 from .mom import (ErrorStats, MomBundle, MomConfig, MomModel, detect_failure_time,
                   error_rows, error_series, fit_error_stats, init_model,

@@ -9,7 +9,10 @@ held row-sparse: the indices of the functions it called and their counts
 only. Building, checking, canonicalizing and gathering fingerprints, and a
 database's support, cost O(called functions x T) and allocate no F x T
 matrix; ``Fingerprint.counts`` builds the dense matrix for a caller that
-asks for it.
+asks for it. Runs are built and checked per batch: :meth:`Fingerprint.batch`
+checks every run of a database in a few array operations over their
+concatenated rows, and :meth:`ExperienceDb.counts_stack` stacks them with one
+scatter.
 
 Every type checks its own content invariants when it is constructed,
 citing the first bad cell (row and column) of bad data, so callers need no
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FunctionIndexError, ValidationError
 
 SkillId = str
 FunctionId = str
@@ -125,6 +128,75 @@ def gather_rows(held: np.ndarray, values: np.ndarray, rows, fill: float) -> np.n
     return out
 
 
+def union_rows(*arrays) -> np.ndarray:
+    """The ascending distinct entries of the given index arrays, by a sort and
+    an adjacent difference (``np.unique`` would import ``numpy.ma``)."""
+    idx = np.sort(np.concatenate([np.asarray(a, dtype=np.intp).ravel() for a in arrays]))
+    new = np.ones(idx.size, dtype=bool)
+    new[1:] = idx[1:] != idx[:-1]
+    return idx[new]
+
+
+def _index_column(rows, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(``rows`` as float64, where each run of the given sizes starts in it and
+    where the last one ends); one run holds all rows when ``sizes`` is None."""
+    idx = np.asarray(rows, dtype=np.float64)
+    if idx.ndim != 1:
+        raise ValidationError(f"function rows must be a 1-d array, got ndim={idx.ndim}")
+    starts = np.concatenate(([0], np.cumsum([idx.size] if sizes is None else sizes,
+                                            dtype=np.intp)))
+    if starts[-1] != idx.size:
+        raise ValidationError(f"runs of {starts[-1]} rows in all given for "
+                              f"{idx.size} function rows")
+    return idx, starts
+
+
+def _run_of(starts: np.ndarray, p) -> int:
+    """The run that holds position ``p`` of a batch with these starts."""
+    return int(np.searchsorted(starts, p, "right")) - 1
+
+
+def _first_bad_index(idx: np.ndarray, F: int, starts: np.ndarray) -> int:
+    """The first position whose function index is not an integer in [0, F)
+    above the one before it in its run; ``idx.size`` when there is none."""
+    ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
+    ascending = idx[1:] > idx[:-1]
+    first = starts[(starts > 0) & (starts < idx.size)]
+    ascending[first - 1] = True   # a run's first row follows another run's last
+    ok[1:] &= ascending
+    return idx.size if ok.all() else int(np.argmin(ok))
+
+
+def _index_error(idx: np.ndarray, F: int, starts: np.ndarray, p: int) -> FunctionIndexError:
+    r = p - starts[_run_of(starts, p)]
+    return FunctionIndexError(f"row {r} has function index {idx[p]:g}; indices must be "
+                              f"integers in [0, {F}), ascending and without repeats")
+
+
+def _first_bad_count_run(values: np.ndarray, starts: np.ndarray) -> int:
+    """The first run with a non-finite or negative count; the number of runs
+    when there is none."""
+    if np.isfinite(values).all() and (values >= 0).all():
+        return starts.size - 1
+    bad = ~np.isfinite(values).all(axis=1) | (values < 0).any(axis=1)
+    return _run_of(starts, np.argmax(bad))
+
+
+def _count_error(idx: np.ndarray, values: np.ndarray, starts: np.ndarray,
+                 k: int) -> ValidationError:
+    """The error of run ``k``: its first non-finite count in row-major order,
+    else its first negative one."""
+    run = values[starts[k]:starts[k + 1]]
+    nonfinite = ~np.isfinite(run)
+    if nonfinite.any():
+        r, t = np.argwhere(nonfinite)[0]
+        return ValidationError(f"non-finite count at function {int(idx[starts[k] + r])}, "
+                               f"timestep {t}")
+    r, t = np.argwhere(run < 0)[0]
+    return ValidationError(f"negative count {run[r, t]} at function "
+                           f"{int(idx[starts[k] + r])}, timestep {t}")
+
+
 @dataclass(frozen=True, init=False)
 class Fingerprint:
     """Call profile of one run: how many executions of each function were
@@ -134,9 +206,10 @@ class Fingerprint:
     A run calls few of the registered functions, so only their rows are held:
     ``rows`` lists, ascending, the functions with a non-zero count, and row r
     of ``values`` (|rows| x T) holds the counts of function ``rows[r]``; every
-    other count is 0. ``Fingerprint(counts, dt)`` takes a dense F x T matrix
-    and :meth:`from_rows` the rows themselves; both run the same checks and
-    drop rows that are all zero.
+    other count is 0. ``Fingerprint(counts, dt)`` takes a dense F x T matrix,
+    :meth:`from_rows` the rows themselves and :meth:`batch` the rows of many
+    runs at once. The first two are a batch of one, so all three run the same
+    checks and drop rows that are all zero.
     """
 
     rows: np.ndarray
@@ -148,58 +221,74 @@ class Fingerprint:
         c = _as_matrix(counts, "fingerprint counts")
         # a NaN or negative cell is non-zero, so its row is kept and checked
         rows = np.flatnonzero((c != 0).any(axis=1))
-        self._init(rows, c[rows], c.shape[0], dt)
+        (fp,) = self.batch(rows, c[rows], [rows.size], c.shape[0], dt)
+        for name in ("rows", "values", "F", "dt"):
+            object.__setattr__(self, name, getattr(fp, name))
 
     @classmethod
     def from_rows(cls, rows, values, F: int, dt: float = 1.0) -> "Fingerprint":
         """The fingerprint in which function ``rows[r]`` has the counts
         ``values[r]`` and every other function of the F has none."""
-        fp = cls.__new__(cls)
-        fp._init(rows, values, F, dt)
-        return fp
+        return cls.batch(rows, values, [np.size(rows)], F, dt)[0]
 
-    def _init(self, rows, values, F: int, dt: float) -> None:
+    @classmethod
+    def batch(cls, rows, values, sizes, F: int, dt: float = 1.0) -> list["Fingerprint"]:
+        """The fingerprints of runs over F functions that share T and ``dt``,
+        whose rows come one after another: run i holds the next ``sizes[i]``
+        entries of ``rows`` and rows of ``values`` (N x T).
+
+        Every run is checked in a few array operations over the whole batch:
+        F, T >= 1 and ``dt`` > 0 and finite; each run's rows ascending, unique
+        and in [0, F) (:meth:`check_rows`); as many rows of counts as function
+        rows; and, once all-zero rows are dropped, every count finite and >= 0.
+        A bad batch raises for its first bad run, with the class and text a
+        batch of that run alone gives (a bad index is a FunctionIndexError).
+        The runs' arrays are read-only views of one array.
+        """
         values = _as_matrix(values, "fingerprint values")
         F, T, dt = int(F), values.shape[1], float(dt)
         if F < 1 or T < 1:
             raise ValidationError(f"fingerprint needs F >= 1 and T >= 1, got shape ({F}, {T})")
         if not 0 < dt < np.inf:
             raise ValidationError(f"sampling interval must be positive and finite, got {dt}")
-        rows = self.check_rows(rows, F)
-        if rows.size != values.shape[0]:
-            raise ValidationError(f"fingerprint has {rows.size} function rows but "
+        idx, starts = _index_column(rows, sizes)
+        p = _first_bad_index(idx, F, starts)
+        if idx.size != values.shape[0]:
+            if p < idx.size:
+                raise _index_error(idx, F, starts, p)
+            raise ValidationError(f"fingerprint has {idx.size} function rows but "
                                   f"{values.shape[0]} rows of counts")
+        k = _first_bad_count_run(values, starts)
+        if p < idx.size and _run_of(starts, p) <= k:
+            raise _index_error(idx, F, starts, p)
+        if k < starts.size - 1:
+            raise _count_error(idx, values, starts, k)
+        rows = idx.astype(np.intp)
         keep = values.any(axis=1)
         if not keep.all():
             rows, values = rows[keep], values[keep]
-        if not np.isfinite(values).all():
-            r, t = np.argwhere(~np.isfinite(values))[0]
-            raise ValidationError(f"non-finite count at function {rows[r]}, timestep {t}")
-        if not (values >= 0).all():
-            r, t = np.argwhere(values < 0)[0]
-            raise ValidationError(
-                f"negative count {values[r, t]} at function {rows[r]}, timestep {t}")
+            starts = np.concatenate(([0], np.cumsum(keep)))[starts]
         rows.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "dt", dt)
+        fingerprints = []
+        for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            fp = cls.__new__(cls)
+            object.__setattr__(fp, "rows", rows[a:b])
+            object.__setattr__(fp, "values", values[a:b])
+            object.__setattr__(fp, "F", F)
+            object.__setattr__(fp, "dt", dt)
+            fingerprints.append(fp)
+        return fingerprints
 
     @staticmethod
     def check_rows(rows, F: int) -> np.ndarray:
         """``rows`` as function indices, which must be integers in [0, F),
-        ascending and without repeats; a ValidationError cites the first
-        that is not."""
-        idx = np.asarray(rows, dtype=np.float64)
-        if idx.ndim != 1:
-            raise ValidationError(f"function rows must be a 1-d array, got ndim={idx.ndim}")
-        ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
-        ok[1:] &= idx[1:] > idx[:-1]
-        if not ok.all():
-            r = int(np.argmin(ok))
-            raise ValidationError(f"row {r} has function index {idx[r]:g}; indices must be "
-                                  f"integers in [0, {F}), ascending and without repeats")
+        ascending and without repeats. A FunctionIndexError cites the first
+        index that is not."""
+        idx, starts = _index_column(rows, None)
+        p = _first_bad_index(idx, F, starts)
+        if p < idx.size:
+            raise _index_error(idx, F, starts, p)
         return idx.astype(np.intp)
 
     @property
@@ -288,16 +377,33 @@ class ExperienceDb:
     def __len__(self) -> int:
         return len(self.observations)
 
-    def counts_stack(self, rows: np.ndarray) -> np.ndarray:
-        """(n, |rows|, T) counts of the given function rows in every stored
-        run, gathered from each run's rows."""
-        return np.stack([o.fingerprint.gather(rows) for o in self.observations])
+    def counts_stack(self, rows) -> np.ndarray:
+        """(n, |rows|, T) counts of the functions ``rows`` in every stored run;
+        0 where a run did not call the function. ``rows`` may come in any
+        order, repeat, and name functions off the support. One scatter over
+        the runs' concatenated rows fills the stack."""
+        rows = np.asarray(rows, dtype=np.intp)
+        fingerprints = [o.fingerprint for o in self.observations]
+        held = np.concatenate([fp.rows for fp in fingerprints])
+        run = np.repeat(np.arange(len(fingerprints)), [fp.rows.size for fp in fingerprints])
+        # held row p fills every column j with rows[j] == held[p]
+        order = np.argsort(rows, kind="stable")
+        lo = np.searchsorted(rows[order], held, "left")
+        hits = np.searchsorted(rows[order], held, "right") - lo
+        src = np.repeat(np.arange(held.size), hits)
+        within = np.arange(src.size) - np.repeat(np.cumsum(hits) - hits, hits)
+        values = np.concatenate([fp.values for fp in fingerprints])
+        if not (hits == 1).all():   # else src takes every held row once, in order
+            values = values[src]
+        out = np.zeros((len(fingerprints), rows.size, self.canonical_T))
+        out[run[src], order[lo[src] + within]] = values
+        return out
 
     @cached_property
     def support(self) -> np.ndarray:
         """Sorted indices of the functions with a non-zero count in some
         stored run: the union of the runs' rows, computed once per database."""
-        support = np.unique(np.concatenate([o.fingerprint.rows for o in self.observations]))
+        support = union_rows(*(o.fingerprint.rows for o in self.observations))
         support.setflags(write=False)
         return support
 

@@ -13,6 +13,10 @@ class ValidationError(BlameboxError):
     """Input data violates a documented invariant (shape, sign, finiteness)."""
 
 
+class FunctionIndexError(ValidationError):
+    """A function row index is not an integer in [0, F) above the one before it."""
+
+
 class ConfigError(BlameboxError):
     """A configuration value is out of its allowed range."""
 

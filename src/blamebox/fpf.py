@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ExperienceDb, Fingerprint, gather_rows
+from .core import ExperienceDb, Fingerprint, gather_rows, union_rows
 from .errors import ConfigError, ValidationError
 
 # deviation_mass asymptotically approaches 0.5 but must never attain it
@@ -106,7 +106,7 @@ class FpfModel:
 
     def on(self, rows) -> "FpfModel":
         """This fit held on its support and ``rows``; a new row has mean 0, variance the floor."""
-        live = np.union1d(self.support, np.asarray(rows, dtype=np.intp))
+        live = union_rows(self.support, rows)
         return replace(self, support=live,
                        mean=gather_rows(self.support, self.mean, live, 0.0),
                        var=gather_rows(self.support, self.var, live, self.var_floor))
@@ -211,19 +211,27 @@ class DeviationGrid:
 def _grid(mean: np.ndarray, var: np.ndarray, counts: np.ndarray,
           config: BlameConfig) -> DeviationGrid:
     """Window statistics of raw (R, T) model arrays and an (n, R, T) count
-    stack for every failure time 0..T-1."""
-    x = np.moveaxis(counts, -1, 0).copy()   # (T, n, R)
+    stack for every failure time 0..T-1.
+
+    The model mean rides along as the stack's last run, so three kernel
+    calls cover everything: the activity sums at 1, the means at r, and the
+    variance at r**2. The first two share one (T, n + 1, R) buffer, filled
+    again after the in-place activity sums."""
+    n, R, T = counts.shape
+    x = np.empty((T, n + 1, R))
+    x[:, :n], x[:, n] = np.moveaxis(counts, -1, 0), mean.T
     W, r = config.window_steps, math.exp(-config.alpha)
-    n_w = np.minimum(np.arange(1.0, mean.shape[1] + 1.0), W)[:, None]
-    exec_mean = _window_sums(x.copy(), r, W)
-    exec_mean /= n_w[:, :, None]
-    mean, var = mean.T, var.T
+    n_w = np.minimum(np.arange(1.0, T + 1.0), W)[:, None]
+    active = _window_sums(x, 1.0, W) > 1e-9
+    x[:, :n], x[:, n] = np.moveaxis(counts, -1, 0), mean.T
+    means = _window_sums(x, r, W)
+    means /= n_w[:, :, None]
     return DeviationGrid(
-        mean=_window_sums(mean.copy(), r, W) / n_w,
-        var=_window_sums(var.copy(), r * r, W) / (n_w * n_w),
-        exec_mean=exec_mean,
-        model_active=_window_sums(mean.copy(), 1.0, W) > 1e-9,
-        exec_active=_window_sums(x, 1.0, W) > 1e-9,
+        mean=means[:, n],
+        var=_window_sums(var.T.copy(), r * r, W) / (n_w * n_w),
+        exec_mean=means[:, :n],
+        model_active=active[:, n],
+        exec_active=active[:, :n],
     )
 
 
@@ -252,8 +260,9 @@ def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
     if not (0 <= t_fail < model.T):
         raise ValidationError(f"t_fail={t_fail} outside [0, {model.T})")
     window = slice(max(0, t_fail - config.window_steps + 1), t_fail + 1)
-    live = model.on(fingerprint.rows)
-    live_pd, live_inactive = _grid(live.mean[:, window], live.var[:, window],
+    live = replace(model, mean=model.mean[:, window],
+                   var=model.var[:, window]).on(fingerprint.rows)
+    live_pd, live_inactive = _grid(live.mean, live.var,
                                    fingerprint.gather(live.support)[None, :, window],
                                    config).at(-1, 0)
     pd = np.zeros(model.F)

@@ -6,6 +6,10 @@ studies with a bug in f2 and differing skill/function overlap structure;
 ``exoneration`` and ``localizer-ambiguity`` are desk-scale manipulation-stack
 studies (a succeeding skill clears its functions; two function groups that
 always run together cannot be told apart).
+
+A database's runs are drawn in one generator call and checked as one batch
+(:meth:`Fingerprint.batch`); the draws, and the generator's state after
+them, are those of simulating the runs one by one.
 """
 from __future__ import annotations
 
@@ -59,18 +63,31 @@ class SimWorld:
                 raise ValidationError(f"buggy function {name!r} not in registry")
 
 
-def gen_fingerprint(spec: SimSkillSpec, registry: FunctionRegistry,
-                    rng: np.random.Generator) -> Fingerprint:
-    """Counts ~ N(mu, sigma^2) clamped at zero for used functions;
-    exactly zero rows for everything else.
+def gen_fingerprints(spec: SimSkillSpec, registry: FunctionRegistry,
+                     rng: np.random.Generator, n: int) -> list[Fingerprint]:
+    """``n`` runs' fingerprints: counts ~ N(mu, sigma^2) clamped at zero for
+    used functions; exactly zero rows for everything else.
 
-    Rows are drawn in ``used_functions`` order; a function listed twice keeps
-    its last draw.
+    One draw of shape (n, used functions, T) gives every run, so the stream
+    and the generator's state afterwards are those of n one-run draws. Each
+    run's rows are drawn in ``used_functions`` order; a function listed twice
+    keeps its last draw. The runs are checked as one batch.
     """
     idx = registry.indices(spec.used_functions)
-    draws = np.maximum(rng.normal(spec.count_mu, spec.count_sigma, size=(idx.size, spec.T)), 0.0)
+    draws = rng.normal(spec.count_mu, spec.count_sigma, size=(n, idx.size, spec.T))
+    np.maximum(draws, 0.0, out=draws)
     rows, last = np.unique(idx[::-1], return_index=True)
-    return Fingerprint.from_rows(rows, draws[::-1][last], registry.F, dt=spec.dt)
+    order = idx.size - 1 - last   # the draw that each row takes
+    if not np.array_equal(order, np.arange(idx.size)):
+        draws = np.take(draws, order, axis=1)
+    return Fingerprint.batch(np.tile(rows, n), draws.reshape(-1, spec.T),
+                             np.full(n, rows.size), registry.F, dt=spec.dt)
+
+
+def gen_fingerprint(spec: SimSkillSpec, registry: FunctionRegistry,
+                    rng: np.random.Generator) -> Fingerprint:
+    """One run's fingerprint, as :func:`gen_fingerprints` draws it."""
+    return gen_fingerprints(spec, registry, rng, 1)[0]
 
 
 def simulate_execution(spec: SimSkillSpec, world: SimWorld,
@@ -108,9 +125,11 @@ class SimExecutor:
 
 def build_database(spec: SimSkillSpec, registry: FunctionRegistry,
                    rng: np.random.Generator, size: int) -> ExperienceDb:
-    """Simulate ``size`` successful executions (pre-bug world) for one skill."""
-    world = SimWorld(registry=registry)  # no bugs: every run succeeds
-    obs = [simulate_execution(spec, world, rng) for _ in range(size)]
+    """Simulate ``size`` successful executions (pre-bug world) for one skill:
+    the runs :func:`simulate_execution` would give one by one in a world
+    without bugs, drawn and checked as one batch."""
+    obs = [Observation(sensors=None, fingerprint=fp, success=True, skill=spec.skill)
+           for fp in gen_fingerprints(spec, registry, rng, size)]
     return ExperienceDb.from_observations(spec.skill, obs, registry)
 
 

@@ -16,14 +16,14 @@ in one O(support) form: ``{"shared": p, "index": [...], "value": [...]}``.
 ``shared``, and ``value`` holds the float at each listed index.
 ``belief.csv`` and ``summary.json`` are built from that form, so the shared
 cell is formatted once per step. :func:`write_trace_files` checks the form
-before it writes anything; a dense (list) posterior is rejected.
+before it writes anything: a dense (list) posterior is rejected, and so is a
+cell that is not a probability in [0, 1].
 
 Floats are written with repr (shortest round-trip form), and JSON keys are
 sorted, so identical runs produce identical bytes.
 """
 from __future__ import annotations
 
-import math
 import os
 from typing import Iterable, Sequence
 
@@ -68,9 +68,9 @@ def posterior_form(posterior: np.ndarray) -> dict:
             "value": bits[index].view(np.float64).tolist()}
 
 
-def _number(v) -> bool:
-    """Whether ``v`` is a JSON number: an int or a finite float, not a bool."""
-    return type(v) in (int, float) and math.isfinite(v)
+def _probability(v) -> bool:
+    """Whether ``v`` is a JSON number (an int or a float, not a bool) in [0, 1]."""
+    return type(v) in (int, float) and 0 <= v <= 1
 
 
 def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
@@ -82,8 +82,9 @@ def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
                               f"found {type(form).__name__} (a dense posterior of an "
                               "older trace.json is not read)")
     shared, index, value = form["shared"], form["index"], form["value"]
-    if not _number(shared):
-        raise ValidationError(f"{where}: shared must be a JSON number, found {shared!r}")
+    if not _probability(shared):
+        raise ValidationError(f"{where}: shared must be a JSON number in [0, 1], "
+                              f"found {shared!r}")
     if type(index) is not list or type(value) is not list:
         raise ValidationError(f"{where}: index and value must be lists")
     if len(index) != len(value):
@@ -95,9 +96,10 @@ def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
     if index and not (0 <= index[0] and index[-1] < F
                       and all(a < b for a, b in zip(index, index[1:]))):
         raise ValidationError(f"{where}: index must ascend strictly within [0, {F})")
-    bad = [v for v in value if not _number(v)]
+    bad = [v for v in value if not _probability(v)]
     if bad:
-        raise ValidationError(f"{where}: value must hold JSON numbers, found {bad[0]!r}")
+        raise ValidationError(f"{where}: value must hold JSON numbers in [0, 1], "
+                              f"found {bad[0]!r}")
     return shared, index, value
 
 

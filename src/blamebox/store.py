@@ -18,7 +18,11 @@ A run with neither sensors nor a non-zero count stores one all-zero counts
 row, so a manifest cannot ask for more than its files hold. A file is never
 unpickled, and one whose dtype, ndim or size disagrees with its manifest is
 a :class:`StoreError` naming it. Counts are read straight into the
-row-sparse :class:`Fingerprint`, so loading builds no F x T matrix.
+row-sparse :class:`Fingerprint`, so loading builds no F x T matrix, and they
+are checked per batch, not per run: each stretch of consecutive runs of one
+T at once. A bad index is a StoreError naming the file, a bad count a
+ValidationError naming it, each for the first bad run. A file's counts are
+checked before its runs' sensors.
 
 Studies and ``mom`` models are written at version 1, ``fpf`` models at version
 2: ``support``, ``F``, ``T`` and the |support| x T ``mean`` and ``var``. Every
@@ -39,6 +43,7 @@ missing or mistyped field met while interpreting one is a
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from contextlib import contextmanager
@@ -49,8 +54,8 @@ import numpy as np
 
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, SkillId, validate_observation)
-from .errors import (ConfigError, ExecutorError, KindError, StoreError, ValidationError,
-                     VersionError)
+from .errors import (ConfigError, ExecutorError, FunctionIndexError, KindError, StoreError,
+                     ValidationError, VersionError)
 from .fpf import FpfModel
 from .mom import ErrorStats, MomBundle, MomModel
 
@@ -119,11 +124,13 @@ def _read_document(path: str, expected_format: str, supported=_VERSION) -> dict:
 @contextmanager
 def _naming(path: str, error: type[Exception] = ValidationError):
     """Report a ValidationError raised inside the block as ``error``, with
-    ``path`` prefixed to its message."""
+    ``path`` prefixed to its message. A bad function index is a malformed
+    file, not bad data: it is always a StoreError."""
     try:
         yield
     except ValidationError as exc:
-        raise error(f"{path}: {exc}") from exc
+        raise (StoreError if isinstance(exc, FunctionIndexError) else error)(
+            f"{path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -142,23 +149,21 @@ def _load_matrix(path: str) -> np.ndarray:
     return arr
 
 
-def _fingerprint(path: str, block: np.ndarray, F: int, dt: float) -> Fingerprint:
-    """The fingerprint whose rows ``index, c_0, ..., c_{T-1}`` are the rows of
-    ``block``, read from the file at ``path``."""
-    with _naming(path, StoreError):  # a bad index is a malformed file, not bad data
-        rows = Fingerprint.check_rows(block[:, 0], F)
-    with _naming(path):
-        return Fingerprint.from_rows(rows, block[:, 1:], F, dt=dt)
+def _sized(path: str, size: int, manifest_path: str) -> np.ndarray:
+    """The ``.npy`` array at ``path``, which must hold the ``size`` values that
+    the blocks ``manifest_path`` lists take."""
+    flat = _load_matrix(path)
+    if flat.size != size:
+        raise StoreError(f"{path}: holds {flat.size} values, but the blocks that "
+                         f"{manifest_path} lists take {size}")
+    return flat
 
 
 def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> list[np.ndarray]:
     """The ``.npy`` array at ``path`` cut into consecutive row-major blocks
     of the given shapes, which must use up all of it."""
-    flat = _load_matrix(path)
     sizes = [rows * cols for rows, cols in shapes]
-    if flat.size != sum(sizes):
-        raise StoreError(f"{path}: holds {flat.size} values, but the blocks that "
-                         f"{manifest_path} lists take {sum(sizes)}")
+    flat = _sized(path, sum(sizes), manifest_path)
     blocks, start = [], 0
     for shape, size in zip(shapes, sizes):
         blocks.append(flat[start:start + size].reshape(shape))
@@ -216,11 +221,30 @@ def _positive(path: str, doc: dict, key: str) -> float:
                         lambda v: type(v) in (int, float) and 0 < v < np.inf, "its"))
 
 
+def _fingerprints(path: str, shapes: list[tuple[int, int]], manifest_path: str,
+                  F: int, dt: float) -> list[Fingerprint]:
+    """The fingerprints of the runs of the given (T, rows) that the counts file
+    at ``path`` stores one after another, each run's rows ``index, c_0, ...,
+    c_{T-1}`` as one row-major block. Consecutive runs of one T make one
+    (rows, 1 + T) matrix, checked as one batch."""
+    flat = _sized(path, sum(rows * (T + 1) for T, rows in shapes), manifest_path)
+    matrices, start = [], 0
+    for T, runs in itertools.groupby(shapes, key=lambda shape: shape[0]):
+        sizes = [rows for _, rows in runs]
+        end = start + sum(sizes) * (T + 1)
+        matrices.append((flat[start:end].reshape(-1, T + 1), sizes))
+        start = end
+    with _naming(path):
+        return [fp for m, sizes in matrices
+                for fp in Fingerprint.batch(m[:, 0], m[:, 1:], sizes, F, dt=dt)]
+
+
 def _runs(manifest_path: str, manifest: dict, F: int, dt: float):
     """(entry, sensors, fingerprint, counts file) of each run: its (rows, 1 + T)
     block in the directory's ``counts.npy`` and, if it has a D, its (D, T) block
     in ``sensors.npy``, read only then. Every entry is checked before any file
-    is read, and one without sensors needs a counts row, so values back each T."""
+    is read, and one without sensors needs a counts row, so values back each T.
+    All runs' counts are checked before any sensors."""
     entries = manifest["observations"]
     shapes = []
     for e in entries:
@@ -232,16 +256,17 @@ def _runs(manifest_path: str, manifest: dict, F: int, dt: float):
                        _dimension(manifest_path, e, "rows", 1 if D is None else 0), D))
     directory = os.path.dirname(manifest_path)
     counts_file = os.path.join(directory, "counts.npy")
-    counts = _blocks(counts_file, [(rows, T + 1) for T, rows, _ in shapes], manifest_path)
+    fingerprints = _fingerprints(counts_file, [(T, rows) for T, rows, _ in shapes],
+                                 manifest_path, F, dt)
     sensed = [(D, T) for T, _, D in shapes if D is not None]
     sensors_file = os.path.join(directory, "sensors.npy")
     series = iter(_blocks(sensors_file, sensed, manifest_path) if sensed else ())
-    for entry, (_, _, D), block in zip(entries, shapes, counts):
+    for entry, (_, _, D), fingerprint in zip(entries, shapes, fingerprints):
         sensors = None
         if D is not None:
             with _naming(sensors_file):
                 sensors = SensorSeries(next(series), dt=dt)
-        yield entry, sensors, _fingerprint(counts_file, block, F, dt), counts_file
+        yield entry, sensors, fingerprint, counts_file
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,14 @@ class TestMalformedDocuments:
         _in_first_posterior(lambda form: {**form, "value": form["value"] + [0.5]}),
         _in_first_posterior(lambda form: {**form, "shared": "0.5"}),
         _in_first_posterior(lambda form: [form["shared"]] * 3),
+        _in_first_posterior(lambda form: {**form, "value": [1e308] * len(form["value"])}),
+        _in_first_posterior(lambda form: {**form, "shared": 1e308}),
+        _in_first_posterior(lambda form: {**form, "shared": -0.5}),
+        _in_first_posterior(lambda form: {**form, "value": form["value"][:-1] + [1.5]}),
     ], ids=["no-converged", "null-posterior-cell", "unsorted-index", "repeated-index",
             "index-past-F", "negative-index", "boolean-index", "length-mismatch",
-            "string-shared", "dense-list-posterior"])
+            "string-shared", "dense-list-posterior", "huge-value-cells", "huge-shared",
+            "negative-shared", "value-above-one"])
     def test_late_malformed_trace_writes_nothing(self, base, tmp_path, change):
         trace, out = tmp_path / "trace.json", tmp_path / "out"
         shutil.copy(os.path.join(base, "trace.json"), trace)

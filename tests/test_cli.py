@@ -276,3 +276,27 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, blamebox.cli; "
             "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # numpy's plain np.unique and np.union1d import numpy.ma on their first
+    # call, 12-17 ms that every command would pay
+    reg = FunctionRegistry(["f1", "f2", "f3"])
+    rng = np.random.default_rng(0)
+    world = SimWorld(registry=reg, buggy_functions=frozenset({"f2"}))
+    specs = [SimSkillSpec(skill=s, used_functions=fs, T=16, dt=0.1)
+             for s, fs in (("s1", ("f1", "f2")), ("s2", ("f2", "f3")))]
+    save_study(str(tmp_path / "study"), reg,
+               {sp.skill: build_database(sp, reg, rng, 6) for sp in specs}, dt=0.1,
+               replay={sp.skill: [simulate_execution(sp, world, rng) for _ in range(8)]
+                       for sp in specs})
+    runs = [["simulate", "--scenario", "fig3", "--out", str(tmp_path / "sim")],
+            ["localize", "--study", str(tmp_path / "study"), "--out", str(tmp_path / "loc")],
+            ["report", "--trace", str(tmp_path / "loc" / "trace.json"),
+             "--out", str(tmp_path / "rep")]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blamebox.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\nfrom blamebox.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {runs!r})\n"
+            "sys.exit('numpy.ma' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

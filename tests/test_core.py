@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blamebox import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
-                      SensorSeries, ValidationError, canonicalize_length,
+from blamebox import (ExperienceDb, Fingerprint, FunctionIndexError, FunctionRegistry,
+                      Observation, SensorSeries, ValidationError, canonicalize_length,
                       validate_observation)
 
 
@@ -338,3 +339,114 @@ class TestRowSparse:
         assert peak < 5 * 2**20
         assert db.canonical_T == T and np.array_equal(support, rows)
         assert stack.shape == (3, 3, T)
+
+
+def one_run(rows, values, F):
+    """A run checked by the per-run rules, one check after another: the rows
+    and counts of its fingerprint, or the class and text of its first error.
+    This is the oracle for the batch checks."""
+    idx, values = np.asarray(rows, dtype=float), np.asarray(values, dtype=float)
+    ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
+    ok[1:] &= idx[1:] > idx[:-1]
+    if not ok.all():
+        r = int(np.argmin(ok))
+        return FunctionIndexError, (f"row {r} has function index {idx[r]:g}; indices "
+                                    f"must be integers in [0, {F}), ascending and "
+                                    "without repeats")
+    keep = values.any(axis=1)
+    rows, values = idx[keep].astype(np.intp), values[keep]
+    if not np.isfinite(values).all():
+        r, t = np.argwhere(~np.isfinite(values))[0]
+        return ValidationError, f"non-finite count at function {rows[r]}, timestep {t}"
+    if not (values >= 0).all():
+        r, t = np.argwhere(values < 0)[0]
+        return (ValidationError,
+                f"negative count {values[r, t]} at function {rows[r]}, timestep {t}")
+    return rows, values
+
+
+@st.composite
+def run_batches(draw):
+    """(F, T, runs): up to 5 runs of (rows, values) over F functions and T
+    timesteps, with all-zero rows, and a bad index or count in some runs."""
+    F, T, n = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = []
+    for _ in range(n):
+        rows = np.flatnonzero(rng.uniform(size=F) < 0.5).astype(float)
+        values = rng.uniform(0, 3, (rows.size, T)) * (rng.uniform(size=(rows.size, T)) < 0.6)
+        if rows.size and rng.uniform() < 0.15:
+            # negative, past F, fractional, NaN, or a repeat / descent of row 0
+            rows[rng.integers(rows.size)] = rng.choice([-1.0, F, 0.5, np.nan, rows[0]])
+        if rows.size and rng.uniform() < 0.15:
+            values[rng.integers(rows.size), rng.integers(T)] = rng.choice(
+                [np.nan, np.inf, -np.inf, -1.5, -0.0])
+        runs.append((rows, values))
+    return F, T, runs
+
+
+class TestBatch:
+    @given(batch=run_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_checks_as_the_runs_one_by_one(self, batch):
+        F, T, runs = batch
+        expected = [one_run(rows, values, F) for rows, values in runs]
+        first_bad = next((e for e in expected if isinstance(e[1], str)), None)
+        args = (np.concatenate([rows for rows, _ in runs]),
+                np.concatenate([values for _, values in runs]).reshape(-1, T),
+                [rows.size for rows, _ in runs], F)
+        if first_bad is not None:
+            with pytest.raises(ValidationError) as raised:
+                Fingerprint.batch(*args, dt=0.1)
+            assert (type(raised.value), str(raised.value)) == first_bad
+            return
+        fingerprints = Fingerprint.batch(*args, dt=0.1)
+        assert len(fingerprints) == len(runs)
+        for fp, (rows, values) in zip(fingerprints, expected):
+            assert fp.rows.dtype == np.intp and np.array_equal(fp.rows, rows)
+            assert np.array_equal(fp.values.view(np.uint64), values.view(np.uint64))
+            assert (fp.F, fp.T, fp.dt) == (F, T, 0.1)
+            assert not fp.rows.flags.writeable and not fp.values.flags.writeable
+
+    @given(batch=run_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_from_rows_is_the_batch_of_one(self, batch):
+        F, _, runs = batch
+        for rows, values in runs:
+            expected = one_run(rows, values, F)
+            if isinstance(expected[1], str):
+                error, text = expected
+                with pytest.raises(error, match=f"^{re.escape(text)}$") as raised:
+                    Fingerprint.from_rows(rows, values, F)
+                assert type(raised.value) is error
+            else:
+                fp = Fingerprint.from_rows(rows, values, F)
+                assert np.array_equal(fp.rows, expected[0])
+                assert np.array_equal(fp.values, expected[1])
+
+    def test_empty_runs_and_an_empty_batch(self):
+        fps = Fingerprint.batch([2, 0, 1], [[1.0], [2.0], [0.0]], [0, 1, 0, 2, 0], F=3)
+        assert [list(fp.rows) for fp in fps] == [[], [2], [], [0], []]
+        assert all(fp.T == 1 for fp in fps)
+        assert Fingerprint.batch(np.empty(0), np.empty((0, 4)), [], F=3) == []
+
+    def test_sizes_must_cover_the_rows(self):
+        with pytest.raises(ValidationError, match="runs of 2 rows in all given for 3"):
+            Fingerprint.batch([0, 1, 2], np.ones((3, 2)), [1, 1], F=3)
+
+    @pytest.mark.parametrize("rows", [[], [3, 1], [1, 1, 1], [0, 2, 4], [4, 3, 2, 1, 0],
+                                      [2, 0, 2], [4]],
+                             ids=["none", "descending", "repeated", "off-support",
+                                  "all-reversed", "repeat-around", "off-only"])
+    def test_counts_stack_takes_rows_in_any_order(self, rows):
+        # functions 0 and 4 are never called: they lie off the support
+        reg = FunctionRegistry(["a", "b", "c", "d", "e"])
+        rng = np.random.default_rng(3)
+        counts = [rng.uniform(0, 3, (5, 6)) * (rng.uniform(size=(5, 1)) < 0.7) for _ in range(4)]
+        for c in counts:
+            c[[0, 4]] = 0.0
+        db = ExperienceDb.from_observations(
+            "s", [make_obs(F=5, T=6, counts=c) for c in counts], reg)
+        stack = db.counts_stack(rows)
+        assert stack.shape == (4, len(rows), 6)
+        assert np.array_equal(stack, np.stack(counts)[:, rows])

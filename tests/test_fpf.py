@@ -8,7 +8,8 @@ from scipy.integrate import quad
 
 from blamebox import (BlameConfig, ConfigError, ExperienceDb, Fingerprint, FunctionRegistry,
                       Observation, ValidationError, deviation_mass, fit_fpf)
-from blamebox.fpf import (DeviationGrid, FpfModel, _mass, _window_sums, deviation_at,
+from blamebox import fpf
+from blamebox.fpf import (DeviationGrid, FpfModel, _grid, _mass, _window_sums, deviation_at,
                           deviation_grid)
 from tests.test_core import make_obs
 
@@ -471,3 +472,68 @@ class TestRowSparseModel:
     def test_on_rejects_rows_outside_the_registry(self):
         with pytest.raises(ValidationError):
             sparse_model().on([3])
+
+
+def five_call_grid(mean, var, counts, config):
+    """The grid as five kernel calls, one per statistic and input: the oracle
+    for the stacked three-call form."""
+    x = np.moveaxis(counts, -1, 0).copy()
+    W, r = config.window_steps, math.exp(-config.alpha)
+    n_w = np.minimum(np.arange(1.0, mean.shape[1] + 1.0), W)[:, None]
+    exec_mean = _window_sums(x.copy(), r, W)
+    exec_mean /= n_w[:, :, None]
+    mean, var = mean.T, var.T
+    return DeviationGrid(
+        mean=_window_sums(mean.copy(), r, W) / n_w,
+        var=_window_sums(var.copy(), r * r, W) / (n_w * n_w),
+        exec_mean=exec_mean,
+        model_active=_window_sums(mean.copy(), 1.0, W) > 1e-9,
+        exec_active=_window_sums(x, 1.0, W) > 1e-9,
+    )
+
+
+class TestStackedGrid:
+    @pytest.mark.parametrize("T,W", [(1, 1), (1, 6), (2, 1), (7, 3), (7, 7), (7, 20),
+                                     (50, 12), (401, 40)])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_equals_the_five_call_form_bitwise(self, T, W, n):
+        rng = np.random.default_rng([T, W, n])
+        R = 5
+        # silent rows and cells, and cells near the 1e-9 activity threshold
+        scale = rng.choice([0.0, 1e-10, 3e-10, 1.0], size=(R, T))
+        scale[0], scale[1] = 0.0, 1.0   # one silent and one active row at least
+        mean = rng.uniform(0, 2, (R, T)) * scale
+        var = 1e-6 + rng.uniform(0, 3, (R, T))
+        counts = rng.uniform(0, 3, (n, R, T)) * rng.choice([0.0, 4e-10, 1.0], size=(n, R, T))
+        cfg = BlameConfig(alpha=rng.uniform(0, 0.3), window_steps=W)
+        got = _grid(mean, var, counts, cfg)
+        want = five_call_grid(mean, var, counts, cfg)
+        for name in ("mean", "var", "exec_mean"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64)), name
+        for name in ("model_active", "exec_active"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert want.model_active.any() and not want.model_active.all()
+
+    def test_deviation_at_gathers_the_window_only(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        F, T, W = 6, 50, 8
+        mean = rng.uniform(0, 2, (F, T))
+        model = FpfModel(support=[1, 3], mean=mean[[1, 3]], var=np.ones((2, T)), F=F,
+                         n_samples=3, var_floor=1e-6)
+        fingerprint = Fingerprint.from_rows([0, 3], rng.uniform(1, 2, (2, T)), F)
+        cfg = BlameConfig(window_steps=W)
+        want = deviation_at(model, fingerprint, 30, cfg)
+        widths = []
+        real = fpf.gather_rows
+
+        def spy(held, values, rows, fill):
+            widths.append(values.shape[1])
+            return real(held, values, rows, fill)
+
+        monkeypatch.setattr(fpf, "gather_rows", spy)
+        got = deviation_at(model, fingerprint, 30, cfg)
+        assert widths == [W, W]   # the model's mean and var, on its support and the run's rows
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -3,8 +3,8 @@ import pytest
 
 from blamebox import (AnomalySpec, FunctionRegistry, ScenarioError,
                       SensorSynthSpec, SimSkillSpec, SimWorld, ValidationError,
-                      built_in_scenario, gen_fingerprint, gen_sensor_suite,
-                      load_scenario, run_scenario, run_testing_loop,
+                      built_in_scenario, gen_fingerprint, gen_fingerprints,
+                      gen_sensor_suite, load_scenario, run_scenario, run_testing_loop,
                       simulate_execution, validate_observation)
 from blamebox.harness import ScenarioConfig, build_database
 
@@ -34,6 +34,31 @@ class TestGenFingerprint:
                             count_sigma=sigma, T=T)
         fp = gen_fingerprint(spec, REG6, np.random.default_rng(7))
         assert abs(fp.counts[0].mean() - mu) <= 5 * sigma / np.sqrt(T)
+
+    @pytest.mark.parametrize("used", [("f1", "f2"), ("f5", "f2", "f4"), ("f3", "f1", "f3")],
+                             ids=["ascending", "unsorted", "repeated"])
+    @pytest.mark.parametrize("sigma", [0.5, 0.0, 4.0])
+    def test_database_is_a_loop_of_simulated_runs(self, used, sigma):
+        # one batched draw: the same runs, bit for bit, and the same generator state
+        spec = SimSkillSpec(skill="a", used_functions=used, count_sigma=sigma, T=9)
+        batched, looped, drawn = (np.random.default_rng(11) for _ in range(3))
+        db = build_database(spec, REG6, batched, 7)
+        world = SimWorld(registry=REG6)
+        runs = [simulate_execution(spec, world, looped) for _ in range(7)]
+        assert batched.bit_generator.state == looped.bit_generator.state
+        for got, want in zip(db.observations, runs, strict=True):
+            # the per-run rule: one (k, T) draw, clamped; a repeated function keeps its last row
+            rows = {REG6.index(f): row for f, row in zip(used, np.maximum(
+                drawn.normal(spec.count_mu, sigma, (len(used), spec.T)), 0.0))}
+            assert np.array_equal(got.fingerprint.counts[sorted(rows)],
+                                  np.array([rows[i] for i in sorted(rows)]))
+            assert (got.success, got.t_fail, got.sensors, got.skill) == (True, None, None, "a")
+            assert (want.success, want.t_fail, want.sensors) == (True, None, None)
+            assert np.array_equal(got.fingerprint.rows, want.fingerprint.rows)
+            assert np.array_equal(got.fingerprint.values.view(np.uint64),
+                                  want.fingerprint.values.view(np.uint64))
+            assert (got.fingerprint.F, got.fingerprint.dt) == (REG6.F, spec.dt)
+        assert gen_fingerprints(spec, REG6, np.random.default_rng(0), 0) == []
 
     def test_counts_validate(self):
         spec = SimSkillSpec(skill="a", used_functions=("f1", "f5"), T=30)

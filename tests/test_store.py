@@ -434,6 +434,52 @@ class TestCountsFormat:
         with pytest.raises(StoreError, match=counts_file + ": row"):
             load_recorded(str(tmp_path / "rec"))
 
+    # (row, column, value) written into one run's block, the error class and
+    # the text that checking that run alone gives
+    DEFECTS = {
+        "nan-count": ((1, 3, np.nan), ValidationError,
+                      "non-finite count at function 1, timestep 2"),
+        "negative-count": ((0, 4, -4.5), ValidationError,
+                           "negative count -4.5 at function 0, timestep 3"),
+        "index-past-F": ((1, 0, 3.0), StoreError, "row 1 has function index 3; indices "
+                         "must be integers in [0, 3), ascending and without repeats"),
+        "repeated-index": ((1, 0, 0.0), StoreError, "row 1 has function index 0; indices "
+                           "must be integers in [0, 3), ascending and without repeats"),
+    }
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_defect_in_one_run_reports_that_runs_error(self, tmp_path, k, defect):
+        # runs of several T, checked per batch, report the error of the run alone
+        save_recorded(mixed_records(), str(tmp_path / "rec"), "s1", REG, 0.1)
+        (row, col, value), error, text = self.DEFECTS[defect]
+        counts, start, rows, T = run_block(tmp_path / "rec", k)
+        assert rows == 2
+        counts[start + row * (T + 1) + col] = value
+        np.save(tmp_path / "rec" / "counts.npy", counts)
+        with pytest.raises(error) as raised:
+            load_recorded(str(tmp_path / "rec"))
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{tmp_path / 'rec' / 'counts.npy'}: {text}"
+
+    @pytest.mark.parametrize("count_run, index_run", [(0, 2), (2, 0), (1, 1), (3, 1)])
+    def test_first_bad_run_wins_over_a_later_defect_of_the_other_kind(
+            self, tmp_path, count_run, index_run):
+        # one batch of four runs of one T; within a run the index is checked first
+        save_recorded(mixed_records(Ts=(12,) * 4), str(tmp_path / "rec"), "s1", REG, 0.1)
+        counts, _, _, _ = run_block(tmp_path / "rec", 0)
+        for defect, k in (("nan-count", count_run), ("index-past-F", index_run)):
+            (row, col, value), _, _ = self.DEFECTS[defect]
+            _, start, rows, T = run_block(tmp_path / "rec", k)
+            assert rows == 2
+            counts[start + row * (T + 1) + col] = value
+        np.save(tmp_path / "rec" / "counts.npy", counts)
+        _, error, text = self.DEFECTS["index-past-F" if index_run <= count_run else "nan-count"]
+        with pytest.raises(error) as raised:
+            load_recorded(str(tmp_path / "rec"))
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{tmp_path / 'rec' / 'counts.npy'}: {text}"
+
     def test_each_manifest_read_once(self, tmp_path, monkeypatch):
         dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
         save_study(str(tmp_path / "study"), REG, dbs, dt=0.1)
@@ -612,6 +658,13 @@ class TestRecordedAndStudy:
         assert main(["localize", "--study", str(study), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and replay_manifest in err
+
+    def test_empty_recording_loads_as_no_runs(self, tmp_path):
+        save_recorded([], str(tmp_path / "rec"), "s1", REG, dt=0.1)
+        assert load_recorded(str(tmp_path / "rec")) == []
+        study = tmp_path / "study"
+        save_study(str(study), REG, {"s1": small_db(skill="s1")}, dt=0.1, replay={"s1": []})
+        assert load_study(str(study)).replay == {"s1": []}
 
     @pytest.mark.parametrize("kind", ["dbs", "replay"])
     def test_entry_of_another_skill_names_its_manifest(self, tmp_path, kind):
