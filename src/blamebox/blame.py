@@ -14,6 +14,10 @@ follows the generative reading of skill testing:
 * success, f inactive                     -> 1/2 exactly: the observation
   carries no evidence about functions it never touched.
 
+A success has no failure time, so it is judged at its last timestep T - 1,
+over the W steps that end there: a function active only before them counts
+as inactive and gets 1/2, as a function the run never called does.
+
 Likelihood values always lie in [epsilon_floor, 0.75].
 """
 from __future__ import annotations
@@ -91,7 +95,7 @@ def likelihood_vector(fpf: FpfModel, fingerprint_exec: Fingerprint, success: boo
                       t_fail: int, config: BlameConfig) -> np.ndarray:
     """Per-function likelihood of the executed observation, registry order."""
     if success:
-        t_fail = fpf.T - 1  # no failure time exists; judge the whole run
+        t_fail = fpf.T - 1  # no failure time exists; judge the last W steps
     pd, inactive = deviation_at(fpf, fingerprint_exec, t_fail, config)
     return combine_deviation(pd, inactive, success, config)
 
@@ -102,8 +106,8 @@ def bayes_update(belief: Belief, fpf_by_skill: Mapping[SkillId, FpfModel],
     """Posterior ~ likelihood * prior, renormalized, and the failure time
     the run was judged at.
 
-    On success ``t_fail`` is ignored and the full execution window is used,
-    so the run is judged at its last timestep T - 1.
+    On success ``t_fail`` is ignored and the run is judged at its last
+    timestep T - 1, over the W-step window that ends there, not the whole run.
     The epsilon floor keeps the unnormalized posterior strictly positive
     wherever the prior is positive.
     """

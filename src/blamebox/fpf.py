@@ -54,13 +54,14 @@ class BlameConfig:
     success_deviation_weight: float = 0.05
 
     def __post_init__(self):
-        if self.alpha < 0:
+        # each check is written so that NaN fails it
+        if not self.alpha >= 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.window_steps < 1:
+        if not self.window_steps >= 1:
             raise ConfigError(f"window_steps must be >= 1, got {self.window_steps}")
         if not (0.0 < self.epsilon_floor < 0.5):
             raise ConfigError(f"epsilon_floor must lie in (0, 0.5), got {self.epsilon_floor}")
-        if self.var_floor <= 0:
+        if not self.var_floor > 0:
             raise ConfigError(f"var_floor must be positive, got {self.var_floor}")
         if not (0.0 <= self.success_deviation_weight < 1.0):
             raise ConfigError("success_deviation_weight must lie in [0, 1)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .blame import Belief, coverage_indices
 from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
                    SensorSeries, SkillId)
-from .errors import ExecutorError, ScenarioError, ValidationError
+from .errors import ConfigError, ExecutorError, ScenarioError, ValidationError
 from .fpf import BlameConfig
 from .planner import LoopTrace, PlannerConfig, run_testing_loop
 
@@ -249,10 +249,43 @@ def gen_sensor_suite(spec: SensorSynthSpec, n_train: int, n_pos: int, n_neg: int
 # ---------------------------------------------------------------------------
 # Scenarios.
 
-# The scalar fields of a scenario description, each with its converter; an
-# absent one takes the dataclass default.
-_SCENARIO_SCALARS = {"db_size": int, "T": int, "dt": float,
-                     "count_mu": float, "count_sigma": float, "seed": int}
+# The JSON types that a scenario's int and float fields take, by the field's
+# annotation, with what a mistyped value is told it must be and the value's
+# conversion: an int field takes a JSON integer, a float field a JSON number,
+# and a bool or a string is neither. An absent field takes the default.
+_SCENARIO_SCALARS = {"int": ((int,), "an integer", int),
+                     "float": ((int, float), "a number", float)}
+
+
+def _scenario_field(d: dict, key: str, want: str, ok, where: str = ""):
+    """``d[key]``, which ``ok`` must accept; else a ScenarioError: it must be ``want``."""
+    value = d[key]
+    if not ok(value):
+        raise ScenarioError(f"{where + key!r} must be {want}, found {value!r}")
+    return value
+
+
+def _scalars(cls, d: dict, where: str = "") -> dict:
+    """The entries of the scenario object ``d`` that set an int or float
+    field of the dataclass ``cls``, each checked against its JSON type."""
+    out = {}
+    for f in fields(cls):
+        if f.name in d and f.type in _SCENARIO_SCALARS:
+            types, want, convert = _SCENARIO_SCALARS[f.type]
+            out[f.name] = convert(_scenario_field(d, f.name, want,
+                                                  lambda v: type(v) in types, where))
+    return out
+
+
+def _nested(cls, d: dict, key: str):
+    """The ``cls`` that the scenario object ``d[key]`` sets, its scalars checked."""
+    return cls(**{**d[key], **_scalars(cls, d[key], f"{key}.")})
+
+
+def _names(d: dict, key: str, where: str = "") -> tuple[str, ...]:
+    """``d[key]``, which must be a JSON list of strings, as a tuple."""
+    return tuple(_scenario_field(d, key, "a list of strings", lambda v: type(v) is list
+                                 and all(type(name) is str for name in v), where))
 
 
 @dataclass(frozen=True)
@@ -271,6 +304,8 @@ class ScenarioConfig:
     blame: BlameConfig | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioError(f"'seed' must be an integer >= 0, found {self.seed}")
         seen = set()
         for skill, _ in self.skills:
             if skill in seen:
@@ -299,16 +334,17 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         try:
-            planner = PlannerConfig(**d.get("planner", {}))
-            blame = BlameConfig(**d["blame"]) if "blame" in d else None
             return cls(
-                name=d["name"],
-                functions=tuple(d["functions"]),
-                skills=tuple((sk["skill"], tuple(sk["functions"])) for sk in d["skills"]),
-                buggy=tuple(d["buggy"]),
-                planner=planner,
-                blame=blame,
-                **{k: convert(d[k]) for k, convert in _SCENARIO_SCALARS.items() if k in d},
+                name=_scenario_field(d, "name", "a string", lambda v: type(v) is str),
+                functions=_names(d, "functions"),
+                skills=tuple((_scenario_field(sk, "skill", "a string",
+                                              lambda v: type(v) is str, f"skills[{i}]."),
+                              _names(sk, "functions", f"skills[{i}]."))
+                             for i, sk in enumerate(d["skills"])),
+                buggy=_names(d, "buggy"),
+                planner=_nested(PlannerConfig, d, "planner") if "planner" in d else PlannerConfig(),
+                blame=_nested(BlameConfig, d, "blame") if "blame" in d else None,
+                **_scalars(cls, d),
             )
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario description: {exc}") from exc
@@ -381,8 +417,8 @@ def load_scenario(source: str, seed: int | None = None) -> ScenarioConfig:
         ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {source!r} is not valid JSON: {exc}") from exc
-    except ScenarioError as exc:
-        raise ScenarioError(f"scenario file {source!r}: {exc}") from exc
+    except (ScenarioError, ConfigError) as exc:
+        raise type(exc)(f"scenario file {source!r}: {exc}") from exc
     return cfg if seed is None else replace(cfg, seed=seed)
 
 

@@ -66,13 +66,14 @@ class MomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bottleneck < 1:
+        # each check is written so that NaN fails it
+        if not self.bottleneck >= 1:
             raise ConfigError("bottleneck must be >= 1")
-        if self.epochs < 1:
+        if not self.epochs >= 1:
             raise ConfigError("epochs must be >= 1")
-        if self.smoothing_window < 1:
+        if not self.smoothing_window >= 1:
             raise ConfigError("smoothing_window must be >= 1")
-        if self.z_threshold <= 0:
+        if not self.z_threshold > 0:
             raise ConfigError("z_threshold must be positive")
 
 

@@ -6,9 +6,10 @@ order of the databases, which orders the gain columns and breaks gain ties.
 
 The gain of a skill is estimated by hypothetical Bayesian updates: for every
 stored observation of that skill, sample (success, t_fail) pairs with success
-uniform over {true, false} and t_fail uniform over the execution window
-(success uses the full window), apply the belief update, and average the
-posterior entropies. E[I] = H[prior] - mean(H_posterior).
+uniform over {true, false} and t_fail uniform over the execution window (a
+success is judged at T - 1, over the W-step window that ends there), apply
+the belief update, and average the posterior entropies.
+E[I] = H[prior] - mean(H_posterior).
 
 Per (skill, step) randomness comes from spawned generator streams, one per
 skill, so each skill's gain is reproducible on its own.
@@ -38,13 +39,14 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_per_observation < 1:
+        # each check is written so that NaN fails it
+        if not self.samples_per_observation >= 1:
             raise ConfigError("samples_per_observation must be >= 1")
-        if self.convergence_epsilon <= 0:
+        if not self.convergence_epsilon > 0:
             raise ConfigError("convergence_epsilon must be positive")
-        if self.convergence_patience < 1:
+        if not self.convergence_patience >= 1:
             raise ConfigError("convergence_patience must be >= 1")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ConfigError("max_iterations must be >= 1")
 
 

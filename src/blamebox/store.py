@@ -12,10 +12,12 @@ is one binary read. The counts file concatenates each run's row-major
 (rows, 1 + T) block, one row ``index, c_0, ..., c_{T-1}`` per function with
 a non-zero count, in ascending index order; the sensors file concatenates
 each sensed run's row-major (D, T) block, one row per channel. Each manifest
-entry records the run's ``success`` (a boolean), ``t_fail`` (null or an
-integer >= 0), ``T``, ``rows`` and ``D`` (null for a run without sensors).
-A run with neither sensors nor a non-zero count stores one all-zero counts
-row, so a manifest cannot ask for more than its files hold. A file is never
+entry records the run's ``success`` (a boolean), ``t_fail`` (null on a
+success, else null or an integer >= 0), ``T``, ``rows`` and ``D`` (null for
+a run without sensors). A run with neither sensors nor a non-zero count
+stores one all-zero counts row, so a manifest cannot ask for more than its
+files hold. Every entry is checked, these rules included, before any file
+is read; then each file is cut once and each run built once. A file is never
 unpickled, and one whose dtype, ndim or size disagrees with its manifest is
 a :class:`StoreError` naming it. Counts are read straight into the
 row-sparse :class:`Fingerprint`, so loading builds no F x T matrix, and they
@@ -47,7 +49,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -149,26 +151,15 @@ def _load_matrix(path: str) -> np.ndarray:
     return arr
 
 
-def _sized(path: str, size: int, manifest_path: str) -> np.ndarray:
-    """The ``.npy`` array at ``path``, which must hold the ``size`` values that
-    the blocks ``manifest_path`` lists take."""
-    flat = _load_matrix(path)
-    if flat.size != size:
-        raise StoreError(f"{path}: holds {flat.size} values, but the blocks that "
-                         f"{manifest_path} lists take {size}")
-    return flat
-
-
 def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> list[np.ndarray]:
     """The ``.npy`` array at ``path`` cut into consecutive row-major blocks
     of the given shapes, which must use up all of it."""
-    sizes = [rows * cols for rows, cols in shapes]
-    flat = _sized(path, sum(sizes), manifest_path)
-    blocks, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        blocks.append(flat[start:start + size].reshape(shape))
-        start += size
-    return blocks
+    ends = list(itertools.accumulate((rows * cols for rows, cols in shapes), initial=0))
+    flat = _load_matrix(path)
+    if flat.size != ends[-1]:
+        raise StoreError(f"{path}: holds {flat.size} values, but the blocks that "
+                         f"{manifest_path} lists take {ends[-1]}")
+    return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, ends, ends[1:])]
 
 
 def _field(manifest_path: str, doc: dict, key: str, want: str, ok, owner="an entry's"):
@@ -227,46 +218,12 @@ def _fingerprints(path: str, shapes: list[tuple[int, int]], manifest_path: str,
     at ``path`` stores one after another, each run's rows ``index, c_0, ...,
     c_{T-1}`` as one row-major block. Consecutive runs of one T make one
     (rows, 1 + T) matrix, checked as one batch."""
-    flat = _sized(path, sum(rows * (T + 1) for T, rows in shapes), manifest_path)
-    matrices, start = [], 0
-    for T, runs in itertools.groupby(shapes, key=lambda shape: shape[0]):
-        sizes = [rows for _, rows in runs]
-        end = start + sum(sizes) * (T + 1)
-        matrices.append((flat[start:end].reshape(-1, T + 1), sizes))
-        start = end
+    groups = [(T, [rows for _, rows in runs])
+              for T, runs in itertools.groupby(shapes, key=lambda shape: shape[0])]
+    matrices = _blocks(path, [(sum(sizes), T + 1) for T, sizes in groups], manifest_path)
     with _naming(path):
-        return [fp for m, sizes in matrices
+        return [fp for m, (_, sizes) in zip(matrices, groups)
                 for fp in Fingerprint.batch(m[:, 0], m[:, 1:], sizes, F, dt=dt)]
-
-
-def _runs(manifest_path: str, manifest: dict, F: int, dt: float):
-    """(entry, sensors, fingerprint, counts file) of each run: its (rows, 1 + T)
-    block in the directory's ``counts.npy`` and, if it has a D, its (D, T) block
-    in ``sensors.npy``, read only then. Every entry is checked before any file
-    is read, and one without sensors needs a counts row, so values back each T.
-    All runs' counts are checked before any sensors."""
-    entries = manifest["observations"]
-    shapes = []
-    for e in entries:
-        _field(manifest_path, e, "success", "a boolean", lambda v: type(v) is bool)
-        _field(manifest_path, e, "t_fail", "null or an integer >= 0",
-               lambda v: v is None or type(v) is int and v >= 0)
-        D = None if e["D"] is None else _dimension(manifest_path, e, "D", 1)
-        shapes.append((_dimension(manifest_path, e, "T", 1),
-                       _dimension(manifest_path, e, "rows", 1 if D is None else 0), D))
-    directory = os.path.dirname(manifest_path)
-    counts_file = os.path.join(directory, "counts.npy")
-    fingerprints = _fingerprints(counts_file, [(T, rows) for T, rows, _ in shapes],
-                                 manifest_path, F, dt)
-    sensed = [(D, T) for T, _, D in shapes if D is not None]
-    sensors_file = os.path.join(directory, "sensors.npy")
-    series = iter(_blocks(sensors_file, sensed, manifest_path) if sensed else ())
-    for entry, (_, _, D), fingerprint in zip(entries, shapes, fingerprints):
-        sensors = None
-        if D is not None:
-            with _naming(sensors_file):
-                sensors = SensorSeries(next(series), dt=dt)
-        yield entry, sensors, fingerprint, counts_file
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +274,10 @@ def _load_records(path: str, registry: FunctionRegistry | None = None, listed=No
                   ) -> tuple[SkillId, int, list[Observation]]:
     """The skill, the manifest's ``canonical_T`` and the runs of a database
     directory; with ``registry``, its manifest must list the same functions, and
-    with ``listed``, (the study manifest listing it, skill, dt), that skill and dt."""
+    with ``listed``, (the study manifest listing it, skill, dt), that skill and dt.
+
+    Every entry is checked before any file is read; then each file is cut
+    once, all counts before any sensors, and each run built once."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSION)
     with _interpreting(manifest_path):
@@ -331,17 +291,30 @@ def _load_records(path: str, registry: FunctionRegistry | None = None, listed=No
             raise StoreError(f"{manifest_path}: holds skill {skill!r} at dt={dt}, but "
                              f"{listed[0]} lists it for skill {listed[1]!r} at dt={listed[2]}")
         canonical_T = _dimension(manifest_path, manifest, "canonical_T", 0, "its")
-        records = []
-        for entry, sensors, fingerprint, counts_file in _runs(manifest_path, manifest,
-                                                              registry.F, dt):
-            with _naming(counts_file):
-                obs = validate_observation(
-                    Observation(sensors=sensors, fingerprint=fingerprint,
-                                success=entry["success"], skill=skill), registry)
-            if entry["t_fail"] is not None:
-                with _naming(manifest_path):
-                    obs = replace(obs, t_fail=entry["t_fail"])
-            records.append(obs)
+        entries, shapes = manifest["observations"], []
+        for e in entries:
+            success = _field(manifest_path, e, "success", "a boolean", lambda v: type(v) is bool)
+            _field(manifest_path, e, "t_fail",
+                   "null on a success" if success else "null or an integer >= 0",
+                   lambda v: v is None or not success and type(v) is int and v >= 0)
+            D = None if e["D"] is None else _dimension(manifest_path, e, "D", 1)
+            # a run without sensors needs a counts row, so values back each T
+            shapes.append((_dimension(manifest_path, e, "T", 1),
+                           _dimension(manifest_path, e, "rows", 1 if D is None else 0), D))
+        counts_file, sensors_file = (os.path.join(path, name)
+                                     for name in ("counts.npy", "sensors.npy"))
+        fingerprints = _fingerprints(counts_file, [(T, rows) for T, rows, _ in shapes],
+                                     manifest_path, registry.F, dt)
+        sensed = [(D, T) for T, _, D in shapes if D is not None]
+        blocks = iter(_blocks(sensors_file, sensed, manifest_path) if sensed else ())
+        with _naming(sensors_file):
+            sensors = [None if D is None else SensorSeries(next(blocks), dt=dt)
+                       for _, _, D in shapes]
+        with _naming(counts_file):
+            records = [validate_observation(Observation(
+                sensors=series, fingerprint=fingerprint, success=e["success"], skill=skill,
+                t_fail=e["t_fail"]), registry)
+                for e, series, fingerprint in zip(entries, sensors, fingerprints)]
     return skill, canonical_T, records
 
 

@@ -109,6 +109,26 @@ class TestLikelihood:
         b = likelihood_vector(model, probe, True, 9, CFG)
         assert np.array_equal(a, b)
 
+    def test_success_judged_over_its_last_window_only(self):
+        # T = 100, W = 40: "a" runs in steps 0-49, "b" in steps 50-99, "c" never
+        T, cfg = 100, BlameConfig(window_steps=40)
+        rng = np.random.default_rng(0)
+        stacks = []
+        for _ in range(20):
+            counts = np.zeros((3, T))
+            counts[0, :50] = np.abs(rng.normal(2.0, 0.5, 50))
+            counts[1, 50:] = np.abs(rng.normal(2.0, 0.5, 50))
+            stacks.append(counts)
+        model = fit_fpf(db_from_counts(stacks), cfg)
+        obs = make_obs(F=3, T=T, counts=np.mean(stacks, axis=0), sensors=np.zeros((1, T)))
+        lik = likelihood_vector(model, obs.fingerprint, True, 0, cfg)
+        # a success clears "b" but leaves "a" as it leaves the uncalled "c"
+        assert lik[0] == lik[2] == 0.5
+        assert lik[1] == pytest.approx(cfg.epsilon_floor, abs=1e-12)
+        post, t_used = bayes_update(Belief.uniform(3), {"s": model}, obs, True, None, cfg)
+        assert t_used == T - 1
+        assert post.probs[0] == post.probs[2] > 1e3 * post.probs[1]
+
 
 class TestCombine:
     def test_shapes_and_cases(self):

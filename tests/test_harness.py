@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
-from blamebox import (AnomalySpec, FunctionRegistry, ScenarioError,
-                      SensorSynthSpec, SimSkillSpec, SimWorld, ValidationError,
+from blamebox import (AnomalySpec, BlameConfig, ConfigError, FunctionRegistry, MomConfig,
+                      PlannerConfig, ScenarioError, SensorSynthSpec, SimSkillSpec, SimWorld,
+                      ValidationError,
                       built_in_scenario, gen_fingerprint, gen_fingerprints,
                       gen_sensor_suite, load_scenario, run_scenario, run_testing_loop,
                       simulate_execution, validate_observation)
@@ -194,6 +198,60 @@ class TestScenarios:
         assert "skill 'a1' is listed more than once" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("where,key,value,want", [
+        ("planner", "max_iterations", 2.5, "an integer"),
+        ("planner", "samples_per_observation", 2.5, "an integer"),
+        ("blame", "window_steps", 3.5, "an integer"),
+        ("blame", "alpha", "0.1", "a number"),
+        (None, "T", 20.7, "an integer"),
+        (None, "T", "20", "an integer"),
+        (None, "db_size", True, "an integer"),
+        (None, "dt", True, "a number"),
+        (None, "count_mu", "2", "a number"),
+        (None, "seed", -1, "an integer >= 0"),
+        (None, "functions", "abc", "a list of strings"),
+        (None, "buggy", [1], "a list of strings"),
+        (None, "name", 5, "a string"),
+        ("skills", "functions", "f1", "a list of strings"),
+        ("skills", "skill", ["s"], "a string")])
+    def test_mistyped_field_names_file_and_field(self, tmp_path, capsys, where, key, value,
+                                                 want):
+        import json
+        from blamebox.cli import main
+        d = {"name": "tiny", "functions": ["f1", "f2"],
+             "skills": [{"skill": "s", "functions": ["f1"]}], "buggy": ["f1"],
+             "db_size": 5, "T": 12, "planner": {"max_iterations": 3}, "blame": {}}
+        target = d if where is None else d[where][0] if where == "skills" else d[where]
+        target[key] = value
+        field = key if where is None else f"{where}[0].{key}" if where == "skills" \
+            else f"{where}.{key}"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(d))
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (f"error: scenario file {str(path)!r}: {field!r} "
+                                           f"must be {want}, found {value!r}\n")
+        with pytest.raises(ScenarioError, match=re.escape(f"'{field}' must be {want}")):
+            ScenarioConfig.from_dict(d)
+
+    def test_whole_number_fields_load_typed(self, tmp_path):
+        d = {"name": "tiny", "functions": ["f1"], "skills": [], "buggy": [], "dt": 1,
+             "T": 12, "blame": {"alpha": 1, "window_steps": 4}}
+        cfg = ScenarioConfig.from_dict(d)
+        assert (type(cfg.dt), type(cfg.T)) == (float, int)
+        assert (type(cfg.blame.alpha), type(cfg.blame.window_steps)) == (float, int)
+
+    @pytest.mark.parametrize("where,key", [("blame", "alpha"), ("blame", "var_floor"),
+                                           ("planner", "convergence_epsilon")])
+    def test_nan_config_names_the_file(self, tmp_path, where, key):
+        import json
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "name": "tiny", "functions": ["f1"], "skills": [{"skill": "s", "functions": ["f1"]}],
+            "buggy": [], where: {key: float("nan")}}))
+        with pytest.raises(ConfigError, match=f"^scenario file {re.escape(repr(str(path)))}: "
+                                              f"{key} must"):
+            load_scenario(str(path))
+
     def test_fig3_shapes(self):
         cfg = built_in_scenario("fig3")
         assert len(cfg.functions) == 241
@@ -241,3 +299,15 @@ class TestScenarios:
         b = run_scenario(cfg)
         assert a.candidates == b.candidates
         assert np.array_equal(a.belief.probs, b.belief.probs)
+
+
+@pytest.mark.parametrize("config,key", [
+    (BlameConfig, "alpha"), (BlameConfig, "window_steps"), (BlameConfig, "epsilon_floor"),
+    (BlameConfig, "var_floor"), (BlameConfig, "success_deviation_weight"),
+    (PlannerConfig, "samples_per_observation"), (PlannerConfig, "convergence_epsilon"),
+    (PlannerConfig, "convergence_patience"), (PlannerConfig, "max_iterations"),
+    (MomConfig, "bottleneck"), (MomConfig, "epochs"), (MomConfig, "smoothing_window"),
+    (MomConfig, "z_threshold")])
+def test_nan_fails_config_range_checks(config, key):
+    with pytest.raises(ConfigError, match=key):
+        config(**{key: math.nan})

@@ -296,6 +296,29 @@ class TestMalformedVersion3:
         with pytest.raises(StoreError, match=f"manifest.json: an entry's '{key}' must be"):
             load_recorded(str(tmp_path / "rec"))
 
+    @pytest.mark.parametrize("where", ["dbs", "replay"])
+    def test_t_fail_on_a_success_names_the_manifest_before_any_read(
+            self, tmp_path, monkeypatch, capsys, where):
+        study = tmp_path / "study"
+        save_study(str(study), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": mixed_records()})
+        directory = study / where / "s1"
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["observations"][1].update(success=True, t_fail=3)
+        manifest_path.write_text(json.dumps(manifest))
+        read = []
+        real = store._load_matrix
+        monkeypatch.setattr(store, "_load_matrix", lambda path: read.append(path) or real(path))
+        text = f"{manifest_path}: an entry's 't_fail' must be null on a success, found 3"
+        with pytest.raises(StoreError, match=re.escape(text)):
+            load_recorded(str(directory))
+        assert read == []
+        assert main(["localize", "--study", str(study), "--executor", "replay",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert [p for p in read if os.path.dirname(p) == str(directory)] == []
+
     @pytest.mark.parametrize("value", ["20", 20.0, -1, None])
     def test_mistyped_canonical_T_names_the_manifest(self, tmp_path, value):
         save_db(small_db(), str(tmp_path / "db"), REG)
