@@ -49,7 +49,11 @@ def _sensor_series(path: str) -> list:
 def _cmd_train_mom(args) -> int:
     config = MomConfig(bottleneck=args.bottleneck, epochs=args.epochs, seed=args.seed)
     sequences = _sensor_series(args.db)
-    model = train(sequences, config)
+    try:
+        model = train(sequences, config)
+    except ValidationError as exc:
+        raise type(exc)(f"{args.db}: its runs cannot train the observation model: "
+                        f"{exc}") from exc
     stats = fit_error_stats(model, sequences)
     save_model(MomBundle(model=model, error_stats=stats), args.out)
     return EXIT_OK

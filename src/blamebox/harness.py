@@ -304,8 +304,16 @@ class ScenarioConfig:
     blame: BlameConfig | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ScenarioError(f"'seed' must be an integer >= 0, found {self.seed}")
+        # each range is written so that NaN falls outside it
+        for name, ok, want in (("seed", self.seed >= 0, "an integer >= 0"),
+                               ("db_size", self.db_size >= 1, "an integer >= 1"),
+                               ("T", self.T >= 1, "an integer >= 1"),
+                               ("dt", 0 < self.dt < math.inf, "a finite number > 0"),
+                               ("count_mu", abs(self.count_mu) < math.inf, "a finite number"),
+                               ("count_sigma", 0 <= self.count_sigma < math.inf,
+                                "a finite number >= 0")):
+            if not ok:
+                raise ScenarioError(f"{name!r} must be {want}, found {getattr(self, name)!r}")
         seen = set()
         for skill, _ in self.skills:
             if skill in seen:

@@ -25,13 +25,20 @@ passes use them: ``gate_w`` = [upd_w; rst_w; cand_w] (3, D, B), ``gate_u`` =
 [upd_u; rst_u; cand_u] (3, D, D) and ``gate_b`` (3, D). A batch of n
 sequences runs time-major, as (T, n, D) arrays, and whatever does not depend
 on the hidden state is computed for all T at once (after Appleyard, Kocisky
-& Blunsom 2016, arXiv:1604.01946): the encodings as one matmul, and the
-gates' input products as one matmul with ``gate_w`` into G (3, T, n, D), one
-(T, n, D) slab per gate. The recurrence then makes two products per step, h
-with ``gate_u[:2]`` and r * h with ``gate_u[2]``. The backward pass forms the
-gates' local derivatives for all T before its loop, makes the two products
-that depend on dh per step, and forms each weight gradient after the loop as
-a product over all T n rows. Scoring (``error_rows``, ``error_series``,
+& Blunsom 2016, arXiv:1604.01946): the encodings as one matmul, and each
+gate's input product as one matmul over all T n rows. The update and reset
+gates share one time-major slab ZR (T, 2, n, D), so each step's z|r block is
+one contiguous (2, n, D) array; the candidate gate has its own (T, n, D)
+array C. z and r are held negated until their sigmoid, through -gate_w[:2],
+-gate_b[:2] and -gate_u[:2]: IEEE negation is exact, so each step's sigmoid
+is three in-place ufuncs on the slab (exp, += 1, reciprocal) with the bits
+of 1 / (1 + exp(-x)). The recurrence makes two products per step, h with
+the negated gate_u[:2] and r * h with gate_u[2], and writes them and every
+other per-step product into buffers allocated before the loop. The backward
+pass forms the gates' local derivatives for all T before its loop, reading z
+and r as views of ZR, makes the two products that depend on dh per step into
+preallocated buffers, and forms each weight gradient after the loop as a
+product over all T n rows. Scoring (``error_rows``, ``error_series``,
 ``reconstruct``) runs the same forward pass over the whole batch.
 """
 from __future__ import annotations
@@ -168,28 +175,43 @@ def _forward(p: dict[str, np.ndarray], Xt: np.ndarray):
     """Run the network over a time-major batch ``Xt`` of shape (T, n, D).
 
     Returns the output Y (T, n, D) and the record the backward pass reads:
-    the encodings E (T, n, B), the gates G (3, T, n, D) in the order z, r, c,
-    and the states H (T + 1, n, D) with H[0] = 0.
+    the encodings E (T, n, B), the update and reset gates ZR (T, 2, n, D),
+    the candidate gate C (T, n, D) and the states H (T + 1, n, D) with
+    H[0] = 0.
     """
     T, n, D = Xt.shape
     E = Xt @ p["enc_w"].T
     E += p["enc_b"]
     np.maximum(E, 0.0, out=E)
-    G = np.matmul(E.reshape(T * n, -1), p["gate_w"].swapaxes(1, 2))
-    G += p["gate_b"][:, None, :]
-    G = G.reshape(3, T, n, D)
+    E2 = E.reshape(T * n, -1)
+    W, U, b = p["gate_w"], p["gate_u"], p["gate_b"]
+    # z and r are held negated until their sigmoid. IEEE negation is exact, so
+    # (-w) e - b + (-u) h is -(w e + b + u h) bit for bit, and exp, += 1 and
+    # reciprocal on it give the bits of _sigmoid. Each gate's input product
+    # passes through C's buffer on its way into ZR.
+    ZR, C = np.empty((T, 2, n, D)), np.empty((T, n, D))
+    C2 = C.reshape(T * n, D)
+    for k in range(2):
+        np.matmul(E2, (-W[k]).T, out=C2)
+        np.subtract(C, b[k], out=ZR[:, k])
+    np.matmul(E2, W[2].T, out=C2)
+    C2 += b[2]
     H = np.zeros((T + 1, n, D))
-    rh = np.empty((n, D))
-    Uzr_T, Uc_T = p["gate_u"][:2].swapaxes(1, 2), p["gate_u"][2].T
-    for h, h_new, zr, z, r, c in zip(H[:-1], H[1:], G[:2].swapaxes(0, 1), *G):
-        zr += np.matmul(h, Uzr_T)
-        _sigmoid(zr, out=zr)
+    Uzr_T, Uc_T = (-U[:2]).swapaxes(1, 2), U[2].T
+    uh, rh, uc = np.empty((2, n, D)), np.empty((n, D)), np.empty((n, D))
+    for h, h_new, zr, z, r, c in zip(H[:-1], H[1:], ZR, ZR[:, 0], ZR[:, 1], C):
+        zr += np.matmul(h, Uzr_T, out=uh)
+        np.exp(zr, out=zr)
+        zr += 1.0
+        np.reciprocal(zr, out=zr)
         np.multiply(r, h, out=rh)
-        c += rh @ Uc_T
+        c += np.matmul(rh, Uc_T, out=uc)
         np.tanh(c, out=c)
         np.multiply(z, h, out=h_new)
-        h_new += (1.0 - z) * c
-    return _sigmoid(H[1:]), (E, G, H)
+        np.subtract(1.0, z, out=rh)           # rh is spent: it takes 1 - z
+        rh *= c
+        h_new += rh
+    return _sigmoid(H[1:]), (E, ZR, C, H)
 
 
 def _cos_terms(Xt: np.ndarray, Y: np.ndarray):
@@ -259,13 +281,13 @@ def _output_gradient(Xt: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, Y
 
 
-def _backward(p: dict[str, np.ndarray], dH: np.ndarray, G: np.ndarray,
+def _backward(p: dict[str, np.ndarray], dH: np.ndarray, ZR: np.ndarray, C: np.ndarray,
               H_prev: np.ndarray) -> np.ndarray:
-    """The loop back through time: from dL/dh (T, n, D), the gradients of the
-    gate pre-activations (3, T, n, D) in the order z, r, c. Overwrites dH and
-    the candidate gate of G."""
+    """The loop back through time: from dL/dh (T, n, D) and the gates as the
+    forward pass leaves them, the gradients of the gate pre-activations
+    (3, T, n, D) in the order z, r, c. Overwrites dH and C."""
     T, n, D = dH.shape
-    Z, R, C = G
+    Z, R = ZR.swapaxes(0, 1)
     # The coefficients of dh in the gate gradients, for all t at once:
     # dz' = dh (h - c) z (1 - z), dc' = dh (1 - z)(1 - c^2) and dr' = du h r (1 - r)
     # with du = dc' gate_u[2]. Step t overwrites K[:, t] by dz', dr' and dc'.
@@ -282,16 +304,21 @@ def _backward(p: dict[str, np.ndarray], dH: np.ndarray, G: np.ndarray,
     Kc *= np.subtract(1.0, C, out=C)
 
     Uzr, Uc = p["gate_u"][:2], p["gate_u"][2]
-    dh_next = np.zeros((n, D))
-    steps = (dH, K[:2].swapaxes(0, 1), K[::2].swapaxes(0, 1), Kr, Kc, Z, R)
-    for dh, dzr, dzc, dr, dc, z, r in zip(*(a[::-1] for a in steps)):
+    # dh_next is spent by the first line of each step, so one buffer serves
+    dh_next, du, ud = np.zeros((n, D)), np.empty((n, D)), np.empty((2, n, D))
+    ud_z, ud_r = ud
+    steps = (dH, K[:2].swapaxes(0, 1), Kz, Kr, Kc, Z, R)
+    for dh, dzr, dz, dr, dc, z, r in zip(*(a[::-1] for a in steps)):
         dh += dh_next
-        dzc *= dh                             # dz' and dc'
-        du = dc @ Uc                          # gradient wrt r * h_prev
+        dz *= dh
+        dc *= dh
+        np.matmul(dc, Uc, out=du)             # gradient wrt r * h_prev
         dr *= du
-        dh_next = dh * z
-        dh_next += np.matmul(dzr, Uzr).sum(axis=0)
-        dh_next += du * r
+        np.multiply(dh, z, out=dh_next)
+        np.matmul(dzr, Uzr, out=ud)
+        dh_next += np.add(ud_z, ud_r, out=ud_z)
+        du *= r
+        dh_next += du
     return K
 
 
@@ -307,12 +334,12 @@ def loss_and_gradients(params: dict[str, np.ndarray],
     n, D, T = X.shape
     N = T * n
     Xt = _time_major(X)
-    Y, (E, G, H) = _forward(params, Xt)
+    Y, (E, ZR, C, H) = _forward(params, Xt)
     loss, dH = _output_gradient(Xt, Y)
-    dG = _backward(params, dH, G, H[:-1]).reshape(3, N, D)
+    dG = _backward(params, dH, ZR, C, H[:-1]).reshape(3, N, D)
     gU = np.empty((3, D, D))
-    np.matmul(dG[2].T, (G[1] * H[:-1]).reshape(N, D), out=gU[2])   # with r_t * h_{t-1}
-    del Y, dH, G                              # spent: make room for the products below
+    np.matmul(dG[2].T, (ZR[:, 1] * H[:-1]).reshape(N, D), out=gU[2])   # with r_t * h_{t-1}
+    del Y, dH, ZR, C                          # spent: make room for the products below
     E2, H2 = E.reshape(N, -1), H[:-1].reshape(N, D)
     np.matmul(dG[:2].swapaxes(1, 2), H2, out=gU[:2])
     W = params["gate_w"]

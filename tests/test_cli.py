@@ -119,12 +119,34 @@ class TestMomCommands:
         assert code == 1
 
     def test_train_on_one_channel_names_the_channel_count(self, tmp_path, capsys):
-        code = main(["train-mom", "--db", str(make_sensor_db(tmp_path, D=1)),
-                     "--out", str(tmp_path / "m.json")])
+        db_path = make_sensor_db(tmp_path, D=1)
+        code = main(["train-mom", "--db", str(db_path), "--out", str(tmp_path / "m.json")])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: the observation model needs at least 2 sensor channels, got D=1\n")
+            f"error: {db_path}: its runs cannot train the observation model: "
+            "the observation model needs at least 2 sensor channels, got D=1\n")
         assert not (tmp_path / "m.json").exists()
+
+    def test_train_on_one_run_names_the_database(self, tmp_path, capsys):
+        db_path = make_sensor_db(tmp_path, n=1)
+        code = main(["train-mom", "--db", str(db_path), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {db_path}: its runs cannot train the observation model: "
+            "training needs at least two sequences\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("n,D", [(6, 1), (1, 4)], ids=["one-channel", "one-run"])
+    def test_train_rejection_keeps_its_class(self, tmp_path, n, D):
+        from blamebox import ValidationError
+        from blamebox.cli import _build_parser
+        db_path = make_sensor_db(tmp_path, n=n, D=D)
+        args = _build_parser().parse_args(
+            ["train-mom", "--db", str(db_path), "--out", str(tmp_path / "m.json")])
+        with pytest.raises(ValidationError) as info:
+            args.func(args)
+        assert type(info.value) is ValidationError
+        assert type(info.value.__cause__) is ValidationError
 
     def test_database_without_sensors_exits_one_naming_it(self, tmp_path, capsys):
         reg = FunctionRegistry(["f1", "f2"])

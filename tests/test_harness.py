@@ -233,6 +233,29 @@ class TestScenarios:
         with pytest.raises(ScenarioError, match=re.escape(f"'{field}' must be {want}")):
             ScenarioConfig.from_dict(d)
 
+    @pytest.mark.parametrize("key,value,want,found", [
+        ("T", 0, "an integer >= 1", "0"),
+        ("db_size", 0, "an integer >= 1", "0"),
+        ("dt", 0, "a finite number > 0", "0.0"),
+        ("dt", float("inf"), "a finite number > 0", "inf"),
+        ("count_mu", float("nan"), "a finite number", "nan"),
+        ("count_sigma", float("nan"), "a finite number >= 0", "nan"),
+        ("count_sigma", -0.5, "a finite number >= 0", "-0.5")])
+    def test_out_of_range_scalar_names_file_and_field(self, tmp_path, capsys, key, value,
+                                                      want, found):
+        import json
+        from blamebox.cli import main
+        d = {"name": "tiny", "functions": ["f1", "f2"],
+             "skills": [{"skill": "s", "functions": ["f1"]}], "buggy": ["f1"],
+             "db_size": 5, "T": 12, key: value}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: scenario file {str(path)!r}: {key!r} "
+                                           f"must be {want}, found {found}\n")
+        assert not out.exists()
+
     def test_whole_number_fields_load_typed(self, tmp_path):
         d = {"name": "tiny", "functions": ["f1"], "skills": [], "buggy": [], "dt": 1,
              "T": 12, "blame": {"alpha": 1, "window_steps": 4}}

@@ -245,6 +245,39 @@ class TestStepwiseOracle:
             assert grads[name].shape == ref_grads[name].shape
             assert relative_difference(grads[name], ref_grads[name]) <= 1e-12, name
 
+    @pytest.mark.parametrize("n,D,B,T", [(6, 5, 3, 40), (1, 2, 1, 7)])
+    def test_saturated_gates_match(self, n, D, B, T):
+        # update and reset pre-activations near +-30: far into the sigmoid's
+        # tails, yet exp(30) is far from overflow
+        rng = np.random.default_rng(n + D + T)
+        params = random_params(D, B, rng)
+        params["gate_b"][:2] = 30.0 * rng.choice([-1.0, 1.0], (2, D))
+        X = rng.uniform(0.0, 1.0, (n, D, T))
+        e = np.maximum(np.einsum("bd,ndt->ntb", params["enc_w"], X) + params["enc_b"], 0.0)
+        inputs = np.einsum("kdb,ntb->kntd", params["gate_w"][:2], e)
+        # |h| <= 1, so the recurrent term moves each pre-activation by at most this
+        reach = np.abs(params["gate_u"][:2]).sum(axis=2)[:, None, None, :]
+        pre = params["gate_b"][:2, None, None, :] + inputs
+        assert np.all(np.abs(pre) - reach > 25.0) and np.all(np.abs(pre) + reach < 35.0)
+        loss, grads = loss_and_gradients(params, X)
+        ref_loss, ref_grads, _ = reference_loss_and_gradients(per_gate(params), X)
+        ref_grads = stacked(ref_grads)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name in ref_grads:
+            assert relative_difference(grads[name], ref_grads[name]) <= 1e-12, name
+
+    def test_parameters_and_batch_left_unchanged(self):
+        rng = np.random.default_rng(11)
+        params = random_params(6, 3, rng)
+        X = rng.uniform(0.0, 1.0, (4, 6, 25))
+        before = {k: v.copy() for k, v in params.items()}
+        X_before = X.copy()
+        loss_and_gradients(params, X)
+        assert set(params) == set(before)
+        for name, arr in params.items():
+            assert arr.tobytes() == before[name].tobytes(), name
+        assert X.tobytes() == X_before.tobytes()
+
     def test_reconstruction_matches(self):
         rng = np.random.default_rng(5)
         model = init_model(6, MomConfig(bottleneck=3, seed=2))
