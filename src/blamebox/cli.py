@@ -61,8 +61,6 @@ def _cmd_train_mom(args) -> int:
 
 def _cmd_eval_mom(args) -> int:
     bundle = load_model(args.model, expect="mom")
-    if bundle.error_stats is None:
-        raise BlameboxError(f"{args.model} has no error statistics; retrain first")
     config = MomConfig()
     sequences = _sensor_series(args.db)
     try:

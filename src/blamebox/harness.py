@@ -10,10 +10,13 @@ always run together cannot be told apart).
 A database's runs are drawn in one generator call and checked as one batch
 (:meth:`Fingerprint.batch`); the draws, and the generator's state after
 them, are those of simulating the runs one by one.
+
+Synthetic sensor runs for the observation model follow one fixed waveform, a
+jittered sinusoid per channel plus white noise (:class:`SensorSynthSpec`);
+only the channel count, the length and the injected anomaly are set.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
@@ -26,6 +29,7 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
 from .errors import ConfigError, ExecutorError, ScenarioError, ValidationError
 from .fpf import BlameConfig
 from .planner import LoopTrace, PlannerConfig, run_testing_loop
+from .store import _read_json
 
 
 @dataclass(frozen=True)
@@ -140,15 +144,14 @@ def build_database(spec: SimSkillSpec, registry: FunctionRegistry,
 class AnomalySpec:
     """Failure mode injected into negative sequences from ``onset`` onward.
 
-    kind "constant-shift" adds magnitude * noise_sigma per channel, signed by
-    ``channel_signs`` (0 excludes a channel); "channel-dropout" zeroes one
-    channel; "freeze" holds every channel at its onset value.
+    kind "constant-shift" adds magnitude * noise sigma to each channel, with
+    the sign alternating +, - by channel; "channel-dropout" zeroes channel
+    ``channel``; "freeze" holds every channel at its onset value.
     """
 
     kind: str = "constant-shift"
     onset: int = 120
     magnitude: float = 3.0
-    channel_signs: tuple[float, ...] | None = None
     channel: int = 0
 
     _KINDS = ("constant-shift", "channel-dropout", "freeze")
@@ -160,19 +163,21 @@ class AnomalySpec:
             raise ValidationError("anomaly onset must be >= 0")
 
 
+# the synthetic sensors' sampling step and noise sigma (see SensorSynthSpec)
+_SENSOR_DT = 0.05
+_NOISE_SIGMA = 0.1
+
+
 @dataclass(frozen=True)
 class SensorSynthSpec:
-    """Per-channel sinusoid family with shared phase jitter and white noise."""
+    """``channels`` sinusoids of ``T`` steps sampled at dt 0.05: channel k of
+    D has frequency linspace(0.5, 3.0, D)[k] cycles per run, phase
+    linspace(0, 2 pi, D, endpoint=False)[k], amplitude 0.35 and offset
+    linspace(0.3, 0.7, D)[k]. Each run shifts every phase by one jitter drawn
+    from U(-0.4, 0.4) and adds N(0, 0.1^2) noise to every value."""
 
     channels: int = 8
     T: int = 200
-    dt: float = 0.05
-    frequency: tuple[float, ...] = ()
-    phase: tuple[float, ...] = ()
-    amplitude: tuple[float, ...] = ()
-    offset: tuple[float, ...] = ()
-    noise_sigma: float = 0.1
-    phase_jitter: float = 0.4
     anomaly: AnomalySpec = field(default_factory=AnomalySpec)
 
     def __post_init__(self):
@@ -180,19 +185,9 @@ class SensorSynthSpec:
             raise ValidationError("need channels >= 1 and T >= 1")
         if self.anomaly.onset >= self.T:
             raise ValidationError("anomaly onset must lie before T")
-        d = self.channels
-
-        def fill(vals, default):
-            vals = tuple(float(v) for v in (vals if len(vals) else default))
-            if len(vals) != d:
-                raise ValidationError(f"per-channel field needs {d} entries")
-            return vals
-
-        object.__setattr__(self, "frequency", fill(self.frequency, np.linspace(0.5, 3.0, d)))
-        object.__setattr__(self, "phase", fill(self.phase,
-                                               np.linspace(0.0, 2 * math.pi, d, endpoint=False)))
-        object.__setattr__(self, "amplitude", fill(self.amplitude, [0.35] * d))
-        object.__setattr__(self, "offset", fill(self.offset, np.linspace(0.3, 0.7, d)))
+        if not 0 <= self.anomaly.channel < self.channels:
+            raise ValidationError(f"anomaly channel must lie in [0, {self.channels}), "
+                                  f"found {self.anomaly.channel}")
 
 
 @dataclass(frozen=True)
@@ -204,25 +199,21 @@ class SensorSuite:
 
 
 def _synth_clean(spec: SensorSynthSpec, rng: np.random.Generator) -> np.ndarray:
-    t = np.arange(spec.T)
-    jitter = rng.uniform(-spec.phase_jitter, spec.phase_jitter)
-    freq = np.asarray(spec.frequency)[:, None]
-    phase = (np.asarray(spec.phase) + jitter)[:, None]
-    amp = np.asarray(spec.amplitude)[:, None]
-    off = np.asarray(spec.offset)[:, None]
-    clean = off + amp * np.sin(2 * math.pi * freq * t[None, :] / spec.T + phase)
-    return clean + rng.normal(0.0, spec.noise_sigma, size=(spec.channels, spec.T))
+    d, t = spec.channels, np.arange(spec.T)
+    jitter = rng.uniform(-0.4, 0.4)
+    freq = np.linspace(0.5, 3.0, d)[:, None]
+    phase = (np.linspace(0.0, 2 * math.pi, d, endpoint=False) + jitter)[:, None]
+    off = np.linspace(0.3, 0.7, d)[:, None]
+    clean = off + 0.35 * np.sin(2 * math.pi * freq * t[None, :] / spec.T + phase)
+    return clean + rng.normal(0.0, _NOISE_SIGMA, size=(d, spec.T))
 
 
 def _apply_anomaly(data: np.ndarray, spec: SensorSynthSpec) -> np.ndarray:
     a = spec.anomaly
     out = data.copy()
     if a.kind == "constant-shift":
-        signs = (np.asarray(a.channel_signs, dtype=float) if a.channel_signs is not None
-                 else np.where(np.arange(spec.channels) % 2 == 0, 1.0, -1.0))
-        if signs.size != spec.channels:
-            raise ValidationError("channel_signs must have one entry per channel")
-        out[:, a.onset:] += (signs * a.magnitude * spec.noise_sigma)[:, None]
+        signs = np.where(np.arange(spec.channels) % 2 == 0, 1.0, -1.0)
+        out[:, a.onset:] += (signs * a.magnitude * _NOISE_SIGMA)[:, None]
     elif a.kind == "channel-dropout":
         out[a.channel, a.onset:] = 0.0
     else:  # freeze
@@ -238,7 +229,7 @@ def gen_sensor_suite(spec: SensorSynthSpec, n_train: int, n_pos: int, n_neg: int
         raise ValidationError("all set sizes must be >= 1")
 
     def series(mat):
-        return SensorSeries(mat, dt=spec.dt)
+        return SensorSeries(mat, dt=_SENSOR_DT)
 
     train = tuple(series(_synth_clean(spec, rng)) for _ in range(n_train))
     pos = tuple(series(_synth_clean(spec, rng)) for _ in range(n_pos))
@@ -277,9 +268,25 @@ def _scalars(cls, d: dict, where: str = "") -> dict:
     return out
 
 
+def _known(d: dict, names, where: str = "") -> None:
+    """Reject a key of the scenario object ``d`` that is not in ``names``."""
+    for key in d if type(d) is dict else ():   # another type fails where it is read
+        if key not in names:
+            raise ScenarioError(f"unknown field {where + key!r}")
+
+
 def _nested(cls, d: dict, key: str):
-    """The ``cls`` that the scenario object ``d[key]`` sets, its scalars checked."""
+    """The ``cls`` that the scenario object ``d[key]`` sets, its fields and
+    scalars checked."""
+    _known(d[key], [f.name for f in fields(cls)], f"{key}.")
     return cls(**{**d[key], **_scalars(cls, d[key], f"{key}.")})
+
+
+def _skill(d: dict, where: str) -> tuple[SkillId, tuple[str, ...]]:
+    """The (skill, functions) pair of a scenario's ``skills`` entry ``d``."""
+    _known(d, ("skill", "functions"), where)
+    return (_scenario_field(d, "skill", "a string", lambda v: type(v) is str, where),
+            _names(d, "functions", where))
 
 
 def _names(d: dict, key: str, where: str = "") -> tuple[str, ...]:
@@ -342,13 +349,11 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         try:
+            _known(d, [f.name for f in fields(cls)])
             return cls(
                 name=_scenario_field(d, "name", "a string", lambda v: type(v) is str),
                 functions=_names(d, "functions"),
-                skills=tuple((_scenario_field(sk, "skill", "a string",
-                                              lambda v: type(v) is str, f"skills[{i}]."),
-                              _names(sk, "functions", f"skills[{i}]."))
-                             for i, sk in enumerate(d["skills"])),
+                skills=tuple(_skill(sk, f"skills[{i}].") for i, sk in enumerate(d["skills"])),
                 buggy=_names(d, "buggy"),
                 planner=_nested(PlannerConfig, d, "planner") if "planner" in d else PlannerConfig(),
                 blame=_nested(BlameConfig, d, "blame") if "blame" in d else None,
@@ -413,18 +418,18 @@ BUILT_IN_SCENARIOS = ("fig3", "fig4", "fig5", "exoneration", "localizer-ambiguit
 
 
 def load_scenario(source: str, seed: int | None = None) -> ScenarioConfig:
-    """Resolve a scenario by built-in name or JSON file path."""
+    """Resolve a scenario by built-in name or JSON file path. A file that is
+    not a JSON object is a StoreError naming it."""
     if source in BUILT_IN_SCENARIOS:
         return built_in_scenario(source, seed=1 if seed is None else seed)
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            cfg = ScenarioConfig.from_dict(json.load(fh))
+        doc = _read_json(source)
     except FileNotFoundError:
         raise ScenarioError(
             f"unknown scenario {source!r}; built-ins: {', '.join(BUILT_IN_SCENARIOS)}"
         ) from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file {source!r} is not valid JSON: {exc}") from exc
+    try:
+        cfg = ScenarioConfig.from_dict(doc)
     except (ScenarioError, ConfigError) as exc:
         raise type(exc)(f"scenario file {source!r}: {exc}") from exc
     return cfg if seed is None else replace(cfg, seed=seed)

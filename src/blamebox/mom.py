@@ -418,10 +418,15 @@ class ErrorStats:
 
 @dataclass(frozen=True)
 class MomBundle:
-    """An observation model plus whatever was fitted alongside it."""
+    """An observation model and the error statistics fitted alongside it."""
 
     model: MomModel
-    error_stats: ErrorStats | None = None
+    error_stats: ErrorStats
+
+    def __post_init__(self):
+        if not isinstance(self.error_stats, ErrorStats):
+            raise ValidationError("an observation model needs its error statistics, "
+                                  f"found {type(self.error_stats).__name__}")
 
 
 def fit_error_stats(model: MomModel, sequences: Sequence[SensorSeries]) -> ErrorStats:

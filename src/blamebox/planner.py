@@ -195,11 +195,10 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
     """The autonomous testing loop over the skills of ``dbs``, in its order.
 
     Fits each skill's fingerprint model from its database and builds its
-    cache once; an observation model in ``mom_by_skill`` must carry its error
-    statistics, and every skill in it must have a database. Starts from a
-    uniform belief, repeatedly selects the gain-maximizing skill, executes
-    it, locates the failure time (detector first, then the executor's report,
-    then the final timestep), and updates the belief.
+    cache once; every skill in ``mom_by_skill`` must have a database.
+    Starts from a uniform belief, repeatedly selects the gain-maximizing
+    skill, executes it, locates the failure time (detector first, then the
+    executor's report, then the final timestep), and updates the belief.
     Each executed run is cut or padded to its skill's database length first,
     as stored runs are; a failure time past that end is taken at its last
     timestep.
@@ -211,13 +210,10 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
     if not dbs:
         raise ValidationError("the testing loop needs at least one skill")
     mom_by_skill = mom_by_skill or {}
-    for s, bundle in mom_by_skill.items():
+    for s in mom_by_skill:
         if s not in dbs:
             raise ValidationError(f"an observation model is given for skill {s!r}, "
                                   "which has no experience database")
-        if bundle.error_stats is None:
-            raise ValidationError(f"the observation model of skill {s!r} has no "
-                                  "error statistics")
     caches = {s: SkillCache(db, fit_fpf(db, blame), blame) for s, db in dbs.items()}
     trace = LoopTrace(skills=tuple(caches))
     belief = Belief.uniform(caches[trace.skills[0]].fpf.F)

@@ -68,9 +68,27 @@ def posterior_form(posterior: np.ndarray) -> dict:
             "value": bits[index].view(np.float64).tolist()}
 
 
+def _number(v) -> bool:
+    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
+    return type(v) in (int, float)
+
+
 def _probability(v) -> bool:
-    """Whether ``v`` is a JSON number (an int or a float, not a bool) in [0, 1]."""
-    return type(v) in (int, float) and 0 <= v <= 1
+    """Whether ``v`` is a JSON number in [0, 1]."""
+    return _number(v) and 0 <= v <= 1
+
+
+def _strings(v) -> bool:
+    """Whether ``v`` is a JSON list of strings."""
+    return type(v) is list and all(type(s) is str for s in v)
+
+
+def _typed(doc: dict, key: str, want: str, ok, owner: str):
+    """``doc[key]``, which ``ok`` must accept; else a ValidationError: it must be ``want``."""
+    value = doc[key]
+    if not ok(value):
+        raise ValidationError(f"{owner} {key!r} must be {want}, found {value!r}")
+    return value
 
 
 def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
@@ -138,11 +156,15 @@ def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
 def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
     """Emit gains.csv / belief.csv / trace.json / summary.json for a trace.
 
-    Every file's content is built, and every posterior's form checked, before
-    the first file is written, so a malformed trace leaves ``out_dir``
-    untouched."""
-    skills = trace_dict["skills"]
-    functions = trace_dict["functions"]
+    Every field read is checked by its JSON type, and every file's content
+    built, before the first file is written, so a malformed trace leaves
+    ``out_dir`` untouched."""
+    skills, functions = (_typed(trace_dict, key, "a list of strings", _strings, "the trace's")
+                         for key in ("skills", "functions"))
+    converged = _typed(trace_dict, "converged", "a boolean", lambda v: type(v) is bool,
+                       "the trace's")
+    aborted = _typed(trace_dict, "aborted", "null or a string",
+                     lambda v: v is None or type(v) is str, "the trace's")
     steps = trace_dict["steps"]
     F = len(functions)
     if F == 0:
@@ -153,9 +175,15 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
         gain_header += [s, f"{s}_stderr"]
     gain_rows = []
     for st in steps:
-        row = [st["step"], st["chosen"], int(st["success"])]
+        step = _typed(st, "step", "an integer", lambda v: type(v) is int, "a step's")
+        where = f"step {step}'s"
+        chosen = _typed(st, "chosen", "one of the trace's skills", lambda v: v in skills, where)
+        success = _typed(st, "success", "a boolean", lambda v: type(v) is bool, where)
+        _typed(st, "entropy", "a JSON number", _number, where)
+        row = [step, chosen, int(success)]
         for s in skills:
-            row += [st["gains"][s]["gain"], st["gains"][s]["stderr"]]
+            row += [_typed(st["gains"][s], key, "a JSON number", _number,
+                           f"{where} gains[{s!r}]") for key in ("gain", "stderr")]
         gain_rows.append(row)
     gains_csv = _csv(gain_header, gain_rows)
 
@@ -176,8 +204,8 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
     order = np.argsort(final)[::-1][:_TOP_K]
     summary = {
         "steps": len(steps),
-        "converged": trace_dict["converged"],
-        "aborted": trace_dict["aborted"],
+        "converged": converged,
+        "aborted": aborted,
         "top": [{"function": functions[i], "p": float(final[i])} for i in order],
         "candidates": [functions[i] for i in sorted(coverage_indices(final))],
         "final_entropy": steps[-1]["entropy"] if steps else float(np.log(F)),
@@ -209,12 +237,15 @@ def write_scenario_report(out_dir: str, result) -> dict:
 def write_mom_eval(out_dir: str, names: Sequence[str],
                    likelihoods: Sequence[np.ndarray],
                    flagged: Sequence[int | None]) -> None:
-    """Per-sequence, per-timestep success likelihood plus flagged times."""
+    """Per-sequence, per-timestep success likelihood plus flagged times. Each
+    row is one join over the ``repr`` of its ``tolist()`` floats, the text
+    that :func:`_fmt` gives each cell."""
     os.makedirs(out_dir, exist_ok=True)
     T = len(likelihoods[0]) if likelihoods else 0
-    _write_text(os.path.join(out_dir, "mom_likelihood.csv"),
-                _csv(["sequence"] + [f"t{t}" for t in range(T)],
-                     ([name] + list(lik) for name, lik in zip(names, likelihoods))))
+    lines = [",".join(["sequence"] + [f"t{t}" for t in range(T)])]
+    lines += [",".join([name, *map(repr, np.asarray(lik, dtype=np.float64).tolist())])
+              for name, lik in zip(names, likelihoods)]
+    _write_text(os.path.join(out_dir, "mom_likelihood.csv"), "\n".join(lines) + "\n")
     _write_json(os.path.join(out_dir, "summary.json"),
                 {"sequences": [{"sequence": n,
                                 "t_fail": None if f is None else int(f)}

@@ -37,11 +37,13 @@ cell (fpf ``mean`` and ``var``; mom ``params``, ``norm_lo``, ``norm_hi``,
 ``loss_history`` and ``error_stats``) is a JSON number, not a bool or a
 string. A mom file names each gate's parameters (``upd_*``, ``rst_*``,
 ``cand_*``), which loading stacks into :class:`MomModel`'s ``gate_w``,
-``gate_u`` and ``gate_b`` and saving splits again. A study's ``dbs`` and
-``replay`` entries are relative paths inside its directory. Every JSON
-document goes through :func:`_write_json` and :func:`_read_json`, and a
-missing or mistyped field met while interpreting one is a
-:class:`StoreError` naming the file.
+``gate_u`` and ``gate_b`` and saving splits again. A mom file must carry
+``error_stats``, the object of ``mu`` and ``sigma`` that ``train-mom``
+fits, since a mom model is saved and loaded only as a :class:`MomBundle`.
+A study's ``dbs`` and ``replay`` entries are relative paths inside its
+directory. Every JSON document goes through :func:`_write_json` and
+:func:`_read_json`, and a missing or mistyped field met while interpreting
+one is a :class:`StoreError` naming the file.
 """
 from __future__ import annotations
 
@@ -373,26 +375,24 @@ class ReplayExecutor:
 # ---------------------------------------------------------------------------
 # Model files.
 
-def save_model(model: FpfModel | MomModel | MomBundle, path: str) -> None:
-    bundle, model = (model, model.model) if isinstance(model, MomBundle) else (None, model)
+def save_model(model: FpfModel | MomBundle, path: str) -> None:
     payload: dict = {"format": _MODEL_FORMAT, "version": _VERSION}
     if isinstance(model, FpfModel):
         payload.update(kind="fpf", version=_MODEL_VERSIONS["fpf"], support=model.support.tolist(),
                        F=model.F, T=model.T, n_samples=model.n_samples,
                        var_floor=model.var_floor, mean=model.mean.tolist(), var=model.var.tolist())
-    elif isinstance(model, MomModel):
+    elif isinstance(model, MomBundle):
+        mom, stats = model.model, model.error_stats
         payload.update(
             kind="mom",
-            params={"enc_w": model.enc_w.tolist(), "enc_b": model.enc_b.tolist(),
-                    **{f"{gate}_{part}": getattr(model, f"gate_{part}")[i].tolist()
+            params={"enc_w": mom.enc_w.tolist(), "enc_b": mom.enc_b.tolist(),
+                    **{f"{gate}_{part}": getattr(mom, f"gate_{part}")[i].tolist()
                        for i, gate in enumerate(_MOM_GATES) for part in "wub"}},
-            norm_lo=model.norm_lo.tolist(),
-            norm_hi=model.norm_hi.tolist(),
-            loss_history=list(model.loss_history),
+            norm_lo=mom.norm_lo.tolist(),
+            norm_hi=mom.norm_hi.tolist(),
+            loss_history=list(mom.loss_history),
+            error_stats={"mu": stats.mu.tolist(), "sigma": stats.sigma.tolist()},
         )
-        stats = bundle.error_stats if bundle else None
-        payload["error_stats"] = (None if stats is None else
-                                  {"mu": stats.mu.tolist(), "sigma": stats.sigma.tolist()})
     else:
         raise StoreError(f"cannot save object of type {type(model).__name__}")
     _write_json(path, payload)
@@ -428,10 +428,10 @@ def load_model(path: str, expect: str | None = None):
                              norm_hi=_numbers(path, payload, "norm_hi"),
                              loss_history=(_numbers(path, payload, "loss_history")
                                            if "loss_history" in payload else ()))
-            stats = payload.get("error_stats")
-            es = None if stats is None else ErrorStats(mu=_numbers(path, stats, "mu"),
-                                                       sigma=_numbers(path, stats, "sigma"))
-            return MomBundle(model=model, error_stats=es)
+            stats = _field(path, payload, "error_stats", "an object (train-mom writes it)",
+                           lambda v: type(v) is dict, "its")
+            return MomBundle(model=model, error_stats=ErrorStats(
+                mu=_numbers(path, stats, "mu"), sigma=_numbers(path, stats, "sigma")))
     raise KindError(f"{path}: unknown model kind {kind!r}")
 
 

@@ -134,6 +134,22 @@ def _in_first_posterior(change):
     return _in_first("steps", lambda step: {**step, "posterior": change(step["posterior"])})
 
 
+def _in_last_step(key, value):
+    def change(doc):
+        doc["steps"][-1][key] = value
+        return doc
+    return change
+
+
+def _in_first_gains(key, value):
+    """Set ``key`` of the first skill's gain entry in the first step."""
+    def change(step):
+        gains = step["gains"][sorted(step["gains"])[0]]
+        gains[key] = value
+        return step
+    return _in_first("steps", change)
+
+
 def _with_runs_without_data(T, n):
     """Append ``n`` entries of length ``T`` that hold neither a counts row nor
     sensors, enough to make ``T`` the database's canonical length."""
@@ -181,6 +197,7 @@ MALFORMED = [
     ("trace-no-functions", "trace.json", _set("functions", [])),
     ("model-int-params", "mom.json", _set("params", 5)),
     ("model-list-top-level", "mom.json", lambda doc: []),
+    ("model-null-error_stats", "mom.json", _set("error_stats", None)),
     ("scenario-list-top-level", "scenario.json", lambda doc: []),
 ]
 
@@ -211,10 +228,22 @@ class TestMalformedDocuments:
         _in_first_posterior(lambda form: {**form, "shared": 1e308}),
         _in_first_posterior(lambda form: {**form, "shared": -0.5}),
         _in_first_posterior(lambda form: {**form, "value": form["value"][:-1] + [1.5]}),
+        _in_first("steps", _set("step", "x,y")),
+        _in_first_gains("gain", "abc"),
+        _in_first_gains("stderr", True),
+        _in_last_step("entropy", [1, 2]),
+        _set("converged", "maybe"),
+        _set("aborted", 5),
+        _set("skills", "s1"),
+        lambda doc: {**doc, "functions": [7] + doc["functions"][1:]},
+        _in_first("steps", _set("chosen", "nosuch")),
+        _in_first("steps", _set("success", 1)),
     ], ids=["no-converged", "null-posterior-cell", "unsorted-index", "repeated-index",
             "index-past-F", "negative-index", "boolean-index", "length-mismatch",
             "string-shared", "dense-list-posterior", "huge-value-cells", "huge-shared",
-            "negative-shared", "value-above-one"])
+            "negative-shared", "value-above-one", "string-step", "string-gain",
+            "boolean-stderr", "list-entropy", "string-converged", "int-aborted",
+            "string-skills", "int-function", "unknown-chosen", "int-success"])
     def test_late_malformed_trace_writes_nothing(self, base, tmp_path, change):
         trace, out = tmp_path / "trace.json", tmp_path / "out"
         shutil.copy(os.path.join(base, "trace.json"), trace)
@@ -405,6 +434,20 @@ class TestSingleSerializer:
         assert run["config"]["planner"] == asdict(PlannerConfig(seed=1))
         assert run["config"]["blame"] == asdict(BlameConfig.for_sampling(0.1))
         assert run["tool_version"] == blamebox.__version__
+
+    def test_json_only_in_store(self):
+        # every JSON document is read and written through store's pair of functions
+        calling = []
+        for name in sorted(os.listdir(SRC)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            calling += [(name, node.attr) for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "json"
+                        and node.attr in ("load", "loads", "dump", "dumps")]
+        assert {name for name, _ in calling} == {"store.py"}, calling
 
     def test_one_version_string(self):
         assigning = []

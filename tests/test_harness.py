@@ -6,7 +6,7 @@ import pytest
 
 from blamebox import (AnomalySpec, BlameConfig, ConfigError, FunctionRegistry, MomConfig,
                       PlannerConfig, ScenarioError, SensorSynthSpec, SimSkillSpec, SimWorld,
-                      ValidationError,
+                      StoreError, ValidationError,
                       built_in_scenario, gen_fingerprint, gen_fingerprints,
                       gen_sensor_suite, load_scenario, run_scenario, run_testing_loop,
                       simulate_execution, validate_observation)
@@ -146,6 +146,13 @@ class TestSensorSuite:
         with pytest.raises(ValidationError):
             AnomalySpec(kind="meteor")
 
+    @pytest.mark.parametrize("channel", [9, 3, -1])
+    def test_anomaly_channel_must_be_a_channel(self, channel):
+        anomaly = AnomalySpec(kind="channel-dropout", onset=5, channel=channel)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"anomaly channel must lie in [0, 3), found {channel}")):
+            SensorSynthSpec(channels=3, T=20, anomaly=anomaly)
+
 
 class TestScenarios:
     def test_unknown_name_lists_built_ins(self):
@@ -255,6 +262,39 @@ class TestScenarios:
         assert capsys.readouterr().err == (f"error: scenario file {str(path)!r}: {key!r} "
                                            f"must be {want}, found {found}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("where,key", [(None, "bogus"), (None, "db_sise"),
+                                           ("planner", "sed"), ("blame", "alfa"),
+                                           ("skills", "fns")])
+    def test_unknown_field_names_file_and_field(self, tmp_path, capsys, where, key):
+        import json
+        from blamebox.cli import main
+        d = {"name": "tiny", "functions": ["f1", "f2"],
+             "skills": [{"skill": "s", "functions": ["f1"]}], "buggy": ["f1"],
+             "db_size": 5, "T": 12, "planner": {"max_iterations": 3}, "blame": {}}
+        target = d if where is None else d[where][0] if where == "skills" else d[where]
+        target[key] = 1
+        field = key if where is None else f"{where}[0].{key}" if where == "skills" \
+            else f"{where}.{key}"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: scenario file {str(path)!r}: "
+                                           f"unknown field {field!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content,why", [
+        (b"\xff\xfe{}", " is not valid JSON: 'utf-8' codec"),
+        (b"[1, 2]", ": expected a JSON object, found list")])
+    def test_unreadable_file_names_the_file(self, tmp_path, capsys, content, why):
+        from blamebox.cli import main
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{why}")
+        with pytest.raises(StoreError):
+            load_scenario(str(path))
 
     def test_whole_number_fields_load_typed(self, tmp_path):
         d = {"name": "tiny", "functions": ["f1"], "skills": [], "buggy": [], "dt": 1,

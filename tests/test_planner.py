@@ -368,10 +368,9 @@ class TestExecutionResultTFail:
         assert run_testing_loop(executor, dbs, None, plan, CFG)[1].steps[0].t_fail == 5
 
     def test_detector_without_error_stats_rejected(self):
-        _, executor, dbs = self._records()
         model = init_model(3, MomConfig(bottleneck=2))
-        with pytest.raises(ValidationError, match="skill 's1' has no error statistics"):
-            run_testing_loop(executor, dbs, {"s1": MomBundle(model)}, PLAN, CFG)
+        with pytest.raises(ValidationError, match="needs its error statistics, found NoneType"):
+            MomBundle(model, None)
 
     @pytest.mark.parametrize("T_run,t_fail,expected", [(11, 9, 7), (11, 5, 5), (6, 5, 5)])
     def test_run_of_another_length_is_cut_or_padded(self, T_run, t_fail, expected):

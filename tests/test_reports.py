@@ -24,10 +24,12 @@ def posteriors(draw):
 def _bundle(posterior: np.ndarray) -> tuple[dict, str]:
     """The trace.json posterior and the belief.csv row that one step with
     ``posterior`` writes."""
-    trace = {"skills": [], "functions": [f"f{i}" for i in range(posterior.size)],
+    trace = {"skills": ["s"], "functions": [f"f{i}" for i in range(posterior.size)],
              "converged": True, "aborted": None,
              "steps": [{"step": 0, "chosen": "s", "success": False, "t_fail": 3,
-                        "entropy": 0.0, "gains": {}, "posterior": posterior_form(posterior)}]}
+                        "entropy": 0.0, "gains": {"s": {"gain": 0.0, "stderr": 0.0,
+                                                        "n_samples": 8}},
+                        "posterior": posterior_form(posterior)}]}
     with tempfile.TemporaryDirectory() as out:
         write_trace_files(out, trace)
         with open(os.path.join(out, "trace.json"), encoding="utf-8") as fh:

@@ -597,11 +597,13 @@ class TestModelRoundTrip:
             load_model(str(path), expect="mom")
 
     def test_mom_without_stats(self, tmp_path):
-        model = init_model(3, MomConfig(bottleneck=2, seed=0))
+        with open(TestMomModelFile.FIXTURE, encoding="utf-8") as fh:
+            doc = json.load(fh)
         path = tmp_path / "m.json"
-        save_model(model, str(path))
-        loaded = load_model(str(path))
-        assert loaded.error_stats is None
+        path.write_text(json.dumps({**doc, "error_stats": None}))
+        with pytest.raises(StoreError,
+                           match=re.escape(f"{path}: its 'error_stats' must be an object")):
+            load_model(str(path))
 
 
 class TestRecordedAndStudy:
