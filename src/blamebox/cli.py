@@ -11,10 +11,12 @@ Nothing is ever written outside --out.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
-from .errors import BlameboxError, StoreError, ValidationError
+from .errors import BlameboxError, ScenarioError, StoreError, ValidationError
 from .fpf import BlameConfig
 from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
 from .mom import (MomBundle, MomConfig, detect_failure_time, error_rows, fit_error_stats,
@@ -32,7 +34,10 @@ EXIT_IO = 2
 
 def _cmd_simulate(args) -> int:
     config = load_scenario(args.scenario, seed=args.seed)
-    run_scenario(config, out_dir=args.out)
+    # a scenario file that no study can be built or run from is named
+    with (nullcontext() if args.scenario in BUILT_IN_SCENARIOS
+          else _naming(f"scenario file {args.scenario!r}", ScenarioError)):
+        run_scenario(config, out_dir=args.out)
     return EXIT_OK
 
 
@@ -80,11 +85,14 @@ def _cmd_eval_mom(args) -> int:
 
 def _cmd_localize(args) -> int:
     study = load_study(args.study)
-    if not study.replay:
-        raise BlameboxError(f"study {args.study} holds no recorded executions to replay")
-    blame = BlameConfig.for_sampling(study.dt)
-    planner = PlannerConfig(seed=args.seed)
-    _, trace = run_testing_loop(ReplayExecutor(study.replay), study.dbs, None, planner, blame)
+    # a study whose runs the loop cannot replay is named by its manifest
+    with _naming(os.path.join(args.study, "manifest.json"), StoreError):
+        if not study.replay:
+            raise ValidationError(f"study {args.study} holds no recorded executions to replay")
+        blame = BlameConfig.for_sampling(study.dt)
+        planner = PlannerConfig(seed=args.seed)
+        _, trace = run_testing_loop(ReplayExecutor(study.replay), study.dbs, None, planner,
+                                    blame)
     write_trace_files(args.out, trace_to_dict(trace, study.registry.names))
     write_run_info(args.out, "localize",
                    {"study": args.study, "executor": args.executor, "seed": args.seed,

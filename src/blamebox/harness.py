@@ -29,7 +29,7 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
 from .errors import ConfigError, ExecutorError, ScenarioError, ValidationError
 from .fpf import BlameConfig
 from .planner import LoopTrace, PlannerConfig, run_testing_loop
-from .store import _read_json
+from .store import _INT, _NUMBER, _OBJECT, _STRING, _STRINGS, _field, _objects, _read_json
 
 
 @dataclass(frozen=True)
@@ -241,19 +241,10 @@ def gen_sensor_suite(spec: SensorSynthSpec, n_train: int, n_pos: int, n_neg: int
 # Scenarios.
 
 # The JSON types that a scenario's int and float fields take, by the field's
-# annotation, with what a mistyped value is told it must be and the value's
-# conversion: an int field takes a JSON integer, a float field a JSON number,
-# and a bool or a string is neither. An absent field takes the default.
-_SCENARIO_SCALARS = {"int": ((int,), "an integer", int),
-                     "float": ((int, float), "a number", float)}
-
-
-def _scenario_field(d: dict, key: str, want: str, ok, where: str = ""):
-    """``d[key]``, which ``ok`` must accept; else a ScenarioError: it must be ``want``."""
-    value = d[key]
-    if not ok(value):
-        raise ScenarioError(f"{where + key!r} must be {want}, found {value!r}")
-    return value
+# annotation, with the value's conversion: an int field takes a JSON integer,
+# a float field a JSON number, and a bool or a string is neither. An absent
+# field takes the default.
+_SCENARIO_SCALARS = {"int": (_INT, int), "float": (("a number", _NUMBER[1]), float)}
 
 
 def _scalars(cls, d: dict, where: str = "") -> dict:
@@ -262,15 +253,14 @@ def _scalars(cls, d: dict, where: str = "") -> dict:
     out = {}
     for f in fields(cls):
         if f.name in d and f.type in _SCENARIO_SCALARS:
-            types, want, convert = _SCENARIO_SCALARS[f.type]
-            out[f.name] = convert(_scenario_field(d, f.name, want,
-                                                  lambda v: type(v) in types, where))
+            kind, convert = _SCENARIO_SCALARS[f.type]
+            out[f.name] = convert(_field(d, f.name, kind, "", ScenarioError, where))
     return out
 
 
 def _known(d: dict, names, where: str = "") -> None:
     """Reject a key of the scenario object ``d`` that is not in ``names``."""
-    for key in d if type(d) is dict else ():   # another type fails where it is read
+    for key in d:
         if key not in names:
             raise ScenarioError(f"unknown field {where + key!r}")
 
@@ -278,21 +268,16 @@ def _known(d: dict, names, where: str = "") -> None:
 def _nested(cls, d: dict, key: str):
     """The ``cls`` that the scenario object ``d[key]`` sets, its fields and
     scalars checked."""
-    _known(d[key], [f.name for f in fields(cls)], f"{key}.")
-    return cls(**{**d[key], **_scalars(cls, d[key], f"{key}.")})
+    sub = _field(d, key, _OBJECT, "", ScenarioError)
+    _known(sub, [f.name for f in fields(cls)], f"{key}.")
+    return cls(**{**sub, **_scalars(cls, sub, f"{key}.")})
 
 
 def _skill(d: dict, where: str) -> tuple[SkillId, tuple[str, ...]]:
     """The (skill, functions) pair of a scenario's ``skills`` entry ``d``."""
     _known(d, ("skill", "functions"), where)
-    return (_scenario_field(d, "skill", "a string", lambda v: type(v) is str, where),
-            _names(d, "functions", where))
-
-
-def _names(d: dict, key: str, where: str = "") -> tuple[str, ...]:
-    """``d[key]``, which must be a JSON list of strings, as a tuple."""
-    return tuple(_scenario_field(d, key, "a list of strings", lambda v: type(v) is list
-                                 and all(type(name) is str for name in v), where))
+    return (_field(d, "skill", _STRING, "", ScenarioError, where),
+            tuple(_field(d, "functions", _STRINGS, "", ScenarioError, where)))
 
 
 @dataclass(frozen=True)
@@ -351,10 +336,11 @@ class ScenarioConfig:
         try:
             _known(d, [f.name for f in fields(cls)])
             return cls(
-                name=_scenario_field(d, "name", "a string", lambda v: type(v) is str),
-                functions=_names(d, "functions"),
-                skills=tuple(_skill(sk, f"skills[{i}].") for i, sk in enumerate(d["skills"])),
-                buggy=_names(d, "buggy"),
+                name=_field(d, "name", _STRING, "", ScenarioError),
+                functions=tuple(_field(d, "functions", _STRINGS, "", ScenarioError)),
+                skills=tuple(_skill(sk, f"skills[{i}].") for i, sk in
+                             enumerate(_objects(d, "skills", "", ScenarioError))),
+                buggy=tuple(_field(d, "buggy", _STRINGS, "", ScenarioError)),
                 planner=_nested(PlannerConfig, d, "planner") if "planner" in d else PlannerConfig(),
                 blame=_nested(BlameConfig, d, "blame") if "blame" in d else None,
                 **_scalars(cls, d),

@@ -33,7 +33,8 @@ from . import __version__
 from .blame import coverage_indices
 from .errors import ValidationError
 from .planner import LoopTrace
-from .store import _write_json
+from .store import (_BOOL, _INT, _NUMBER, _OBJECT, _PROBABILITY, _STRINGS, _field, _objects,
+                    _write_json)
 
 # how many of the most blamed functions summary.json lists
 _TOP_K = 10
@@ -68,41 +69,18 @@ def posterior_form(posterior: np.ndarray) -> dict:
             "value": bits[index].view(np.float64).tolist()}
 
 
-def _number(v) -> bool:
-    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
-    return type(v) in (int, float)
-
-
-def _probability(v) -> bool:
-    """Whether ``v`` is a JSON number in [0, 1]."""
-    return _number(v) and 0 <= v <= 1
-
-
-def _strings(v) -> bool:
-    """Whether ``v`` is a JSON list of strings."""
-    return type(v) is list and all(type(s) is str for s in v)
-
-
-def _typed(doc: dict, key: str, want: str, ok, owner: str):
-    """``doc[key]``, which ``ok`` must accept; else a ValidationError: it must be ``want``."""
-    value = doc[key]
-    if not ok(value):
-        raise ValidationError(f"{owner} {key!r} must be {want}, found {value!r}")
-    return value
-
-
 def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
     """(shared, index, value) of ``where``, a posterior in trace form over F
-    functions; a form that breaks the module docstring's rules is a
-    ValidationError."""
+    functions; a form that breaks the module docstring's rules, or lacks an
+    entry (read as null), is a ValidationError."""
     if type(form) is not dict:
         raise ValidationError(f"{where} must be an object with shared, index and value, "
                               f"found {type(form).__name__} (a dense posterior of an "
                               "older trace.json is not read)")
-    shared, index, value = form["shared"], form["index"], form["value"]
-    if not _probability(shared):
-        raise ValidationError(f"{where}: shared must be a JSON number in [0, 1], "
-                              f"found {shared!r}")
+    shared, index, value = form.get("shared"), form.get("index"), form.get("value")
+    want, is_probability = _PROBABILITY
+    if not is_probability(shared):
+        raise ValidationError(f"{where}: shared must be {want}, found {shared!r}")
     if type(index) is not list or type(value) is not list:
         raise ValidationError(f"{where}: index and value must be lists")
     if len(index) != len(value):
@@ -114,7 +92,7 @@ def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
     if index and not (0 <= index[0] and index[-1] < F
                       and all(a < b for a, b in zip(index, index[1:]))):
         raise ValidationError(f"{where}: index must ascend strictly within [0, {F})")
-    bad = [v for v in value if not _probability(v)]
+    bad = [v for v in value if not is_probability(v)]
     if bad:
         raise ValidationError(f"{where}: value must hold JSON numbers in [0, 1], "
                               f"found {bad[0]!r}")
@@ -159,13 +137,12 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
     Every field read is checked by its JSON type, and every file's content
     built, before the first file is written, so a malformed trace leaves
     ``out_dir`` untouched."""
-    skills, functions = (_typed(trace_dict, key, "a list of strings", _strings, "the trace's")
+    skills, functions = (_field(trace_dict, key, _STRINGS, "the trace's ", ValidationError)
                          for key in ("skills", "functions"))
-    converged = _typed(trace_dict, "converged", "a boolean", lambda v: type(v) is bool,
-                       "the trace's")
-    aborted = _typed(trace_dict, "aborted", "null or a string",
-                     lambda v: v is None or type(v) is str, "the trace's")
-    steps = trace_dict["steps"]
+    converged = _field(trace_dict, "converged", _BOOL, "the trace's ", ValidationError)
+    aborted = _field(trace_dict, "aborted", ("null or a string", lambda v: v is None or
+                                             type(v) is str), "the trace's ", ValidationError)
+    steps = _objects(trace_dict, "steps", "the trace's ", ValidationError)
     F = len(functions)
     if F == 0:
         raise ValidationError("a trace must list at least one function")
@@ -173,22 +150,24 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
     gain_header = ["step", "chosen", "success"]
     for s in skills:
         gain_header += [s, f"{s}_stderr"]
-    gain_rows = []
+    gain_rows, forms = [], []
     for st in steps:
-        step = _typed(st, "step", "an integer", lambda v: type(v) is int, "a step's")
-        where = f"step {step}'s"
-        chosen = _typed(st, "chosen", "one of the trace's skills", lambda v: v in skills, where)
-        success = _typed(st, "success", "a boolean", lambda v: type(v) is bool, where)
-        _typed(st, "entropy", "a JSON number", _number, where)
+        step = _field(st, "step", _INT, "a step's ", ValidationError)
+        where = f"step {step}'s "
+        chosen = _field(st, "chosen", ("one of the trace's skills", lambda v: v in skills),
+                        where, ValidationError)
+        success = _field(st, "success", _BOOL, where, ValidationError)
+        _field(st, "entropy", _NUMBER, where, ValidationError)
+        gains = _field(st, "gains", _OBJECT, where, ValidationError)
         row = [step, chosen, int(success)]
         for s in skills:
-            row += [_typed(st["gains"][s], key, "a JSON number", _number,
-                           f"{where} gains[{s!r}]") for key in ("gain", "stderr")]
+            gain = _field(gains, s, _OBJECT, where, ValidationError, "gains.")
+            row += [_field(gain, key, _NUMBER, f"{where}gains[{s!r}] ", ValidationError)
+                    for key in ("gain", "stderr")]
         gain_rows.append(row)
+        forms.append(_checked_form(st.get("posterior"), F, f"{where}posterior"))
     gains_csv = _csv(gain_header, gain_rows)
 
-    forms = [_checked_form(st["posterior"], F, f"step {st['step']!r}'s posterior")
-             for st in steps]
     belief_lines = [",".join(["step"] + list(functions))]
     for st, (shared, index, value) in zip(steps, forms):
         cells = [_fmt(shared)] * F

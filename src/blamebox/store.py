@@ -31,19 +31,20 @@ Studies and ``mom`` models are written at version 1, ``fpf`` models at version
 file is self-describing through ``format``, ``version`` and, for models,
 ``kind`` fields; another version (a version-1 or -2 database, a version-1
 ``fpf`` model) is a :class:`VersionError`, and loading validates shapes and
-contents rather than trusting them. A model file is checked against its JSON
-types, not coerced: an fpf ``support`` lists JSON integers, and every numeric
-cell (fpf ``mean`` and ``var``; mom ``params``, ``norm_lo``, ``norm_hi``,
-``loss_history`` and ``error_stats``) is a JSON number, not a bool or a
-string. A mom file names each gate's parameters (``upd_*``, ``rst_*``,
-``cand_*``), which loading stacks into :class:`MomModel`'s ``gate_w``,
-``gate_u`` and ``gate_b`` and saving splits again. A mom file must carry
-``error_stats``, the object of ``mu`` and ``sigma`` that ``train-mom``
-fits, since a mom model is saved and loaded only as a :class:`MomBundle`.
-A study's ``dbs`` and ``replay`` entries are relative paths inside its
-directory. Every JSON document goes through :func:`_write_json` and
-:func:`_read_json`, and a missing or mistyped field met while interpreting
-one is a :class:`StoreError` naming the file.
+contents rather than trusting them. Every numeric cell (fpf ``mean`` and
+``var``; mom ``params``, ``norm_lo``, ``norm_hi``, ``loss_history`` and
+``error_stats``) is a JSON number. A mom file names each gate's parameters
+(``upd_*``, ``rst_*``, ``cand_*``), which loading stacks into
+:class:`MomModel`'s ``gate_w``, ``gate_u`` and ``gate_b`` and saving splits
+again. It must carry ``error_stats``, the object of ``mu`` and ``sigma`` that
+``train-mom`` fits, since a mom model is saved and loaded only as a
+:class:`MomBundle`. A study's ``dbs`` and ``replay`` entries are relative paths
+inside its directory. Every JSON document goes through :func:`_write_json` and
+:func:`_read_json`, and every field read from one, here and in ``harness`` and
+``reports``, through :func:`_field`: by its JSON type, not coerced (a bool is
+not a number), every nested object and list as such before its fields or items.
+A wrong or missing field is named by its key, here in a :class:`StoreError`
+that names the file too.
 """
 from __future__ import annotations
 
@@ -164,19 +165,44 @@ def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> lis
     return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, ends, ends[1:])]
 
 
-def _field(manifest_path: str, doc: dict, key: str, want: str, ok, owner="an entry's"):
-    """``doc[key]``, which ``ok`` must accept; else a StoreError: it must be ``want``."""
-    value = doc[key]
-    if not ok(value):
-        raise StoreError(f"{manifest_path}: {owner} {key!r} must be {want}, found {value!r}")
-    return value
+# The JSON types that _field reads, each (what a value must be, the test it
+# must pass). A bool is neither a JSON integer nor a JSON number, and a whole
+# float is not an integer.
+_OBJECT = ("an object", lambda v: type(v) is dict)
+_LIST = ("a list", lambda v: type(v) is list)
+_STRING = ("a string", lambda v: type(v) is str)
+_BOOL = ("a boolean", lambda v: type(v) is bool)
+_INT = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a JSON number", lambda v: type(v) in (int, float))
+_NATURAL = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
+_POSITIVE = ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v < np.inf)
+_PROBABILITY = ("a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
 
 
-def _dimension(manifest_path: str, doc: dict, key: str, least: int,
-               owner: str = "an entry's") -> int:
-    """``doc[key]``, which must be a JSON integer >= ``least``."""
-    return _field(manifest_path, doc, key, f"an integer >= {least}",
-                  lambda v: type(v) is int and v >= least, owner)
+def _field(doc: dict, key, kind: tuple, owner: str = "", error=StoreError, where: str = ""):
+    """``doc[key]``, which must be of the JSON type ``kind``; else ``error``,
+    worded "<owner>'<name>' must be <want>, found <value>" or "<owner>'<name>'
+    is missing". <name> is ``where`` followed by ``key``, or by ``[key]`` for a
+    list item's index."""
+    want, ok = kind
+    try:
+        value = doc[key]
+        if ok(value):
+            return value
+        problem = f"must be {want}, found {value!r}"
+    except KeyError:
+        problem = "is missing"
+    name = where + key if type(key) is str else f"{where}[{key}]"
+    raise error(f"{owner}{name!r} {problem}")
+
+
+def _objects(doc: dict, key: str, owner: str = "", error=StoreError, where: str = "") -> list:
+    """``doc[key]``, a JSON list whose every item is an object, as :func:`_field`
+    reads it; a bad item is named by its index."""
+    items, name = _field(doc, key, _LIST, owner, error, where), where + key
+    return [_field(items, i, _OBJECT, owner, error, name) for i in range(len(items))]
 
 
 def _leaves(value):
@@ -188,30 +214,24 @@ def _leaves(value):
         yield value
 
 
-def _numbers(path: str, doc: dict, key: str) -> np.ndarray:
+def _numbers(doc: dict, key: str, its: str) -> np.ndarray:
     """``doc[key]``, nested lists whose every cell is a JSON number (a bool or
     a string is not one), as a float64 array."""
-    value = doc[key]
+    value = _field(doc, key, _LIST, its)
     bad = [v for v in _leaves(value) if type(v) not in (int, float)]
     if bad:
-        raise StoreError(f"{path}: its {key!r} must hold JSON numbers only, found {bad[0]!r}")
+        raise StoreError(f"{its}{key!r} must hold JSON numbers only, found {bad[0]!r}")
     return np.array(value, dtype=np.float64)
 
 
-def _gate_stack(path: str, params: dict, part: str) -> np.ndarray:
+def _gate_stack(params: dict, part: str, its: str) -> np.ndarray:
     """The gates' ``part`` ("w", "u" or "b") of a mom file's ``params``, stacked."""
     names = [f"{gate}_{part}" for gate in _MOM_GATES]
-    arrays = [_numbers(path, params, name) for name in names]
+    arrays = [_numbers(params, name, its) for name in names]
     if len({a.shape for a in arrays}) > 1:
-        raise StoreError(f"{path}: its {', '.join(names)} must share one shape, found "
+        raise StoreError(f"{its}{', '.join(names)} must share one shape, found "
                          f"{', '.join(str(a.shape) for a in arrays)}")
     return np.stack(arrays)
-
-
-def _positive(path: str, doc: dict, key: str) -> float:
-    """``doc[key]``, a finite JSON number > 0, as a float."""
-    return float(_field(path, doc, key, "a finite number > 0",
-                        lambda v: type(v) in (int, float) and 0 < v < np.inf, "its"))
 
 
 def _fingerprints(path: str, shapes: list[tuple[int, int]], manifest_path: str,
@@ -230,6 +250,12 @@ def _fingerprints(path: str, shapes: list[tuple[int, int]], manifest_path: str,
 
 # ---------------------------------------------------------------------------
 # Recorded executions and experience databases share one directory layout.
+
+# the JSON types of a manifest entry's D and, by its success, its t_fail
+_SENSED = (_COUNT[0], lambda v: v is None or _COUNT[1](v))
+_T_FAIL = {True: ("null on a success", lambda v: v is None),
+           False: ("null or an integer >= 0", lambda v: v is None or _NATURAL[1](v))}
+
 
 def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
                   records: Sequence[Observation], dt: float) -> None:
@@ -282,27 +308,30 @@ def _load_records(path: str, registry: FunctionRegistry | None = None, listed=No
     once, all counts before any sensors, and each run built once."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSION)
+    its, entry = f"{manifest_path}: its ", f"{manifest_path}: an entry's "
     with _interpreting(manifest_path):
+        # with a registry, a list of other values fails the comparison below
+        names = _field(manifest, "functions", _STRINGS if registry is None else _LIST, its)
         if registry is None:
-            registry = FunctionRegistry(manifest["functions"])
-        elif manifest["functions"] != list(registry.names):
+            with _naming(manifest_path, StoreError):
+                registry = FunctionRegistry(names)
+        elif names != list(registry.names):
             raise StoreError(f"{manifest_path}: lists other functions than expected")
-        skill = manifest["skill"]
-        dt = _positive(manifest_path, manifest, "dt")
+        # a listed skill is compared with the listing's, which names both files
+        skill = manifest.get("skill") if listed else _field(manifest, "skill", _STRING, its)
+        dt = float(_field(manifest, "dt", _POSITIVE, its))
         if listed is not None and (skill, dt) != listed[1:]:
             raise StoreError(f"{manifest_path}: holds skill {skill!r} at dt={dt}, but "
                              f"{listed[0]} lists it for skill {listed[1]!r} at dt={listed[2]}")
-        canonical_T = _dimension(manifest_path, manifest, "canonical_T", 0, "its")
-        entries, shapes = manifest["observations"], []
+        canonical_T = _field(manifest, "canonical_T", _NATURAL, its)
+        entries, shapes = _objects(manifest, "observations", its), []
         for e in entries:
-            success = _field(manifest_path, e, "success", "a boolean", lambda v: type(v) is bool)
-            _field(manifest_path, e, "t_fail",
-                   "null on a success" if success else "null or an integer >= 0",
-                   lambda v: v is None or not success and type(v) is int and v >= 0)
-            D = None if e["D"] is None else _dimension(manifest_path, e, "D", 1)
+            success = _field(e, "success", _BOOL, entry)
+            _field(e, "t_fail", _T_FAIL[success], entry)
+            D = _field(e, "D", _SENSED, entry)
             # a run without sensors needs a counts row, so values back each T
-            shapes.append((_dimension(manifest_path, e, "T", 1),
-                           _dimension(manifest_path, e, "rows", 1 if D is None else 0), D))
+            shapes.append((_field(e, "T", _COUNT, entry),
+                           _field(e, "rows", _COUNT if D is None else _NATURAL, entry), D))
         counts_file, sensors_file = (os.path.join(path, name)
                                      for name in ("counts.npy", "sensors.npy"))
         fingerprints = _fingerprints(counts_file, [(T, rows) for T, rows, _ in shapes],
@@ -407,31 +436,32 @@ def load_model(path: str, expect: str | None = None):
     kind = payload.get("kind")
     if expect is not None and kind != expect:
         raise KindError(f"{path}: holds a {kind!r} model, expected {expect!r}")
+    its = f"{path}: its "
     with _interpreting(path, ValidationError, ConfigError):
         if kind == "fpf":
-            F, T = (_dimension(path, payload, key, 1, "its") for key in ("F", "T"))
-            support = Fingerprint.check_rows(_field(
-                path, payload, "support", "a list of integers",
-                lambda v: type(v) is list and all(type(i) is int for i in v), "its"), F)
-            mean, var = _numbers(path, payload, "mean"), _numbers(path, payload, "var")
+            F, T = (_field(payload, key, _COUNT, its) for key in ("F", "T"))
+            support = Fingerprint.check_rows(_field(payload, "support", (
+                "a list of integers", lambda v: type(v) is list and all(type(i) is int for i in v)),
+                its), F)
+            mean, var = _numbers(payload, "mean", its), _numbers(payload, "var", its)
             shape = (support.size, T) if support.size else (0,)   # no rows are written []
             if mean.shape != shape or var.shape != shape:
                 raise StoreError(f"{path}: its mean and var must be {support.size} x {T} matrices")
             return FpfModel(support=support, mean=mean.reshape(-1, T), var=var.reshape(-1, T),
-                            F=F, n_samples=_dimension(path, payload, "n_samples", 1, "its"),
-                            var_floor=_positive(path, payload, "var_floor"))
+                            F=F, n_samples=_field(payload, "n_samples", _COUNT, its),
+                            var_floor=float(_field(payload, "var_floor", _POSITIVE, its)))
         if kind == "mom":
-            params = payload["params"]
-            model = MomModel(**{name: _numbers(path, params, name) for name in ("enc_w", "enc_b")},
-                             **{f"gate_{part}": _gate_stack(path, params, part) for part in "wub"},
-                             norm_lo=_numbers(path, payload, "norm_lo"),
-                             norm_hi=_numbers(path, payload, "norm_hi"),
-                             loss_history=(_numbers(path, payload, "loss_history")
+            params = _field(payload, "params", _OBJECT, its)
+            model = MomModel(**{name: _numbers(params, name, its) for name in ("enc_w", "enc_b")},
+                             **{f"gate_{part}": _gate_stack(params, part, its) for part in "wub"},
+                             norm_lo=_numbers(payload, "norm_lo", its),
+                             norm_hi=_numbers(payload, "norm_hi", its),
+                             loss_history=(_numbers(payload, "loss_history", its)
                                            if "loss_history" in payload else ()))
-            stats = _field(path, payload, "error_stats", "an object (train-mom writes it)",
-                           lambda v: type(v) is dict, "its")
+            stats = _field(payload, "error_stats", ("an object (train-mom writes it)", _OBJECT[1]),
+                           its)
             return MomBundle(model=model, error_stats=ErrorStats(
-                mu=_numbers(path, stats, "mu"), sigma=_numbers(path, stats, "sigma")))
+                mu=_numbers(stats, "mu", its), sigma=_numbers(stats, "sigma", its)))
     raise KindError(f"{path}: unknown model kind {kind!r}")
 
 
@@ -478,17 +508,20 @@ def load_study(path: str) -> Study:
     """Load a study; every db and replay manifest must hold the study's ``dt``."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _STUDY_FORMAT)
+    its = f"{manifest_path}: its "
     with _interpreting(manifest_path):
-        registry = FunctionRegistry(manifest["functions"])
-        dt = _positive(manifest_path, manifest, "dt")
-        dbs = {}
-        for skill in manifest["skills"]:
-            rel = manifest["dbs"].get(skill)
+        with _naming(manifest_path, StoreError):
+            registry = FunctionRegistry(_field(manifest, "functions", _STRINGS, its))
+        dt = float(_field(manifest, "dt", _POSITIVE, its))
+        listed, dbs = _field(manifest, "dbs", _OBJECT, its), {}
+        for skill in _field(manifest, "skills", _STRINGS, its):
+            rel = listed.get(skill)
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
             dbs[skill] = load_db(_inside(manifest_path, rel), registry, (manifest_path, skill, dt))
+        recorded = _field(manifest, "replay", _OBJECT, its) if "replay" in manifest else {}
         replay = {skill: load_recorded(_inside(manifest_path, rel), registry,
                                        (manifest_path, skill, dt))
-                  for skill, rel in manifest.get("replay", {}).items()}
+                  for skill, rel in recorded.items()}
         return Study(registry=registry, dbs=dbs, dt=dt, replay=replay)
 

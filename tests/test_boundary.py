@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import asdict, replace
@@ -161,6 +162,9 @@ def _with_runs_without_data(T, n):
     return change
 
 
+# what a message carries when an exception escaped the field reader unnamed
+RAW = re.compile(r"malformed content: (KeyError|TypeError|AttributeError|IndexError)"
+                 r"|malformed scenario description")
 STUDY = os.path.join("study", "manifest.json")
 DB = os.path.join("study", "dbs", "s1", "manifest.json")
 REPLAY = os.path.join("study", "replay", "s1", "manifest.json")
@@ -199,6 +203,27 @@ MALFORMED = [
     ("model-list-top-level", "mom.json", lambda doc: []),
     ("model-null-error_stats", "mom.json", _set("error_stats", None)),
     ("scenario-list-top-level", "scenario.json", lambda doc: []),
+    ("study-string-skills", STUDY, _set("skills", "a1")),
+    ("study-string-functions", STUDY, _set("functions", "abc")),
+    ("study-list-dbs", STUDY, _set("dbs", [])),
+    ("study-list-replay", STUDY, _set("replay", [])),
+    ("study-nested-skills", STUDY, _set("skills", [["a1"]])),
+    ("study-no-functions-listed", STUDY, _set("functions", [])),
+    ("study-no-skills-listed", STUDY, _set("skills", [])),
+    ("study-no-replay", STUDY, _drop("replay")),
+    ("db-int-entry", DB, _set("observations", [1])),
+    ("db-object-observations", DB, _set("observations", {})),
+    ("db-entry-no-D", DB, _in_first("observations", _drop("D"))),
+    ("replay-no-skill", REPLAY, _drop("skill")),
+    ("trace-object-steps", "trace.json", _set("steps", {})),
+    ("model-no-norm_lo", "mom.json", _drop("norm_lo")),
+    ("model-int-enc_w", "mom.json", lambda doc: {**doc, "params": {**doc["params"], "enc_w": 3}}),
+    ("scenario-string-planner", "scenario.json", _set("planner", "abc")),
+    ("scenario-string-skill-entry", "scenario.json", _set("skills", ["s"])),
+    ("scenario-no-functions-listed", "scenario.json", _set("functions", [])),
+    ("scenario-no-skills-listed", "scenario.json", _set("skills", [])),
+    ("scenario-skill-without-functions", "scenario.json",
+     _in_first("skills", _set("functions", []))),
 ]
 
 
@@ -212,6 +237,7 @@ class TestMalformedDocuments:
         assert code == 1
         assert err.startswith("error: ")
         assert target in err
+        assert not RAW.search(err)
 
     @pytest.mark.parametrize("change", [
         _drop("converged"),
@@ -238,12 +264,21 @@ class TestMalformedDocuments:
         lambda doc: {**doc, "functions": [7] + doc["functions"][1:]},
         _in_first("steps", _set("chosen", "nosuch")),
         _in_first("steps", _set("success", 1)),
+        _set("steps", {}),
+        _set("steps", [1]),
+        _in_first("steps", _set("gains", [])),
+        _in_first("steps", lambda step: {**step, "gains": {s: 3 for s in step["gains"]}}),
+        _in_first_posterior(_drop("index")),
+        _in_first("steps", _drop("posterior")),
+        _in_first("steps", _set("gains", {})),
     ], ids=["no-converged", "null-posterior-cell", "unsorted-index", "repeated-index",
             "index-past-F", "negative-index", "boolean-index", "length-mismatch",
             "string-shared", "dense-list-posterior", "huge-value-cells", "huge-shared",
             "negative-shared", "value-above-one", "string-step", "string-gain",
             "boolean-stderr", "list-entropy", "string-converged", "int-aborted",
-            "string-skills", "int-function", "unknown-chosen", "int-success"])
+            "string-skills", "int-function", "unknown-chosen", "int-success",
+            "object-steps", "int-step-entry", "list-gains", "int-gain-entry",
+            "no-posterior-index", "no-posterior", "no-gain-entries"])
     def test_late_malformed_trace_writes_nothing(self, base, tmp_path, change):
         trace, out = tmp_path / "trace.json", tmp_path / "out"
         shutil.copy(os.path.join(base, "trace.json"), trace)
@@ -251,6 +286,7 @@ class TestMalformedDocuments:
         code, err = _run(["report", "--trace", str(trace), "--out", str(out)])
         assert code == 1
         assert err.startswith(f"error: {trace}: ")
+        assert not RAW.search(err)
         assert not out.exists() or os.listdir(out) == []
 
     def test_replay_entry_outside_study_rejected(self, base, tmp_path):
@@ -315,6 +351,15 @@ FIELDS += [("mom.json", (), k) for k in ("format", "version", "kind", "params", 
 FIELDS += [("scenario.json", (), k) for k in ("name", "functions", "skills", "buggy", "db_size",
                                               "T", "dt", "count_mu", "count_sigma", "seed",
                                               "planner", "blame")]
+FIELDS += [("scenario.json", ("skills", 0), k) for k in ("skill", "functions")]
+FIELDS += [("scenario.json", ("planner",), k) for k in ("samples_per_observation",
+                                                        "convergence_epsilon",
+                                                        "convergence_patience",
+                                                        "max_iterations", "seed")]
+FIELDS += [("mom.json", ("params",), k) for k in ("enc_w", "enc_b", "upd_w", "upd_u", "upd_b",
+                                                  "rst_w", "rst_u", "rst_b", "cand_w", "cand_u",
+                                                  "cand_b")]
+FIELDS += [("mom.json", ("error_stats",), k) for k in ("mu", "sigma")]
 DROP = object()
 VALUES = st.one_of(st.just(DROP), st.none(), st.integers(-2, 50), st.text(max_size=6),
                    st.lists(st.integers(0, 3), max_size=3),
@@ -332,8 +377,8 @@ def test_fuzzed_field_never_escapes(base, field, value):
             obj = doc
             for step in where:
                 obj = obj[step]
-            if value is DROP:
-                del obj[key]
+            if value is DROP:   # a planner field may be absent already
+                obj.pop(key, None)
             else:
                 obj[key] = value
             return doc
@@ -342,6 +387,8 @@ def test_fuzzed_field_never_escapes(base, field, value):
         code, err = _run(_argv(root, target))
     assert code in (0, 1, 2)
     assert code == 0 or "error: " in err
+    # an exit-1 message names the document, and no exception escaped the field reader
+    assert code != 1 or (target in err and not RAW.search(err))
 
 
 def _data_argv(root, target):
@@ -448,6 +495,28 @@ class TestSingleSerializer:
                         and node.value.id == "json"
                         and node.attr in ("load", "loads", "dump", "dumps")]
         assert {name for name, _ in calling} == {"store.py"}, calling
+
+    def test_one_field_reader(self):
+        # a function that reads a document by a key it is given and words a
+        # "must be" error is a field reader; store's is the only one
+        readers = []
+        for name in sorted(os.listdir(SRC)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                params = {a.arg for a in fn.args.args}
+                nodes = list(ast.walk(fn))
+                if (any(isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Name)
+                        and n.slice.id in params for n in nodes)
+                        and any(isinstance(n, ast.Raise) for n in nodes)
+                        and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                                and "must be" in n.value for n in nodes)):
+                    readers.append((name, fn.name))
+        assert readers == [("store.py", "_field")], readers
 
     def test_one_version_string(self):
         assigning = []

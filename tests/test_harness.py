@@ -220,7 +220,11 @@ class TestScenarios:
         (None, "buggy", [1], "a list of strings"),
         (None, "name", 5, "a string"),
         ("skills", "functions", "f1", "a list of strings"),
-        ("skills", "skill", ["s"], "a string")])
+        ("skills", "skill", ["s"], "a string"),
+        (None, "planner", "abc", "an object"),
+        (None, "planner", [1], "an object"),
+        (None, "blame", 7, "an object"),
+        ("skills", 0, "s", "an object")])
     def test_mistyped_field_names_file_and_field(self, tmp_path, capsys, where, key, value,
                                                  want):
         import json
@@ -228,10 +232,12 @@ class TestScenarios:
         d = {"name": "tiny", "functions": ["f1", "f2"],
              "skills": [{"skill": "s", "functions": ["f1"]}], "buggy": ["f1"],
              "db_size": 5, "T": 12, "planner": {"max_iterations": 3}, "blame": {}}
-        target = d if where is None else d[where][0] if where == "skills" else d[where]
+        # an int key replaces an entry of the skills list itself
+        target = d if where is None else d[where] if type(key) is int \
+            else d[where][0] if where == "skills" else d[where]
         target[key] = value
-        field = key if where is None else f"{where}[0].{key}" if where == "skills" \
-            else f"{where}.{key}"
+        field = key if where is None else f"{where}[{key}]" if type(key) is int \
+            else f"{where}[0].{key}" if where == "skills" else f"{where}.{key}"
         path = tmp_path / "s.json"
         path.write_text(json.dumps(d))
         assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -339,6 +339,46 @@ class TestMalformedVersion3:
         with pytest.raises(StoreError, match="manifest.json: its 'dt' must be"):
             load_db(str(tmp_path / "db"))
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("skill", 3, "its 'skill' must be a string, found 3"),
+        ("skill", ["x"], "its 'skill' must be a string, found ['x']"),
+        ("functions", [1, 2], "its 'functions' must be a list of strings, found [1, 2]"),
+        ("functions", [], "registry needs at least one function"),
+        ("observations", [1], "its 'observations[0]' must be an object, found 1"),
+        ("observations", {}, "its 'observations' must be a list, found {}")])
+    def test_mistyped_manifest_field_names_the_field(self, tmp_path, capsys, key, value,
+                                                     message):
+        # load_db without a registry, as train-mom and eval-mom read a database
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        text = f"{manifest_path}: {message}"
+        with pytest.raises(StoreError, match=re.escape(text)):
+            load_db(str(tmp_path / "db"))
+        assert main(["train-mom", "--db", str(tmp_path / "db"), "--out",
+                     str(tmp_path / "m.json"), "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+    @pytest.mark.parametrize("where,key", [
+        ((), "skill"), ((), "functions"), ((), "dt"), ((), "canonical_T"), ((), "observations"),
+        (("observations", 1), "success"), (("observations", 1), "t_fail"),
+        (("observations", 1), "T"), (("observations", 1), "rows"), (("observations", 1), "D")])
+    def test_missing_field_is_named_by_its_key(self, tmp_path, where, key):
+        save_db(small_db(), str(tmp_path / "db"), REG)
+        manifest_path = tmp_path / "db" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        owner = manifest
+        for step in where:
+            owner = owner[step]
+        del owner[key]
+        manifest_path.write_text(json.dumps(manifest))
+        whose = "an entry's" if where else "its"
+        with pytest.raises(StoreError, match=re.escape(f"{manifest_path}: {whose} {key!r} "
+                                                       "is missing")):
+            load_db(str(tmp_path / "db"))
+
     @pytest.mark.parametrize("key,value,named", [
         ("rows", 3, "counts.npy"), ("T", 13, "counts.npy"), ("D", 3, "sensors.npy"),
         ("D", None, "sensors.npy")])
@@ -690,6 +730,22 @@ class TestRecordedAndStudy:
         study = tmp_path / "study"
         save_study(str(study), REG, {"s1": small_db(skill="s1")}, dt=0.1, replay={"s1": []})
         assert load_study(str(study)).replay == {"s1": []}
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("skills", "a1", "a list of strings"), ("skills", [["a1"]], "a list of strings"),
+        ("functions", "abc", "a list of strings"), ("dbs", [], "an object"),
+        ("replay", [], "an object")])
+    def test_mistyped_study_field_names_the_field(self, tmp_path, key, value, want):
+        study = tmp_path / "study"
+        save_study(str(study), REG, {"s1": small_db(skill="s1")}, dt=0.1,
+                   replay={"s1": self._records()})
+        manifest_path = study / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        text = f"{manifest_path}: its {key!r} must be {want}, found {value!r}"
+        with pytest.raises(StoreError, match=re.escape(text)):
+            load_study(str(study))
 
     @pytest.mark.parametrize("kind", ["dbs", "replay"])
     def test_entry_of_another_skill_names_its_manifest(self, tmp_path, kind):
