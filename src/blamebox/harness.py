@@ -29,7 +29,8 @@ from .core import (ExperienceDb, Fingerprint, FunctionRegistry, Observation,
 from .errors import ConfigError, ExecutorError, ScenarioError, ValidationError
 from .fpf import BlameConfig
 from .planner import LoopTrace, PlannerConfig, run_testing_loop
-from .store import _INT, _NUMBER, _OBJECT, _STRING, _STRINGS, _field, _objects, _read_json
+from .store import (_FLOAT, _INT, _NUMBER, _OBJECT, _STRING, _STRINGS, _field, _objects,
+                    _read_json)
 
 
 @dataclass(frozen=True)
@@ -241,10 +242,12 @@ def gen_sensor_suite(spec: SensorSynthSpec, n_train: int, n_pos: int, n_neg: int
 # Scenarios.
 
 # The JSON types that a scenario's int and float fields take, by the field's
-# annotation, with the value's conversion: an int field takes a JSON integer,
-# a float field a JSON number, and a bool or a string is neither. An absent
-# field takes the default.
-_SCENARIO_SCALARS = {"int": (_INT, int), "float": (("a number", _NUMBER[1]), float)}
+# annotation, each checked in turn, with the value's conversion: an int field
+# takes a JSON integer, a float field a JSON number that float() then takes
+# without overflow, and a bool or a string is neither. An absent field takes
+# the default.
+_SCENARIO_SCALARS = {"int": ((_INT,), int),
+                     "float": ((("a number", _NUMBER[1]), _FLOAT), float)}
 
 
 def _scalars(cls, d: dict, where: str = "") -> dict:
@@ -253,8 +256,10 @@ def _scalars(cls, d: dict, where: str = "") -> dict:
     out = {}
     for f in fields(cls):
         if f.name in d and f.type in _SCENARIO_SCALARS:
-            kind, convert = _SCENARIO_SCALARS[f.type]
-            out[f.name] = convert(_field(d, f.name, kind, "", ScenarioError, where))
+            kinds, convert = _SCENARIO_SCALARS[f.type]
+            for kind in kinds:
+                value = _field(d, f.name, kind, "", ScenarioError, where)
+            out[f.name] = convert(value)
     return out
 
 

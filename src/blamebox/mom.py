@@ -23,10 +23,20 @@ deterministic function of (data, config, seed).
 Layout. The model holds the gates stacked in the order z, r, c, as the
 passes use them: ``gate_w`` = [upd_w; rst_w; cand_w] (3, D, B), ``gate_u`` =
 [upd_u; rst_u; cand_u] (3, D, D) and ``gate_b`` (3, D). A batch of n
-sequences runs time-major, as (T, n, D) arrays, and whatever does not depend
-on the hidden state is computed for all T at once (after Appleyard, Kocisky
-& Blunsom 2016, arXiv:1604.01946): the encodings as one matmul, and each
-gate's input product as one matmul over all T n rows. The update and reset
+sequences runs time-major, as (T, n, D) arrays, in a ``_Workspace`` that
+holds every large array a pass writes: the input, the encodings, the gates,
+the states, the output and the gate gradients. ``train`` builds one
+workspace and reuses it on every epoch, so a warm epoch allocates nothing of
+(T, n, D) size, and no memory goes back to the system only to be faulted in
+again by the next epoch. Scoring (``error_rows``, ``error_series``,
+``reconstruct``) builds one without the backward buffers. Scratch products
+go into buffers that are dead at that moment: the gradient slab before the
+backward pass, the output and candidate buffers after it.
+
+Whatever does not depend on the hidden state is computed for all T at once
+(after Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946): the encodings
+as one (T n, D) GEMM, and each gate's input product as one GEMM over all
+T n rows, every weight operand a contiguous copy. The update and reset
 gates share one time-major slab ZR (T, 2, n, D), so each step's z|r block is
 one contiguous (2, n, D) array; the candidate gate has its own (T, n, D)
 array C. z and r are held negated until their sigmoid, through -gate_w[:2],
@@ -38,8 +48,9 @@ other per-step product into buffers allocated before the loop. The backward
 pass forms the gates' local derivatives for all T before its loop, reading z
 and r as views of ZR, makes the two products that depend on dh per step into
 preallocated buffers, and forms each weight gradient after the loop as a
-product over all T n rows. Scoring (``error_rows``, ``error_series``,
-``reconstruct``) runs the same forward pass over the whole batch.
+product over all T n rows. Sums over the short D axis (the cosine's dot
+products and norms) and over all T n rows (the bias gradients) are
+matrix-vector products against a vector of ones.
 """
 from __future__ import annotations
 
@@ -166,38 +177,61 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _time_major(X: np.ndarray) -> np.ndarray:
-    """A contiguous (T, n, D) copy of an (n, D, T) batch."""
-    return np.ascontiguousarray(X.transpose(2, 0, 1))
+class _Workspace:
+    """Every large buffer that one pass over an (n, D, T) batch writes, for a
+    bottleneck B, allocated once so that repeated passes over batches of that
+    shape reuse the same memory.
 
-
-def _forward(p: dict[str, np.ndarray], Xt: np.ndarray):
-    """Run the network over a time-major batch ``Xt`` of shape (T, n, D).
-
-    Returns the output Y (T, n, D) and the record the backward pass reads:
-    the encodings E (T, n, B), the update and reset gates ZR (T, 2, n, D),
-    the candidate gate C (T, n, D) and the states H (T + 1, n, D) with
-    H[0] = 0.
+    ``Xt`` is the time-major input (T, n, D); ``E`` the encodings (T, n, B);
+    ``ZR`` the update and reset gates (T, 2, n, D); ``C`` the candidate gate
+    (T, n, D); ``H`` the states (T + 1, n, D) with H[0] = 0; ``Y`` the output
+    (T, n, D), which the backward pass turns into dL/dh; ``K`` the gate
+    pre-activation gradients (3, T, n, D) in the order z, r, c; and ``ones``
+    T n ones, against which the gradients are summed over all rows. A
+    forward-only workspace, for scoring, has neither K nor ones.
     """
+
+    def __init__(self, n: int, D: int, T: int, B: int, backward: bool = True):
+        self.Xt = np.empty((T, n, D))
+        self.E = np.empty((T, n, B))
+        self.ZR = np.empty((T, 2, n, D))
+        self.C = np.empty((T, n, D))
+        self.H = np.zeros((T + 1, n, D))
+        self.Y = np.empty((T, n, D))
+        self.K = np.empty((3, T, n, D)) if backward else None
+        self.ones = np.ones(T * n) if backward else None
+
+    def load(self, X: np.ndarray) -> None:
+        """Copy an (n, D, T) batch into ``Xt``, time-major."""
+        np.copyto(self.Xt, X.transpose(2, 0, 1))
+
+
+def _forward(p: dict[str, np.ndarray], work: _Workspace) -> None:
+    """Run the network over the time-major batch in ``work.Xt``, filling the
+    encodings E, the gates ZR and C, the states H and the output Y."""
+    Xt, E, ZR, C, H = work.Xt, work.E, work.ZR, work.C, work.H
     T, n, D = Xt.shape
-    E = Xt @ p["enc_w"].T
-    E += p["enc_b"]
-    np.maximum(E, 0.0, out=E)
-    E2 = E.reshape(T * n, -1)
-    W, U, b = p["gate_w"], p["gate_u"], p["gate_b"]
+    E2, C2 = E.reshape(T * n, -1), C.reshape(T * n, D)
+    np.matmul(Xt.reshape(T * n, D), p["enc_w"].T.copy(), out=E2)
+    E2 += p["enc_b"]
+    np.maximum(E2, 0.0, out=E2)
+    U, b = p["gate_u"], p["gate_b"]
+    # Transposed weights as contiguous copies (.copy() is C order): BLAS runs
+    # a transposed operand at half the speed.
+    W_T, Uzr_T = p["gate_w"].swapaxes(1, 2).copy(), U[:2].swapaxes(1, 2).copy()
+    Uc_T = U[2].T.copy()
     # z and r are held negated until their sigmoid. IEEE negation is exact, so
     # (-w) e - b + (-u) h is -(w e + b + u h) bit for bit, and exp, += 1 and
     # reciprocal on it give the bits of _sigmoid. Each gate's input product
     # passes through C's buffer on its way into ZR.
-    ZR, C = np.empty((T, 2, n, D)), np.empty((T, n, D))
-    C2 = C.reshape(T * n, D)
+    np.negative(W_T[:2], out=W_T[:2])
+    np.negative(Uzr_T, out=Uzr_T)
     for k in range(2):
-        np.matmul(E2, (-W[k]).T, out=C2)
+        np.matmul(E2, W_T[k], out=C2)
         np.subtract(C, b[k], out=ZR[:, k])
-    np.matmul(E2, W[2].T, out=C2)
+    np.matmul(E2, W_T[2], out=C2)
     C2 += b[2]
-    H = np.zeros((T + 1, n, D))
-    Uzr_T, Uc_T = (-U[:2]).swapaxes(1, 2), U[2].T
+    H[0] = 0.0
     uh, rh, uc = np.empty((2, n, D)), np.empty((n, D)), np.empty((n, D))
     for h, h_new, zr, z, r, c in zip(H[:-1], H[1:], ZR, ZR[:, 0], ZR[:, 1], C):
         zr += np.matmul(h, Uzr_T, out=uh)
@@ -211,27 +245,37 @@ def _forward(p: dict[str, np.ndarray], Xt: np.ndarray):
         np.subtract(1.0, z, out=rh)           # rh is spent: it takes 1 - z
         rh *= c
         h_new += rh
-    return _sigmoid(H[1:]), (E, ZR, C, H)
+    _sigmoid(H[1:], out=work.Y)
 
 
-def _cos_terms(Xt: np.ndarray, Y: np.ndarray):
+def _cos_terms(Xt: np.ndarray, Y: np.ndarray, scratch: np.ndarray):
     """Dot products and both norms of each (timestep, sequence) pair of
-    D-vectors of two (T, n, D) batches, each of shape (T, n)."""
-    return ((Xt * Y).sum(axis=2), np.sqrt((Xt * Xt).sum(axis=2)),
-            np.sqrt((Y * Y).sum(axis=2)))
+    D-vectors of two (T, n, D) batches, each of shape (T, n). Each product
+    passes through ``scratch`` (T, n, D) and is summed over D as one
+    matrix-vector product."""
+    T, n, D = Xt.shape
+    rows, ones = scratch.reshape(T * n, D), np.ones(D)
+
+    def summed(a, b):
+        np.multiply(a, b, out=scratch)
+        return (rows @ ones).reshape(T, n)
+
+    nx, ny = summed(Xt, Xt), summed(Y, Y)
+    return summed(Xt, Y), np.sqrt(nx, out=nx), np.sqrt(ny, out=ny)
 
 
-def _cos_columns(Xt: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Per-(timestep, sequence) cosine similarity of two (T, n, D) batches."""
-    dot, nx, ny = _cos_terms(Xt, Y)
+def _cos_columns(Xt: np.ndarray, Y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per-(timestep, sequence) cosine similarity of two (T, n, D) batches,
+    overwriting ``scratch`` (T, n, D)."""
+    dot, nx, ny = _cos_terms(Xt, Y, scratch)
     return dot / ((nx + _NORM_GUARD) * (ny + _NORM_GUARD))
 
 
 def _normalized_batch(model: MomModel, sequences: Sequence[SensorSeries],
                       T: int | None = None) -> np.ndarray:
-    """The sequences in the model's normalized domain, stacked time-major
-    (T, n, D). Each must have the model's D and the T of ``T`` when given,
-    else of the first sequence; they are checked before they are stacked."""
+    """The sequences in the model's normalized domain, stacked as (n, D, T).
+    Each must have the model's D and the T of ``T`` when given, else of the
+    first sequence; they are checked before they are stacked."""
     seqs = list(sequences)
     if not seqs:
         raise ValidationError("no sequences to score")
@@ -240,7 +284,15 @@ def _normalized_batch(model: MomModel, sequences: Sequence[SensorSeries],
         if s.D != model.D or s.T != T:
             raise ValidationError(f"sequence {i} has shape (D={s.D}, T={s.T}), "
                                   f"expected (D={model.D}, T={T})")
-    return _time_major(model.normalize(np.stack([s.data for s in seqs])))
+    return model.normalize(np.stack([s.data for s in seqs]))
+
+
+def _scored(model: MomModel, X: np.ndarray) -> _Workspace:
+    """A forward-only workspace after one pass over the normalized batch X."""
+    work = _Workspace(*X.shape, model.bottleneck, backward=False)
+    work.load(X)
+    _forward(model.params(), work)
+    return work
 
 
 def error_rows(model: MomModel, sequences: Sequence[SensorSeries],
@@ -248,9 +300,8 @@ def error_rows(model: MomModel, sequences: Sequence[SensorSeries],
     """Per-timestep reconstruction errors 1 - cos_sim, each in [0, 2], of
     every sequence, one row each, from one batched forward pass. The
     sequences must share the model's D and one T (``T`` when given)."""
-    Xt = _normalized_batch(model, sequences, T)
-    Y, _ = _forward(model.params(), Xt)
-    return 1.0 - _cos_columns(Xt, Y).T
+    work = _scored(model, _normalized_batch(model, sequences, T))
+    return 1.0 - _cos_columns(work.Xt, work.Y, work.C).T   # C is spent
 
 
 def error_series(model: MomModel, seq: SensorSeries) -> np.ndarray:
@@ -260,38 +311,45 @@ def error_series(model: MomModel, seq: SensorSeries) -> np.ndarray:
 
 def reconstruct(model: MomModel, seq: SensorSeries) -> SensorSeries:
     """Network output for one sequence, in the model's normalized domain."""
-    Y, _ = _forward(model.params(), _normalized_batch(model, [seq]))
+    Y = _scored(model, _normalized_batch(model, [seq])).Y
     return SensorSeries(Y[:, 0].T, dt=seq.dt)
 
 
-def _output_gradient(Xt: np.ndarray, Y: np.ndarray) -> tuple[float, np.ndarray]:
+def _output_gradient(Xt: np.ndarray, Y: np.ndarray,
+                     scratch: np.ndarray) -> tuple[float, np.ndarray]:
     """The batch loss of output Y (T, n, D) against Xt and its gradient with
-    respect to the states h, formed in Y's buffer."""
+    respect to the states h, formed in Y's buffer. Overwrites ``scratch``
+    (2, T, n, D)."""
     T, n, _ = Xt.shape
-    dot, nx, ny = _cos_terms(Xt, Y)
-    gx, gy = nx + _NORM_GUARD, ny + _NORM_GUARD
-    loss = float(-((dot / (gx * gy)).mean(axis=0)).mean())
+    # the (T, n) columns are updated in place where they are spent
+    dot, gx, ny = _cos_terms(Xt, Y, scratch[0])
+    gx += _NORM_GUARD
+    gy = ny + _NORM_GUARD
+    g = gx * gy
+    loss = float(-((dot / g).mean(axis=0)).mean())
     # dL/dy per column (the sigmoid keeps ny > 0), then through y = sigmoid(h)
-    slope = np.subtract(1.0, Y)
+    slope, q = scratch
+    np.subtract(1.0, Y, out=slope)
     slope *= Y
-    Y *= (dot / (ny * gx * gy ** 2))[:, :, None]
-    Y -= Xt / (gx * gy)[:, :, None]
+    gx *= ny
+    gx *= np.square(gy, out=gy)
+    Y *= np.divide(dot, gx, out=dot)[:, :, None]     # dot / (ny gx gy^2)
+    Y -= np.divide(Xt, g[:, :, None], out=q)
     Y *= 1.0 / (n * T)
     Y *= slope
     return loss, Y
 
 
 def _backward(p: dict[str, np.ndarray], dH: np.ndarray, ZR: np.ndarray, C: np.ndarray,
-              H_prev: np.ndarray) -> np.ndarray:
+              H_prev: np.ndarray, K: np.ndarray) -> np.ndarray:
     """The loop back through time: from dL/dh (T, n, D) and the gates as the
-    forward pass leaves them, the gradients of the gate pre-activations
-    (3, T, n, D) in the order z, r, c. Overwrites dH and C."""
+    forward pass leaves them, the gradients of the gate pre-activations,
+    written into K (3, T, n, D) in the order z, r, c. Overwrites dH and C."""
     T, n, D = dH.shape
     Z, R = ZR.swapaxes(0, 1)
     # The coefficients of dh in the gate gradients, for all t at once:
     # dz' = dh (h - c) z (1 - z), dc' = dh (1 - z)(1 - c^2) and dr' = du h r (1 - r)
     # with du = dc' gate_u[2]. Step t overwrites K[:, t] by dz', dr' and dc'.
-    K = np.empty((3, T, n, D))
     Kz, Kr, Kc = K
     np.subtract(1.0, R, out=Kc)               # Kc holds 1 - r until its own turn
     np.multiply(R, H_prev, out=Kr)
@@ -322,34 +380,46 @@ def _backward(p: dict[str, np.ndarray], dH: np.ndarray, ZR: np.ndarray, C: np.nd
     return K
 
 
-def loss_and_gradients(params: dict[str, np.ndarray],
-                       X: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_gradients(params: dict[str, np.ndarray], X: np.ndarray,
+                       work: _Workspace | None = None
+                       ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch cosine loss and its exact gradients for every parameter.
 
     ``X`` is a (n, D, T) batch already living in the normalized domain. The
     loss is the mean over sequences of the per-sequence cosine objective.
     The weight gradients are products over all T n rows at once, formed
-    after the loop back through time.
+    after the loop back through time. The pass runs in ``work``, a
+    workspace for X's shape and the parameters' bottleneck, built afresh
+    when omitted.
     """
     n, D, T = X.shape
-    N = T * n
-    Xt = _time_major(X)
-    Y, (E, ZR, C, H) = _forward(params, Xt)
-    loss, dH = _output_gradient(Xt, Y)
-    dG = _backward(params, dH, ZR, C, H[:-1]).reshape(3, N, D)
+    B, N = params["enc_w"].shape[0], T * n
+    if work is None:
+        work = _Workspace(n, D, T, B)
+    work.load(X)
+    _forward(params, work)
+    Xt, E, ZR, C, H, Y, K = work.Xt, work.E, work.ZR, work.C, work.H, work.Y, work.K
+    # K is free until the backward pass, so it holds the loss's scratch products
+    loss, dH = _output_gradient(Xt, Y, K[:2])
+    dG = _backward(params, dH, ZR, C, H[:-1], K).reshape(3, N, D)
+    # dH (in Y) and C are spent: Y takes r_t * h_{t-1}, then the per-gate
+    # products of the encoder's gradient, which accumulates in C (an (N, B)
+    # array fits in an (N, D) buffer, as B < D)
+    E2, H2 = E.reshape(N, B), H[:-1].reshape(N, D)
     gU = np.empty((3, D, D))
-    np.matmul(dG[2].T, (ZR[:, 1] * H[:-1]).reshape(N, D), out=gU[2])   # with r_t * h_{t-1}
-    del Y, dH, ZR, C                          # spent: make room for the products below
-    E2, H2 = E.reshape(N, -1), H[:-1].reshape(N, D)
+    np.multiply(ZR[:, 1], H[:-1], out=Y)
+    np.matmul(dG[2].T, Y.reshape(N, D), out=gU[2])
     np.matmul(dG[:2].swapaxes(1, 2), H2, out=gU[:2])
+    de, tmp = C.reshape(-1)[:N * B].reshape(N, B), Y.reshape(-1)[:N * B].reshape(N, B)
     W = params["gate_w"]
-    de = dG[0] @ W[0]
+    np.matmul(dG[0], W[0], out=de)
     for g, w in zip(dG[1:], W[1:]):
-        de += g @ w
-    de *= E2 > 0                              # relu: e > 0 exactly where its input is
-    return loss, {"enc_w": de.T @ Xt.reshape(N, D), "enc_b": de.sum(axis=0),
+        de += np.matmul(g, w, out=tmp)
+    # relu: e > 0 exactly where its input is, and e >= 0, so sign(e) is the mask
+    de *= np.sign(E2, out=tmp)
+    return loss, {"enc_w": de.T @ Xt.reshape(N, D), "enc_b": work.ones @ de,
                   "gate_w": np.matmul(dG.swapaxes(1, 2), E2), "gate_u": gU,
-                  "gate_b": dG.sum(axis=1)}
+                  "gate_b": work.ones @ dG}
 
 
 def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
@@ -377,11 +447,12 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
     X = model.normalize(raw)
     params = {k: v.copy() for k, v in model.params().items()}
 
+    work = _Workspace(*X.shape, model.bottleneck)
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(vv) for k, vv in params.items()}
     losses = []
     for step in range(1, config.epochs + 1):
-        loss, grads = loss_and_gradients(params, X)
+        loss, grads = loss_and_gradients(params, X, work=work)
         losses.append(loss)
         b1c = 1.0 - _BETA1 ** step
         b2c = 1.0 - _BETA2 ** step

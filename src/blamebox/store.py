@@ -51,6 +51,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -165,6 +166,13 @@ def _blocks(path: str, shapes: list[tuple[int, int]], manifest_path: str) -> lis
     return [flat[a:b].reshape(shape) for shape, a, b in zip(shapes, ends, ends[1:])]
 
 
+def _float_range(v) -> bool:
+    """Whether ``v`` is a JSON number that float() takes: a float (JSON reads
+    1e400 as inf) or an integer no larger in magnitude than the largest float
+    (an int and a float compare exactly)."""
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
 # The JSON types that _field reads, each (what a value must be, the test it
 # must pass). A bool is neither a JSON integer nor a JSON number, and a whole
 # float is not an integer.
@@ -177,7 +185,8 @@ _NUMBER = ("a JSON number", lambda v: type(v) in (int, float))
 _NATURAL = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 _COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
 _STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v))
-_POSITIVE = ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v < np.inf)
+_FLOAT = ("a number within float range", _float_range)
+_POSITIVE = ("a finite number > 0", lambda v: _float_range(v) and 0 < v < np.inf)
 _PROBABILITY = ("a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
 
 
@@ -205,22 +214,26 @@ def _objects(doc: dict, key: str, owner: str = "", error=StoreError, where: str 
     return [_field(items, i, _OBJECT, owner, error, name) for i in range(len(items))]
 
 
-def _leaves(value):
-    """The cells of nested JSON lists ``value``, depth first."""
-    if type(value) is list:
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
-
-
 def _numbers(doc: dict, key: str, its: str) -> np.ndarray:
-    """``doc[key]``, nested lists whose every cell is a JSON number (a bool or
-    a string is not one), as a float64 array."""
+    """``doc[key]``, rectangular nested lists whose every cell is a JSON number
+    within float range (a bool or a string is not one), as a float64 array.
+    The lists are checked one depth at a time."""
     value = _field(doc, key, _LIST, its)
-    bad = [v for v in _leaves(value) if type(v) not in (int, float)]
+    level, depth = [value], 0
+    while level and all(type(v) is list for v in level):
+        lengths = sorted({len(v) for v in level})
+        if len(lengths) > 1:
+            raise StoreError(f"{its}{key!r} must be rectangular, found lists of lengths "
+                             f"{lengths[0]} and {lengths[-1]} at depth {depth}")
+        level, depth = [cell for v in level for cell in v], depth + 1
+    bad = [v for v in level if not _float_range(v)]
     if bad:
-        raise StoreError(f"{its}{key!r} must hold JSON numbers only, found {bad[0]!r}")
+        v = bad[0]
+        problem = (f"must be rectangular, found a list beside a number at depth {depth}"
+                   if type(v) is list else
+                   f"must hold numbers within float range, found {v!r}" if type(v) is int else
+                   f"must hold JSON numbers only, found {v!r}")
+        raise StoreError(f"{its}{key!r} {problem}")
     return np.array(value, dtype=np.float64)
 
 

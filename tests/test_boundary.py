@@ -162,6 +162,15 @@ def _with_runs_without_data(T, n):
     return change
 
 
+def _ragged(outer, key):
+    """Cut the last cell off the first row of the matrix ``doc[outer][key]``."""
+    def change(doc):
+        rows = doc[outer][key]
+        doc[outer][key] = [rows[0][:-1]] + rows[1:]
+        return doc
+    return change
+
+
 # what a message carries when an exception escaped the field reader unnamed
 RAW = re.compile(r"malformed content: (KeyError|TypeError|AttributeError|IndexError)"
                  r"|malformed scenario description")
@@ -225,6 +234,16 @@ MALFORMED = [
     ("scenario-skill-without-functions", "scenario.json",
      _in_first("skills", _set("functions", []))),
 ]
+# malformed fields that once escaped as a bare exception, each with the
+# start of the message that names it
+NAMED_FIELDS = [
+    ("scenario-overflowing-dt", "scenario.json", _set("dt", 10 ** 400),
+     "'dt' must be a number within float range, found 1000"),
+    ("db-overflowing-dt", DB, _set("dt", 10 ** 400), "'dt' must be a finite number > 0"),
+    ("model-ragged-enc_w", "mom.json", _ragged("params", "enc_w"),
+     "'enc_w' must be rectangular, found lists of lengths 2 and 3 at depth 1"),
+]
+MALFORMED += [c[:3] for c in NAMED_FIELDS]
 
 
 class TestMalformedDocuments:
@@ -238,6 +257,16 @@ class TestMalformedDocuments:
         assert err.startswith("error: ")
         assert target in err
         assert not RAW.search(err)
+
+    @pytest.mark.parametrize("target,change,message", [c[1:] for c in NAMED_FIELDS],
+                             ids=[c[0] for c in NAMED_FIELDS])
+    def test_exit_one_naming_the_field(self, base, tmp_path, target, change, message):
+        _copy(base, str(tmp_path))
+        _edit(str(tmp_path / target), change)
+        code, err = _run(_argv(str(tmp_path), target))
+        assert code == 1
+        assert target in err and message in err
+        assert "malformed content" not in err
 
     @pytest.mark.parametrize("change", [
         _drop("converged"),

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from blamebox import (ConfigError, ErrorStats, MomConfig, MomModel, SensorSeries,
                       ValidationError, detect_failure_time, error_rows,
                       error_series, fit_error_stats, init_model, load_model,
-                      reconstruct, train)
+                      mom, reconstruct, train)
 from blamebox.mom import (_PARAM_FIELDS, _SIGMA_FLOOR, _centered_moving_average,
-                          _cos_columns, loss_and_gradients)
+                          _cos_columns, _Workspace, loss_and_gradients)
 
 
 def fd_gradients(params, X, step=1e-5):
@@ -113,7 +114,8 @@ class TestForward:
 def cosine_objective(x, y):
     """Negated mean per-timestep cosine similarity of two (D, T) matrices,
     taken through the per-column cosines that training and scoring use."""
-    return float(-_cos_columns(x.T[:, None], y.T[:, None]).mean())
+    xt, yt = x.T[:, None], y.T[:, None]
+    return float(-_cos_columns(xt, yt, np.empty(xt.shape)).mean())
 
 
 class TestCosineObjective:
@@ -316,6 +318,64 @@ class TestStepwiseOracle:
         if T is None:
             with pytest.raises(ValidationError, match=r"sequence 1 .*\(D=4, T=10\)"):
                 fit_error_stats(model, seqs)
+
+
+class TestWorkspace:
+    def test_reused_workspace_matches_fresh_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        n, D, B, T = 5, 6, 3, 30
+        X = rng.uniform(0.0, 1.0, (n, D, T))
+        work = _Workspace(n, D, T, B)
+        for poison in (False, False, True):
+            if poison:   # a pass reads nothing that it did not write itself
+                for name, buf in vars(work).items():
+                    if name != "ones":
+                        buf.fill(np.nan)
+            params = random_params(D, B, rng)
+            loss, grads = loss_and_gradients(params, X, work=work)
+            fresh_loss, fresh = loss_and_gradients(params, X)
+            assert loss == fresh_loss
+            assert set(grads) == set(fresh)
+            for name in fresh:
+                assert grads[name].tobytes() == fresh[name].tobytes(), name
+
+    def test_warm_epoch_allocates_less_than_one_slab(self):
+        # the sensor-model benchmark's batch shape
+        rng = np.random.default_rng(22)
+        n, D, B, T = 30, 8, 7, 200
+        slab = T * n * D * 8
+        params = random_params(D, B, rng)
+        X = rng.uniform(0.0, 1.0, (n, D, T))
+        work = _Workspace(n, D, T, B)
+        loss_and_gradients(params, X, work=work)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(params, X)
+            cold = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loss_and_gradients(params, X, work=work)
+            warm = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the fresh workspace shows that numpy's buffers are traced at all
+        assert cold > 9 * slab
+        assert warm < slab
+
+    def test_train_calls_loss_and_gradients_once_per_epoch(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        seqs = [SensorSeries(rng.uniform(0.0, 1.0, (4, 12))) for _ in range(3)]
+        works = []
+        real = mom.loss_and_gradients
+
+        def counting(params, X, work=None):
+            works.append(work)
+            return real(params, X, work=work)
+
+        monkeypatch.setattr(mom, "loss_and_gradients", counting)
+        train(seqs, MomConfig(bottleneck=2, epochs=7, seed=0))
+        assert len(works) == 7
+        # one workspace, built once by train, serves every epoch
+        assert works[0] is not None and all(w is works[0] for w in works)
 
 
 class TestTrain:

@@ -829,6 +829,7 @@ class TestFpfModelFile:
         ("n_samples", "7"), ("var_floor", "1e-06"), ("var_floor", 0), ("var_floor", -1.0),
         ("var_floor", float("nan")), ("var_floor", float("inf")), ("var_floor", True),
         ("F", 3.0), ("F", 0), ("F", True), ("T", 12.5), ("T", 0), ("T", "12"),
+        pytest.param("var_floor", 10 ** 400, id="var_floor-overflowing-int"),
     ])
     def test_mistyped_field_names_the_file(self, tmp_path, key, value):
         path, doc = fpf_file(tmp_path)
@@ -867,6 +868,25 @@ class TestFpfModelFile:
                  "empty": []}[change]
         with pytest.raises(StoreError, match="fpf.json: "):
             load_model(edited(path, doc, **{key: value}))
+
+
+    @pytest.mark.parametrize("key", ["mean", "var"])
+    @pytest.mark.parametrize("cell", [10 ** 400, [1.0]], ids=["overflowing-int", "list"])
+    def test_cell_that_is_no_float_names_the_field(self, tmp_path, key, cell):
+        path, doc = fpf_file(tmp_path)
+        doc[key][1][3] = cell
+        want = ("must hold numbers within float range" if type(cell) is int
+                else "must be rectangular, found a list beside a number at depth 2")
+        with pytest.raises(StoreError, match=f"fpf.json: its '{key}' {want}"):
+            load_model(edited(path, doc))
+
+    @pytest.mark.parametrize("key", ["mean", "var"])
+    def test_ragged_matrix_names_the_field(self, tmp_path, key):
+        path, doc = fpf_file(tmp_path)
+        rows = doc[key]
+        with pytest.raises(StoreError, match=f"fpf.json: its '{key}' must be rectangular, "
+                                             "found lists of lengths"):
+            load_model(edited(path, doc, **{key: [rows[0], rows[1][:-1]]}))
 
 
 class TestMomModelFile:
