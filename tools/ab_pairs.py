@@ -1,15 +1,15 @@
 """Alternating A/B runs of the benchmark between a parent commit and a change.
 
-    python3 tools/ab_pairs.py --parent <rev> [--change <rev>] --out BENCH_<n>.json \
-        [--pairs 10] [--seconds 30] [--seed 1] [--workload <name> ...]
+    python3 tools/ab_pairs.py --parent <rev> --out BENCH_<n>.json \
+        [--pairs 10] [--seed 1] [--workload <name> ...]
 
-Extracts ``--parent`` (and ``--change``, when given) with ``git archive``
-into a temporary directory, so that each side runs from its committed files
-alone and the repository gains no worktree entry. Without ``--change`` the
-change is this checkout as it stands: its tracked and unignored files,
-uncommitted edits included, are copied beside the parent, so that both
-sides run from fresh directories on the same file system. For each workload it then
-runs ``python3 perfbench/run.py`` on the two trees one after the other, for
+Extracts ``--parent`` with ``git archive`` into a temporary directory, so
+that the parent runs from its committed files alone and the repository
+gains no worktree entry. The change is this checkout as it stands: its
+tracked and unignored files, uncommitted edits included, are copied beside
+the parent, so that both sides run from fresh directories on the same file
+system. For each workload it then runs ``python3 perfbench/run.py`` for
+BENCHMARK.json's ``run_seconds`` on the two trees one after the other, for
 ``--pairs`` pairs, the parent first in even pairs and the change first in
 odd ones, so that a slow drift of the machine favours neither side.
 
@@ -95,25 +95,41 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def _failed_share(runs: list[dict]) -> float:
+    """The share of a side's operations that failed; a run that produced no
+    summary counts as one failed operation."""
+    failed = sum(r["failed"] if "metrics" in r else 1 for r in runs)
+    attempted = sum(r["attempted"] if "metrics" in r else 1 for r in runs)
+    return failed / attempted if attempted else 0.0
+
+
 def _compare(parent: list[dict], change: list[dict], metric: dict) -> dict:
-    """One end-to-end metric over the pairs in which both sides ran."""
+    """One end-to-end metric over the pairs in which both sides ran.
+
+    The gain rule counts wins against every pair run, so a pair in which
+    either side failed is never won, and it holds only when no run failed
+    and the change fails no larger share of operations than the parent.
+    """
     name, lower = metric["name"], metric["better"] == "lower"
     pairs = [(p["metrics"][name], c["metrics"][name]) for p, c in zip(parent, change)
              if "metrics" in p and "metrics" in c]
     if not pairs:
-        return {"pairs": 0}
+        return {"pairs": len(parent), "compared": 0, "gain": False, "within_bound": False}
     a, b = _spread([p for p, _ in pairs]), _spread([c for _, c in pairs])
     wins = sum(1 for p, c in pairs if (c < p if lower else c > p))
     losses = sum(1 for p, c in pairs if (c > p if lower else c < p))
     worse = (b["median"] - a["median"]) if lower else (a["median"] - b["median"])
     return {
-        "unit": metric["unit"], "better": metric["better"], "pairs": len(pairs),
+        "unit": metric["unit"], "better": metric["better"], "pairs": len(parent),
+        "compared": len(pairs),
         "parent": a, "change": b, "change_wins": wins, "change_losses": losses,
         "median_change": (b["median"] / a["median"] - 1.0) if a["median"] else None,
         "parent_iqr": a["q3"] - a["q1"],
-        # the gain rule: nine tenths of the pairs won, and the medians apart
-        # by more than the parent's own spread
-        "gain": wins >= 0.9 * len(pairs) and -worse > a["q3"] - a["q1"],
+        # the gain rule: nine tenths of the pairs run won, the medians apart
+        # by more than the parent's own spread, and no more failures
+        "gain": (wins >= 0.9 * len(parent) and -worse > a["q3"] - a["q1"]
+                 and len(pairs) == len(parent)
+                 and _failed_share(change) <= _failed_share(parent)),
         "within_bound": worse <= metric["bound"] * abs(a["median"]),
     }
 
@@ -147,10 +163,8 @@ def _library_facts(tree: str, workload: str, seed: int) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the commit to compare against")
-    ap.add_argument("--change", help="the changed commit (default: this checkout as it is)")
     ap.add_argument("--out", required=True, help="the JSON file to write, e.g. BENCH_<n>.json")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workload", action="append",
                     help="a workload to run, repeatable (default: all in BENCHMARK.json)")
@@ -160,7 +174,7 @@ def main() -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     known = {w["name"] for w in bench["workloads"]}
     if not set(workloads) <= known:
@@ -174,12 +188,9 @@ def main() -> int:
         parent_tree = os.path.join(temp, "parent")
         parent_sha = _extract(args.parent, parent_tree)
         change_tree = os.path.join(temp, "change")
-        if args.change:
-            change = _extract(args.change, change_tree)
-        else:
-            _copy_checkout(change_tree)
-            dirty = _git("status", "--porcelain")
-            change = _git("rev-parse", "HEAD") + (" with uncommitted edits" if dirty else "")
+        _copy_checkout(change_tree)
+        dirty = _git("status", "--porcelain")
+        change = _git("rev-parse", "HEAD") + (" with uncommitted edits" if dirty else "")
         trees = {"parent": parent_tree, "change": change_tree}
         report = {"parent": parent_sha, "change": change, "pairs": args.pairs,
                   "seconds": seconds, "seed": args.seed,
@@ -203,6 +214,7 @@ def main() -> int:
                                 for side, rs in runs.items()},
                 "failed_operations": {side: sum(r.get("failed", 0) for r in rs)
                                       for side, rs in runs.items()},
+                "failed_share": {side: _failed_share(rs) for side, rs in runs.items()},
                 "errors": {side: [r["error"] for r in rs if "error" in r]
                            for side, rs in runs.items()},
             }
@@ -217,7 +229,7 @@ def main() -> int:
         fh.write("\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
-            if m.get("pairs"):
+            if m["compared"]:
                 delta = "" if m["median_change"] is None else f" ({m['median_change']:+.1%})"
                 print(f"{workload:14s} {name:12s} parent {m['parent']['median']:.4g} "
                       f"change {m['change']['median']:.4g}{delta} "
