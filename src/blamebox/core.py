@@ -12,7 +12,8 @@ matrix; ``Fingerprint.counts`` builds the dense matrix for a caller that
 asks for it. Runs are built and checked per batch: :meth:`Fingerprint.batch`
 checks every run of a database in a few array operations over their
 concatenated rows, and :meth:`ExperienceDb.counts_stack` stacks them with one
-scatter.
+scatter. A batch that fails those whole-array tests is named by its first
+bad row's run, which is checked alone by the rules of a batch of one.
 
 Every type checks its own content invariants when it is constructed,
 citing the first bad cell (row and column) of bad data, so callers need no
@@ -151,50 +152,36 @@ def _index_column(rows, sizes) -> tuple[np.ndarray, np.ndarray]:
     return idx, starts
 
 
-def _run_of(starts: np.ndarray, p) -> int:
-    """The run that holds position ``p`` of a batch with these starts."""
-    return int(np.searchsorted(starts, p, "right")) - 1
+def _bad_indices(idx: np.ndarray, F: int, starts) -> np.ndarray:
+    """Where a function index is not an integer in [0, F) above the one
+    before it in its run, the runs starting at ``starts`` (the last entry is
+    the end of the last run)."""
+    bad = ~((idx >= 0) & (idx < F) & (idx == np.floor(idx)))
+    first = np.zeros(idx.size + 1, dtype=bool)
+    first[starts] = True   # a run's first row follows another run's last
+    bad[1:] |= ~((idx[1:] > idx[:-1]) | first[1:-1])
+    return bad
 
 
-def _first_bad_index(idx: np.ndarray, F: int, starts: np.ndarray) -> int:
-    """The first position whose function index is not an integer in [0, F)
-    above the one before it in its run; ``idx.size`` when there is none."""
-    ok = (idx >= 0) & (idx < F) & (idx == np.floor(idx))
-    ascending = idx[1:] > idx[:-1]
-    first = starts[(starts > 0) & (starts < idx.size)]
-    ascending[first - 1] = True   # a run's first row follows another run's last
-    ok[1:] &= ascending
-    return idx.size if ok.all() else int(np.argmin(ok))
-
-
-def _index_error(idx: np.ndarray, F: int, starts: np.ndarray, p: int) -> FunctionIndexError:
-    r = p - starts[_run_of(starts, p)]
-    return FunctionIndexError(f"row {r} has function index {idx[p]:g}; indices must be "
-                              f"integers in [0, {F}), ascending and without repeats")
-
-
-def _first_bad_count_run(values: np.ndarray, starts: np.ndarray) -> int:
-    """The first run with a non-finite or negative count; the number of runs
-    when there is none."""
-    if np.isfinite(values).all() and (values >= 0).all():
-        return starts.size - 1
-    bad = ~np.isfinite(values).all(axis=1) | (values < 0).any(axis=1)
-    return _run_of(starts, np.argmax(bad))
-
-
-def _count_error(idx: np.ndarray, values: np.ndarray, starts: np.ndarray,
-                 k: int) -> ValidationError:
-    """The error of run ``k``: its first non-finite count in row-major order,
-    else its first negative one."""
-    run = values[starts[k]:starts[k + 1]]
-    nonfinite = ~np.isfinite(run)
+def _check_run(idx: np.ndarray, values, F: int) -> None:
+    """Raise the first fault of one run: its first bad function index (a
+    FunctionIndexError), else its first non-finite count in row-major order,
+    else its first negative count. ``values`` None checks the indices alone."""
+    bad = _bad_indices(idx, F, [0, idx.size])
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise FunctionIndexError(f"row {r} has function index {idx[r]:g}; indices must be "
+                                 f"integers in [0, {F}), ascending and without repeats")
+    if values is None:
+        return
+    nonfinite = ~np.isfinite(values)
     if nonfinite.any():
         r, t = np.argwhere(nonfinite)[0]
-        return ValidationError(f"non-finite count at function {int(idx[starts[k] + r])}, "
-                               f"timestep {t}")
-    r, t = np.argwhere(run < 0)[0]
-    return ValidationError(f"negative count {run[r, t]} at function "
-                           f"{int(idx[starts[k] + r])}, timestep {t}")
+        raise ValidationError(f"non-finite count at function {int(idx[r])}, timestep {t}")
+    if (values < 0).any():
+        r, t = np.argwhere(values < 0)[0]
+        raise ValidationError(f"negative count {values[r, t]} at function {int(idx[r])}, "
+                              f"timestep {t}")
 
 
 @dataclass(frozen=True, init=False)
@@ -240,10 +227,13 @@ class Fingerprint:
         Every run is checked in a few array operations over the whole batch:
         F, T >= 1 and ``dt`` > 0 and finite; each run's rows ascending, unique
         and in [0, F) (:meth:`check_rows`); as many rows of counts as function
-        rows; and, once all-zero rows are dropped, every count finite and >= 0.
-        A bad batch raises for its first bad run, with the class and text a
-        batch of that run alone gives (a bad index is a FunctionIndexError).
-        The runs' arrays are read-only views of one array.
+        rows; and every count finite and >= 0. Only a batch that fails these
+        tests is looked at row by row: the run of its first bad row is its
+        first bad run, and that run's own check raises, with the class and
+        text a batch of that run alone gives: its first bad index (a
+        FunctionIndexError), else its first non-finite count in row-major
+        order, else its first negative one. The runs' arrays are read-only
+        views of one array.
         """
         values = _as_matrix(values, "fingerprint values")
         F, T, dt = int(F), values.shape[1], float(dt)
@@ -252,17 +242,17 @@ class Fingerprint:
         if not 0 < dt < np.inf:
             raise ValidationError(f"sampling interval must be positive and finite, got {dt}")
         idx, starts = _index_column(rows, sizes)
-        p = _first_bad_index(idx, F, starts)
-        if idx.size != values.shape[0]:
-            if p < idx.size:
-                raise _index_error(idx, F, starts, p)
+        bad = _bad_indices(idx, F, starts)
+        counted = idx.size == values.shape[0]
+        if counted and not (np.isfinite(values).all() and (values >= 0).all()):
+            bad |= ~np.isfinite(values).all(axis=1) | (values < 0).any(axis=1)
+        if bad.any():   # the first bad row's run is the first bad run
+            k = int(np.searchsorted(starts, np.argmax(bad), "right")) - 1
+            a, b = starts[k], starts[k + 1]
+            _check_run(idx[a:b], values[a:b] if counted else None, F)
+        if not counted:
             raise ValidationError(f"fingerprint has {idx.size} function rows but "
                                   f"{values.shape[0]} rows of counts")
-        k = _first_bad_count_run(values, starts)
-        if p < idx.size and _run_of(starts, p) <= k:
-            raise _index_error(idx, F, starts, p)
-        if k < starts.size - 1:
-            raise _count_error(idx, values, starts, k)
         rows = idx.astype(np.intp)
         keep = values.any(axis=1)
         if not keep.all():
@@ -285,10 +275,8 @@ class Fingerprint:
         """``rows`` as function indices, which must be integers in [0, F),
         ascending and without repeats. A FunctionIndexError cites the first
         index that is not."""
-        idx, starts = _index_column(rows, None)
-        p = _first_bad_index(idx, F, starts)
-        if p < idx.size:
-            raise _index_error(idx, F, starts, p)
+        idx, _ = _index_column(rows, None)
+        _check_run(idx, None, F)
         return idx.astype(np.intp)
 
     @property

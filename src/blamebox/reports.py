@@ -69,40 +69,36 @@ def posterior_form(posterior: np.ndarray) -> dict:
             "value": bits[index].view(np.float64).tolist()}
 
 
-def _checked_form(form, F: int, where: str) -> tuple[float, list[int], list]:
-    """(shared, index, value) of ``where``, a posterior in trace form over F
-    functions; a form that breaks the module docstring's rules, or lacks an
-    entry (read as null), is a ValidationError."""
+# the list fields of a posterior's trace form
+_INDICES = ("a list of JSON integers", lambda v: type(v) is list and all(type(i) is int for i in v))
+_PROBABILITIES = ("a list of JSON numbers in [0, 1]",
+                  lambda v: type(v) is list and all(_PROBABILITY[1](p) for p in v))
+
+
+def _checked_form(form, F: int, owner: str) -> tuple[float, list[int], list]:
+    """(shared, index, value) of a posterior in trace form over F functions;
+    a form that breaks the module docstring's rules is a ValidationError whose
+    text starts with ``owner``."""
     if type(form) is not dict:
-        raise ValidationError(f"{where} must be an object with shared, index and value, "
-                              f"found {type(form).__name__} (a dense posterior of an "
+        raise ValidationError(f"{owner}'posterior' must be an object with shared, index and "
+                              f"value, found {type(form).__name__} (a dense posterior of an "
                               "older trace.json is not read)")
-    shared, index, value = form.get("shared"), form.get("index"), form.get("value")
-    want, is_probability = _PROBABILITY
-    if not is_probability(shared):
-        raise ValidationError(f"{where}: shared must be {want}, found {shared!r}")
-    if type(index) is not list or type(value) is not list:
-        raise ValidationError(f"{where}: index and value must be lists")
+    shared, index, value = (_field(form, key, kind, owner, ValidationError, "posterior.")
+                            for key, kind in (("shared", _PROBABILITY), ("index", _INDICES),
+                                              ("value", _PROBABILITIES)))
     if len(index) != len(value):
-        raise ValidationError(f"{where}: index lists {len(index)} entries, "
+        raise ValidationError(f"{owner}'posterior': index lists {len(index)} entries, "
                               f"but value holds {len(value)}")
-    bad = [i for i in index if type(i) is not int]
-    if bad:
-        raise ValidationError(f"{where}: index must hold JSON integers, found {bad[0]!r}")
     if index and not (0 <= index[0] and index[-1] < F
                       and all(a < b for a, b in zip(index, index[1:]))):
-        raise ValidationError(f"{where}: index must ascend strictly within [0, {F})")
-    bad = [v for v in value if not is_probability(v)]
-    if bad:
-        raise ValidationError(f"{where}: value must hold JSON numbers in [0, 1], "
-                              f"found {bad[0]!r}")
+        raise ValidationError(f"{owner}'posterior.index' must ascend strictly within [0, {F})")
     return shared, index, value
 
 
 def expand_posterior(form, F: int) -> np.ndarray:
     """The dense posterior over F functions of a posterior in trace form,
     which is checked first."""
-    shared, index, value = _checked_form(form, F, "the posterior")
+    shared, index, value = _checked_form(form, F, "")
     dense = np.full(F, float(shared))
     dense[index] = np.asarray(value, dtype=np.float64)
     return dense
@@ -165,7 +161,7 @@ def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
             row += [_field(gain, key, _NUMBER, f"{where}gains[{s!r}] ", ValidationError)
                     for key in ("gain", "stderr")]
         gain_rows.append(row)
-        forms.append(_checked_form(st.get("posterior"), F, f"{where}posterior"))
+        forms.append(_checked_form(st.get("posterior"), F, where))
     gains_csv = _csv(gain_header, gain_rows)
 
     belief_lines = [",".join(["step"] + list(functions))]

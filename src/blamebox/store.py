@@ -190,17 +190,24 @@ _POSITIVE = ("a finite number > 0", lambda v: _float_range(v) and 0 < v < np.inf
 _PROBABILITY = ("a JSON number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut to its first 40 characters
+    when it is longer, so that a long value keeps the message one short line."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _field(doc: dict, key, kind: tuple, owner: str = "", error=StoreError, where: str = ""):
     """``doc[key]``, which must be of the JSON type ``kind``; else ``error``,
-    worded "<owner>'<name>' must be <want>, found <value>" or "<owner>'<name>'
-    is missing". <name> is ``where`` followed by ``key``, or by ``[key]`` for a
-    list item's index."""
+    worded "<owner>'<name>' must be <want>, found <value>" (<value> cut as
+    :func:`_shown` cuts it) or "<owner>'<name>' is missing". <name> is
+    ``where`` followed by ``key``, or by ``[key]`` for a list item's index."""
     want, ok = kind
     try:
         value = doc[key]
         if ok(value):
             return value
-        problem = f"must be {want}, found {value!r}"
+        problem = f"must be {want}, found {_shown(value)}"
     except KeyError:
         problem = "is missing"
     name = where + key if type(key) is str else f"{where}[{key}]"
@@ -231,8 +238,8 @@ def _numbers(doc: dict, key: str, its: str) -> np.ndarray:
         v = bad[0]
         problem = (f"must be rectangular, found a list beside a number at depth {depth}"
                    if type(v) is list else
-                   f"must hold numbers within float range, found {v!r}" if type(v) is int else
-                   f"must hold JSON numbers only, found {v!r}")
+                   f"must hold numbers within float range, found {_shown(v)}"
+                   if type(v) is int else f"must hold JSON numbers only, found {_shown(v)}")
         raise StoreError(f"{its}{key!r} {problem}")
     return np.array(value, dtype=np.float64)
 

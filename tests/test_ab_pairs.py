@@ -1,6 +1,8 @@
-"""The comparison rules of tools/ab_pairs.py, on synthetic benchmark runs."""
+"""The comparison rules of tools/ab_pairs.py, on synthetic benchmark runs,
+and the trees it runs them in."""
 import importlib.util
 import os
+import subprocess
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -57,3 +59,31 @@ def test_no_comparable_pair():
     m = ab_pairs._compare(parent, [{"error": "x"}, {"error": "y"}], SOLVE)
     assert m == {"pairs": 2, "compared": 0, "gain": False, "within_bound": False}
     assert ab_pairs._failed_share([{"error": "x"}, _run(1.0, attempted=3)]) == 0.25
+
+
+def _files(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_both_trees_of_one_commit_are_alike(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+    (repo / "data.bin").write_bytes(bytes(range(256)))
+    (repo / ".gitignore").write_bytes(b"*.log\n")
+    (repo / "run.log").write_bytes(b"left out\n")
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "one"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *argv], cwd=repo, check=True)
+    monkeypatch.setattr(ab_pairs, "ROOT", str(repo))
+    ab_pairs._tree("HEAD", str(tmp_path / "parent"))
+    ab_pairs._tree(None, str(tmp_path / "change"))
+    committed = {".gitignore": b"*.log\n", "data.bin": bytes(range(256)),
+                 os.path.join("pkg", "mod.py"): b"x = 1\n"}
+    assert _files(tmp_path / "parent") == _files(tmp_path / "change") == committed
+    # an uncommitted edit and a new unignored file reach the change's tree only
+    (repo / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    (repo / "new.py").write_bytes(b"y = 1\n")
+    ab_pairs._tree(None, str(tmp_path / "edited"))
+    assert _files(tmp_path / "edited") == {**committed, os.path.join("pkg", "mod.py"): b"x = 2\n",
+                                           "new.py": b"y = 1\n"}

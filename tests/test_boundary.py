@@ -268,6 +268,18 @@ class TestMalformedDocuments:
         assert target in err and message in err
         assert "malformed content" not in err
 
+    @pytest.mark.parametrize("target,change", [
+        ("scenario.json", _set("dt", 10 ** 400)),
+        (STUDY, _set("functions", list(range(2000)))),
+    ], ids=["401-digit-dt", "2000-int-functions"])
+    def test_long_bad_value_is_cut_to_one_short_line(self, base, target, change):
+        with tempfile.TemporaryDirectory() as root:
+            _copy(base, root)
+            _edit(os.path.join(root, target), change)
+            code, err = _run(_argv(root, target))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+
     @pytest.mark.parametrize("change", [
         _drop("converged"),
         _in_first_posterior(lambda form: {**form, "value": form["value"][:-1] + [None]}),
@@ -375,6 +387,7 @@ FIELDS += [("trace.json", (), k) for k in ("skills", "functions", "converged", "
                                            "steps")]
 FIELDS += [("trace.json", ("steps", 0), k) for k in ("step", "chosen", "success", "t_fail",
                                                      "entropy", "gains", "posterior")]
+FIELDS += [("trace.json", ("steps", 0, "posterior"), k) for k in ("shared", "index", "value")]
 FIELDS += [("mom.json", (), k) for k in ("format", "version", "kind", "params", "norm_lo",
                                          "norm_hi", "loss_history", "error_stats")]
 FIELDS += [("scenario.json", (), k) for k in ("name", "functions", "skills", "buggy", "db_size",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blamebox import core
 from blamebox import (ExperienceDb, Fingerprint, FunctionIndexError, FunctionRegistry,
                       Observation, SensorSeries, ValidationError, canonicalize_length,
                       validate_observation)
@@ -429,6 +430,39 @@ class TestBatch:
         assert [list(fp.rows) for fp in fps] == [[], [2], [], [0], []]
         assert all(fp.T == 1 for fp in fps)
         assert Fingerprint.batch(np.empty(0), np.empty((0, 4)), [], F=3) == []
+
+    @staticmethod
+    def _thousand_runs():
+        """1,000 clean runs of rows [0, 2, 5] over F=8 and T=4, as batch arguments."""
+        rng = np.random.default_rng(5)
+        rows = np.tile([0.0, 2.0, 5.0], 1000)
+        return rows, rng.uniform(0.5, 3, (3000, 4)), [3] * 1000
+
+    def test_first_bad_run_names_a_batch(self):
+        rows, values, sizes = self._thousand_runs()
+        values[600 * 3 + 1, 2] = -1.0
+        rows[700 * 3 + 2] = 9.0
+        error, text = one_run(rows[1800:1803], values[1800:1803], 8)
+        assert text == "negative count -1.0 at function 2, timestep 2"
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            Fingerprint.batch(rows, values, sizes, F=8)
+
+    def test_first_bad_run_raises_its_own_first_fault(self):
+        rows, values, sizes = self._thousand_runs()
+        values[600 * 3 + 1, 2] = -1.0
+        rows[700 * 3 + 2] = 9.0
+        rows[600 * 3 + 2] = 1.0   # run 600's index fault comes before its count fault
+        with pytest.raises(FunctionIndexError, match="^row 2 has function index 1; "):
+            Fingerprint.batch(rows, values, sizes, F=8)
+
+    def test_clean_batch_runs_no_per_run_check(self, monkeypatch):
+        def no_run_check(*args):
+            raise AssertionError("a clean batch reached the per-run check")
+        monkeypatch.setattr(core, "_check_run", no_run_check)
+        rows, values, sizes = self._thousand_runs()
+        values[::7] = 0.0
+        fps = Fingerprint.batch(rows, values, sizes, F=8)
+        assert len(fps) == 1000 and sum(fp.rows.size for fp in fps) == 3000 - 429
 
     def test_sizes_must_cover_the_rows(self):
         with pytest.raises(ValidationError, match="runs of 2 rows in all given for 3"):

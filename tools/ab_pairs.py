@@ -3,12 +3,11 @@
     python3 tools/ab_pairs.py --parent <rev> --out BENCH_<n>.json \
         [--pairs 10] [--seed 1] [--workload <name> ...]
 
-Extracts ``--parent`` with ``git archive`` into a temporary directory, so
-that the parent runs from its committed files alone and the repository
-gains no worktree entry. The change is this checkout as it stands: its
-tracked and unignored files, uncommitted edits included, are copied beside
-the parent, so that both sides run from fresh directories on the same file
-system. For each workload it then runs ``python3 perfbench/run.py`` for
+Writes the committed files of ``--parent`` and this checkout's tracked and
+unignored files as they stand (uncommitted edits included) into two fresh
+directories on one file system, both through one routine, so that the trees
+differ in their files' content alone and the repository gains no worktree
+entry. For each workload it then runs ``python3 perfbench/run.py`` for
 BENCHMARK.json's ``run_seconds`` on the two trees one after the other, for
 ``--pairs`` pairs, the parent first in even pairs and the change first in
 odd ones, so that a slow drift of the machine favours neither side.
@@ -31,7 +30,6 @@ import signal
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 
@@ -43,29 +41,26 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _extract(rev: str, dest: str) -> str:
-    """The committed files of ``rev`` under ``dest``; returns its full hash."""
-    sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    proc = subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=ROOT,
-                            stdout=subprocess.PIPE)
-    try:
-        with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
-            tar.extractall(dest, filter="data")
-    finally:
-        proc.stdout.close()
-        if proc.wait() != 0:
-            raise RuntimeError(f"git archive {sha} failed")
-    return sha
-
-
-def _copy_checkout(dest: str) -> None:
-    """This checkout's tracked and unignored files, as they stand, under ``dest``."""
-    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
-    for name in filter(None, names):
-        src = os.path.join(ROOT, name)
-        if os.path.isfile(src):   # a tracked file deleted in the checkout is left out
-            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
-            shutil.copy2(src, os.path.join(dest, name))
+def _tree(rev: str | None, dest: str) -> None:
+    """Write under ``dest`` the files of commit ``rev`` or, when ``rev`` is
+    None, this checkout's tracked and unignored files as they stand (a tracked
+    file deleted in the checkout is left out). Both sides go through this one
+    loop, so two trees of one commit hold the same names and bytes."""
+    if rev is None:
+        names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+        names = [n for n in names if n and os.path.isfile(os.path.join(ROOT, n))]
+    else:
+        names = list(filter(None, _git("ls-tree", "-r", "-z", "--name-only", rev).split("\0")))
+    for name in names:
+        if rev is None:
+            with open(os.path.join(ROOT, name), "rb") as fh:
+                data = fh.read()
+        else:
+            data = subprocess.run(["git", "cat-file", "blob", f"{rev}:{name}"], cwd=ROOT,
+                                  check=True, capture_output=True).stdout
+        os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+        with open(os.path.join(dest, name), "wb") as fh:
+            fh.write(data)
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -185,10 +180,10 @@ def main() -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     temp = tempfile.mkdtemp(prefix="ab_pairs-")
     try:
-        parent_tree = os.path.join(temp, "parent")
-        parent_sha = _extract(args.parent, parent_tree)
-        change_tree = os.path.join(temp, "change")
-        _copy_checkout(change_tree)
+        parent_tree, change_tree = os.path.join(temp, "parent"), os.path.join(temp, "change")
+        parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        _tree(parent_sha, parent_tree)
+        _tree(None, change_tree)
         dirty = _git("status", "--porcelain")
         change = _git("rev-parse", "HEAD") + (" with uncommitted edits" if dirty else "")
         trees = {"parent": parent_tree, "change": change_tree}
