@@ -204,9 +204,14 @@ class DeviationGrid:
         """Deviation mass and inactivity mask at broadcast (t_fail, observation)
         index arrays; outputs have the broadcast shape plus a trailing R axis.
         A function is inactive when neither side is active in the window."""
-        pd = _mass((self.exec_mean[t_idx, obs_idx] - self.mean[t_idx]) / np.sqrt(self.var[t_idx]))
+        pd = window_mass(self.exec_mean[t_idx, obs_idx] - self.mean[t_idx], self.var[t_idx])
         inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
         return pd, inactive
+
+
+def window_mass(dev: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """``deviation_mass`` elementwise, of deviations with variances ``var``."""
+    return _mass(dev / np.sqrt(var))
 
 
 def _grid(mean: np.ndarray, var: np.ndarray, counts: np.ndarray,

@@ -27,11 +27,12 @@ sequences runs time-major, as (T, n, D) arrays, in a ``_Workspace`` that
 holds every large array a pass writes: the input, the encodings, the gates,
 the states, the output and the gate gradients. ``train`` builds one
 workspace and reuses it on every epoch, so a warm epoch allocates nothing of
-(T, n, D) size, and no memory goes back to the system only to be faulted in
+(T, n) size, and no memory goes back to the system only to be faulted in
 again by the next epoch. Scoring (``error_rows``, ``error_series``,
 ``reconstruct``) builds one without the backward buffers. Scratch products
-go into buffers that are dead at that moment: the gradient slab before the
-backward pass, the output and candidate buffers after it.
+and the loss's (T, n) columns go into buffers that are dead at that moment:
+the gradient slab before the backward pass, the output and candidate buffers
+after it.
 
 Whatever does not depend on the hidden state is computed for all T at once
 (after Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946): the encodings
@@ -71,6 +72,8 @@ _BETA2 = 0.999
 _ADAM_EPS = 1e-8
 # lower bound on the per-timestep error std of ErrorStats
 _SIGMA_FLOOR = 1e-6
+# a pass's ufunc buffer, in elements (numpy's 8192 exceed a (T, n) column)
+_UFUNC_BUFFER = 1024
 
 _PARAM_FIELDS = ("enc_w", "enc_b", "gate_w", "gate_u", "gate_b")
 
@@ -248,26 +251,30 @@ def _forward(p: dict[str, np.ndarray], work: _Workspace) -> None:
     _sigmoid(H[1:], out=work.Y)
 
 
-def _cos_terms(Xt: np.ndarray, Y: np.ndarray, scratch: np.ndarray):
+def _columns(slab: np.ndarray, k: int) -> np.ndarray:
+    """k <= D contiguous (T, n) columns in a (T, n, D) slab's memory."""
+    T, n, _ = slab.shape
+    return slab.reshape(-1)[:k * T * n].reshape(k, T, n)
+
+
+def _cos_terms(Xt: np.ndarray, Y: np.ndarray, scratch: np.ndarray, cols):
     """Dot products and both norms of each (timestep, sequence) pair of
-    D-vectors of two (T, n, D) batches, each of shape (T, n). Each product
-    passes through ``scratch`` (T, n, D) and is summed over D as one
-    matrix-vector product."""
+    D-vectors of two (T, n, D) batches, written into the three contiguous
+    (T, n) arrays of ``cols`` and returned. Each product passes through
+    ``scratch`` (T, n, D) and is summed over D as one matrix-vector product."""
     T, n, D = Xt.shape
     rows, ones = scratch.reshape(T * n, D), np.ones(D)
-
-    def summed(a, b):
+    for a, b, col in ((Xt, Y, cols[0]), (Xt, Xt, cols[1]), (Y, Y, cols[2])):
         np.multiply(a, b, out=scratch)
-        return (rows @ ones).reshape(T, n)
-
-    nx, ny = summed(Xt, Xt), summed(Y, Y)
-    return summed(Xt, Y), np.sqrt(nx, out=nx), np.sqrt(ny, out=ny)
+        np.matmul(rows, ones, out=col.reshape(T * n))
+    dot, nx, ny = cols
+    return dot, np.sqrt(nx, out=nx), np.sqrt(ny, out=ny)
 
 
 def _cos_columns(Xt: np.ndarray, Y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Per-(timestep, sequence) cosine similarity of two (T, n, D) batches,
     overwriting ``scratch`` (T, n, D)."""
-    dot, nx, ny = _cos_terms(Xt, Y, scratch)
+    dot, nx, ny = _cos_terms(Xt, Y, scratch, np.empty((3,) + Xt.shape[:2]))
     return dot / ((nx + _NORM_GUARD) * (ny + _NORM_GUARD))
 
 
@@ -319,22 +326,28 @@ def _output_gradient(Xt: np.ndarray, Y: np.ndarray,
                      scratch: np.ndarray) -> tuple[float, np.ndarray]:
     """The batch loss of output Y (T, n, D) against Xt and its gradient with
     respect to the states h, formed in Y's buffer. Overwrites ``scratch``
-    (2, T, n, D)."""
+    (3, T, n, D)."""
     T, n, _ = Xt.shape
-    # the (T, n) columns are updated in place where they are spent
-    dot, gx, ny = _cos_terms(Xt, Y, scratch[0])
+    # Every (T, n) column lies in a slab of scratch that is dead at the time
+    # (a slab holds D >= 2 of them) and is updated in place where it is spent.
+    slope, q, spare = scratch
+    dot, ratio = _columns(q, 2)
+    gx, ny = _columns(spare, 2)
+    _cos_terms(Xt, Y, slope, (dot, gx, ny))        # gx holds the norm of x
+    gy, g = _columns(slope, 2)
     gx += _NORM_GUARD
-    gy = ny + _NORM_GUARD
-    g = gx * gy
-    loss = float(-((dot / g).mean(axis=0)).mean())
+    np.add(ny, _NORM_GUARD, out=gy)
+    np.multiply(gx, gy, out=g)
+    loss = float(-(np.divide(dot, g, out=ratio).mean(axis=0)).mean())
     # dL/dy per column (the sigmoid keeps ny > 0), then through y = sigmoid(h)
-    slope, q = scratch
-    np.subtract(1.0, Y, out=slope)
-    slope *= Y
     gx *= ny
     gx *= np.square(gy, out=gy)
-    Y *= np.divide(dot, gx, out=dot)[:, :, None]     # dot / (ny gx gy^2)
-    Y -= np.divide(Xt, g[:, :, None], out=q)
+    a = np.divide(dot, gx, out=ny)                  # dot / (ny gx gy^2); ny is spent
+    np.divide(Xt, g[:, :, None], out=q)             # dot and ratio are spent
+    np.subtract(1.0, Y, out=slope)                  # gy and g are spent
+    slope *= Y
+    Y *= a[:, :, None]
+    Y -= q
     Y *= 1.0 / (n * T)
     Y *= slope
     return loss, Y
@@ -392,6 +405,14 @@ def loss_and_gradients(params: dict[str, np.ndarray], X: np.ndarray,
     workspace for X's shape and the parameters' bottleneck, built afresh
     when omitted.
     """
+    old = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        return _pass(params, X, work)
+    finally:
+        np.setbufsize(old)
+
+
+def _pass(params, X, work):
     n, D, T = X.shape
     B, N = params["enc_w"].shape[0], T * n
     if work is None:
@@ -400,7 +421,7 @@ def loss_and_gradients(params: dict[str, np.ndarray], X: np.ndarray,
     _forward(params, work)
     Xt, E, ZR, C, H, Y, K = work.Xt, work.E, work.ZR, work.C, work.H, work.Y, work.K
     # K is free until the backward pass, so it holds the loss's scratch products
-    loss, dH = _output_gradient(Xt, Y, K[:2])
+    loss, dH = _output_gradient(Xt, Y, K)
     dG = _backward(params, dH, ZR, C, H[:-1], K).reshape(3, N, D)
     # dH (in Y) and C are spent: Y takes r_t * h_{t-1}, then the per-gate
     # products of the encoder's gradient, which accumulates in C (an (N, B)

@@ -12,22 +12,27 @@ the belief update, and average the posterior entropies.
 E[I] = H[prior] - mean(H_posterior).
 
 Per (skill, step) randomness comes from spawned generator streams, one per
-skill, so each skill's gain is reproducible on its own.
+skill, so each skill's gain is reproducible on its own. Beyond its draws and
+its gathers, no work is per skill: a step scores the skills in array passes
+over their concatenated samples, and takes the belief's totals once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
-from .fpf import BlameConfig, FpfModel, deviation_grid, fit_fpf
+from .fpf import BlameConfig, FpfModel, deviation_grid, fit_fpf, window_mass
 from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
+# entries that one pass holds at most: the working memory of the largest
+# benchmark skill alone, so that memory does not grow with the skills
+_PASS_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,9 @@ class SkillCache:
 
     Built once per loop in O(n_obs * |S| * T) by ``deviation_grid`` on the
     skill's support S: the functions with a non-zero count in a stored run or
-    in the model's support. A success is judged at the last timestep, so the
-    deviation mass and inactivity mask there, ``success_pd`` and
-    ``success_inactive`` (n_obs, |S|), are evaluated once here; a gain
-    evaluation gathers the sampled failure times and evaluates the deviation
-    mass (erf) only there.
+    in the model's support. A success is judged at the last timestep, so its
+    likelihood ``success_lik`` (n_obs, |S|) is evaluated here once; a gain
+    evaluation evaluates the deviation mass (erf) only at sampled failures.
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
@@ -92,36 +95,127 @@ class SkillCache:
         model = fpf.on(db.support)
         self.support = model.support
         self.grid = deviation_grid(model, db.counts_stack(self.support), config)
-        self.success_pd, self.success_inactive = self.grid.at(fpf.T - 1, np.arange(len(db)))
+        self.success_lik = combine_deviation(*self.grid.at(fpf.T - 1, np.arange(len(db))),
+                                             True, config)
+
+
+def _segment_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of ``x`` over consecutive segments; an empty one sums to 0."""
+    full = lengths > 0
+    if full.all():
+        return np.add.reduceat(x, starts)
+    sums = np.zeros(starts.size, dtype=x.dtype)
+    if full.any():
+        sums[full] = np.add.reduceat(x, starts[full])
+    return sums
+
+
+def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: BlameConfig,
+                         samples: int, streams: Sequence[np.random.Generator],
+                         ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sampled posterior entropies of the caches' skills, skill after skill,
+    each in row-major (observation, sample) order; each skill's number of
+    them; and the belief's entropy.
+
+    Per skill this only draws from the skill's stream and gathers its rows.
+    The rest is one pass over the concatenated (skill, observation, sample,
+    support function) entries of a block of skills, reduced per row with
+    ``np.add.reduceat``.
+    """
+    for cache in caches:
+        if len(belief) != cache.fpf.F:
+            raise ValidationError(f"belief has {len(belief)} entries, the model {cache.fpf.F}")
+    p, ld = belief.probs, np.longdouble
+    sizes = np.array([c.support.size for c in caches])
+    rows = np.array([len(c.db) * samples for c in caches])
+    support, starts = np.concatenate([c.support for c in caches]), np.cumsum(sizes) - sizes
+    # Off the support pd = 0 and both sides are inactive, so every such
+    # function has the same likelihood c and the block of them has a closed
+    # form: with q = c/Z, it adds -q * (sum p log p + log(q) * sum p), the
+    # belief's sums less the support's. In double that difference would keep
+    # a few 1e-16 of error, which q (up to 1e4) magnifies.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+        total, plogp = plogp.sum(dtype=ld), plogp[support]
+        mass_out = np.maximum(p.sum(dtype=ld) - _segment_sums(p[support].astype(ld), starts,
+                                                               sizes), 0.0)
+        plogp_out = total - _segment_sums(plogp.astype(ld), starts, sizes)
+        plogp_out[mass_out == 0] = 0.0
+        mass_out, plogp_out = mass_out.astype(float), plogp_out.astype(float)
+        c_succ, c_fail = (float(combine_deviation(0.0, True, s, config)) for s in (True, False))
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            draws = [(rng.integers(0, 2, size=(len(c.db), samples)),
+                      rng.integers(0, c.fpf.T, size=(len(c.db), samples)))
+                     for c, rng in zip(caches[lo:hi], streams[lo:hi])]
+            n_rows = rows[lo:hi]
+            row_len = np.repeat(sizes[lo:hi], n_rows)
+            row_start, first = np.cumsum(row_len) - row_len, np.cumsum(n_rows) - n_rows
+            obs = (np.arange(n_rows.sum()) - np.repeat(first, n_rows)) // samples
+            succ = np.concatenate([s.ravel() for s, _ in draws]) != 0
+            # a success keeps its cached likelihood; failures gather their
+            # window statistics, for one erf call
+            lik = np.empty(row_len.sum())
+            n_fail = row_len[~succ].sum()
+            dev, mean, var = (np.empty(n_fail) for _ in range(3))
+            exec_on, model_on = np.empty(n_fail, bool), np.empty(n_fail, bool)
+            e = f = 0
+            for cache, (_, t), i, k in zip(caches[lo:hi], draws, first, n_rows):
+                g, o, fails = cache.grid, obs[i:i + k], ~succ[i:i + k]
+                t, fo, R = t.ravel()[fails], o[fails], cache.support.size
+                lik[e:e + k * R] = cache.success_lik[o].ravel()
+                for out, part in ((dev, g.exec_mean[t, fo]), (mean, g.mean[t]), (var, g.var[t]),
+                                  (exec_on, g.exec_active[t, fo]), (model_on, g.model_active[t])):
+                    out[f:f + part.size] = part.ravel()
+                e, f = e + k * R, f + t.size * R
+            dev -= mean       # as DeviationGrid.at
+            del mean
+            lik[np.repeat(~succ, row_len)] = combine_deviation(
+                window_mass(dev, var), ~(exec_on | model_on), False, config)
+            del dev, var, exec_on, model_on
+            e = 0
+            for cache, k in zip(caches[lo:hi], n_rows):   # times the prior
+                R = cache.support.size
+                lik[e:e + k * R].reshape(k, R)[...] *= p[cache.support]
+                e += k * R
+            c = np.where(succ, c_succ, c_fail)
+            m_out, pl_out = np.repeat(mass_out[lo:hi], n_rows), np.repeat(plogp_out[lo:hi], n_rows)
+            z = _segment_sums(lik, row_start, row_len) + c * m_out
+            lik /= np.repeat(z, row_len)
+            zero, q = lik == 0, c / z
+            lik *= np.log(lik)
+            lik[zero] = 0.0
+            return -(_segment_sums(lik, row_start, row_len) + q * (pl_out + np.log(q) * m_out))
+
+        h, lo, held = [], 0, 0
+        for i, n in enumerate(rows * sizes):
+            if i > lo and held + n > _PASS_ENTRIES:
+                h.append(block(lo, i))
+                lo, held = i, 0
+            held += n
+        h.append(block(lo, len(caches)))
+    return np.concatenate(h), rows, float(-total)
 
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
                        samples: int, rng: np.random.Generator) -> np.ndarray:
-    if len(belief) != cache.fpf.F:
-        raise ValidationError(f"belief has {len(belief)} entries, the model {cache.fpf.F}")
-    n, T = len(cache.db), cache.fpf.T
-    succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
-    t_fail = rng.integers(0, T, size=(n, samples))
-    # successes judge the full window, whose statistics the cache holds
-    lik = np.empty((n, samples, cache.support.size))
-    succ_obs, fail_obs = np.nonzero(succ)[0], np.nonzero(~succ)[0]
-    lik[succ] = combine_deviation(cache.success_pd, cache.success_inactive, True,
-                                  config)[succ_obs]
-    lik[~succ] = combine_deviation(*cache.grid.at(t_fail[~succ], fail_obs), False, config)
-    # Off the support pd = 0 and both sides are inactive, so every such
-    # function has the same likelihood c and the block of them has a closed
-    # form: with q = c/Z, it adds -q * (sum p log p + log(q) * sum p).
-    c = np.where(succ, combine_deviation(0.0, True, True, config),
-                 combine_deviation(0.0, True, False, config))
-    p_out = np.delete(belief.probs, cache.support)
-    mass_out, plogp_out = p_out.sum(), -entropy(p_out)
-    w = lik * belief.probs[cache.support]
-    z = w.sum(axis=2) + c * mass_out
-    w /= z[:, :, None]
-    q = c / z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0, w * np.log(w), 0.0)
-    return -(terms.sum(axis=2) + q * (plogp_out + np.log(q) * mass_out)).ravel()
+    return _posterior_entropies(belief, [cache], config, samples, [rng])[0]
+
+
+def _gain_estimates(belief: Belief, caches: Sequence[SkillCache], planner: PlannerConfig,
+                    blame: BlameConfig, streams: Sequence[np.random.Generator],
+                    ) -> list[GainEstimate]:
+    """E[I] with its Monte-Carlo standard error for every cache's skill, in
+    order, each from its own stream of ``streams``."""
+    h, rows, prior = _posterior_entropies(belief, caches, blame,
+                                          planner.samples_per_observation, streams)
+    starts = np.cumsum(rows) - rows
+    mean = np.add.reduceat(h, starts) / rows
+    dev = h - np.repeat(mean, rows)
+    se = np.sqrt(np.add.reduceat(dev * dev, starts) / np.maximum(rows - 1, 1)) / np.sqrt(rows)
+    return [GainEstimate(gain=float(prior - m), stderr=float(e) if k > 1 else 0.0,
+                         n_samples=int(k))
+            for m, e, k in zip(mean, se, rows)]
 
 
 def information_gain_stats(belief: Belief, db: ExperienceDb, fpf: FpfModel,
@@ -131,10 +225,7 @@ def information_gain_stats(belief: Belief, db: ExperienceDb, fpf: FpfModel,
     """E[I] with its Monte-Carlo standard error."""
     if cache is None:
         cache = SkillCache(db, fpf, blame)
-    h_sam = _sampled_entropies(belief, cache, blame, planner.samples_per_observation, rng)
-    se = float(h_sam.std(ddof=1) / np.sqrt(h_sam.size)) if h_sam.size > 1 else 0.0
-    return GainEstimate(gain=float(entropy(belief) - h_sam.mean()),
-                        stderr=se, n_samples=int(h_sam.size))
+    return _gain_estimates(belief, [cache], planner, blame, [rng])[0]
 
 
 def select_skill(belief: Belief, caches: Mapping[SkillId, SkillCache],
@@ -145,9 +236,8 @@ def select_skill(belief: Belief, caches: Mapping[SkillId, SkillCache],
     skills = tuple(caches)
     if not skills:
         raise ValidationError("need at least one skill to select from")
-    estimates = [
-        information_gain_stats(belief, c.db, c.fpf, planner, blame, stream, cache=c)
-        for c, stream in zip(caches.values(), rng.spawn(len(skills)))]
+    estimates = _gain_estimates(belief, list(caches.values()), planner, blame,
+                                rng.spawn(len(skills)))
     best = 0
     for i in range(1, len(skills)):
         if estimates[i].gain > estimates[best].gain + _TIE_TOL:

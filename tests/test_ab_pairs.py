@@ -76,14 +76,30 @@ def test_both_trees_of_one_commit_are_alike(tmp_path, monkeypatch):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
                         "-c", "commit.gpgsign=false", *argv], cwd=repo, check=True)
     monkeypatch.setattr(ab_pairs, "ROOT", str(repo))
-    ab_pairs._tree("HEAD", str(tmp_path / "parent"))
-    ab_pairs._tree(None, str(tmp_path / "change"))
+    ab_pairs._write(ab_pairs._files("HEAD"), str(tmp_path / "parent"))
+    ab_pairs._write(ab_pairs._files(None), str(tmp_path / "change"))
     committed = {".gitignore": b"*.log\n", "data.bin": bytes(range(256)),
                  os.path.join("pkg", "mod.py"): b"x = 1\n"}
     assert _files(tmp_path / "parent") == _files(tmp_path / "change") == committed
     # an uncommitted edit and a new unignored file reach the change's tree only
     (repo / "pkg" / "mod.py").write_bytes(b"x = 2\n")
     (repo / "new.py").write_bytes(b"y = 1\n")
-    ab_pairs._tree(None, str(tmp_path / "edited"))
+    ab_pairs._write(ab_pairs._files(None), str(tmp_path / "edited"))
     assert _files(tmp_path / "edited") == {**committed, os.path.join("pkg", "mod.py"): b"x = 2\n",
                                            "new.py": b"y = 1\n"}
+
+
+def test_schedule_swaps_directories_halfway():
+    for pairs in (2, 6, 10):
+        schedule = ab_pairs._schedule(pairs)
+        assert [order[0] for order, _ in schedule] == ["parent", "change"] * (pairs // 2)
+        assert all(set(order) == {"parent", "change"} for order, _ in schedule)
+        assert all(dirs["parent"] != dirs["change"] for _, dirs in schedule)
+        # each side runs from each directory in half of the pairs, in two blocks
+        for side in ("parent", "change"):
+            where = [dirs[side] for _, dirs in schedule]
+            assert where.count("a") == where.count("b") == pairs // 2
+            assert where == sorted(where) or where == sorted(where, reverse=True)
+    # an odd count gives the first half the extra pair
+    assert [dirs["parent"] for _, dirs in ab_pairs._schedule(5)] == ["a", "a", "a", "b", "b"]
+    assert ab_pairs._schedule(1) == [(("parent", "change"), {"parent": "a", "change": "b"})]

@@ -361,6 +361,23 @@ class TestWorkspace:
         assert cold > 9 * slab
         assert warm < slab
 
+    def test_warm_epoch_allocates_less_than_one_column(self):
+        # the sensor-model benchmark's batch shape; a (T, n) column of the
+        # cosine is the smallest array a pass could allocate per epoch
+        rng = np.random.default_rng(24)
+        n, D, B, T = 30, 8, 7, 200
+        params = random_params(D, B, rng)
+        X = rng.uniform(0.0, 1.0, (n, D, T))
+        work = _Workspace(n, D, T, B)
+        loss_and_gradients(params, X, work=work)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(params, X, work=work)
+            warm = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm < T * n * 8
+
     def test_train_calls_loss_and_gradients_once_per_epoch(self, monkeypatch):
         rng = np.random.default_rng(23)
         seqs = [SensorSeries(rng.uniform(0.0, 1.0, (4, 12))) for _ in range(3)]

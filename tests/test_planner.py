@@ -11,7 +11,8 @@ from blamebox.blame import combine_deviation
 from blamebox.core import Fingerprint, Observation, SensorSeries
 from blamebox.fpf import deviation_grid, fit_fpf
 from blamebox.mom import ErrorStats, MomConfig, init_model
-from blamebox.planner import _sampled_entropies
+import blamebox.planner as planner_mod
+from blamebox.planner import _posterior_entropies, _sampled_entropies
 
 CFG = BlameConfig(alpha=0.2, window_steps=3)
 PLAN = PlannerConfig(samples_per_observation=64, seed=0)
@@ -69,25 +70,32 @@ def full_registry_entropies(belief, db, fpf, samples, seed):
 
 def gathered_entropies(belief, cache, samples, seed):
     """``_sampled_entropies`` with every sampled time, successes' T - 1
-    included, gathered from the grid, from the same draws."""
-    n, T = len(cache.db), cache.fpf.T
+    included, gathered from the grid, from the same draws and with the same
+    arithmetic: row sums by ``np.add.reduceat``, and the off-support sums as
+    the belief's totals minus the support's, in long double."""
+    n, T, R = len(cache.db), cache.fpf.T, cache.support.size
     rng = np.random.default_rng(seed)
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
     t_eff = np.where(succ, T - 1, rng.integers(0, T, size=(n, samples)))
     pd, inactive = cache.grid.at(t_eff, np.arange(n)[:, None])
     lik = np.where(succ[:, :, None], combine_deviation(pd, inactive, True, CFG),
-                   combine_deviation(pd, inactive, False, CFG))
+                   combine_deviation(pd, inactive, False, CFG)).ravel()
     c = np.where(succ, combine_deviation(0.0, True, True, CFG),
-                 combine_deviation(0.0, True, False, CFG))
-    p_out = np.delete(belief.probs, cache.support)
-    mass_out, plogp_out = p_out.sum(), -entropy(p_out)
-    w = lik * belief.probs[cache.support]
-    z = w.sum(axis=2) + c * mass_out
-    w /= z[:, :, None]
-    q = c / z
+                 combine_deviation(0.0, True, False, CFG)).ravel()
+    p, rows = belief.probs, np.arange(0, lik.size, R)
     with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p > 0, p * np.log(p), 0.0)
+        ld = np.longdouble
+        mass_out = float(max(p.sum(dtype=ld) - np.add.reduceat(p[cache.support].astype(ld),
+                                                               [0])[0], 0.0))
+        plogp_out = float(plogp.sum(dtype=ld) - np.add.reduceat(
+            plogp[cache.support].astype(ld), [0])[0]) if mass_out > 0 else 0.0
+        w = lik * np.tile(p[cache.support], n * samples)
+        z = np.add.reduceat(w, rows) + c * mass_out
+        w /= np.repeat(z, R)
+        q = c / z
         terms = np.where(w > 0, w * np.log(w), 0.0)
-    return -(terms.sum(axis=2) + q * (plogp_out + np.log(q) * mass_out)).ravel()
+        return -(np.add.reduceat(terms, rows) + q * (plogp_out + np.log(q) * mass_out))
 
 
 class TestExpectedInformationGain:
@@ -159,8 +167,7 @@ class TestExpectedInformationGain:
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f3")}, F=4, T=10, n=5, seed=seed)
         cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
         pd, inactive = cache.grid.at(9, np.arange(5))
-        assert np.array_equal(cache.success_pd, pd)
-        assert np.array_equal(cache.success_inactive, inactive)
+        assert np.array_equal(cache.success_lik, combine_deviation(pd, inactive, True, CFG))
         belief = Belief(np.array([0.4, 0.3, 0.2, 0.1]))
         got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(seed))
         assert np.array_equal(got, gathered_entropies(belief, cache, 16, seed))
@@ -227,13 +234,66 @@ class TestSelectSkill:
 
     def test_tie_breaks_to_lowest_index(self, monkeypatch):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1",), "s2": ("f1",)})
-        import blamebox.planner as planner_mod
         monkeypatch.setattr(
-            planner_mod, "information_gain_stats",
-            lambda *a, **k: planner_mod.GainEstimate(gain=0.25, stderr=0.0, n_samples=1))
+            planner_mod, "_gain_estimates",
+            lambda belief, caches, *a, **k: [
+                planner_mod.GainEstimate(gain=0.25, stderr=0.0, n_samples=1)] * len(caches))
         chosen, _, _ = select_skill(Belief.uniform(2), caches_of(dbs, fpfs, ("s2", "s1")),
                                     PLAN, CFG, np.random.default_rng(0))
         assert chosen == "s2"  # first in the given ordering
+
+    def test_each_gain_is_the_skills_own(self):
+        # skills that differ in support, database size and T, scored in one
+        # pass, each get the gain their own evaluation gives from their stream
+        caches = {}
+        for skill, used, T, n in (("s1", ("f1", "f2"), 6, 4), ("s2", ("f3",), 9, 7),
+                                  ("s3", ("f2", "f4", "f5"), 5, 3)):
+            _, _, dbs, fpfs = toy_setup({skill: used}, F=6, T=T, n=n, seed=T)
+            caches[skill] = SkillCache(dbs[skill], fpfs[skill], CFG)
+        assert len({c.support.size for c in caches.values()}) == 3
+        belief = Belief(np.random.default_rng(5).dirichlet(np.ones(6)))
+        _, _, gains = select_skill(belief, caches, PLAN, CFG, np.random.default_rng(7))
+        streams = np.random.default_rng(7).spawn(3)
+        for (skill, c), stream in zip(caches.items(), streams):
+            own = information_gain_stats(belief, c.db, c.fpf, PLAN, CFG, stream, cache=c)
+            assert gains[skill].n_samples == own.n_samples == len(c.db) * 64
+            assert abs(gains[skill].gain - own.gain) <= 1e-12
+            assert abs(gains[skill].stderr - own.stderr) <= 1e-12
+
+    def test_blocks_change_no_gain(self, monkeypatch):
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2"), "s2": ("f2",), "s3": ("f1", "f3"),
+                                     "s4": ("f3",)}, F=3, T=6, n=5)
+        caches = caches_of(dbs, fpfs, ("s1", "s2", "s3", "s4"))
+        belief = Belief(np.array([0.5, 0.3, 0.2]))
+        one_pass = select_skill(belief, caches, PLAN, CFG, np.random.default_rng(4))[2]
+        # a block per skill
+        monkeypatch.setattr(planner_mod, "_PASS_ENTRIES", 1)
+        assert select_skill(belief, caches, PLAN, CFG, np.random.default_rng(4))[2] == one_pass
+
+    @pytest.mark.parametrize("probs", [
+        [0.0, 0.3, 0.0, 0.2, 0.5, 0.0],     # s1's support holds all the mass
+        [0.3, 0.0, 0.1, 0.2, 0.15, 0.25],   # zero on part of s1's and s2's supports
+    ])
+    def test_one_pass_matches_full_registry(self, probs):
+        _, _, dbs, fpfs = toy_setup({"s1": ("f2", "f4", "f5"), "s2": ("f2", "f4"),
+                                     "s3": ("f1",)}, F=6, T=7, n=4, seed=2)
+        registry, _, _, _ = toy_setup({"s1": ("f1",)}, F=6, T=7, n=4)
+        # a skill whose runs call nothing has an empty support
+        empty = ExperienceDb.from_observations("s3", [
+            Observation(sensors=None, skill="s3", success=True,
+                        fingerprint=Fingerprint(np.zeros((6, 7)), dt=o.fingerprint.dt))
+            for o in dbs["s3"].observations], registry)
+        pairs = [(dbs["s1"], fpfs["s1"]), (empty, fit_fpf(empty, CFG)), (dbs["s2"], fpfs["s2"])]
+        caches = [SkillCache(db, fpf, CFG) for db, fpf in pairs]
+        assert [c.support.size for c in caches] == [3, 0, 2]
+        belief = Belief(np.array(probs))
+        h, rows, prior = _posterior_entropies(belief, caches, CFG, 6,
+                                              [np.random.default_rng(s) for s in (1, 2, 3)])
+        assert np.isfinite(h).all() and list(rows) == [24, 24, 24]
+        assert prior == pytest.approx(entropy(belief), abs=1e-15)
+        for (db, fpf), block, seed in zip(pairs, np.split(h, 3), (1, 2, 3)):
+            expected, _ = full_registry_entropies(belief, db, fpf, 6, seed)
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12)
 
     def test_discriminating_skill_wins(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2"), "s2": ("f2",)}, F=3)

@@ -3,21 +3,25 @@
     python3 tools/ab_pairs.py --parent <rev> --out BENCH_<n>.json \
         [--pairs 10] [--seed 1] [--workload <name> ...]
 
-Writes the committed files of ``--parent`` and this checkout's tracked and
-unignored files as they stand (uncommitted edits included) into two fresh
-directories on one file system, both through one routine, so that the trees
-differ in their files' content alone and the repository gains no worktree
-entry. For each workload it then runs ``python3 perfbench/run.py`` for
-BENCHMARK.json's ``run_seconds`` on the two trees one after the other, for
-``--pairs`` pairs, the parent first in even pairs and the change first in
-odd ones, so that a slow drift of the machine favours neither side.
+Reads the committed files of ``--parent`` and this checkout's tracked and
+unignored files as they stand (uncommitted edits included) once, and writes
+them into two fresh directories on one file system, ``a`` and ``b``, both
+through one routine and always ``a`` first, so that the trees differ in their
+files' content alone and the repository gains no worktree entry. For each
+workload it then runs ``python3 perfbench/run.py`` for BENCHMARK.json's
+``run_seconds`` on the two trees one after the other, for ``--pairs`` pairs,
+the parent first in even pairs and the change first in odd ones, so that a
+slow drift of the machine favours neither side. Halfway through a workload's
+pairs the trees are written again with the sides swapped, so each side runs
+from each directory equally often and whatever favours one directory (its
+path, where its files landed, being written second) favours neither side.
 
 The output file holds, per workload and per end-to-end metric of
 BENCHMARK.json, each side's runs, median and quartiles, the pairs the
 change won (ties count for neither side), the change of the median, and
 whether the change's median stays within the metric's bound; it also holds
-every run's correctness and failed operations, and facts about the
-machine. Only the standard library is used.
+every run's correctness, failed operations and directory, and facts about
+the machine. Only the standard library is used.
 """
 from __future__ import annotations
 
@@ -41,26 +45,53 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _tree(rev: str | None, dest: str) -> None:
-    """Write under ``dest`` the files of commit ``rev`` or, when ``rev`` is
-    None, this checkout's tracked and unignored files as they stand (a tracked
-    file deleted in the checkout is left out). Both sides go through this one
-    loop, so two trees of one commit hold the same names and bytes."""
+def _files(rev: str | None) -> dict[str, bytes]:
+    """The files of commit ``rev`` or, when ``rev`` is None, this checkout's
+    tracked and unignored files as they stand (a tracked file deleted in the
+    checkout is left out), by name."""
     if rev is None:
         names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
         names = [n for n in names if n and os.path.isfile(os.path.join(ROOT, n))]
     else:
         names = list(filter(None, _git("ls-tree", "-r", "-z", "--name-only", rev).split("\0")))
+    files = {}
     for name in names:
         if rev is None:
             with open(os.path.join(ROOT, name), "rb") as fh:
-                data = fh.read()
+                files[name] = fh.read()
         else:
-            data = subprocess.run(["git", "cat-file", "blob", f"{rev}:{name}"], cwd=ROOT,
-                                  check=True, capture_output=True).stdout
+            files[name] = subprocess.run(["git", "cat-file", "blob", f"{rev}:{name}"],
+                                         cwd=ROOT, check=True, capture_output=True).stdout
+    return files
+
+
+def _write(files: dict[str, bytes], dest: str) -> None:
+    """Write ``files`` under ``dest``. Both sides go through this one
+    routine, so two trees of one commit hold the same names and bytes."""
+    for name, data in files.items():
         os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
         with open(os.path.join(dest, name), "wb") as fh:
             fh.write(data)
+
+
+def _schedule(pairs: int) -> list[tuple[tuple[str, str], dict[str, str]]]:
+    """For each pair, the order in which the two sides run and the directory
+    each runs from. The first runner alternates, the parent first in even
+    pairs; the sides swap directories after the first half of the pairs (its
+    larger half when ``pairs`` is odd)."""
+    half = (pairs + 1) // 2
+    return [(("parent", "change") if i % 2 == 0 else ("change", "parent"),
+             {"parent": "a", "change": "b"} if i < half else {"parent": "b", "change": "a"})
+            for i in range(pairs)]
+
+
+def _lay_out(temp: str, files: dict[str, dict[str, bytes]], dirs: dict[str, str]) -> None:
+    """Write each side's files afresh into its directory under ``temp``,
+    directory ``a`` first whichever side it holds."""
+    for side, d in sorted(dirs.items(), key=lambda item: item[1]):
+        dest = os.path.join(temp, d)
+        shutil.rmtree(dest, ignore_errors=True)
+        _write(files[side], dest)
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -180,27 +211,27 @@ def main() -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     temp = tempfile.mkdtemp(prefix="ab_pairs-")
     try:
-        parent_tree, change_tree = os.path.join(temp, "parent"), os.path.join(temp, "change")
         parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-        _tree(parent_sha, parent_tree)
-        _tree(None, change_tree)
+        files = {"parent": _files(parent_sha), "change": _files(None)}
         dirty = _git("status", "--porcelain")
         change = _git("rev-parse", "HEAD") + (" with uncommitted edits" if dirty else "")
-        trees = {"parent": parent_tree, "change": change_tree}
         report = {"parent": parent_sha, "change": change, "pairs": args.pairs,
                   "seconds": seconds, "seed": args.seed,
                   "command": bench["command"], "machine_before": _machine(),
                   "workloads": {}}
+        layout = None
         for workload in workloads:
             runs = {"parent": [], "change": []}
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for i, (order, dirs) in enumerate(_schedule(args.pairs)):
+                if dirs != layout:
+                    _lay_out(temp, files, dirs)
+                    layout = dirs
                 for side in order:
                     start = time.time()
-                    result = _run(trees[side], workload, args.seed, seconds)
-                    result.update(order=order.index(side), started=start)
+                    result = _run(os.path.join(temp, dirs[side]), workload, args.seed, seconds)
+                    result.update(order=order.index(side), started=start, directory=dirs[side])
                     runs[side].append(result)
-                    print(f"{workload} pair {i} {side}: "
+                    print(f"{workload} pair {i} {side} in {dirs[side]}: "
                           f"{result.get('metrics', result.get('error'))}", file=sys.stderr)
             report["workloads"][workload] = {
                 "metrics": {m["name"]: _compare(runs["parent"], runs["change"], m)
@@ -213,10 +244,10 @@ def main() -> int:
                 "errors": {side: [r["error"] for r in rs if "error" in r]
                            for side, rs in runs.items()},
             }
+            # read before the next layout or the finally block removes the trees
+            report.setdefault("library_facts", {})[workload] = _library_facts(
+                os.path.join(temp, layout["change"]), workload, args.seed)
         report["machine_after"] = _machine()
-        # read before the finally block removes the trees
-        report["library_facts"] = {w: _library_facts(change_tree, w, args.seed)
-                                   for w in workloads}
     finally:
         shutil.rmtree(temp, ignore_errors=True)
     with open(args.out, "w", encoding="utf-8") as fh:
