@@ -243,6 +243,7 @@ def main() -> int:
                 "failed_share": {side: _failed_share(rs) for side, rs in runs.items()},
                 "errors": {side: [r["error"] for r in rs if "error" in r]
                            for side, rs in runs.items()},
+                "directories": {side: [r["directory"] for r in rs] for side, rs in runs.items()},
             }
             # read before the next layout or the finally block removes the trees
             report.setdefault("library_facts", {})[workload] = _library_facts(
