@@ -30,8 +30,8 @@ from .fpf import BlameConfig, FpfModel, deviation_grid, fit_fpf, window_mass
 from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
-# entries that one pass holds at most: the working memory of the largest
-# benchmark skill alone, so that memory does not grow with the skills
+# entries that one pass holds at most, about two benchmark skills' worth,
+# so that a step's memory does not grow with the number of skills
 _PASS_ENTRIES = 2048
 
 
