@@ -96,6 +96,8 @@ class MomConfig:
             raise ConfigError("smoothing_window must be >= 1")
         if not self.z_threshold > 0:
             raise ConfigError("z_threshold must be positive")
+        if not self.seed >= 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

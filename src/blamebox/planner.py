@@ -12,9 +12,9 @@ the belief update, and average the posterior entropies.
 E[I] = H[prior] - mean(H_posterior).
 
 Per (skill, step) randomness comes from spawned generator streams, one per
-skill, so each skill's gain is reproducible on its own. Beyond its draws and
-its gathers, no work is per skill: a step scores the skills in array passes
-over their concatenated samples, and takes the belief's totals once.
+skill, so each skill's gain is reproducible on its own. A step takes the
+belief's totals once and then scores the skills one after another, each in
+one dense array pass over its own samples and support.
 """
 from __future__ import annotations
 
@@ -30,9 +30,6 @@ from .fpf import BlameConfig, FpfModel, deviation_grid, fit_fpf, window_mass
 from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
-# entries that one pass holds at most, about two benchmark skills' worth,
-# so that a step's memory does not grow with the number of skills
-_PASS_ENTRIES = 2048
 
 
 @dataclass(frozen=True)
@@ -53,6 +50,8 @@ class PlannerConfig:
             raise ConfigError("convergence_patience must be >= 1")
         if not self.max_iterations >= 1:
             raise ConfigError("max_iterations must be >= 1")
+        if not self.seed >= 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,15 +98,13 @@ class SkillCache:
                                              True, config)
 
 
-def _segment_sums(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of ``x`` over consecutive segments; an empty one sums to 0."""
-    full = lengths > 0
-    if full.all():
-        return np.add.reduceat(x, starts)
-    sums = np.zeros(starts.size, dtype=x.dtype)
-    if full.any():
-        sums[full] = np.add.reduceat(x, starts[full])
-    return sums
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added in ``np.add.reduceat``'s order (which
+    ``ndarray.sum`` leaves once a row holds three entries); an empty row sums
+    to 0."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1], dtype=x.dtype)
+    return np.add.reduceat(x, [0], axis=-1)[..., 0]
 
 
 def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: BlameConfig,
@@ -117,18 +114,13 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
     each in row-major (observation, sample) order; each skill's number of
     them; and the belief's entropy.
 
-    Per skill this only draws from the skill's stream and gathers its rows.
-    The rest is one pass over the concatenated (skill, observation, sample,
-    support function) entries of a block of skills, reduced per row with
-    ``np.add.reduceat``.
+    Each skill is one dense pass over its (observation and sample, support
+    function) array, drawn from the skill's own stream.
     """
     for cache in caches:
         if len(belief) != cache.fpf.F:
             raise ValidationError(f"belief has {len(belief)} entries, the model {cache.fpf.F}")
     p, ld = belief.probs, np.longdouble
-    sizes = np.array([c.support.size for c in caches])
-    rows = np.array([len(c.db) * samples for c in caches])
-    support, starts = np.concatenate([c.support for c in caches]), np.cumsum(sizes) - sizes
     # Off the support pd = 0 and both sides are inactive, so every such
     # function has the same likelihood c and the block of them has a closed
     # form: with q = c/Z, it adds -q * (sum p log p + log(q) * sum p), the
@@ -136,65 +128,31 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
     # a few 1e-16 of error, which q (up to 1e4) magnifies.
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
-        total, plogp = plogp.sum(dtype=ld), plogp[support]
-        mass_out = np.maximum(p.sum(dtype=ld) - _segment_sums(p[support].astype(ld), starts,
-                                                               sizes), 0.0)
-        plogp_out = total - _segment_sums(plogp.astype(ld), starts, sizes)
-        plogp_out[mass_out == 0] = 0.0
-        mass_out, plogp_out = mass_out.astype(float), plogp_out.astype(float)
+        total, mass = plogp.sum(dtype=ld), p.sum(dtype=ld)
         c_succ, c_fail = (float(combine_deviation(0.0, True, s, config)) for s in (True, False))
-
-        def block(lo: int, hi: int) -> np.ndarray:
-            draws = [(rng.integers(0, 2, size=(len(c.db), samples)),
-                      rng.integers(0, c.fpf.T, size=(len(c.db), samples)))
-                     for c, rng in zip(caches[lo:hi], streams[lo:hi])]
-            n_rows = rows[lo:hi]
-            row_len = np.repeat(sizes[lo:hi], n_rows)
-            row_start, first = np.cumsum(row_len) - row_len, np.cumsum(n_rows) - n_rows
-            obs = (np.arange(n_rows.sum()) - np.repeat(first, n_rows)) // samples
-            succ = np.concatenate([s.ravel() for s, _ in draws]) != 0
+        h = []
+        for cache, rng in zip(caches, streams):
+            S, g = cache.support, cache.grid
+            succ = rng.integers(0, 2, size=(len(cache.db), samples)).ravel() != 0
+            fail = ~succ
+            t, o = rng.integers(0, cache.fpf.T, size=fail.size)[fail], fail.nonzero()[0] // samples
             # a success keeps its cached likelihood; failures gather their
             # window statistics, for one erf call
-            lik = np.empty(row_len.sum())
-            n_fail = row_len[~succ].sum()
-            dev, mean, var = (np.empty(n_fail) for _ in range(3))
-            exec_on, model_on = np.empty(n_fail, bool), np.empty(n_fail, bool)
-            e = f = 0
-            for cache, (_, t), i, k in zip(caches[lo:hi], draws, first, n_rows):
-                g, o, fails = cache.grid, obs[i:i + k], ~succ[i:i + k]
-                t, fo, R = t.ravel()[fails], o[fails], cache.support.size
-                lik[e:e + k * R] = cache.success_lik[o].ravel()
-                for out, part in ((dev, g.exec_mean[t, fo]), (mean, g.mean[t]), (var, g.var[t]),
-                                  (exec_on, g.exec_active[t, fo]), (model_on, g.model_active[t])):
-                    out[f:f + part.size] = part.ravel()
-                e, f = e + k * R, f + t.size * R
-            dev -= mean       # as DeviationGrid.at
-            del mean
-            lik[np.repeat(~succ, row_len)] = combine_deviation(
-                window_mass(dev, var), ~(exec_on | model_on), False, config)
-            del dev, var, exec_on, model_on
-            e = 0
-            for cache, k in zip(caches[lo:hi], n_rows):   # times the prior
-                R = cache.support.size
-                lik[e:e + k * R].reshape(k, R)[...] *= p[cache.support]
-                e += k * R
-            c = np.where(succ, c_succ, c_fail)
-            m_out, pl_out = np.repeat(mass_out[lo:hi], n_rows), np.repeat(plogp_out[lo:hi], n_rows)
-            z = _segment_sums(lik, row_start, row_len) + c * m_out
-            lik /= np.repeat(z, row_len)
+            lik = np.repeat(cache.success_lik, samples, axis=0)
+            lik[fail] = combine_deviation(window_mass(g.exec_mean[t, o] - g.mean[t], g.var[t]),
+                                          ~(g.exec_active[t, o] | g.model_active[t]), False,
+                                          config)
+            lik *= p[S]
+            mass_out = max(mass - _row_sums(p[S].astype(ld)), 0.0)
+            plogp_out = float(total - _row_sums(plogp[S].astype(ld))) if mass_out > 0 else 0.0
+            mass_out, c = float(mass_out), np.where(succ, c_succ, c_fail)
+            z = _row_sums(lik) + c * mass_out
+            lik /= z[:, None]
             zero, q = lik == 0, c / z
             lik *= np.log(lik)
             lik[zero] = 0.0
-            return -(_segment_sums(lik, row_start, row_len) + q * (pl_out + np.log(q) * m_out))
-
-        h, lo, held = [], 0, 0
-        for i, n in enumerate(rows * sizes):
-            if i > lo and held + n > _PASS_ENTRIES:
-                h.append(block(lo, i))
-                lo, held = i, 0
-            held += n
-        h.append(block(lo, len(caches)))
-    return np.concatenate(h), rows, float(-total)
+            h.append(-(_row_sums(lik) + q * (plogp_out + np.log(q) * mass_out)))
+    return np.concatenate(h), np.array([x.size for x in h]), float(-total)
 
 
 def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
@@ -285,7 +243,8 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
     """The autonomous testing loop over the skills of ``dbs``, in its order.
 
     Fits each skill's fingerprint model from its database and builds its
-    cache once; every skill in ``mom_by_skill`` must have a database.
+    cache once; every database must cover the same functions, and every
+    skill in ``mom_by_skill`` must have a database.
     Starts from a uniform belief, repeatedly selects the gain-maximizing
     skill, executes it, locates the failure time (detector first, then the
     executor's report, then the final timestep), and updates the belief.
@@ -299,6 +258,12 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
     """
     if not dbs:
         raise ValidationError("the testing loop needs at least one skill")
+    widths = {s: db.observations[0].fingerprint.F for s, db in dbs.items()}
+    first = next(iter(widths))
+    for s, F in widths.items():
+        if F != widths[first]:
+            raise ValidationError(f"the database of skill {s!r} covers {F} functions, "
+                                  f"that of skill {first!r} {widths[first]}")
     mom_by_skill = mom_by_skill or {}
     for s in mom_by_skill:
         if s not in dbs:

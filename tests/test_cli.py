@@ -213,6 +213,17 @@ class TestLocalize:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["top"][0]["function"] == "f2"
 
+    def test_negative_seed_names_the_field(self, tmp_path, capsys):
+        reg = FunctionRegistry(["f1", "f2"])
+        spec = SimSkillSpec(skill="s1", used_functions=("f1",), T=10, dt=0.1)
+        rng = np.random.default_rng(0)
+        world = SimWorld(registry=reg, buggy_functions=frozenset({"f1"}))
+        save_study(str(tmp_path / "study"), reg, {"s1": build_database(spec, reg, rng, 4)},
+                   dt=0.1, replay={"s1": [simulate_execution(spec, world, rng)]})
+        assert main(["localize", "--study", str(tmp_path / "study"),
+                     "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
     def test_study_without_replay_fails_cleanly(self, tmp_path, capsys):
         reg = FunctionRegistry(["f1", "f2"])
         spec = SimSkillSpec(skill="s1", used_functions=("f1",), T=10, dt=0.1)

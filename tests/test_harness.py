@@ -376,7 +376,7 @@ class TestScenarios:
     (PlannerConfig, "samples_per_observation"), (PlannerConfig, "convergence_epsilon"),
     (PlannerConfig, "convergence_patience"), (PlannerConfig, "max_iterations"),
     (MomConfig, "bottleneck"), (MomConfig, "epochs"), (MomConfig, "smoothing_window"),
-    (MomConfig, "z_threshold")])
+    (MomConfig, "z_threshold"), (PlannerConfig, "seed"), (MomConfig, "seed")])
 def test_nan_fails_config_range_checks(config, key):
     with pytest.raises(ConfigError, match=key):
         config(**{key: math.nan})

@@ -171,6 +171,15 @@ class TestExpectedInformationGain:
         belief = Belief(np.array([0.4, 0.3, 0.2, 0.1]))
         got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(seed))
         assert np.array_equal(got, gathered_entropies(belief, cache, 16, seed))
+        # from three support functions on, ndarray.sum adds a row in another
+        # order than np.add.reduceat, so only a wider skill pins the order
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2", "f4", "f5", "f7")}, F=7, T=10, n=5,
+                                    seed=seed)
+        cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
+        assert cache.support.size == 5
+        belief = Belief(np.random.default_rng(seed).dirichlet(np.ones(7)))
+        got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(seed))
+        assert np.array_equal(got, gathered_entropies(belief, cache, 16, seed))
 
     def test_support_block_matches_full_registry(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f2", "f3", "f5")}, F=6, T=12, n=5, seed=7)
@@ -244,7 +253,7 @@ class TestSelectSkill:
 
     def test_each_gain_is_the_skills_own(self):
         # skills that differ in support, database size and T, scored in one
-        # pass, each get the gain their own evaluation gives from their stream
+        # step, each get the gain their own evaluation gives from their stream
         caches = {}
         for skill, used, T, n in (("s1", ("f1", "f2"), 6, 4), ("s2", ("f3",), 9, 7),
                                   ("s3", ("f2", "f4", "f5"), 5, 3)):
@@ -259,16 +268,6 @@ class TestSelectSkill:
             assert gains[skill].n_samples == own.n_samples == len(c.db) * 64
             assert abs(gains[skill].gain - own.gain) <= 1e-12
             assert abs(gains[skill].stderr - own.stderr) <= 1e-12
-
-    def test_blocks_change_no_gain(self, monkeypatch):
-        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2"), "s2": ("f2",), "s3": ("f1", "f3"),
-                                     "s4": ("f3",)}, F=3, T=6, n=5)
-        caches = caches_of(dbs, fpfs, ("s1", "s2", "s3", "s4"))
-        belief = Belief(np.array([0.5, 0.3, 0.2]))
-        one_pass = select_skill(belief, caches, PLAN, CFG, np.random.default_rng(4))[2]
-        # a block per skill
-        monkeypatch.setattr(planner_mod, "_PASS_ENTRIES", 1)
-        assert select_skill(belief, caches, PLAN, CFG, np.random.default_rng(4))[2] == one_pass
 
     @pytest.mark.parametrize("probs", [
         [0.0, 0.3, 0.0, 0.2, 0.5, 0.0],     # s1's support holds all the mass
@@ -385,6 +384,13 @@ class TestLoop:
                                     plan, CFG)
         assert trace.skills == ("s2", "s1") and trace.steps
         assert all(list(step.gains) == ["s2", "s1"] for step in trace.steps)
+
+    def test_registries_of_another_size_name_both_skills(self):
+        _, executor, dbs = self._world({"s1": ("f1", "f2")}, buggy=("f1",), F=5)
+        _, _, wider, _ = toy_setup({"s2": ("f2", "f3")}, F=7, T=8, n=4)
+        with pytest.raises(ValidationError, match="^the database of skill 's2' covers 7 "
+                                                  "functions, that of skill 's1' 5$"):
+            run_testing_loop(executor, {**dbs, **wider}, None, PLAN, CFG)
 
     def test_epsilon_mass_stays_suppressed(self):
         registry, executor, dbs = self._world(
