@@ -28,30 +28,35 @@ holds every large array a pass writes: the input, the encodings, the gates,
 the states, the output and the gate gradients. ``train`` builds one
 workspace and reuses it on every epoch, so a warm epoch allocates nothing of
 (T, n) size, and no memory goes back to the system only to be faulted in
-again by the next epoch. Scoring (``error_rows``, ``error_series``,
-``reconstruct``) builds one without the backward buffers. Scratch products
-and the loss's (T, n) columns go into buffers that are dead at that moment:
-the gradient slab before the backward pass, the output and candidate buffers
-after it.
+again by the next epoch. It also holds each loop's per-step views and small
+buffers, built once, so a step creates no array object. Scoring
+(``error_rows``, ``error_series``, ``reconstruct``) builds one without the
+backward buffers and views. Scratch products and the loss's (T, n) columns
+go into buffers that are dead at that moment: the gradient slab before the
+backward pass, the output and candidate buffers after it.
 
 Whatever does not depend on the hidden state is computed for all T at once
 (after Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946): the encodings
-as one (T n, D) GEMM, and each gate's input product as one GEMM over all
-T n rows, every weight operand a contiguous copy. The update and reset
-gates share one time-major slab ZR (T, 2, n, D), so each step's z|r block is
-one contiguous (2, n, D) array; the candidate gate has its own (T, n, D)
-array C. z and r are held negated until their sigmoid, through -gate_w[:2],
+as one (T n, D) GEMM, and each gate's input product as one GEMM over all T n
+rows, every weight operand a contiguous copy. The update and reset gates
+share one time-major slab ZR (T, 2, n, D), so each step's z|r block is one
+contiguous (2, n, D) array; the candidate gate has its own (T, n, D) array
+C. z and r are held negated until their sigmoid, through -gate_w[:2],
 -gate_b[:2] and -gate_u[:2]: IEEE negation is exact, so each step's sigmoid
 is three in-place ufuncs on the slab (exp, += 1, reciprocal) with the bits
-of 1 / (1 + exp(-x)). The recurrence makes two products per step, h with
-the negated gate_u[:2] and r * h with gate_u[2], and writes them and every
-other per-step product into buffers allocated before the loop. The backward
-pass forms the gates' local derivatives for all T before its loop, reading z
-and r as views of ZR, makes the two products that depend on dh per step into
-preallocated buffers, and forms each weight gradient after the loop as a
-product over all T n rows. Sums over the short D axis (the cosine's dot
-products and norms) and over all T n rows (the bias gradients) are
-matrix-vector products against a vector of ones.
+of 1 / (1 + exp(-x)). The recurrence makes two products per step, h with the
+negated gate_u[:2] (one batched matmul) and r * h with gate_u[2] (np.dot,
+cheaper to call than matmul and bit-equal to it on contiguous operands), and
+writes them and every other per-step product into the workspace's buffers,
+each loop call passing its output positionally. The backward pass forms the
+gates' local derivatives for all T before its loop, reading z and r as views
+of ZR, makes the two products that depend on dh per step into preallocated
+buffers (again np.dot for the 2-D one), and forms each weight gradient after
+the loop as a product over all T n rows. Sums over the short D axis (the
+cosine's dot products and norms) and over all T n rows (the bias gradients)
+are matrix-vector products against a vector of ones. ``train`` runs ADAM in
+place on one flat vector that the parameters view, with the operations of
+the per-array formulas in their order, and so with their bits.
 """
 from __future__ import annotations
 
@@ -183,7 +188,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class _Workspace:
-    """Every large buffer that one pass over an (n, D, T) batch writes, for a
+    """Every buffer that one pass over an (n, D, T) batch writes, for a
     bottleneck B, allocated once so that repeated passes over batches of that
     shape reuse the same memory.
 
@@ -192,8 +197,11 @@ class _Workspace:
     (T, n, D); ``H`` the states (T + 1, n, D) with H[0] = 0; ``Y`` the output
     (T, n, D), which the backward pass turns into dL/dh; ``K`` the gate
     pre-activation gradients (3, T, n, D) in the order z, r, c; and ``ones``
-    T n ones, against which the gradients are summed over all rows. A
-    forward-only workspace, for scoring, has neither K nor ones.
+    T n ones, against which the gradients are summed over all rows. Each loop
+    has its per-step products (``uh``, ``rh``, ``uc``; ``dh_next``, ``du``,
+    ``ud``) and its per-step views of the slabs in the order it visits them
+    (``forward_steps``, ``backward_steps``). A forward-only workspace, for
+    scoring, has none of the backward pass's buffers or views.
     """
 
     def __init__(self, n: int, D: int, T: int, B: int, backward: bool = True):
@@ -203,8 +211,15 @@ class _Workspace:
         self.C = np.empty((T, n, D))
         self.H = np.zeros((T + 1, n, D))
         self.Y = np.empty((T, n, D))
-        self.K = np.empty((3, T, n, D)) if backward else None
-        self.ones = np.ones(T * n) if backward else None
+        self.uh, self.rh, self.uc = np.empty((2, n, D)), np.empty((n, D)), np.empty((n, D))
+        ZR, H = self.ZR, self.H
+        self.forward_steps = list(zip(H[:-1], H[1:], ZR, ZR[:, 0], ZR[:, 1], self.C))
+        if backward:
+            K = self.K = np.empty((3, T, n, D))
+            self.ones = np.ones(T * n)
+            self.dh_next, self.du, self.ud = np.empty((n, D)), np.empty((n, D)), np.empty((2, n, D))
+            steps = (self.Y, K[:2].swapaxes(0, 1), *K, ZR[:, 0], ZR[:, 1])
+            self.backward_steps = list(zip(*(a[::-1] for a in steps)))
 
     def load(self, X: np.ndarray) -> None:
         """Copy an (n, D, T) batch into ``Xt``, time-major."""
@@ -237,17 +252,17 @@ def _forward(p: dict[str, np.ndarray], work: _Workspace) -> None:
     np.matmul(E2, W_T[2], out=C2)
     C2 += b[2]
     H[0] = 0.0
-    uh, rh, uc = np.empty((2, n, D)), np.empty((n, D)), np.empty((n, D))
-    for h, h_new, zr, z, r, c in zip(H[:-1], H[1:], ZR, ZR[:, 0], ZR[:, 1], C):
-        zr += np.matmul(h, Uzr_T, out=uh)
-        np.exp(zr, out=zr)
+    uh, rh, uc = work.uh, work.rh, work.uc
+    for h, h_new, zr, z, r, c in work.forward_steps:
+        zr += np.matmul(h, Uzr_T, uh)
+        np.exp(zr, zr)
         zr += 1.0
-        np.reciprocal(zr, out=zr)
-        np.multiply(r, h, out=rh)
-        c += np.matmul(rh, Uc_T, out=uc)
-        np.tanh(c, out=c)
-        np.multiply(z, h, out=h_new)
-        np.subtract(1.0, z, out=rh)           # rh is spent: it takes 1 - z
+        np.reciprocal(zr, zr)
+        np.multiply(r, h, rh)
+        c += np.dot(rh, Uc_T, uc)
+        np.tanh(c, c)
+        np.multiply(z, h, h_new)
+        np.subtract(1.0, z, rh)               # rh is spent: it takes 1 - z
         rh *= c
         h_new += rh
     _sigmoid(H[1:], out=work.Y)
@@ -355,12 +370,11 @@ def _output_gradient(Xt: np.ndarray, Y: np.ndarray,
     return loss, Y
 
 
-def _backward(p: dict[str, np.ndarray], dH: np.ndarray, ZR: np.ndarray, C: np.ndarray,
-              H_prev: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The loop back through time: from dL/dh (T, n, D) and the gates as the
-    forward pass leaves them, the gradients of the gate pre-activations,
-    written into K (3, T, n, D) in the order z, r, c. Overwrites dH and C."""
-    T, n, D = dH.shape
+def _backward(p: dict[str, np.ndarray], work: _Workspace) -> np.ndarray:
+    """The loop back through time: from dL/dh in ``work.Y`` and the gates as
+    the forward pass leaves them, the gradients of the gate pre-activations,
+    written into K (3, T, n, D) in the order z, r, c. Overwrites Y and C."""
+    ZR, C, H_prev, K = work.ZR, work.C, work.H[:-1], work.K
     Z, R = ZR.swapaxes(0, 1)
     # The coefficients of dh in the gate gradients, for all t at once:
     # dz' = dh (h - c) z (1 - z), dc' = dh (1 - z)(1 - c^2) and dr' = du h r (1 - r)
@@ -378,18 +392,18 @@ def _backward(p: dict[str, np.ndarray], dH: np.ndarray, ZR: np.ndarray, C: np.nd
 
     Uzr, Uc = p["gate_u"][:2], p["gate_u"][2]
     # dh_next is spent by the first line of each step, so one buffer serves
-    dh_next, du, ud = np.zeros((n, D)), np.empty((n, D)), np.empty((2, n, D))
+    dh_next, du, ud = work.dh_next, work.du, work.ud
     ud_z, ud_r = ud
-    steps = (dH, K[:2].swapaxes(0, 1), Kz, Kr, Kc, Z, R)
-    for dh, dzr, dz, dr, dc, z, r in zip(*(a[::-1] for a in steps)):
+    dh_next.fill(0.0)
+    for dh, dzr, dz, dr, dc, z, r in work.backward_steps:
         dh += dh_next
         dz *= dh
         dc *= dh
-        np.matmul(dc, Uc, out=du)             # gradient wrt r * h_prev
+        np.dot(dc, Uc, du)                    # gradient wrt r * h_prev
         dr *= du
-        np.multiply(dh, z, out=dh_next)
-        np.matmul(dzr, Uzr, out=ud)
-        dh_next += np.add(ud_z, ud_r, out=ud_z)
+        np.multiply(dh, z, dh_next)
+        np.matmul(dzr, Uzr, ud)
+        dh_next += np.add(ud_z, ud_r, ud_z)
         du *= r
         dh_next += du
     return K
@@ -423,8 +437,8 @@ def _pass(params, X, work):
     _forward(params, work)
     Xt, E, ZR, C, H, Y, K = work.Xt, work.E, work.ZR, work.C, work.H, work.Y, work.K
     # K is free until the backward pass, so it holds the loss's scratch products
-    loss, dH = _output_gradient(Xt, Y, K)
-    dG = _backward(params, dH, ZR, C, H[:-1], K).reshape(3, N, D)
+    loss = _output_gradient(Xt, Y, K)[0]   # dL/dh goes into Y
+    dG = _backward(params, work).reshape(3, N, D)
     # dH (in Y) and C are spent: Y takes r_t * h_{t-1}, then the per-gate
     # products of the encoder's gradient, which accumulates in C (an (N, B)
     # array fits in an (N, D) buffer, as B < D)
@@ -468,22 +482,38 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
     model = replace(init_model(D, replace(config, bottleneck=min(config.bottleneck, D - 1))),
                     norm_lo=raw.min(axis=(0, 2)), norm_hi=raw.max(axis=(0, 2)))
     X = model.normalize(raw)
-    params = {k: v.copy() for k, v in model.params().items()}
-
+    # The parameters are views into one flat vector, which ADAM updates in
+    # place with the operations, in their order, of its per-array formulas
+    start = model.params()
+    theta = np.concatenate(list(start.values()), axis=None)
+    params, at = {}, 0
+    for k, arr in start.items():
+        params[k] = theta[at:at + arr.size].reshape(arr.shape)
+        at += arr.size
     work = _Workspace(*X.shape, model.bottleneck)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(vv) for k, vv in params.items()}
+    g, m, v, num, den = (np.zeros_like(theta) for _ in range(5))
     losses = []
     for step in range(1, config.epochs + 1):
         loss, grads = loss_and_gradients(params, X, work=work)
         losses.append(loss)
+        np.concatenate([grads[k] for k in params], axis=None, out=g)
         b1c = 1.0 - _BETA1 ** step
         b2c = 1.0 - _BETA2 ** step
-        for k in params:
-            m[k] = _BETA1 * m[k] + (1.0 - _BETA1) * grads[k]
-            v[k] = _BETA2 * v[k] + (1.0 - _BETA2) * grads[k] ** 2
-            params[k] -= _LEARNING_RATE * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + _ADAM_EPS)
-    return replace(model, **params, loss_history=tuple(losses))
+        m *= _BETA1                           # m = b1 m + (1 - b1) g
+        m += np.multiply(g, 1.0 - _BETA1, num)
+        v *= _BETA2                           # v = b2 v + (1 - b2) g^2
+        g *= g
+        v += np.multiply(g, 1.0 - _BETA2, num)
+        np.divide(m, b1c, num)                # lr (m / b1c) / (sqrt(v / b2c) + eps)
+        num *= _LEARNING_RATE
+        np.divide(v, b2c, den)
+        np.sqrt(den, den)
+        den += _ADAM_EPS
+        num /= den
+        theta -= num
+    # copies: a MomModel keeps, and freezes, the very arrays it is given
+    return replace(model, **{k: a.copy() for k, a in params.items()},
+                   loss_history=tuple(losses))
 
 
 @dataclass(frozen=True)

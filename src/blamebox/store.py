@@ -444,6 +444,7 @@ def save_model(model: FpfModel | MomBundle, path: str) -> None:
         )
     else:
         raise StoreError(f"cannot save object of type {type(model).__name__}")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     _write_json(path, payload)
 
 

@@ -93,6 +93,13 @@ class TestMomCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["sequences"]) == 6
 
+    def test_train_writes_into_a_directory_not_made_yet(self, tmp_path):
+        model_path = tmp_path / "models" / "v1" / "mom.json"
+        assert main(["train-mom", "--db", str(make_sensor_db(tmp_path)), "--out", str(model_path),
+                     "--epochs", "2", "--bottleneck", "2"]) == 0
+        bundle = blamebox.load_model(str(model_path), expect="mom")
+        assert bundle.model.D == 4 and len(bundle.model.loss_history) == 2
+
     @pytest.mark.parametrize("D,T", [(4, 25), (3, 30)], ids=["other-T", "other-D"])
     def test_eval_probe_of_other_shape_exits_one(self, tmp_path, capsys, D, T):
         model_path = tmp_path / "mom.json"

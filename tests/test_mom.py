@@ -281,11 +281,17 @@ class TestStepwiseOracle:
         assert X.tobytes() == X_before.tobytes()
 
     def test_reconstruction_matches(self):
+        # n = 1, as error_series too: one row per step, which np.dot may hand
+        # to another BLAS routine
         rng = np.random.default_rng(5)
         model = init_model(6, MomConfig(bottleneck=3, seed=2))
         seq = SensorSeries(rng.uniform(0.0, 1.0, (6, 40)))
         _, _, Y = reference_loss_and_gradients(per_gate(model.params()), seq.data[None])
         assert relative_difference(reconstruct(model, seq).data, Y[0]) <= 1e-12
+        x, y = seq.data, Y[0]
+        cos = (x * y).sum(axis=0) / ((np.sqrt((x * x).sum(axis=0)) + 1e-12)
+                                     * (np.sqrt((y * y).sum(axis=0)) + 1e-12))
+        np.testing.assert_allclose(error_series(model, seq), 1.0 - cos, rtol=0, atol=1e-12)
 
     def test_model_file_names_map_to_gate_slots(self):
         # the oracle reads the file's per-gate names directly, so a gate
@@ -326,11 +332,16 @@ class TestWorkspace:
         n, D, B, T = 5, 6, 3, 30
         X = rng.uniform(0.0, 1.0, (n, D, T))
         work = _Workspace(n, D, T, B)
+        buffers = [buf for name, buf in vars(work).items()
+                   if isinstance(buf, np.ndarray) and name != "ones"]
+        # every cached step view lies in a buffer that the poisoning reaches
+        for view in (v for steps in (work.forward_steps, work.backward_steps)
+                     for step in steps for v in step):
+            assert any(np.shares_memory(view, buf) for buf in buffers)
         for poison in (False, False, True):
             if poison:   # a pass reads nothing that it did not write itself
-                for name, buf in vars(work).items():
-                    if name != "ones":
-                        buf.fill(np.nan)
+                for buf in buffers:
+                    buf.fill(np.nan)
             params = random_params(D, B, rng)
             loss, grads = loss_and_gradients(params, X, work=work)
             fresh_loss, fresh = loss_and_gradients(params, X)
@@ -338,6 +349,15 @@ class TestWorkspace:
             assert set(grads) == set(fresh)
             for name in fresh:
                 assert grads[name].tobytes() == fresh[name].tobytes(), name
+
+    def test_forward_only_workspace_builds_no_backward_views(self):
+        work = _Workspace(4, 5, 9, 3, backward=False)
+        assert len(work.forward_steps) == 9
+        assert not hasattr(work, "backward_steps")
+        model = init_model(5, MomConfig(bottleneck=3, seed=1))
+        seqs = [SensorSeries(np.full((5, 9), 0.5)) for _ in range(4)]
+        assert not hasattr(mom._scored(model, mom._normalized_batch(model, seqs)),
+                           "backward_steps")
 
     def test_warm_epoch_allocates_less_than_one_slab(self):
         # the sensor-model benchmark's batch shape
@@ -395,6 +415,29 @@ class TestWorkspace:
         assert works[0] is not None and all(w is works[0] for w in works)
 
 
+def adam_oracle(sequences, config):
+    """The model ADAM reaches when every parameter is updated as its own
+    array by the textbook formulas, from the start ``train`` takes."""
+    raw = np.stack([s.data for s in sequences])
+    D = raw.shape[1]
+    model = init_model(D, MomConfig(bottleneck=min(config.bottleneck, D - 1), seed=config.seed))
+    model = MomModel(**model.params(), norm_lo=raw.min(axis=(0, 2)), norm_hi=raw.max(axis=(0, 2)))
+    X = model.normalize(raw)
+    params = {k: v.copy() for k, v in model.params().items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(a) for k, a in params.items()}
+    losses = []
+    for step in range(1, config.epochs + 1):
+        loss, grads = loss_and_gradients(params, X)
+        losses.append(loss)
+        b1c, b2c = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+        for k in params:
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * grads[k]
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * grads[k] ** 2
+            params[k] -= 1e-3 * (m[k] / b1c) / (np.sqrt(v[k] / b2c) + 1e-8)
+    return params, tuple(losses)
+
+
 class TestTrain:
     def _sequences(self, n=6, D=4, T=20, seed=0):
         rng = np.random.default_rng(seed)
@@ -433,6 +476,24 @@ class TestTrain:
     def test_needs_two_sequences(self):
         with pytest.raises(ValidationError):
             train(self._sequences(n=1), MomConfig(bottleneck=2, epochs=2))
+
+    def test_matches_per_array_adam_bit_for_bit(self):
+        seqs = self._sequences(n=5, D=5, T=16, seed=3)
+        cfg = MomConfig(bottleneck=3, epochs=7, seed=2)
+        model = train(seqs, cfg)
+        params, losses = adam_oracle(seqs, cfg)
+        assert model.loss_history == losses
+        for name in _PARAM_FIELDS:
+            assert getattr(model, name).tobytes() == params[name].tobytes(), name
+
+    def test_returned_model_owns_its_arrays(self):
+        seqs = self._sequences()
+        cfg = MomConfig(bottleneck=2, epochs=3, seed=0)
+        arrays = [getattr(model, name) for model in (train(seqs, cfg), train(seqs, cfg))
+                  for name in _PARAM_FIELDS]
+        assert all(a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
     def test_normalization_stored(self):
         seqs = self._sequences()
