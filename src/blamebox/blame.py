@@ -23,6 +23,7 @@ Likelihood values always lie in [epsilon_floor, 0.75].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -60,11 +61,23 @@ class Belief:
     def __len__(self) -> int:
         return self.probs.size
 
+    @cached_property
+    def plogp(self) -> np.ndarray:
+        """p * log(p) entrywise, 0 where p = 0; taken once per belief and
+        shared by its entropy and the planner's totals."""
+        p = self.probs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plogp = np.where(p > 0, p * np.log(p), 0.0)
+        plogp.setflags(write=False)
+        return plogp
+
 
 def entropy(belief) -> float:
     """Shannon entropy in nats, with 0*log(0) = 0."""
-    p = belief.probs if isinstance(belief, Belief) else np.asarray(belief, dtype=np.float64)
-    nz = p[p > 0]
+    if isinstance(belief, Belief):
+        return float(-belief.plogp[belief.probs > 0].sum())
+    nz = np.asarray(belief, dtype=np.float64)
+    nz = nz[nz > 0]
     return float(-(nz * np.log(nz)).sum())
 
 

@@ -12,8 +12,8 @@ matrix; ``Fingerprint.counts`` builds the dense matrix for a caller that
 asks for it. Runs are built and checked per batch: :meth:`Fingerprint.batch`
 checks every run of a database in a few array operations over their
 concatenated rows, and :meth:`ExperienceDb.counts_stack` stacks them with one
-scatter. A batch that fails those whole-array tests is named by its first
-bad row's run, which is checked alone by the rules of a batch of one.
+assignment per run. A batch that fails those whole-array tests is named by its
+first bad row's run, which is checked alone by the rules of a batch of one.
 
 Every type checks its own content invariants when it is constructed,
 citing the first bad cell (row and column) of bad data, so callers need no
@@ -368,23 +368,28 @@ class ExperienceDb:
     def counts_stack(self, rows) -> np.ndarray:
         """(n, |rows|, T) counts of the functions ``rows`` in every stored run;
         0 where a run did not call the function. ``rows`` may come in any
-        order, repeat, and name functions off the support. One scatter over
-        the runs' concatenated rows fills the stack."""
+        order, repeat, and name functions off the support. The columns come
+        from one search over the runs' concatenated rows; then one assignment
+        per run fills its slice of the stack."""
         rows = np.asarray(rows, dtype=np.intp)
         fingerprints = [o.fingerprint for o in self.observations]
+        sizes = [fp.rows.size for fp in fingerprints]
         held = np.concatenate([fp.rows for fp in fingerprints])
-        run = np.repeat(np.arange(len(fingerprints)), [fp.rows.size for fp in fingerprints])
         # held row p fills every column j with rows[j] == held[p]
         order = np.argsort(rows, kind="stable")
         lo = np.searchsorted(rows[order], held, "left")
         hits = np.searchsorted(rows[order], held, "right") - lo
         src = np.repeat(np.arange(held.size), hits)
         within = np.arange(src.size) - np.repeat(np.cumsum(hits) - hits, hits)
-        values = np.concatenate([fp.values for fp in fingerprints])
-        if not (hits == 1).all():   # else src takes every held row once, in order
-            values = values[src]
+        col = order[lo[src] + within]
+        ends = np.cumsum(sizes)
+        cuts, firsts = np.searchsorted(src, ends).tolist(), (ends - sizes).tolist()
+        gather = not (hits == 1).all()   # else every run's rows go once, in order
         out = np.zeros((len(fingerprints), rows.size, self.canonical_T))
-        out[run[src], order[lo[src] + within]] = values
+        a = 0
+        for i, (fp, b) in enumerate(zip(fingerprints, cuts)):
+            out[i, col[a:b]] = fp.values[src[a:b] - firsts[i]] if gather else fp.values
+            a = b
         return out
 
     @cached_property

@@ -90,9 +90,10 @@ class FpfModel:
     var_floor: float
 
     def __post_init__(self):
+        # the record's own read-only copies; the caller's arrays stay writeable
         support = Fingerprint.check_rows(self.support, self.F)
-        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        var = np.ascontiguousarray(self.var, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64, order="C")
+        var = np.array(self.var, dtype=np.float64, order="C")
         if mean.shape != var.shape or mean.ndim != 2 or mean.shape[0] != support.size:
             raise ValidationError(f"mean and var must be matching ({support.size}, T) matrices")
         if np.any(var < self.var_floor):
@@ -108,17 +109,28 @@ class FpfModel:
     def on(self, rows) -> "FpfModel":
         """This fit held on its support and ``rows``; a new row has mean 0, variance the floor."""
         live = union_rows(self.support, rows)
+        if live.size == self.support.size:
+            return self
         return replace(self, support=live,
                        mean=gather_rows(self.support, self.mean, live, 0.0),
                        var=gather_rows(self.support, self.var, live, self.var_floor))
 
 
-def fit_fpf(db: ExperienceDb, config: BlameConfig) -> FpfModel:
+def fit_fpf(db: ExperienceDb, config: BlameConfig, stack: np.ndarray | None = None) -> FpfModel:
     """Cell-wise sample mean and maximum-likelihood (population) variance,
-    floored at ``config.var_floor``, of the database's support rows."""
-    stack = db.counts_stack(db.support)
-    return FpfModel(support=db.support, mean=stack.mean(axis=0),
-                    var=np.maximum(stack.var(axis=0), config.var_floor),
+    floored at ``config.var_floor``, of the database's support rows, read from
+    ``stack``, ``db.counts_stack(db.support)``, when the caller holds it. The
+    squared deviations are added run by run, in ``stack.var(axis=0)``'s order."""
+    if stack is None:
+        stack = db.counts_stack(db.support)
+    mean = stack.mean(axis=0)
+    var, dev = np.zeros_like(mean), np.empty_like(mean)
+    for run in stack:
+        np.subtract(run, mean, out=dev)
+        dev *= dev
+        var += dev
+    var /= len(stack)
+    return FpfModel(support=db.support, mean=mean, var=np.maximum(var, config.var_floor, out=var),
                     F=db.observations[0].fingerprint.F, n_samples=len(db),
                     var_floor=config.var_floor)
 
@@ -227,10 +239,10 @@ def _grid(mean: np.ndarray, var: np.ndarray, counts: np.ndarray,
     x = np.empty((T, n + 1, R))
     x[:, :n], x[:, n] = np.moveaxis(counts, -1, 0), mean.T
     W, r = config.window_steps, math.exp(-config.alpha)
-    n_w = np.minimum(np.arange(1.0, T + 1.0), W)[:, None]
     active = _window_sums(x, 1.0, W) > 1e-9
     x[:, :n], x[:, n] = np.moveaxis(counts, -1, 0), mean.T
     means = _window_sums(x, r, W)
+    n_w = np.minimum(np.arange(1.0, T + 1.0), W)[:, None]
     means /= n_w[:, :, None]
     return DeviationGrid(
         mean=means[:, n],

@@ -120,8 +120,9 @@ class MomModel:
     loss_history: tuple[float, ...] = ()
 
     def __post_init__(self):
+        # each array is the record's own read-only copy; the caller's stays writeable
         for name in _PARAM_FIELDS + ("norm_lo", "norm_hi"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
+            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"non-finite values in {name}")
             arr.setflags(write=False)
@@ -511,9 +512,7 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
         den += _ADAM_EPS
         num /= den
         theta -= num
-    # copies: a MomModel keeps, and freezes, the very arrays it is given
-    return replace(model, **{k: a.copy() for k, a in params.items()},
-                   loss_history=tuple(losses))
+    return replace(model, **params, loss_history=tuple(losses))
 
 
 @dataclass(frozen=True)
@@ -524,8 +523,9 @@ class ErrorStats:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.ascontiguousarray(np.asarray(self.mu, dtype=np.float64))
-        sigma = np.ascontiguousarray(np.asarray(self.sigma, dtype=np.float64))
+        # the record's own read-only copies; the caller's arrays stay writeable
+        mu = np.array(self.mu, dtype=np.float64, order="C")
+        sigma = np.array(self.sigma, dtype=np.float64, order="C")
         if mu.shape != sigma.shape or mu.ndim != 1:
             raise ValidationError("mu and sigma must be matching vectors")
         if not (np.all(np.isfinite(mu)) and np.all((sigma > 0) & (sigma < np.inf))):

@@ -1,8 +1,9 @@
 """Skill selection by expected information gain and the outer testing loop.
 
 The loop fits each skill's fingerprint model from the skill's experience
-database and builds its :class:`SkillCache` itself. The skills come in the
-order of the databases, which orders the gain columns and breaks gain ties.
+database and builds its :class:`SkillCache` itself, both from one counts
+stack per skill. The skills come in the order of the databases, which orders
+the gain columns and breaks gain ties.
 
 The gain of a skill is estimated by hypothetical Bayesian updates: for every
 stored observation of that skill, sample (success, t_fail) pairs with success
@@ -87,13 +88,21 @@ class SkillCache:
     in the model's support. A success is judged at the last timestep, so its
     likelihood ``success_lik`` (n_obs, |S|) is evaluated here once; a gain
     evaluation evaluates the deviation mass (erf) only at sampled failures.
+
+    With ``fpf=None``, as the loop builds it, the model is fitted on the
+    database here, and one counts stack of S serves both the fit and the grid.
     """
 
-    def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
+    def __init__(self, db: ExperienceDb, fpf: FpfModel | None, config: BlameConfig):
+        stack = None
+        if fpf is None:
+            stack = db.counts_stack(db.support)
+            fpf = fit_fpf(db, config, stack)
         self.db, self.fpf = db, fpf
         model = fpf.on(db.support)
         self.support = model.support
-        self.grid = deviation_grid(model, db.counts_stack(self.support), config)
+        self.grid = deviation_grid(model, db.counts_stack(self.support) if stack is None else stack,
+                                   config)
         self.success_lik = combine_deviation(*self.grid.at(fpf.T - 1, np.arange(len(db))),
                                              True, config)
 
@@ -126,8 +135,8 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
     # form: with q = c/Z, it adds -q * (sum p log p + log(q) * sum p), the
     # belief's sums less the support's. In double that difference would keep
     # a few 1e-16 of error, which q (up to 1e4) magnifies.
+    plogp = belief.plogp
     with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p > 0, p * np.log(p), 0.0)
         total, mass = plogp.sum(dtype=ld), p.sum(dtype=ld)
         c_succ, c_fail = (float(combine_deviation(0.0, True, s, config)) for s in (True, False))
         h = []
@@ -269,7 +278,7 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
         if s not in dbs:
             raise ValidationError(f"an observation model is given for skill {s!r}, "
                                   "which has no experience database")
-    caches = {s: SkillCache(db, fit_fpf(db, blame), blame) for s, db in dbs.items()}
+    caches = {s: SkillCache(db, None, blame) for s, db in dbs.items()}
     trace = LoopTrace(skills=tuple(caches))
     belief = Belief.uniform(caches[trace.skills[0]].fpf.F)
     root = np.random.default_rng(planner.seed)

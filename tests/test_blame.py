@@ -51,6 +51,30 @@ class TestEntropy:
             math.log(2), abs=1e-12)
 
 
+    @pytest.mark.parametrize("F", [1, 2, 7, 33, 241, 1000, 4097])
+    def test_shared_plogp_keeps_both_formulas_bits(self, F):
+        # the record's entropy sums the compacted non-zero terms in double; the
+        # planner's total sums the full-length terms, 0 where p = 0, in long double
+        rng = np.random.default_rng(F)
+        w = rng.random(F) ** 4 * (rng.random(F) < 0.6)
+        w[0] = 1.0
+        if F > 2:
+            w[-1] = 0.0
+        belief = Belief(w / w.sum())
+        p = belief.probs
+        nz = p[p > 0]
+        assert entropy(belief) == float(-(nz * np.log(nz)).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = np.where(p > 0, p * np.log(p), 0.0)
+        assert belief.plogp.tobytes() == full.tobytes()
+        ld = np.longdouble
+        assert belief.plogp.sum(dtype=ld).tobytes() == full.sum(dtype=ld).tobytes()
+        assert belief.plogp is belief.plogp and not belief.plogp.flags.writeable
+
+    def test_entropy_of_an_array(self):
+        assert entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(math.log(2), abs=1e-12)
+
+
 class TestLikelihood:
     def test_failure_matching_profile_is_half(self):
         model, stacks = fitted_model()

@@ -85,6 +85,42 @@ class TestFit:
         assert np.allclose(model.mean, arr.mean(axis=0))
         assert np.allclose(model.var, arr.var(axis=0))
 
+    @pytest.mark.parametrize("shape", [(70, 4, 400), (16, 6, 50), (1000, 3, 100), (1, 2, 5)])
+    def test_run_by_run_variance_equals_ndarray_var(self, shape, monkeypatch):
+        # counts spread over 16 orders of magnitude, a third of them exactly 0
+        rng = np.random.default_rng(shape[0])
+        stack = 10.0 ** rng.uniform(-8, 8, shape) * (rng.random(shape) < 2 / 3)
+        n, R, T = shape
+        db = ExperienceDb("s", [Observation(sensors=None, success=True, skill="s",
+                                            fingerprint=Fingerprint(np.ones((R, T))))] * n)
+        monkeypatch.setattr(ExperienceDb, "counts_stack", lambda self, rows: stack)
+        cfg = BlameConfig(var_floor=1e-300)
+        model = fit_fpf(db, cfg)
+        assert model.mean.tobytes() == stack.mean(axis=0).tobytes()
+        assert model.var.tobytes() == np.maximum(stack.var(axis=0), cfg.var_floor).tobytes()
+
+    def test_fit_of_a_given_stack_reads_it_and_leaves_it(self):
+        rng = np.random.default_rng(6)
+        db = db_from_counts([rng.uniform(0, 4, (3, 9)) * (rng.random((3, 1)) < 0.7)
+                             for _ in range(6)])
+        cfg = BlameConfig()
+        stack = db.counts_stack(db.support)
+        before = stack.copy()
+        given, own = fit_fpf(db, cfg, stack), fit_fpf(db, cfg)
+        assert stack.tobytes() == before.tobytes()
+        for name in ("support", "mean", "var"):
+            assert getattr(given, name).tobytes() == getattr(own, name).tobytes(), name
+
+    def test_model_keeps_its_own_read_only_copies(self):
+        support, mean, var = np.array([0, 2]), np.zeros((2, 4)), np.ones((2, 4))
+        model = FpfModel(support=support, mean=mean, var=var, F=3, n_samples=1,
+                         var_floor=1e-6)
+        for mine, theirs in ((model.support, support), (model.mean, mean), (model.var, var)):
+            assert theirs.flags.writeable and not mine.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+        mean[0, 0] = 5.0
+        assert model.mean[0, 0] == 0.0
+
     @pytest.mark.parametrize("case", ["silent-rows", "one-run", "one-cell", "single-run",
                                       "floor", "all-zero"])
     def test_support_fit_equals_dense_fit(self, case):

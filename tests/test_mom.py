@@ -503,6 +503,33 @@ class TestTrain:
         assert np.array_equal(model.norm_hi, raw.max(axis=(0, 2)))
 
 
+class TestRecordsOwnTheirArrays:
+    def test_model_copies_the_callers_parameters(self):
+        cfg = MomConfig(bottleneck=2, seed=1)
+        p = {k: v.copy() for k, v in init_model(4, cfg).params().items()}
+        norm = {"norm_lo": np.zeros(4), "norm_hi": np.ones(4)}
+        model = MomModel(**p, **norm)
+        for name, theirs in [*p.items(), *norm.items()]:
+            mine = getattr(model, name)
+            assert theirs.flags.writeable and not mine.flags.writeable, name
+            assert not np.shares_memory(mine, theirs), name
+            assert mine.flags.c_contiguous and mine.tobytes() == theirs.tobytes(), name
+
+    def test_error_stats_copy_the_callers_arrays(self):
+        mu, sigma = np.linspace(0.0, 1.0, 5), np.full(5, 0.5)
+        stats = ErrorStats(mu=mu, sigma=sigma)
+        for mine, theirs in ((stats.mu, mu), (stats.sigma, sigma)):
+            assert theirs.flags.writeable and not mine.flags.writeable
+            assert not np.shares_memory(mine, theirs)
+        mu[0] = 9.0
+        assert stats.mu[0] == 0.0
+
+    def test_strided_input_is_stored_c_contiguous(self):
+        sigma = np.full((5, 2), 0.5)[:, 0]
+        stats = ErrorStats(mu=np.zeros(5), sigma=sigma)
+        assert stats.sigma.flags.c_contiguous and not np.shares_memory(stats.sigma, sigma)
+
+
 class TestErrorStats:
     def test_identical_sequences_hit_floor(self):
         seq = SensorSeries(np.random.default_rng(0).uniform(0, 1, (4, 8)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from blamebox import (Belief, BlameConfig, ExperienceDb,
                       ValidationError, bayes_update, entropy,
                       information_gain_stats,
                       run_testing_loop, select_skill)
-from blamebox.harness import SimExecutor, SimSkillSpec, SimWorld, build_database
+from blamebox.harness import (SimExecutor, SimSkillSpec, SimWorld, build_database,
+                              built_in_scenario)
 from blamebox.blame import combine_deviation
 from blamebox.core import Fingerprint, Observation, SensorSeries
-from blamebox.fpf import deviation_grid, fit_fpf
+from blamebox.fpf import _window_sums, deviation_grid, fit_fpf
 from blamebox.mom import ErrorStats, MomConfig, init_model
 import blamebox.planner as planner_mod
 from blamebox.planner import _posterior_entropies, _sampled_entropies
@@ -477,3 +480,125 @@ class TestExecutionResultTFail:
                                    success=False, skill=skill, t_fail=t_fail)
 
         return registry, Fixed(), dbs
+
+
+def long_horizon_db(seed=1):
+    """fig3's widest skill (4 of 241 functions, 70 runs) at the long-horizon
+    length, and the blame configuration of its sampling interval."""
+    scen = built_in_scenario("fig3", seed)
+    skill, fns = max(scen.skills, key=lambda sk: len(sk[1]))
+    spec = SimSkillSpec(skill=skill, used_functions=fns, count_mu=scen.count_mu,
+                        count_sigma=scen.count_sigma, T=400, dt=scen.dt)
+    db = build_database(spec, FunctionRegistry(scen.functions), np.random.default_rng(seed),
+                        scen.db_size)
+    return db, scen.resolved_blame()
+
+
+def ragged_db():
+    """Runs of different lengths, each calling a different part of the
+    support; the run of 34 steps calls f11 only past the canonical length 30."""
+    rng = np.random.default_rng(5)
+    obs = []
+    for i, T in enumerate([30, 34, 27, 30, 31, 29, 33]):
+        counts = np.zeros((12, T))
+        for f in (1, 3, 4, 7, 9):
+            if (f + i) % 3:
+                counts[f] = rng.poisson(2.0, T)
+        if T == 34:
+            counts[11, 32:] = 5.0
+        obs.append(Observation(sensors=None, fingerprint=Fingerprint(counts, dt=0.05),
+                               success=True, skill="s"))
+    return ExperienceDb("s", obs)
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _kept_bytes(cache):
+    """Bytes of the distinct arrays a cache holds: its model, grid and
+    success likelihoods (a grid field may be a view of a shared buffer)."""
+    arrays = [cache.fpf.mean, cache.fpf.var, cache.support, cache.success_lik,
+              *(getattr(cache.grid, name) for name in
+                ("mean", "var", "exec_mean", "model_active", "exec_active"))]
+    bases = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+def _traced_peak(build):
+    """(result, peak bytes traced above the start) of ``build()``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneStackPerSkill:
+    """The loop's caches fit the model and build the grid from one counts stack."""
+
+    @pytest.mark.parametrize("make", [long_horizon_db, lambda: (ragged_db(), CFG)],
+                             ids=["long-horizon", "ragged"])
+    def test_loop_cache_equals_cache_of_fitted_model(self, make):
+        db, cfg = make()
+        got, want = SkillCache(db, None, cfg), SkillCache(db, fit_fpf(db, cfg), cfg)
+        for name in ("mean", "var", "exec_mean", "model_active", "exec_active"):
+            assert _bits(getattr(got.grid, name)) == _bits(getattr(want.grid, name)), name
+        assert _bits(got.success_lik) == _bits(want.success_lik)
+        assert _bits(got.support) == _bits(want.support)
+        for name in ("mean", "var", "support"):
+            assert _bits(getattr(got.fpf, name)) == _bits(getattr(want.fpf, name)), name
+
+    def test_ragged_runs_are_canonicalized_first(self):
+        db = ragged_db()
+        assert db.canonical_T == 30 and 11 not in db.support
+        assert SkillCache(db, None, CFG).grid.exec_mean.shape == (30, 7, db.support.size)
+
+    def test_loop_builds_one_stack_per_skill(self, monkeypatch):
+        _, _, dbs, _ = toy_setup({"s1": ("f1", "f2"), "s2": ("f2", "f3")}, F=4, T=8, n=6)
+        built = []
+        original = ExperienceDb.counts_stack
+
+        def counted(self, rows):
+            built.append(self.skill)
+            return original(self, rows)
+
+        monkeypatch.setattr(ExperienceDb, "counts_stack", counted)
+        plan = PlannerConfig(samples_per_observation=4, max_iterations=1, seed=0)
+
+        class Failing:
+            def execute(self, _):
+                raise ExecutorError("stop")
+
+        run_testing_loop(Failing(), dbs, None, plan, CFG)
+        assert built == ["s1", "s2"]
+
+    def test_stack_allocates_only_itself(self):
+        db, _ = long_horizon_db()
+        stack, peak = _traced_peak(lambda: db.counts_stack(db.support))
+        run = stack[0].nbytes
+        assert peak < stack.nbytes + run + 32 * 1024
+
+    def test_fit_allocates_one_stack_and_a_few_model_rows(self):
+        db, cfg = long_horizon_db()
+        model, peak = _traced_peak(lambda: fit_fpf(db, cfg))
+        assert peak < db.counts_stack(db.support).nbytes + 8 * model.mean.nbytes + 32 * 1024
+
+    def test_cache_peak_is_what_it_keeps_plus_one_stack(self):
+        # beside the kept arrays and the one stack, only the window kernel's
+        # own scratch may be live: no second stack, no stack-sized temporary,
+        # no second copy of the model
+        db, cfg = long_horizon_db()
+        n, R, T = len(db), db.support.size, db.canonical_T
+        stack_bytes = n * R * T * 8
+        grid_buffer = np.ones((T, n + 1, R))
+        _, scratch = _traced_peak(lambda: _window_sums(grid_buffer, 0.5, cfg.window_steps))
+        del grid_buffer
+        cache, peak = _traced_peak(lambda: SkillCache(db, None, cfg))
+        assert peak < _kept_bytes(cache) + stack_bytes + scratch

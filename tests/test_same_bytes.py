@@ -17,7 +17,9 @@ def test_runs_every_built_in_scenario_and_workload():
                  if argv[0] == "simulate" and argv[2] in BUILT_IN_SCENARIOS]
     assert simulated == [(name, str(seed)) for name in BUILT_IN_SCENARIOS for seed in (1, 2, 3)]
     assert [argv[0] for argv in commands[len(simulated):]] == [
-        "simulate", "localize", "train-mom", "eval-mom"]
+        "simulate", "simulate", "localize", "train-mom", "eval-mom"]
+    assert commands[len(simulated) + 1][2].endswith(f"long-horizon-T{same_bytes.LONG_T}.json")
+    assert same_bytes.LONG_T == 1600
     # every output lands under the side's working directory
     outs = [argv[argv.index("--out") + 1] for argv in commands]
     assert len(set(outs)) == len(outs) and not any(os.path.isabs(o) for o in outs)

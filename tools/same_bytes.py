@@ -9,7 +9,8 @@ perfbench's seed-1 long-horizon, wide-registry and sensor-model inputs once,
 with the parent tree's ``perfbench/gen.py``. Then runs, on both trees:
 
 - ``simulate`` for every built-in scenario at seeds 1, 2 and 3;
-- ``simulate`` of the long-horizon scenario;
+- ``simulate`` of the long-horizon scenario, and of the same scenario at
+  T = 1,600, where each skill's counts stack is largest;
 - ``localize --seed 1`` over the wide-registry study;
 - ``train-mom --epochs 60 --seed 1`` followed by ``eval-mom`` on the
   sensor-model databases.
@@ -24,6 +25,7 @@ own list of built-in scenarios.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import signal
@@ -41,13 +43,15 @@ from blamebox.harness import BUILT_IN_SCENARIOS  # noqa: E402
 SEEDS = (1, 2, 3)
 WORKLOADS = ("long-horizon", "wide-registry", "sensor-model")
 SENSOR_EPOCHS = 60
+LONG_T = 1600
 _MAIN = "import sys; from blamebox.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def _commands(inputs: str) -> list[list[str]]:
     """The command lines to run on each side, in order, with output paths
     relative to the side's working directory; ``inputs`` holds one directory
-    per workload, as ``perfbench/gen.py --dir`` fills it."""
+    per workload, as ``perfbench/gen.py --dir`` fills it, and the long-horizon
+    scenario at ``LONG_T`` (see ``_long_scenario``)."""
     def given(workload: str, name: str) -> str:
         return os.path.join(inputs, workload, "inputs", name)
 
@@ -56,12 +60,25 @@ def _commands(inputs: str) -> list[list[str]]:
              for name in BUILT_IN_SCENARIOS for seed in SEEDS]
             + [["simulate", "--scenario", given("long-horizon", "scenario.json"),
                 "--out", "long-horizon"],
+               ["simulate", "--scenario", os.path.join(inputs, f"long-horizon-T{LONG_T}.json"),
+                "--out", f"long-horizon-T{LONG_T}"],
                ["localize", "--study", given("wide-registry", "study"), "--out",
                 "wide-registry", "--seed", "1"],
                ["train-mom", "--db", given("sensor-model", "train_db"), "--out", model,
                 "--epochs", str(SENSOR_EPOCHS), "--seed", "1"],
                ["eval-mom", "--model", model, "--db", given("sensor-model", "probe_db"),
                 "--out", "sensor-model-eval"]])
+
+
+def _long_scenario(inputs: str) -> None:
+    """Write the generated long-horizon scenario with its T set to ``LONG_T``."""
+    with open(os.path.join(inputs, "long-horizon", "inputs", "scenario.json"),
+              encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    scenario["T"] = LONG_T
+    with open(os.path.join(inputs, f"long-horizon-T{LONG_T}.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(scenario, fh, indent=2)
 
 
 def _outputs(dest: str) -> dict[str, bytes]:
@@ -124,6 +141,7 @@ def main() -> int:
                             "--workload", workload, "--seed", "1", "--scale", "full",
                             "--dir", os.path.join(inputs, workload)],
                            env=_env(trees["parent"]), check=True)
+        _long_scenario(inputs)
         commands = _commands(inputs)
         outputs = {}
         for side, tree in trees.items():
