@@ -34,6 +34,10 @@ from .errors import FunctionIndexError, ValidationError
 
 SkillId = str
 FunctionId = str
+# numpy's ufunc buffer, in elements, for passes over strided operands: numpy's
+# 8192 exceed a (T, n) column of an observation-model pass and a strided slice
+# of the window kernel
+_UFUNC_BUFFER = 1024
 
 
 def _as_matrix(data, what: str) -> np.ndarray:

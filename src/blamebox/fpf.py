@@ -7,13 +7,15 @@ the functions some stored run called. Every other function has mean 0 and
 variance the floor; :meth:`FpfModel.on` adds such rows where a caller needs them.
 
 Every window statistic comes from one kernel, ``_window_sums``, through one
-grid builder. The planner's ``deviation_grid`` covers the whole run, one row
-per failure time, for its hypothetical failures; a real execution's update,
-``deviation_at``, builds the grid over the blame window alone and reads its
-last row. The kernel is a decayed prefix sum taken by a two-level scan over
-blocks of about sqrt(T) timesteps, so a call costs about 3*sqrt(T) array
-steps rather than 2*T; it multiplies only by powers of the decay, all at most
-1, so it needs no scaling against overflow.
+grid builder. The planner's grids cover the whole run, one row per failure
+time, for its hypothetical failures, and one grid serves a group of skills
+whose count stacks share one shape (``deviation_grid`` is the grid of one
+skill); a real execution's update, ``deviation_at``, builds the grid over
+the blame window alone and reads its last row. The kernel is a decayed
+prefix sum taken by a two-level scan over blocks of about sqrt(T)
+timesteps, so a call costs about 3*sqrt(T) array steps rather than 2*T; it
+multiplies only by powers of the decay, all at most 1, so it needs no
+scaling against overflow.
 
 Both the expected statistic and the executed statistic are normalized by the
 same 1/N_w factor over the same window, so they are directly comparable in
@@ -27,13 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ExperienceDb, Fingerprint, gather_rows, union_rows
+from .core import _UFUNC_BUFFER, ExperienceDb, Fingerprint, gather_rows, union_rows
 from .errors import ConfigError, ValidationError
 
 # deviation_mass asymptotically approaches 0.5 but must never attain it
 _HALF_OPEN = float(np.nextafter(0.5, 0.0))
-# math.erf elementwise; numpy has no erf of its own
-_erf = np.frompyfunc(math.erf, 1, 1)
 # the wall time the blame window covers in BlameConfig.for_sampling
 _WINDOW_SECONDS = 2.0
 
@@ -137,8 +137,11 @@ def fit_fpf(db: ExperienceDb, config: BlameConfig, stack: np.ndarray | None = No
 
 def _mass(z):
     """|Phi(z) - 0.5| elementwise, clamped below the unattained 0.5."""
-    half = 0.5 * np.abs(np.asarray(_erf(z / math.sqrt(2.0)), dtype=np.float64))
-    return np.minimum(half, _HALF_OPEN)
+    z = np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
+    # math.erf element by element, read as doubles: numpy has no erf of its
+    # own, and a ufunc over math.erf would hold every value as an object
+    erf = np.fromiter(map(math.erf, memoryview(z.ravel())), np.float64, z.size)
+    return np.minimum(0.5 * np.abs(erf.reshape(z.shape)), _HALF_OPEN)
 
 
 def deviation_mass(x: float, mean: float, var: float) -> float:
@@ -173,25 +176,32 @@ def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
     be shorter), then block by block adds r**(j+1) times the previous block's
     last prefix to its row j (one step per block). The subtraction runs from
     the end in slices of max(W, B) rows, whose sources are still prefixes.
-    That is about 3*sqrt(T) array steps, and no temporary is larger than a
-    slice. Only powers r**k <= 1 multiply the data, so nothing can overflow
+    That is about 3*sqrt(T) array steps. Every product goes to one scratch
+    buffer of the largest slice a step reads, and numpy's ufunc buffer for
+    the strided operands is capped, so nothing else of that size is made.
+    Only powers r**k <= 1 multiply the data, so nothing can overflow
     and no scaling is needed: r = 0, r**k underflowing to 0, W >= T and T = 1
     need no special case. With r = 1 every weight is exactly 1, so a window
     of zeros sums to exactly 0: its two prefix sums are the same float.
     """
     T = y.shape[0]
     B = max(1, math.ceil(math.sqrt(T)))
-    for j in range(1, B):
-        row = y[j::B]
-        row += r * y[j - 1::B][:len(row)]
-    decay = (r ** np.arange(1.0, B + 1.0)).reshape((B,) + (1,) * (y.ndim - 1))
-    for start in range(B, T, B):
-        block = y[start:start + B]
-        block += decay[:len(block)] * y[start - 1]
-    step, rW = max(W, B), r ** W
-    for end in range(T, W, -step):   # backwards: rows below ``end`` still hold P
-        start = max(W, end - step)
-        y[start:end] -= rW * y[start - W:end - W]
+    scratch = np.empty((max(B, min(W, T - W)),) + y.shape[1:])
+    old = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for j in range(1, B):
+            row = y[j::B]
+            row += np.multiply(y[j - 1::B][:len(row)], r, out=scratch[:len(row)])
+        decay = (r ** np.arange(1.0, B + 1.0)).reshape((B,) + (1,) * (y.ndim - 1))
+        for start in range(B, T, B):
+            block = y[start:start + B]
+            block += np.multiply(decay[:len(block)], y[start - 1], out=scratch[:len(block)])
+        step, rW = max(W, B), r ** W
+        for end in range(T, W, -step):   # backwards: rows below ``end`` still hold P
+            start = max(W, end - step)
+            y[start:end] -= np.multiply(y[start - W:end - W], rW, out=scratch[:end - start])
+    finally:
+        np.setbufsize(old)
     return y
 
 
@@ -203,7 +213,9 @@ class DeviationGrid:
     ``mean``/``var`` (T, R), on the model's R rows: its weighted window mean and
     the variance of that mean; ``exec_mean`` (T, n, R): each fingerprint's
     weighted window mean; ``model_active``/``exec_active``: the window sum of the
-    model mean or of the executed counts is above 1e-9.
+    model mean or of the executed counts is above 1e-9. The grid of a group of
+    K skills whose stacks share one shape has a group axis after the time
+    axis, (T, K, R) and (T, K, n, R); :meth:`skill` views one skill's grid.
     """
 
     mean: np.ndarray
@@ -220,37 +232,48 @@ class DeviationGrid:
         inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
         return pd, inactive
 
+    def skill(self, k: int) -> "DeviationGrid":
+        """Skill ``k``'s grid of a group grid, as views of it."""
+        return DeviationGrid(self.mean[:, k], self.var[:, k], self.exec_mean[:, k],
+                             self.model_active[:, k], self.exec_active[:, k])
+
 
 def window_mass(dev: np.ndarray, var: np.ndarray) -> np.ndarray:
     """``deviation_mass`` elementwise, of deviations with variances ``var``."""
     return _mass(dev / np.sqrt(var))
 
 
-def _grid(mean: np.ndarray, var: np.ndarray, counts: np.ndarray,
-          config: BlameConfig) -> DeviationGrid:
+def _grid(mean, var, counts, config: BlameConfig) -> DeviationGrid:
     """Window statistics of raw (R, T) model arrays and an (n, R, T) count
-    stack for every failure time 0..T-1.
+    stack for every failure time 0..T-1; or of a group of K skills: K of
+    each, of one shape, the group axis following the time axis in the grid.
 
-    The model mean rides along as the stack's last run, so three kernel
+    The model mean rides along as each stack's last run, so three kernel
     calls cover everything: the activity sums at 1, the means at r, and the
-    variance at r**2. The first two share one (T, n + 1, R) buffer, filled
-    again after the in-place activity sums."""
-    n, R, T = counts.shape
-    x = np.empty((T, n + 1, R))
-    x[:, :n], x[:, n] = np.moveaxis(counts, -1, 0), mean.T
+    variance at r**2. The first two share one (T, K, n + 1, R) buffer,
+    filled again after the in-place activity sums."""
+    single = isinstance(counts, np.ndarray) and counts.ndim == 3
+    if single:
+        mean, var, counts = [mean], [var], [counts]
+    K, (n, R, T) = len(counts), counts[0].shape
+    x = np.empty((T, K, n + 1, R))
     W, r = config.window_steps, math.exp(-config.alpha)
+
+    def fill():
+        for k, (c, m) in enumerate(zip(counts, mean)):
+            x[:, k, :n], x[:, k, n] = c.transpose(2, 0, 1), m.T
+
+    fill()
     active = _window_sums(x, 1.0, W) > 1e-9
-    x[:, :n], x[:, n] = np.moveaxis(counts, -1, 0), mean.T
-    means = _window_sums(x, r, W)
+    fill()
+    _window_sums(x, r, W)
+    v = np.stack([m.T for m in var], axis=1)
     n_w = np.minimum(np.arange(1.0, T + 1.0), W)[:, None]
-    means /= n_w[:, :, None]
-    return DeviationGrid(
-        mean=means[:, n],
-        var=_window_sums(var.T.copy(), r * r, W) / (n_w * n_w),
-        exec_mean=means[:, :n],
-        model_active=active[:, n],
-        exec_active=active[:, :n],
-    )
+    x /= n_w[:, :, None, None]
+    grid = DeviationGrid(mean=x[:, :, n], var=_window_sums(v, r * r, W) / (n_w * n_w)[:, :, None],
+                         exec_mean=x[:, :, :n], model_active=active[:, :, n],
+                         exec_active=active[:, :, :n])
+    return grid.skill(0) if single else grid
 
 
 def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:

@@ -66,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SensorSeries
+from .core import _UFUNC_BUFFER, SensorSeries
 from .errors import ConfigError, ValidationError
 
 _NORM_GUARD = 1e-12  # additive guard on vector norms in the cosine
@@ -77,8 +77,6 @@ _BETA2 = 0.999
 _ADAM_EPS = 1e-8
 # lower bound on the per-timestep error std of ErrorStats
 _SIGMA_FLOOR = 1e-6
-# a pass's ufunc buffer, in elements (numpy's 8192 exceed a (T, n) column)
-_UFUNC_BUFFER = 1024
 
 _PARAM_FIELDS = ("enc_w", "enc_b", "gate_w", "gate_u", "gate_b")
 

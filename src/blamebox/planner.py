@@ -2,8 +2,10 @@
 
 The loop fits each skill's fingerprint model from the skill's experience
 database and builds its :class:`SkillCache` itself, both from one counts
-stack per skill. The skills come in the order of the databases, which orders
-the gain columns and breaks gain ties.
+stack per skill. Skills whose stacks (n_obs, |S|, T) share one shape form a
+group, which gets one deviation grid; its caches hold views of it. The
+skills come in the order of the databases, which orders the gain columns
+and breaks gain ties.
 
 The gain of a skill is estimated by hypothetical Bayesian updates: for every
 stored observation of that skill, sample (success, t_fail) pairs with success
@@ -14,8 +16,10 @@ E[I] = H[prior] - mean(H_posterior).
 
 Per (skill, step) randomness comes from spawned generator streams, one per
 skill, so each skill's gain is reproducible on its own. A step takes the
-belief's totals once and then scores the skills one after another, each in
-one dense array pass over its own samples and support.
+belief's totals once and then scores the skills group by group, each group
+in one dense array pass over its skills' samples and supports, with one
+gather per grid array and one erf call; a skill whose shape no other skill
+shares is a group of one.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ import numpy as np
 from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
-from .fpf import BlameConfig, FpfModel, deviation_grid, fit_fpf, window_mass
+from .fpf import (BlameConfig, DeviationGrid, FpfModel, _grid, deviation_grid, fit_fpf,
+                  window_mass)
 from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
@@ -83,13 +88,16 @@ class SkillExecutor(Protocol):
 class SkillCache:
     """Window statistics of one skill's database for every failure time.
 
-    Built once per loop in O(n_obs * |S| * T) by ``deviation_grid`` on the
-    skill's support S: the functions with a non-zero count in a stored run or
-    in the model's support. A success is judged at the last timestep, so its
-    likelihood ``success_lik`` (n_obs, |S|) is evaluated here once; a gain
-    evaluation evaluates the deviation mass (erf) only at sampled failures.
+    Built once per loop in O(n_obs * |S| * T) on the skill's support S: the
+    functions with a non-zero count in a stored run or in the model's
+    support. A success is judged at the last timestep, so its likelihood
+    ``success_lik`` (n_obs, |S|) is evaluated here once; a gain evaluation
+    evaluates the deviation mass (erf) only at sampled failures.
 
-    With ``fpf=None``, as the loop builds it, the model is fitted on the
+    The loop builds one grid for each group of skills whose counts stacks
+    (n_obs, |S|, T) share one shape, and the group's caches hold views of
+    it; a gain evaluation scores a group in one pass. Built directly, a
+    cache is a group of one. With ``fpf=None`` the model is fitted on the
     database here, and one counts stack of S serves both the fit and the grid.
     """
 
@@ -98,13 +106,62 @@ class SkillCache:
         if fpf is None:
             stack = db.counts_stack(db.support)
             fpf = fit_fpf(db, config, stack)
-        self.db, self.fpf = db, fpf
         model = fpf.on(db.support)
-        self.support = model.support
-        self.grid = deviation_grid(model, db.counts_stack(self.support) if stack is None else stack,
-                                   config)
-        self.success_lik = combine_deviation(*self.grid.at(fpf.T - 1, np.arange(len(db))),
-                                             True, config)
+        grid = deviation_grid(model, db.counts_stack(model.support) if stack is None else stack,
+                              config)
+        # a group of one: every field of the grid gains a group axis of length 1
+        _fill_group([self], [db], [fpf], [model.support],
+                    DeviationGrid(*(a[:, None] for a in vars(grid).values())), config)
+
+
+# The loop makes its caches through this name, so that rebinding the public
+# one (to a timing wrapper, say) leaves the loop working.
+_SkillCache = SkillCache
+
+
+@dataclass(frozen=True)
+class _Group:
+    """What a gain evaluation reads of a group of K skills: their grid with
+    the group axis after the time axis, success likelihoods (K, n_obs, |S|)
+    and supports (K, |S|)."""
+
+    grid: DeviationGrid
+    success_lik: np.ndarray
+    support: np.ndarray
+
+
+def _fill_group(caches, dbs, fpfs, supports, grid: DeviationGrid, config: BlameConfig) -> None:
+    """Make ``caches`` those of the skills of ``dbs``, with models ``fpfs``
+    held on ``supports``, from their group's ``grid``."""
+    last = grid.mean.shape[0] - 1
+    pd = window_mass(grid.exec_mean[last] - grid.mean[last, :, None], grid.var[last, :, None])
+    inactive = ~(grid.model_active[last, :, None] | grid.exec_active[last])
+    group = _Group(grid, combine_deviation(pd, inactive, True, config),
+                   np.stack(supports))
+    for k, (cache, db, fpf) in enumerate(zip(caches, dbs, fpfs)):
+        cache.db, cache.fpf, cache.support = db, fpf, group.support[k]
+        cache.grid, cache.success_lik = grid.skill(k), group.success_lik[k]
+        cache._group, cache._k = group, k
+
+
+def _loop_caches(dbs: Mapping[SkillId, ExperienceDb], config: BlameConfig,
+                 ) -> dict[SkillId, SkillCache]:
+    """Every skill's cache, its model fitted on its database: one grid per
+    group of skills whose counts stacks share one shape. A group's stacks
+    live until its grid is built."""
+    groups: dict[tuple[int, int, int], list[SkillId]] = {}
+    for s, db in dbs.items():
+        groups.setdefault((len(db), db.support.size, db.canonical_T), []).append(s)
+    caches = {s: object.__new__(_SkillCache) for s in dbs}
+    for skills in groups.values():
+        group = [dbs[s] for s in skills]
+        stacks = [db.counts_stack(db.support) for db in group]
+        fpfs = [fit_fpf(db, config, stack) for db, stack in zip(group, stacks)]
+        grid = _grid([f.mean for f in fpfs], [f.var for f in fpfs], stacks, config)
+        del stacks
+        _fill_group([caches[s] for s in skills], group, fpfs, [db.support for db in group],
+                    grid, config)
+    return caches
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -123,12 +180,16 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
     each in row-major (observation, sample) order; each skill's number of
     them; and the belief's entropy.
 
-    Each skill is one dense pass over its (observation and sample, support
-    function) array, drawn from the skill's own stream.
+    Each skill draws its samples from its own stream. The caches of one
+    group, any of them, are scored in one dense pass over their (skill,
+    observation and sample, support function) array.
     """
     for cache in caches:
         if len(belief) != cache.fpf.F:
             raise ValidationError(f"belief has {len(belief)} entries, the model {cache.fpf.F}")
+    members: dict[int, list[int]] = {}
+    for i, cache in enumerate(caches):
+        members.setdefault(id(cache._group), []).append(i)
     p, ld = belief.probs, np.longdouble
     # Off the support pd = 0 and both sides are inactive, so every such
     # function has the same likelihood c and the block of them has a closed
@@ -136,31 +197,46 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
     # belief's sums less the support's. In double that difference would keep
     # a few 1e-16 of error, which q (up to 1e4) magnifies.
     plogp = belief.plogp
+    h: list[np.ndarray] = [np.empty(0)] * len(caches)
     with np.errstate(divide="ignore", invalid="ignore"):
         total, mass = plogp.sum(dtype=ld), p.sum(dtype=ld)
         c_succ, c_fail = (float(combine_deviation(0.0, True, s, config)) for s in (True, False))
-        h = []
-        for cache, rng in zip(caches, streams):
-            S, g = cache.support, cache.grid
-            succ = rng.integers(0, 2, size=(len(cache.db), samples)).ravel() != 0
+        for idx in members.values():
+            group = caches[idx[0]]._group
+            ks = np.array([caches[i]._k for i in idx])
+            g, S = group.grid, group.support[ks]
+            T, K, n = g.exec_mean.shape[:3]
+            succ, t = [], []
+            for i in idx:
+                drawn = streams[i].integers(0, 2, size=(n, samples)).ravel() != 0
+                succ.append(drawn)
+                t.append(streams[i].integers(0, T, size=drawn.size)[~drawn])
+            succ = np.array(succ)
             fail = ~succ
-            t, o = rng.integers(0, cache.fpf.T, size=fail.size)[fail], fail.nonzero()[0] // samples
+            j, o = fail.nonzero()
+            # the grid's time and group axes merge into one: row t * K + k
+            tk, o = np.concatenate(t) * K + ks[j], o // samples
+            exec_mean, mean, var, exec_active, model_active = (
+                a.reshape((T * K,) + a.shape[2:])
+                for a in (g.exec_mean, g.mean, g.var, g.exec_active, g.model_active))
             # a success keeps its cached likelihood; failures gather their
             # window statistics, for one erf call
-            lik = np.repeat(cache.success_lik, samples, axis=0)
-            lik[fail] = combine_deviation(window_mass(g.exec_mean[t, o] - g.mean[t], g.var[t]),
-                                          ~(g.exec_active[t, o] | g.model_active[t]), False,
+            lik = np.repeat(group.success_lik[ks], samples, axis=1)
+            lik[fail] = combine_deviation(window_mass(exec_mean[tk, o] - mean[tk], var[tk]),
+                                          ~(exec_active[tk, o] | model_active[tk]), False,
                                           config)
-            lik *= p[S]
-            mass_out = max(mass - _row_sums(p[S].astype(ld)), 0.0)
-            plogp_out = float(total - _row_sums(plogp[S].astype(ld))) if mass_out > 0 else 0.0
-            mass_out, c = float(mass_out), np.where(succ, c_succ, c_fail)
+            lik *= p[S][:, None]
+            mass_out = np.maximum(mass - _row_sums(p[S].astype(ld)), 0.0)
+            plogp_out = np.where(mass_out > 0, total - _row_sums(plogp[S].astype(ld)), 0.0)
+            mass_out, plogp_out = (x.astype(np.float64)[:, None] for x in (mass_out, plogp_out))
+            c = np.where(succ, c_succ, c_fail)
             z = _row_sums(lik) + c * mass_out
-            lik /= z[:, None]
+            lik /= z[..., None]
             zero, q = lik == 0, c / z
             lik *= np.log(lik)
             lik[zero] = 0.0
-            h.append(-(_row_sums(lik) + q * (plogp_out + np.log(q) * mass_out)))
+            for i, row in zip(idx, -(_row_sums(lik) + q * (plogp_out + np.log(q) * mass_out))):
+                h[i] = row
     return np.concatenate(h), np.array([x.size for x in h]), float(-total)
 
 
@@ -278,7 +354,7 @@ def run_testing_loop(world: SkillExecutor, dbs: Mapping[SkillId, ExperienceDb],
         if s not in dbs:
             raise ValidationError(f"an observation model is given for skill {s!r}, "
                                   "which has no experience database")
-    caches = {s: SkillCache(db, None, blame) for s, db in dbs.items()}
+    caches = _loop_caches(dbs, blame)
     trace = LoopTrace(skills=tuple(caches))
     belief = Belief.uniform(caches[trace.skills[0]].fpf.F)
     root = np.random.default_rng(planner.seed)

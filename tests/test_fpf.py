@@ -418,6 +418,66 @@ class TestWindowSums:
             assert np.all(_window_sums(y.copy(), 1.0, W)[silent] == 0.0)
 
 
+def temporary_window_sums(y, r, W):
+    """The scan with every product in a temporary of its own and numpy's
+    default ufunc buffer, as the kernel was first written: the oracle for
+    the kernel's scratch buffer, which must not change a bit."""
+    T = y.shape[0]
+    B = max(1, math.ceil(math.sqrt(T)))
+    for j in range(1, B):
+        row = y[j::B]
+        row += r * y[j - 1::B][:len(row)]
+    decay = (r ** np.arange(1.0, B + 1.0)).reshape((B,) + (1,) * (y.ndim - 1))
+    for start in range(B, T, B):
+        block = y[start:start + B]
+        block += decay[:len(block)] * y[start - 1]
+    step, rW = max(W, B), r ** W
+    for end in range(T, W, -step):
+        start = max(W, end - step)
+        y[start:end] -= rW * y[start - W:end - W]
+    return y
+
+
+class TestWindowKernelScratch:
+    @pytest.mark.parametrize("shape", [(400, 71, 4), (50, 16, 17, 6), (1, 3, 2), (2, 5),
+                                       (7, 2, 3, 1), (33, 1, 0, 4)])
+    @pytest.mark.parametrize("r", [0.0, 1.0, 0.3, math.exp(-math.log(10) / 40)])
+    def test_bits_equal_the_kernel_of_temporaries(self, shape, r):
+        T = shape[0]
+        y = TestWindowSums.series(T, shape, seed=list(shape))
+        for W in {1, 3, 40, T - 1, T, T + 5} - {0}:
+            want = temporary_window_sums(y.copy(), r, W)
+            got = _window_sums(y.copy(), r, W)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), W
+
+    @pytest.mark.parametrize("shape,W", [((400, 71, 4), 40), ((50, 16, 17, 6), 40),
+                                         ((50, 16, 17, 6), 12)],
+                             ids=["long-horizon", "group", "group-short-window"])
+    def test_scratch_is_one_subtraction_slice(self, shape, W):
+        # beside its input the kernel holds one slice of the subtraction
+        # (at most max(W, B) rows, and no more than T - W of them) and
+        # numpy's capped ufunc buffers
+        import tracemalloc
+        T = shape[0]
+        B = math.ceil(math.sqrt(T))
+        y = np.random.default_rng(0).uniform(0, 3, shape)
+        slice_bytes = min(max(W, B), T - W) * y[0].nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _window_sums(y, 0.9, W)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= slice_bytes + 16 * 1024
+
+    def test_ufunc_buffer_is_restored(self):
+        before = np.getbufsize()
+        _window_sums(np.ones((50, 3, 2)), 0.5, 4)
+        assert np.getbufsize() == before
+
+
 def dense_deviation_at(model, counts, t_fail, cfg):
     """deviation_at over every row of the dense (F, T) ``counts``: the oracle
     for the form that evaluates live rows only."""

@@ -602,3 +602,88 @@ class TestOneStackPerSkill:
         del grid_buffer
         cache, peak = _traced_peak(lambda: SkillCache(db, None, cfg))
         assert peak < _kept_bytes(cache) + stack_bytes + scratch
+
+
+def grouped_dbs():
+    """Skills whose same-shape groups interleave in skill order: s1 and s3
+    share (6, 2, 8) with different supports, s2 and s4 share (6, 3, 8), s5
+    stands alone, and z1, z2 are all-zero databases (|S| = 0) of one shape."""
+    registry, _, dbs, _ = toy_setup({"s1": ("f1", "f2"), "s2": ("f2", "f3", "f4"),
+                                     "s3": ("f5", "f6"), "s4": ("f1", "f5", "f6"),
+                                     "s5": ("f3",)}, F=6, T=8, n=6, seed=4)
+    for name in ("z1", "z2"):
+        dbs[name] = ExperienceDb.from_observations(name, [
+            Observation(sensors=None, skill=name, success=True,
+                        fingerprint=Fingerprint(np.zeros((6, 8)), dt=o.fingerprint.dt))
+            for o in dbs["s5"].observations], registry)
+    return dbs
+
+
+class TestSkillGroups:
+    """The loop builds one grid per group of skills whose counts stacks
+    share one shape, and a gain evaluation scores a group in one pass."""
+
+    def test_groups_follow_the_stack_shape(self):
+        caches = planner_mod._loop_caches(grouped_dbs(), CFG)
+        assert [c.support.size for c in caches.values()] == [2, 3, 2, 3, 1, 0, 0]
+        groups = {s: id(c._group) for s, c in caches.items()}
+        assert groups["s1"] == groups["s3"] and groups["s2"] == groups["s4"]
+        assert groups["z1"] == groups["z2"]
+        assert len(set(groups.values())) == 4
+        assert list(caches["s1"].support) == [0, 1] and list(caches["s3"].support) == [4, 5]
+
+    def test_loop_caches_equal_caches_built_alone(self):
+        dbs = grouped_dbs()
+        for skill, got in planner_mod._loop_caches(dbs, CFG).items():
+            want = SkillCache(dbs[skill], fit_fpf(dbs[skill], CFG), CFG)
+            assert got.db is dbs[skill]
+            for name in ("mean", "var", "exec_mean", "model_active", "exec_active"):
+                assert _bits(getattr(got.grid, name)) == _bits(getattr(want.grid, name)), \
+                    (skill, name)
+            assert _bits(got.success_lik) == _bits(want.success_lik), skill
+            assert _bits(got.support) == _bits(want.support), skill
+            for name in ("mean", "var", "support"):
+                assert _bits(getattr(got.fpf, name)) == _bits(getattr(want.fpf, name)), \
+                    (skill, name)
+
+    @pytest.mark.parametrize("skills", [None, ("s4", "z2", "s1", "s2")],
+                             ids=["every-skill", "subset"])
+    def test_group_pass_equals_each_skill_scored_alone(self, skills):
+        dbs = grouped_dbs()
+        caches = planner_mod._loop_caches(dbs, CFG)
+        skills = skills or tuple(caches)
+        belief = Belief(np.random.default_rng(3).dirichlet(np.ones(6)))
+        h, rows, prior = _posterior_entropies(belief, [caches[s] for s in skills], CFG, 5,
+                                              np.random.default_rng(11).spawn(len(skills)))
+        assert prior == pytest.approx(entropy(belief), abs=1e-15)
+        assert list(rows) == [len(dbs[s]) * 5 for s in skills]
+        blocks = np.split(h, np.cumsum(rows)[:-1])
+        for skill, block, stream in zip(skills, blocks,
+                                        np.random.default_rng(11).spawn(len(skills))):
+            alone = SkillCache(dbs[skill], fit_fpf(dbs[skill], CFG), CFG)
+            assert _bits(block) == _bits(_sampled_entropies(belief, alone, CFG, 5, stream)), \
+                skill
+
+    def test_group_peak_is_what_it_keeps_plus_one_group_stack(self):
+        # four skills of fig3's widest shape at T = 400 form one group; beside
+        # the arrays the caches keep, only the group's counts stacks and the
+        # window kernel's scratch on the group's buffer may be live
+        db, cfg = long_horizon_db()
+        dbs = {f"s{k}": ExperienceDb(db.skill, db.observations) for k in range(4)}
+        n, R, T = len(db), db.support.size, db.canonical_T
+        for d in dbs.values():
+            d.support   # computed once per database, before measuring
+        group_buffer = np.ones((T, len(dbs), n + 1, R))
+        _, scratch = _traced_peak(lambda: _window_sums(group_buffer, 0.5, cfg.window_steps))
+        del group_buffer
+        caches, peak = _traced_peak(lambda: planner_mod._loop_caches(dbs, cfg))
+        assert len({id(c._group) for c in caches.values()}) == 1
+        bases = {}
+        for cache in caches.values():
+            for a in (cache.fpf.mean, cache.fpf.var, cache.support, cache.success_lik,
+                      *(getattr(cache.grid, name) for name in
+                        ("mean", "var", "exec_mean", "model_active", "exec_active"))):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                bases[id(a)] = a.nbytes
+        assert peak < sum(bases.values()) + len(dbs) * n * R * T * 8 + scratch
