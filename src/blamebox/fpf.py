@@ -7,15 +7,16 @@ the functions some stored run called. Every other function has mean 0 and
 variance the floor; :meth:`FpfModel.on` adds such rows where a caller needs them.
 
 Every window statistic comes from one kernel, ``_window_sums``, through one
-grid builder. The planner's grids cover the whole run, one row per failure
-time, for its hypothetical failures, and one grid serves a group of skills
-whose count stacks share one shape (``deviation_grid`` is the grid of one
-skill); a real execution's update, ``deviation_at``, builds the grid over
-the blame window alone and reads its last row. The kernel is a decayed
-prefix sum taken by a two-level scan over blocks of about sqrt(T)
-timesteps, so a call costs about 3*sqrt(T) array steps rather than 2*T; it
-multiplies only by powers of the decay, all at most 1, so it needs no
-scaling against overflow.
+grid builder, ``_grid``, which takes a group of K skills whose count stacks
+share one shape and keeps skill k's statistics at failure time t in row
+t*K + k. The planner's grids cover the whole run, for its hypothetical
+failures; ``deviation_grid`` is the grid of one skill, K = 1, with one row
+per failure time. A real execution's update, ``deviation_at``, builds the
+grid of one skill over the blame window alone and reads its last row. The
+kernel is a decayed prefix sum taken by a two-level scan over blocks of
+about sqrt(T) timesteps, so a call costs about 3*sqrt(T) array steps rather
+than 2*T; it multiplies only by powers of the decay, all at most 1, so it
+needs no scaling against overflow.
 
 Both the expected statistic and the executed statistic are normalized by the
 same 1/N_w factor over the same window, so they are directly comparable in
@@ -214,8 +215,8 @@ class DeviationGrid:
     the variance of that mean; ``exec_mean`` (T, n, R): each fingerprint's
     weighted window mean; ``model_active``/``exec_active``: the window sum of the
     model mean or of the executed counts is above 1e-9. The grid of a group of
-    K skills whose stacks share one shape has a group axis after the time
-    axis, (T, K, R) and (T, K, n, R); :meth:`skill` views one skill's grid.
+    K skills whose stacks share one shape holds skill k's statistics at failure
+    time t in row t*K + k, (T*K, R) and (T*K, n, R); a skill alone is K = 1.
     """
 
     mean: np.ndarray
@@ -224,37 +225,26 @@ class DeviationGrid:
     model_active: np.ndarray
     exec_active: np.ndarray
 
-    def at(self, t_idx, obs_idx) -> tuple[np.ndarray, np.ndarray]:
-        """Deviation mass and inactivity mask at broadcast (t_fail, observation)
+    def at(self, rows, obs_idx) -> tuple[np.ndarray, np.ndarray]:
+        """Deviation mass and inactivity mask at broadcast (row, observation)
         index arrays; outputs have the broadcast shape plus a trailing R axis.
         A function is inactive when neither side is active in the window."""
-        pd = window_mass(self.exec_mean[t_idx, obs_idx] - self.mean[t_idx], self.var[t_idx])
-        inactive = ~(self.model_active[t_idx] | self.exec_active[t_idx, obs_idx])
+        pd = _mass((self.exec_mean[rows, obs_idx] - self.mean[rows]) / np.sqrt(self.var[rows]))
+        inactive = ~(self.model_active[rows] | self.exec_active[rows, obs_idx])
         return pd, inactive
-
-    def skill(self, k: int) -> "DeviationGrid":
-        """Skill ``k``'s grid of a group grid, as views of it."""
-        return DeviationGrid(self.mean[:, k], self.var[:, k], self.exec_mean[:, k],
-                             self.model_active[:, k], self.exec_active[:, k])
-
-
-def window_mass(dev: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """``deviation_mass`` elementwise, of deviations with variances ``var``."""
-    return _mass(dev / np.sqrt(var))
 
 
 def _grid(mean, var, counts, config: BlameConfig) -> DeviationGrid:
-    """Window statistics of raw (R, T) model arrays and an (n, R, T) count
-    stack for every failure time 0..T-1; or of a group of K skills: K of
-    each, of one shape, the group axis following the time axis in the grid.
+    """Window statistics of a group of K skills for every failure time
+    0..T-1: lists of K raw (R, T) model means and variances and K (n, R, T)
+    count stacks, all of one shape. Skill k's row for failure time t is
+    t*K + k.
 
     The model mean rides along as each stack's last run, so three kernel
     calls cover everything: the activity sums at 1, the means at r, and the
     variance at r**2. The first two share one (T, K, n + 1, R) buffer,
-    filled again after the in-place activity sums."""
-    single = isinstance(counts, np.ndarray) and counts.ndim == 3
-    if single:
-        mean, var, counts = [mean], [var], [counts]
+    filled again after the in-place activity sums; the grid's fields are
+    views of it with the time and group axes merged."""
     K, (n, R, T) = len(counts), counts[0].shape
     x = np.empty((T, K, n + 1, R))
     W, r = config.window_steps, math.exp(-config.alpha)
@@ -264,16 +254,16 @@ def _grid(mean, var, counts, config: BlameConfig) -> DeviationGrid:
             x[:, k, :n], x[:, k, n] = c.transpose(2, 0, 1), m.T
 
     fill()
-    active = _window_sums(x, 1.0, W) > 1e-9
+    active = (_window_sums(x, 1.0, W) > 1e-9).reshape(T * K, n + 1, R)
     fill()
     _window_sums(x, r, W)
     v = np.stack([m.T for m in var], axis=1)
     n_w = np.minimum(np.arange(1.0, T + 1.0), W)[:, None]
     x /= n_w[:, :, None, None]
-    grid = DeviationGrid(mean=x[:, :, n], var=_window_sums(v, r * r, W) / (n_w * n_w)[:, :, None],
-                         exec_mean=x[:, :, :n], model_active=active[:, :, n],
-                         exec_active=active[:, :, :n])
-    return grid.skill(0) if single else grid
+    x = x.reshape(T * K, n + 1, R)
+    v = _window_sums(v, r * r, W) / (n_w * n_w)[:, :, None]
+    return DeviationGrid(mean=x[:, n], var=v.reshape(T * K, R), exec_mean=x[:, :n],
+                         model_active=active[:, n], exec_active=active[:, :n])
 
 
 def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> DeviationGrid:
@@ -283,7 +273,7 @@ def deviation_grid(model: FpfModel, counts: np.ndarray, config: BlameConfig) -> 
     if counts.ndim != 3 or counts.shape[1:] != model.mean.shape:
         raise ValidationError(
             f"counts of shape {counts.shape} do not match the model's {model.mean.shape}")
-    return _grid(model.mean, model.var, counts, config)
+    return _grid([model.mean], [model.var], [counts], config)
 
 
 def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
@@ -303,8 +293,8 @@ def deviation_at(model: FpfModel, fingerprint: Fingerprint, t_fail: int,
     window = slice(max(0, t_fail - config.window_steps + 1), t_fail + 1)
     live = replace(model, mean=model.mean[:, window],
                    var=model.var[:, window]).on(fingerprint.rows)
-    live_pd, live_inactive = _grid(live.mean, live.var,
-                                   fingerprint.gather(live.support)[None, :, window],
+    live_pd, live_inactive = _grid([live.mean], [live.var],
+                                   [fingerprint.gather(live.support)[None, :, window]],
                                    config).at(-1, 0)
     pd = np.zeros(model.F)
     pd[live.support] = live_pd

@@ -3,7 +3,8 @@
 The loop fits each skill's fingerprint model from the skill's experience
 database and builds its :class:`SkillCache` itself, both from one counts
 stack per skill. Skills whose stacks (n_obs, |S|, T) share one shape form a
-group, which gets one deviation grid; its caches hold views of it. The
+group, which gets one deviation grid: skill k of K at failure time t is its
+row t*K + k, and skill k's cache holds the view of rows k, K + k, .... The
 skills come in the order of the databases, which orders the gain columns
 and breaks gain ties.
 
@@ -31,8 +32,7 @@ import numpy as np
 from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
-from .fpf import (BlameConfig, DeviationGrid, FpfModel, _grid, deviation_grid, fit_fpf,
-                  window_mass)
+from .fpf import BlameConfig, DeviationGrid, FpfModel, _grid, deviation_grid, fit_fpf
 from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
@@ -94,11 +94,12 @@ class SkillCache:
     ``success_lik`` (n_obs, |S|) is evaluated here once; a gain evaluation
     evaluates the deviation mass (erf) only at sampled failures.
 
-    The loop builds one grid for each group of skills whose counts stacks
-    (n_obs, |S|, T) share one shape, and the group's caches hold views of
-    it; a gain evaluation scores a group in one pass. Built directly, a
-    cache is a group of one. With ``fpf=None`` the model is fitted on the
-    database here, and one counts stack of S serves both the fit and the grid.
+    The loop builds one grid for each group of K skills whose counts stacks
+    (n_obs, |S|, T) share one shape, skill k's failure time t in its row
+    t*K + k, and ``grid`` views skill k's rows of it; a gain evaluation
+    scores a group in one pass. Built directly, a cache is a group of one.
+    With ``fpf=None`` the model is fitted on the database here, and one
+    counts stack of S serves both the fit and the grid.
     """
 
     def __init__(self, db: ExperienceDb, fpf: FpfModel | None, config: BlameConfig):
@@ -109,9 +110,7 @@ class SkillCache:
         model = fpf.on(db.support)
         grid = deviation_grid(model, db.counts_stack(model.support) if stack is None else stack,
                               config)
-        # a group of one: every field of the grid gains a group axis of length 1
-        _fill_group([self], [db], [fpf], [model.support],
-                    DeviationGrid(*(a[:, None] for a in vars(grid).values())), config)
+        _fill_group([self], [db], [fpf], [model.support], grid, config)
 
 
 # The loop makes its caches through this name, so that rebinding the public
@@ -121,8 +120,8 @@ _SkillCache = SkillCache
 
 @dataclass(frozen=True)
 class _Group:
-    """What a gain evaluation reads of a group of K skills: their grid with
-    the group axis after the time axis, success likelihoods (K, n_obs, |S|)
+    """What a gain evaluation reads of a group of K skills: their grid, skill
+    k's failure time t in row t*K + k, success likelihoods (K, n_obs, |S|)
     and supports (K, |S|)."""
 
     grid: DeviationGrid
@@ -132,16 +131,17 @@ class _Group:
 
 def _fill_group(caches, dbs, fpfs, supports, grid: DeviationGrid, config: BlameConfig) -> None:
     """Make ``caches`` those of the skills of ``dbs``, with models ``fpfs``
-    held on ``supports``, from their group's ``grid``."""
-    last = grid.mean.shape[0] - 1
-    pd = window_mass(grid.exec_mean[last] - grid.mean[last, :, None], grid.var[last, :, None])
-    inactive = ~(grid.model_active[last, :, None] | grid.exec_active[last])
-    group = _Group(grid, combine_deviation(pd, inactive, True, config),
+    held on ``supports``, from their group's ``grid``; each cache's grid
+    holds views of its skill's rows."""
+    K, (rows, n) = len(caches), grid.exec_mean.shape[:2]
+    # every skill's successes, judged at T - 1
+    last = rows - K + np.arange(K)[:, None]
+    group = _Group(grid, combine_deviation(*grid.at(last, np.arange(n)), True, config),
                    np.stack(supports))
     for k, (cache, db, fpf) in enumerate(zip(caches, dbs, fpfs)):
         cache.db, cache.fpf, cache.support = db, fpf, group.support[k]
-        cache.grid, cache.success_lik = grid.skill(k), group.success_lik[k]
-        cache._group, cache._k = group, k
+        cache.grid = DeviationGrid(*(a[k::K] for a in vars(grid).values()))
+        cache.success_lik, cache._group, cache._k = group.success_lik[k], group, k
 
 
 def _loop_caches(dbs: Mapping[SkillId, ExperienceDb], config: BlameConfig,
@@ -204,8 +204,8 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
         for idx in members.values():
             group = caches[idx[0]]._group
             ks = np.array([caches[i]._k for i in idx])
-            g, S = group.grid, group.support[ks]
-            T, K, n = g.exec_mean.shape[:3]
+            g, S, K = group.grid, group.support[ks], len(group.support)
+            T, n = g.exec_mean.shape[0] // K, g.exec_mean.shape[1]
             succ, t = [], []
             for i in idx:
                 drawn = streams[i].integers(0, 2, size=(n, samples)).ravel() != 0
@@ -214,17 +214,11 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
             succ = np.array(succ)
             fail = ~succ
             j, o = fail.nonzero()
-            # the grid's time and group axes merge into one: row t * K + k
-            tk, o = np.concatenate(t) * K + ks[j], o // samples
-            exec_mean, mean, var, exec_active, model_active = (
-                a.reshape((T * K,) + a.shape[2:])
-                for a in (g.exec_mean, g.mean, g.var, g.exec_active, g.model_active))
             # a success keeps its cached likelihood; failures gather their
-            # window statistics, for one erf call
+            # window statistics at grid row t * K + k, for one erf call
             lik = np.repeat(group.success_lik[ks], samples, axis=1)
-            lik[fail] = combine_deviation(window_mass(exec_mean[tk, o] - mean[tk], var[tk]),
-                                          ~(exec_active[tk, o] | model_active[tk]), False,
-                                          config)
+            lik[fail] = combine_deviation(*g.at(np.concatenate(t) * K + ks[j], o // samples),
+                                          False, config)
             lik *= p[S][:, None]
             mass_out = np.maximum(mass - _row_sums(p[S].astype(ld)), 0.0)
             plogp_out = np.where(mass_out > 0, total - _row_sums(plogp[S].astype(ld)), 0.0)

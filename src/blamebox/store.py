@@ -536,6 +536,8 @@ def load_study(path: str) -> Study:
         dt = float(_field(manifest, "dt", _POSITIVE, its))
         listed, dbs = _field(manifest, "dbs", _OBJECT, its), {}
         for skill in _field(manifest, "skills", _STRINGS, its):
+            if skill in dbs:
+                raise StoreError(f"{manifest_path}: skill {skill!r} is listed more than once")
             rel = listed.get(skill)
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")

@@ -103,3 +103,11 @@ def test_schedule_swaps_directories_halfway():
     # an odd count gives the first half the extra pair
     assert [dirs["parent"] for _, dirs in ab_pairs._schedule(5)] == ["a", "a", "a", "b", "b"]
     assert ab_pairs._schedule(1) == [(("parent", "change"), {"parent": "a", "change": "b"})]
+
+
+def test_source_size_counts_the_package_modules_only():
+    files = {"src/blamebox/a.py": b"x = 1\ny = 2\n", "src/blamebox/b.py": b"z = 3",
+             "src/blamebox/data.json": b"{}\n", "src/blamebox/sub/c.py": b"w = 4\n",
+             "src/other.py": b"v = 5\n", "tests/test_a.py": b"u = 6\n"}
+    assert ab_pairs._source_size(files) == {"files": 2, "lines": 2, "bytes": 17}
+    assert ab_pairs._source_size({}) == {"files": 0, "lines": 0, "bytes": 0}

@@ -11,6 +11,7 @@ from blamebox import (BlameConfig, ConfigError, ExperienceDb, Fingerprint, Funct
 from blamebox import fpf
 from blamebox.fpf import (DeviationGrid, FpfModel, _grid, _mass, _window_sums, deviation_at,
                           deviation_grid)
+from blamebox.planner import _loop_caches
 from tests.test_core import make_obs
 
 REG = FunctionRegistry(["a", "b", "c"])
@@ -602,7 +603,7 @@ class TestStackedGrid:
         var = 1e-6 + rng.uniform(0, 3, (R, T))
         counts = rng.uniform(0, 3, (n, R, T)) * rng.choice([0.0, 4e-10, 1.0], size=(n, R, T))
         cfg = BlameConfig(alpha=rng.uniform(0, 0.3), window_steps=W)
-        got = _grid(mean, var, counts, cfg)
+        got = _grid([mean], [var], [counts], cfg)
         want = five_call_grid(mean, var, counts, cfg)
         for name in ("mean", "var", "exec_mean"):
             a, b = getattr(got, name), getattr(want, name)
@@ -633,3 +634,53 @@ class TestStackedGrid:
         got = deviation_at(model, fingerprint, 30, cfg)
         assert widths == [W, W]   # the model's mean and var, on its support and the run's rows
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _same_bits(a, b):
+    if a.dtype == bool:
+        return a.shape == b.shape and np.array_equal(a, b)
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestGridLayout:
+    """A group grid of K same-shape skills holds skill k's failure time t in
+    row t*K + k; a skill alone is the group of one."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("n,R,T,W", [(3, 4, 9, 4), (2, 3, 1, 1), (2, 3, 1, 5),
+                                         (2, 3, 5, 12), (2, 0, 6, 3)])
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_row_t_K_plus_k_is_the_skill_alone(self, K, n, R, T, W, silent):
+        rng = np.random.default_rng([K, n, R, T, W])
+        cfg = BlameConfig(alpha=rng.uniform(0, 0.3), window_steps=W)
+        live = 0.0 if silent else 1.0
+        models = [FpfModel(support=np.arange(R),
+                           mean=live * rng.uniform(0, 2, (R, T)) * rng.choice([0.0, 1.0], (R, T)),
+                           var=1e-6 + rng.uniform(0, 3, (R, T)), F=R + 1, n_samples=n,
+                           var_floor=1e-6)
+                  for _ in range(K)]
+        stacks = [live * rng.uniform(0, 3, (n, R, T)) * rng.choice([0.0, 1.0], (n, R, T))
+                  for _ in range(K)]
+        group = _grid([m.mean for m in models], [m.var for m in models], stacks, cfg)
+        assert group.mean.shape == group.var.shape == group.model_active.shape == (T * K, R)
+        assert group.exec_mean.shape == group.exec_active.shape == (T * K, n, R)
+        for k, (model, stack) in enumerate(zip(models, stacks)):
+            alone = deviation_grid(model, stack, cfg)
+            for name, want in vars(alone).items():
+                assert _same_bits(getattr(group, name)[k::K], want), (k, name)
+        if silent:
+            assert not group.model_active.any() and not group.exec_active.any()
+
+    def test_loop_cache_grids_view_the_group_grid(self):
+        rng = np.random.default_rng(3)
+        dbs = {s: db_from_counts([rng.uniform(1, 2, (3, 6)) for _ in range(4)], skill=s)
+               for s in ("s1", "s2", "s3")}
+        caches = _loop_caches(dbs, BlameConfig(window_steps=3))
+        group = caches["s1"]._group
+        assert all(cache._group is group for cache in caches.values())
+        for k, cache in enumerate(caches.values()):
+            for name, got in vars(cache.grid).items():
+                whole = getattr(group.grid, name)
+                assert np.shares_memory(got, whole), name
+                assert _same_bits(got, whole[k::3]), name

@@ -603,6 +603,17 @@ class TestCountsFormat:
         with pytest.raises(StoreError, match=os.path.join("dbs", "s1", "manifest.json")):
             load_study(str(tmp_path / "study"))
 
+    def test_skill_listed_twice_rejected(self, tmp_path):
+        dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+        save_study(str(tmp_path / "study"), REG, dbs, dt=0.1)
+        manifest_path = tmp_path / "study" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["skills"] = ["s1", "s1", "s2"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=re.escape(
+                f"{manifest_path}: skill 's1' is listed more than once")):
+            load_study(str(tmp_path / "study"))
+
 
 class TestModelRoundTrip:
     def test_fpf_exact(self, tmp_path):

@@ -20,8 +20,10 @@ The output file holds, per workload and per end-to-end metric of
 BENCHMARK.json, each side's runs, median and quartiles, the pairs the
 change won (ties count for neither side), the change of the median, and
 whether the change's median stays within the metric's bound; it also holds
-every run's correctness, failed operations and directory, and facts about
-the machine. Only the standard library is used.
+every run's correctness, failed operations and directory, each side's
+package source size (the files, lines and bytes of ``src/blamebox/*.py``,
+which every benchmark child compiles, so a ``setup_s`` shift can be set
+against it), and facts about the machine. Only the standard library is used.
 """
 from __future__ import annotations
 
@@ -72,6 +74,14 @@ def _write(files: dict[str, bytes], dest: str) -> None:
         os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
         with open(os.path.join(dest, name), "wb") as fh:
             fh.write(data)
+
+
+def _source_size(files: dict[str, bytes]) -> dict:
+    """The number of files, lines and bytes of ``src/blamebox/*.py`` in ``files``."""
+    modules = [data for name, data in files.items()
+               if os.path.dirname(name) == "src/blamebox" and name.endswith(".py")]
+    return {"files": len(modules), "lines": sum(data.count(b"\n") for data in modules),
+            "bytes": sum(map(len, modules))}
 
 
 def _schedule(pairs: int) -> list[tuple[tuple[str, str], dict[str, str]]]:
@@ -217,7 +227,9 @@ def main() -> int:
         change = _git("rev-parse", "HEAD") + (" with uncommitted edits" if dirty else "")
         report = {"parent": parent_sha, "change": change, "pairs": args.pairs,
                   "seconds": seconds, "seed": args.seed,
-                  "command": bench["command"], "machine_before": _machine(),
+                  "command": bench["command"],
+                  "source": {side: _source_size(f) for side, f in files.items()},
+                  "machine_before": _machine(),
                   "workloads": {}}
         layout = None
         for workload in workloads:
@@ -254,6 +266,9 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
+    for side, size in report["source"].items():
+        print(f"{side:6s} src/blamebox: {size['files']} files, {size['lines']} lines, "
+              f"{size['bytes']} bytes")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             if m["compared"]:
