@@ -287,6 +287,8 @@ def _skill(d: dict, where: str) -> tuple[SkillId, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A simulated study and its loop; ``seed`` drives every stream, replacing ``planner.seed``."""
+
     name: str
     functions: tuple[str, ...]
     skills: tuple[tuple[SkillId, tuple[str, ...]], ...]
@@ -393,14 +395,14 @@ def built_in_scenario(name: str, seed: int = 1) -> ScenarioConfig:
         return ScenarioConfig(
             name=name, functions=_ROBOT_FUNCTIONS, skills=_ROBOT_SKILLS,
             buggy=("planCartesianTrajectory",), seed=seed,
-            planner=PlannerConfig(max_iterations=25, seed=0))
+            planner=PlannerConfig(max_iterations=25))
     if name == "localizer-ambiguity":
         # The localiser and the Cartesian-planning functions only ever run
         # together, so blame cannot separate them.
         return ScenarioConfig(
             name=name, functions=_ROBOT_FUNCTIONS, skills=_ROBOT_SKILLS,
             buggy=("localiseObject",), seed=seed,
-            planner=PlannerConfig(max_iterations=25, seed=0))
+            planner=PlannerConfig(max_iterations=25))
     raise ScenarioError(
         f"unknown scenario {name!r}; built-ins: {', '.join(BUILT_IN_SCENARIOS)}")
 

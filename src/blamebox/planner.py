@@ -4,9 +4,9 @@ The loop fits each skill's fingerprint model from the skill's experience
 database and builds its :class:`SkillCache` itself, both from one counts
 stack per skill. Skills whose stacks (n_obs, |S|, T) share one shape form a
 group, which gets one deviation grid: skill k of K at failure time t is its
-row t*K + k, and skill k's cache holds the view of rows k, K + k, .... The
-skills come in the order of the databases, which orders the gain columns
-and breaks gain ties.
+row t*K + k, and skill k's cache views its rows k, K + k, ...; a cache
+built directly is a group of one. The skills come in the order of the
+databases, which orders the gain columns and breaks gain ties.
 
 The gain of a skill is estimated by hypothetical Bayesian updates: for every
 stored observation of that skill, sample (success, t_fail) pairs with success
@@ -32,7 +32,7 @@ import numpy as np
 from .blame import Belief, bayes_update, combine_deviation, entropy
 from .core import ExperienceDb, Observation, SkillId, _canonicalize_observation
 from .errors import ConfigError, ExecutorError, ValidationError
-from .fpf import BlameConfig, DeviationGrid, FpfModel, _grid, deviation_grid, fit_fpf
+from .fpf import BlameConfig, DeviationGrid, FpfModel, _grid, fit_fpf
 from .mom import MomBundle, MomConfig, detect_failure_time, error_rows
 
 _TIE_TOL = 1e-12
@@ -94,23 +94,19 @@ class SkillCache:
     ``success_lik`` (n_obs, |S|) is evaluated here once; a gain evaluation
     evaluates the deviation mass (erf) only at sampled failures.
 
-    The loop builds one grid for each group of K skills whose counts stacks
-    (n_obs, |S|, T) share one shape, skill k's failure time t in its row
-    t*K + k, and ``grid`` views skill k's rows of it; a gain evaluation
-    scores a group in one pass. Built directly, a cache is a group of one.
-    With ``fpf=None`` the model is fitted on the database here, and one
-    counts stack of S serves both the fit and the grid.
+    Every cache is made by :func:`_fill_group`: one grid for a group of K
+    skills whose counts stacks (n_obs, |S|, T) share one shape, skill k's
+    failure time t in row t*K + k, and ``grid`` views skill k's rows; a gain
+    evaluation scores a group in one pass. Built directly, a cache is a
+    group of one: ``fpf`` is the given model, of the runs' F and T, held on S.
     """
 
-    def __init__(self, db: ExperienceDb, fpf: FpfModel | None, config: BlameConfig):
-        stack = None
-        if fpf is None:
-            stack = db.counts_stack(db.support)
-            fpf = fit_fpf(db, config, stack)
-        model = fpf.on(db.support)
-        grid = deviation_grid(model, db.counts_stack(model.support) if stack is None else stack,
-                              config)
-        _fill_group([self], [db], [fpf], [model.support], grid, config)
+    def __init__(self, db: ExperienceDb, fpf: FpfModel, config: BlameConfig):
+        shape, want = (db.observations[0].fingerprint.F, db.canonical_T), (fpf.F, fpf.T)
+        if shape != want:
+            raise ValidationError(f"counts of shape {shape} do not match the model's {want}")
+        fpf = fpf.on(db.support)
+        _fill_group([self], [db], [fpf], [db.counts_stack(fpf.support)], config)
 
 
 # The loop makes its caches through this name, so that rebinding the public
@@ -129,15 +125,18 @@ class _Group:
     support: np.ndarray
 
 
-def _fill_group(caches, dbs, fpfs, supports, grid: DeviationGrid, config: BlameConfig) -> None:
-    """Make ``caches`` those of the skills of ``dbs``, with models ``fpfs``
-    held on ``supports``, from their group's ``grid``; each cache's grid
-    holds views of its skill's rows."""
+def _fill_group(caches, dbs, fpfs, stacks, config: BlameConfig) -> None:
+    """Make ``caches`` those of the skills of ``dbs``, each with its model of
+    ``fpfs`` held on its support S and its (n_obs, |S|, T) counts stack of
+    ``stacks``, all stacks of one shape: builds the group's grid, empties
+    ``stacks``, and gives each cache views of its skill's rows."""
+    grid = _grid([f.mean for f in fpfs], [f.var for f in fpfs], stacks, config)
+    stacks.clear()
     K, (rows, n) = len(caches), grid.exec_mean.shape[:2]
     # every skill's successes, judged at T - 1
     last = rows - K + np.arange(K)[:, None]
     group = _Group(grid, combine_deviation(*grid.at(last, np.arange(n)), True, config),
-                   np.stack(supports))
+                   np.stack([f.support for f in fpfs]))
     for k, (cache, db, fpf) in enumerate(zip(caches, dbs, fpfs)):
         cache.db, cache.fpf, cache.support = db, fpf, group.support[k]
         cache.grid = DeviationGrid(*(a[k::K] for a in vars(grid).values()))
@@ -146,9 +145,9 @@ def _fill_group(caches, dbs, fpfs, supports, grid: DeviationGrid, config: BlameC
 
 def _loop_caches(dbs: Mapping[SkillId, ExperienceDb], config: BlameConfig,
                  ) -> dict[SkillId, SkillCache]:
-    """Every skill's cache, its model fitted on its database: one grid per
-    group of skills whose counts stacks share one shape. A group's stacks
-    live until its grid is built."""
+    """Every skill's cache, its model fitted on its database from the counts
+    stack the grid is built from: one grid per group of skills whose stacks
+    share one shape. A group's stacks live until its grid is built."""
     groups: dict[tuple[int, int, int], list[SkillId]] = {}
     for s, db in dbs.items():
         groups.setdefault((len(db), db.support.size, db.canonical_T), []).append(s)
@@ -157,10 +156,7 @@ def _loop_caches(dbs: Mapping[SkillId, ExperienceDb], config: BlameConfig,
         group = [dbs[s] for s in skills]
         stacks = [db.counts_stack(db.support) for db in group]
         fpfs = [fit_fpf(db, config, stack) for db, stack in zip(group, stacks)]
-        grid = _grid([f.mean for f in fpfs], [f.var for f in fpfs], stacks, config)
-        del stacks
-        _fill_group([caches[s] for s in skills], group, fpfs, [db.support for db in group],
-                    grid, config)
+        _fill_group([caches[s] for s in skills], group, fpfs, stacks, config)
     return caches
 
 
@@ -259,7 +255,8 @@ def information_gain_stats(belief: Belief, db: ExperienceDb, fpf: FpfModel,
                            planner: PlannerConfig, blame: BlameConfig,
                            rng: np.random.Generator,
                            cache: SkillCache | None = None) -> GainEstimate:
-    """E[I] with its Monte-Carlo standard error."""
+    """E[I] with its Monte-Carlo standard error; ``db`` and ``fpf`` build the
+    skill's cache when ``cache`` is not given, and are not read when it is."""
     if cache is None:
         cache = SkillCache(db, fpf, blame)
     return _gain_estimates(belief, [cache], planner, blame, [rng])[0]

@@ -357,6 +357,29 @@ class TestScenarios:
         run = json.loads((tmp_path / "run.json").read_text())
         assert used == [1] and run["config"]["planner"]["seed"] == 1
 
+    def test_top_level_seed_replaces_the_planner_seed(self, tmp_path):
+        # a file's planner.seed is read but never used; the built-in robot
+        # scenarios leave it at its default
+        import json
+        from blamebox.cli import main
+        for name in ("exoneration", "localizer-ambiguity"):
+            assert built_in_scenario(name).planner == PlannerConfig(max_iterations=25)
+        assert PlannerConfig().seed == 0
+        base = ScenarioConfig(name="tiny", functions=("f1", "f2", "f3"),
+                              skills=(("a1", ("f1", "f2")), ("a2", ("f2", "f3"))),
+                              buggy=("f2",), db_size=6, T=12, seed=1).to_dict()
+        gains = []
+        for planner_seed in (0, 7):
+            path, out = tmp_path / f"s{planner_seed}.json", tmp_path / f"out{planner_seed}"
+            path.write_text(json.dumps({**base, "planner": {**base["planner"],
+                                                            "seed": planner_seed}}))
+            assert load_scenario(str(path)).planner.seed == planner_seed
+            assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+            run = json.loads((out / "run.json").read_text())
+            assert run["config"]["seed"] == run["config"]["planner"]["seed"] == 1
+            gains.append((out / "gains.csv").read_bytes())
+        assert gains[0] == gains[1]
+
     def test_same_seed_same_candidates(self):
         cfg = ScenarioConfig(
             name="tiny",

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,25 @@ class TestExpectedInformationGain:
         expected, _ = full_registry_entropies(belief, dbs["s2"], fpfs["s1"], 8, 2)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
+    def test_cache_holds_the_model_on_its_support(self):
+        # a fitted model already covers its database's support, so its cache
+        # keeps the model itself; a foreign model gains the rows only the
+        # runs call, at the values the real update gives them
+        _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f3"), "s2": ("f1", "f4")}, F=4, T=8, n=4)
+        assert SkillCache(dbs["s1"], fpfs["s1"], CFG).fpf is fpfs["s1"]
+        held = SkillCache(dbs["s2"], fpfs["s1"], CFG).fpf
+        assert list(held.support) == [0, 2, 3] and list(fpfs["s1"].support) == [0, 2]
+        assert _bits(held.mean[:2]) == _bits(fpfs["s1"].mean)
+        assert _bits(held.var[:2]) == _bits(fpfs["s1"].var)
+        assert np.array_equal(held.mean[2], np.zeros(8))
+        assert np.array_equal(held.var[2], np.full(8, fpfs["s1"].var_floor))
+        belief = Belief(np.array([0.1, 0.2, 0.3, 0.4]))
+        for obs in dbs["s2"].observations:
+            for success, t_fail in ((True, None), (False, 5)):
+                got = bayes_update(belief, {"s2": held}, obs, success, t_fail, CFG)[0]
+                want = bayes_update(belief, {"s2": fpfs["s1"]}, obs, success, t_fail, CFG)[0]
+                assert _bits(got.probs) == _bits(want.probs)
+
     def test_grid_covers_only_the_support(self):
         _, _, dbs, fpfs = toy_setup({"s1": ("f2", "f4")}, F=7, T=6)
         cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
@@ -230,6 +250,19 @@ class TestExpectedInformationGain:
         _, _, dbs, fpfs = toy_setup({"s1": ("f1",)})
         with pytest.raises(ValidationError):
             information_gain_stats(Belief.uniform(3), dbs["s1"], fpfs["s1"], PLAN, CFG,
+                                   np.random.default_rng(0))
+
+    @pytest.mark.parametrize("F,T,want", [(9, 4, "(9, 4)"), (3, 6, "(3, 6)")],
+                             ids=["functions", "length"])
+    def test_model_of_another_shape_rejected(self, F, T, want):
+        # else the gain would be scored over the model's F and T, not the runs'
+        _, _, dbs, _ = toy_setup({"s1": ("f1", "f2")}, F=3)
+        _, _, _, other = toy_setup({"s1": ("f1", "f2")}, F=F, T=T)
+        message = re.escape(f"counts of shape (3, 4) do not match the model's {want}")
+        with pytest.raises(ValidationError, match=message):
+            SkillCache(dbs["s1"], other["s1"], CFG)
+        with pytest.raises(ValidationError, match=message):
+            information_gain_stats(Belief.uniform(F), dbs["s1"], other["s1"], PLAN, CFG,
                                    np.random.default_rng(0))
 
     def test_empty_db_rejected(self):
@@ -547,7 +580,8 @@ class TestOneStackPerSkill:
                              ids=["long-horizon", "ragged"])
     def test_loop_cache_equals_cache_of_fitted_model(self, make):
         db, cfg = make()
-        got, want = SkillCache(db, None, cfg), SkillCache(db, fit_fpf(db, cfg), cfg)
+        got = planner_mod._loop_caches({db.skill: db}, cfg)[db.skill]
+        want = SkillCache(db, fit_fpf(db, cfg), cfg)
         for name in ("mean", "var", "exec_mean", "model_active", "exec_active"):
             assert _bits(getattr(got.grid, name)) == _bits(getattr(want.grid, name)), name
         assert _bits(got.success_lik) == _bits(want.success_lik)
@@ -558,7 +592,8 @@ class TestOneStackPerSkill:
     def test_ragged_runs_are_canonicalized_first(self):
         db = ragged_db()
         assert db.canonical_T == 30 and 11 not in db.support
-        assert SkillCache(db, None, CFG).grid.exec_mean.shape == (30, 7, db.support.size)
+        cache = planner_mod._loop_caches({db.skill: db}, CFG)[db.skill]
+        assert cache.grid.exec_mean.shape == (30, 7, db.support.size)
 
     def test_loop_builds_one_stack_per_skill(self, monkeypatch):
         _, _, dbs, _ = toy_setup({"s1": ("f1", "f2"), "s2": ("f2", "f3")}, F=4, T=8, n=6)
@@ -600,7 +635,8 @@ class TestOneStackPerSkill:
         grid_buffer = np.ones((T, n + 1, R))
         _, scratch = _traced_peak(lambda: _window_sums(grid_buffer, 0.5, cfg.window_steps))
         del grid_buffer
-        cache, peak = _traced_peak(lambda: SkillCache(db, None, cfg))
+        cache, peak = _traced_peak(
+            lambda: planner_mod._loop_caches({db.skill: db}, cfg)[db.skill])
         assert peak < _kept_bytes(cache) + stack_bytes + scratch
 
 
