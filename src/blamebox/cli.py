@@ -5,7 +5,8 @@ Subcommands: ``simulate`` (run a built-in or file-described scenario),
 ``localize`` (testing loop over a stored study with replayed executions),
 ``report`` (re-emit the CSV bundle from a trace.json).
 
-Exit codes: 0 success, 1 validation or configuration problem, 2 I/O problem.
+Exit codes: 0 success, 1 validation or configuration problem (a study too
+large for the memory at hand among them), 2 I/O problem.
 Nothing is ever written outside --out.
 """
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .harness import BUILT_IN_SCENARIOS, load_scenario, run_scenario
 from .mom import (MomBundle, MomConfig, detect_failure_time, error_rows, fit_error_stats,
                   train)
 from .planner import PlannerConfig, run_testing_loop
-from .reports import (trace_to_dict, write_mom_eval, write_run_info,
-                      write_trace_files)
+from .reports import write_loop_report, write_mom_eval, write_run_info, write_trace_files
 from .store import (ReplayExecutor, _interpreting, _naming, _read_json, load_db,
                     load_model, load_study, save_model)
 
@@ -37,7 +37,9 @@ def _cmd_simulate(args) -> int:
     # a scenario file that no study can be built or run from is named
     with (nullcontext() if args.scenario in BUILT_IN_SCENARIOS
           else _naming(f"scenario file {args.scenario!r}", ScenarioError)):
-        run_scenario(config, out_dir=args.out)
+        result = run_scenario(config)
+        write_loop_report(args.out, "simulate", result.trace, result.registry.names,
+                          result.config.to_dict())
     return EXIT_OK
 
 
@@ -93,10 +95,9 @@ def _cmd_localize(args) -> int:
         planner = PlannerConfig(seed=args.seed)
         _, trace = run_testing_loop(ReplayExecutor(study.replay), study.dbs, None, planner,
                                     blame)
-    write_trace_files(args.out, trace_to_dict(trace, study.registry.names))
-    write_run_info(args.out, "localize",
-                   {"study": args.study, "executor": args.executor, "seed": args.seed,
-                    "planner": asdict(planner), "blame": asdict(blame)})
+    write_loop_report(args.out, "localize", trace, study.registry.names,
+                      {"study": args.study, "executor": args.executor, "seed": args.seed,
+                       "planner": asdict(planner), "blame": asdict(blame)})
     return EXIT_OK
 
 
@@ -156,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (BlameboxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

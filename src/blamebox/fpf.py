@@ -72,7 +72,11 @@ class BlameConfig:
         """Window covering 2 s of wall time at interval ``dt``."""
         if not 0 < dt < math.inf:
             raise ConfigError(f"dt must be positive and finite, got {dt}")
-        w = max(1, math.ceil(_WINDOW_SECONDS / dt))
+        steps = _WINDOW_SECONDS / dt
+        if steps == math.inf:
+            raise ConfigError(f"dt {dt} is too small: a {_WINDOW_SECONDS:g} s window "
+                              "at that interval is not a finite number of steps")
+        w = max(1, math.ceil(steps))
         return cls(alpha=math.log(10.0) / w, window_steps=w)
 
 

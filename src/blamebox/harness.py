@@ -18,7 +18,7 @@ only the channel count, the length and the injected anomaly are set.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -241,53 +241,67 @@ def gen_sensor_suite(spec: SensorSynthSpec, n_train: int, n_pos: int, n_neg: int
 # ---------------------------------------------------------------------------
 # Scenarios.
 
-# The JSON types that a scenario's int and float fields take, by the field's
-# annotation, each checked in turn, with the value's conversion: an int field
-# takes a JSON integer, a float field a JSON number that float() then takes
-# without overflow, and a bool or a string is neither. An absent field takes
-# the default.
-_SCENARIO_SCALARS = {"int": ((_INT,), int),
-                     "float": ((("a number", _NUMBER[1]), _FLOAT), float)}
+@dataclass(frozen=True)
+class _SkillEntry:
+    """One entry of a scenario's ``skills``: a skill and the functions it runs."""
+
+    skill: str
+    functions: tuple[str, ...]
 
 
-def _scalars(cls, d: dict, where: str = "") -> dict:
-    """The entries of the scenario object ``d`` that set an int or float
-    field of the dataclass ``cls``, each checked against its JSON type."""
-    out = {}
+# How a scenario object's field is read, by the field's annotation: the JSON
+# types that its value must be, each checked in turn, and the value's
+# conversion. An int field takes a JSON integer, a float field a JSON number
+# that float() then takes without overflow, and a bool or a string is
+# neither. An absent field takes the default.
+_VALUES = {"str": ((_STRING,), str), "tuple[str, ...]": ((_STRINGS,), tuple),
+           "int": ((_INT,), int), "float": ((("a number", _NUMBER[1]), _FLOAT), float)}
+# the config that a nested scenario object sets, by the field's annotation
+_CONFIGS = {"PlannerConfig": PlannerConfig, "BlameConfig | None": BlameConfig}
+
+
+def _record(cls, d: dict, where: str = ""):
+    """The ``cls`` that the scenario object ``d`` sets, read by the fields of
+    the dataclass ``cls``: a value by :data:`_VALUES`, a config as an object
+    read the same way, and ``skills`` as a list of :class:`_SkillEntry`
+    objects, each taken as its (skill, functions) pair. A key that is not a
+    field is rejected."""
+    known = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ScenarioError(f"unknown field {where + key!r}")
+    args = {}
     for f in fields(cls):
-        if f.name in d and f.type in _SCENARIO_SCALARS:
-            kinds, convert = _SCENARIO_SCALARS[f.type]
+        if f.name not in d and (f.default is not MISSING or f.default_factory is not MISSING):
+            continue
+        if f.type in _VALUES:
+            kinds, convert = _VALUES[f.type]
             for kind in kinds:
                 value = _field(d, f.name, kind, "", ScenarioError, where)
-            out[f.name] = convert(value)
-    return out
+            args[f.name] = convert(value)
+        elif f.name == "skills":
+            args[f.name] = tuple(
+                astuple(_record(_SkillEntry, sub, f"{where}skills[{i}]."))
+                for i, sub in enumerate(_objects(d, f.name, "", ScenarioError, where)))
+        else:
+            sub = _field(d, f.name, _OBJECT, "", ScenarioError, where)
+            args[f.name] = _record(_CONFIGS[f.type], sub, f"{where}{f.name}.")
+    return cls(**args)
 
 
-def _known(d: dict, names, where: str = "") -> None:
-    """Reject a key of the scenario object ``d`` that is not in ``names``."""
-    for key in d:
-        if key not in names:
-            raise ScenarioError(f"unknown field {where + key!r}")
-
-
-def _nested(cls, d: dict, key: str):
-    """The ``cls`` that the scenario object ``d[key]`` sets, its fields and
-    scalars checked."""
-    sub = _field(d, key, _OBJECT, "", ScenarioError)
-    _known(sub, [f.name for f in fields(cls)], f"{key}.")
-    return cls(**{**sub, **_scalars(cls, sub, f"{key}.")})
-
-
-def _skill(d: dict, where: str) -> tuple[SkillId, tuple[str, ...]]:
-    """The (skill, functions) pair of a scenario's ``skills`` entry ``d``."""
-    _known(d, ("skill", "functions"), where)
-    return (_field(d, "skill", _STRING, "", ScenarioError, where),
-            tuple(_field(d, "functions", _STRINGS, "", ScenarioError, where)))
+def _plain(value):
+    """``value`` in JSON types: a record as an object of its fields, a tuple
+    as a list."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A simulated study and its loop; ``seed`` drives every stream, replacing ``planner.seed``."""
+    """A simulated study and its loop; ``seed`` drives every stream, replacing
+    ``planner.seed``. A scenario file's keys are these fields: :func:`_record`
+    reads them and :meth:`to_dict` writes them."""
 
     name: str
     functions: tuple[str, ...]
@@ -323,35 +337,16 @@ class ScenarioConfig:
         return self.blame if self.blame is not None else BlameConfig.for_sampling(self.dt)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "functions": list(self.functions),
-            "skills": [{"skill": s, "functions": list(fns)} for s, fns in self.skills],
-            "buggy": list(self.buggy),
-            "db_size": self.db_size,
-            "T": self.T,
-            "dt": self.dt,
-            "count_mu": self.count_mu,
-            "count_sigma": self.count_sigma,
-            "seed": self.seed,
-            "planner": asdict(self.planner),
-            "blame": asdict(self.resolved_blame()),
-        }
+        """The scenario object of this study: every field by name, with
+        tuples as lists, configs as objects and ``blame`` resolved."""
+        values = {**vars(self), "blame": self.resolved_blame(),
+                  "skills": tuple(_SkillEntry(*pair) for pair in self.skills)}
+        return {f.name: _plain(values[f.name]) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         try:
-            _known(d, [f.name for f in fields(cls)])
-            return cls(
-                name=_field(d, "name", _STRING, "", ScenarioError),
-                functions=tuple(_field(d, "functions", _STRINGS, "", ScenarioError)),
-                skills=tuple(_skill(sk, f"skills[{i}].") for i, sk in
-                             enumerate(_objects(d, "skills", "", ScenarioError))),
-                buggy=tuple(_field(d, "buggy", _STRINGS, "", ScenarioError)),
-                planner=_nested(PlannerConfig, d, "planner") if "planner" in d else PlannerConfig(),
-                blame=_nested(BlameConfig, d, "blame") if "blame" in d else None,
-                **_scalars(cls, d),
-            )
+            return _record(cls, d)
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario description: {exc}") from exc
 
@@ -450,9 +445,9 @@ def candidate_set(belief: Belief, registry: FunctionRegistry) -> tuple[str, ...]
     return tuple(registry.names[i] for i in idx)
 
 
-def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
-    """Build the study (registry, databases), run the testing loop
-    against the buggy world, and optionally write the report bundle.
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Build the study (registry, databases) and run the testing loop
+    against the buggy world.
 
     The scenario seed drives every stream: database simulation, loop
     executions, and gain sampling."""
@@ -474,9 +469,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> Scenario
     world = SimWorld(registry=registry, buggy_functions=frozenset(config.buggy))
     executor = SimExecutor(specs, world, seed=exec_ss)
     belief, trace = run_testing_loop(executor, dbs, None, config.planner, blame)
-    result = ScenarioResult(config=config, registry=registry, belief=belief,
-                            trace=trace, candidates=candidate_set(belief, registry))
-    if out_dir is not None:
-        from .reports import write_scenario_report
-        write_scenario_report(out_dir, result)
-    return result
+    return ScenarioResult(config=config, registry=registry, belief=belief,
+                          trace=trace, candidates=candidate_set(belief, registry))

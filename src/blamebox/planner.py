@@ -230,11 +230,6 @@ def _posterior_entropies(belief: Belief, caches: Sequence[SkillCache], config: B
     return np.concatenate(h), np.array([x.size for x in h]), float(-total)
 
 
-def _sampled_entropies(belief: Belief, cache: SkillCache, config: BlameConfig,
-                       samples: int, rng: np.random.Generator) -> np.ndarray:
-    return _posterior_entropies(belief, [cache], config, samples, [rng])[0]
-
-
 def _gain_estimates(belief: Belief, caches: Sequence[SkillCache], planner: PlannerConfig,
                     blame: BlameConfig, streams: Sequence[np.random.Generator],
                     ) -> list[GainEstimate]:

@@ -105,26 +105,13 @@ def expand_posterior(form, F: int) -> np.ndarray:
 
 
 def trace_to_dict(trace: LoopTrace, function_names: Sequence[str]) -> dict:
-    return {
-        "skills": list(trace.skills),
-        "functions": list(function_names),
-        "converged": trace.converged,
-        "aborted": trace.aborted,
-        "steps": [
-            {
-                "step": s.step,
-                "chosen": s.chosen,
-                "success": s.success,
-                "t_fail": s.t_fail,
-                "entropy": s.entropy,
-                "gains": {k: {"gain": g.gain, "stderr": g.stderr,
-                              "n_samples": g.n_samples}
-                          for k, g in s.gains.items()},
-                "posterior": posterior_form(s.posterior),
-            }
-            for s in trace.steps
-        ],
-    }
+    """The trace.json document of ``trace``: the trace's, each step's and
+    each gain's fields by name, with the function names, each posterior in
+    trace form and tuples as lists."""
+    steps = [{**vars(s), "gains": {k: dict(vars(g)) for k, g in s.gains.items()},
+              "posterior": posterior_form(s.posterior)} for s in trace.steps]
+    return {**vars(trace), "skills": list(trace.skills), "functions": list(function_names),
+            "steps": steps}
 
 
 def write_trace_files(out_dir: str, trace_dict: dict) -> dict:
@@ -201,12 +188,12 @@ def write_run_info(out_dir: str, command: str, resolved: dict) -> None:
                  "command": command, "config": resolved})
 
 
-def write_scenario_report(out_dir: str, result) -> dict:
-    """Full bundle for a scenario run (see :func:`write_trace_files`)."""
-    trace_dict = trace_to_dict(result.trace, result.registry.names)
-    summary = write_trace_files(out_dir, trace_dict)
-    write_run_info(out_dir, "simulate", result.config.to_dict())
-    return summary
+def write_loop_report(out_dir: str, command: str, trace: LoopTrace,
+                      function_names: Sequence[str], resolved: dict) -> None:
+    """Full bundle of a testing-loop run: the trace files of ``trace`` (see
+    :func:`write_trace_files`), then run.json with ``resolved``."""
+    write_trace_files(out_dir, trace_to_dict(trace, function_names))
+    write_run_info(out_dir, command, resolved)
 
 
 def write_mom_eval(out_dir: str, names: Sequence[str],

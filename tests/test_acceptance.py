@@ -17,7 +17,7 @@ from blamebox.blame import bayes_update
 from blamebox.core import Fingerprint
 from blamebox.harness import SensorSynthSpec, built_in_scenario
 from blamebox.mom import detect_failure_time, error_series, loss_and_gradients
-from blamebox.planner import _sampled_entropies
+from blamebox.planner import _posterior_entropies
 from tests.test_fpf import db_from_counts
 from tests.test_mom import fd_gradients, max_relative_error, random_params
 from tests.test_planner import enumerate_expected_entropy, toy_setup
@@ -247,8 +247,8 @@ class TestC09InvariantSuite:
         point = Belief(np.array([0.0, 1.0]))
         h0 = entropy(point)
         for _ in range(self.N):
-            h_sam = _sampled_entropies(point, cache, cfg,
-                                       plan.samples_per_observation, rng)
+            h_sam = _posterior_entropies(point, [cache], cfg,
+                                         plan.samples_per_observation, [rng])[0]
             assert abs(h0 - h_sam.mean()) <= 1e-9
 
     def test_c09f_eig_matches_enumeration(self):

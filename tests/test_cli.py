@@ -11,6 +11,9 @@ from blamebox import FunctionRegistry, save_db, save_study
 from blamebox.cli import main
 from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
 
+TINY_DT_ERROR = ("dt 1e-320 is too small: a 2 s window at that interval is not a finite "
+                 "number of steps")
+
 
 def make_sensor_db(tmp_path, n=6, D=4, T=30, skill="s1", name="db"):
     """A database whose sensor channels carry real structure."""
@@ -76,6 +79,31 @@ class TestSimulate:
         assert "alpha" in header
         belief_header = (out / "belief.csv").read_text().splitlines()[0]
         assert belief_header == "step,f1,f2,f3"
+
+    def test_too_small_dt_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "name": "tiny", "functions": ["f1", "f2"],
+            "skills": [{"skill": "s", "functions": ["f1"]}], "buggy": ["f1"],
+            "db_size": 5, "T": 12, "dt": 1e-320}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {TINY_DT_ERROR}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 373. GiB for an array"),
+         "Unable to allocate 373. GiB for an array"),
+        (MemoryError(), "out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, exc, line):
+        import blamebox.cli as cli
+
+        def exhausted(config):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_scenario", exhausted)
+        assert main(["simulate", "--scenario", "fig3", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
 
 
 class TestMomCommands:
@@ -230,6 +258,18 @@ class TestLocalize:
         assert main(["localize", "--study", str(tmp_path / "study"),
                      "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+    def test_too_small_dt_exits_one(self, tmp_path, capsys):
+        reg = FunctionRegistry(["f1", "f2"])
+        spec = SimSkillSpec(skill="s1", used_functions=("f1",), T=10, dt=1e-320)
+        rng = np.random.default_rng(0)
+        world = SimWorld(registry=reg, buggy_functions=frozenset({"f1"}))
+        save_study(str(tmp_path / "study"), reg, {"s1": build_database(spec, reg, rng, 4)},
+                   dt=1e-320, replay={"s1": [simulate_execution(spec, world, rng)]})
+        out = tmp_path / "o"
+        assert main(["localize", "--study", str(tmp_path / "study"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {TINY_DT_ERROR}\n"
+        assert not out.exists()
 
     def test_study_without_replay_fails_cleanly(self, tmp_path, capsys):
         reg = FunctionRegistry(["f1", "f2"])

@@ -1,16 +1,18 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from blamebox import (AnomalySpec, BlameConfig, ConfigError, FunctionRegistry, MomConfig,
-                      PlannerConfig, ScenarioError, SensorSynthSpec, SimSkillSpec, SimWorld,
-                      StoreError, ValidationError,
+from blamebox import (AnomalySpec, BUILT_IN_SCENARIOS, BlameConfig, ConfigError,
+                      FunctionRegistry, MomConfig, PlannerConfig, ScenarioError,
+                      SensorSynthSpec, SimSkillSpec, SimWorld, StoreError, ValidationError,
                       built_in_scenario, gen_fingerprint, gen_fingerprints,
                       gen_sensor_suite, load_scenario, run_scenario, run_testing_loop,
                       simulate_execution, validate_observation)
 from blamebox.harness import ScenarioConfig, build_database
+from blamebox.reports import write_loop_report
 
 REG6 = FunctionRegistry([f"f{i}" for i in range(1, 7)])
 
@@ -159,11 +161,14 @@ class TestScenarios:
         with pytest.raises(ScenarioError, match="fig3"):
             load_scenario("nosuch")
 
-    def test_round_trip_through_json(self, tmp_path):
-        cfg = built_in_scenario("fig5", seed=9)
+    @pytest.mark.parametrize("name", BUILT_IN_SCENARIOS)
+    def test_round_trip_through_json(self, name):
+        import json
+        cfg = built_in_scenario(name, seed=9)
         d = cfg.to_dict()
-        back = ScenarioConfig.from_dict(d)
+        back = ScenarioConfig.from_dict(json.loads(json.dumps(d)))
         assert back.to_dict() == d
+        assert back == replace(cfg, blame=cfg.resolved_blame())
 
     def test_load_from_file(self, tmp_path):
         import json
@@ -336,8 +341,10 @@ class TestScenarios:
             buggy=("f2",),
             db_size=10, T=20, seed=3)
         out = tmp_path / "report"
-        res = run_scenario(cfg, out_dir=str(out))
+        res = run_scenario(cfg)
         assert res.posterior_of("f2") > 0.5
+        write_loop_report(str(out), "simulate", res.trace, res.registry.names,
+                          res.config.to_dict())
         for name in ("gains.csv", "belief.csv", "trace.json", "summary.json", "run.json"):
             assert (out / name).exists()
 

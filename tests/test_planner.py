@@ -16,7 +16,7 @@ from blamebox.core import Fingerprint, Observation, SensorSeries
 from blamebox.fpf import _window_sums, deviation_grid, fit_fpf
 from blamebox.mom import ErrorStats, MomConfig, init_model
 import blamebox.planner as planner_mod
-from blamebox.planner import _posterior_entropies, _sampled_entropies
+from blamebox.planner import _posterior_entropies
 
 CFG = BlameConfig(alpha=0.2, window_steps=3)
 PLAN = PlannerConfig(samples_per_observation=64, seed=0)
@@ -56,7 +56,7 @@ def enumerate_expected_entropy(belief, db, fpf, blame):
 def full_registry_entropies(belief, db, fpf, samples, seed):
     """Sampled posterior entropies with the deviation grid over every registry
     row and the per-function normalization, from the same draws as
-    ``_sampled_entropies``; also returns the success draws."""
+    ``_posterior_entropies`` of one cache; also returns the success draws."""
     n, T = len(db), fpf.T
     rng = np.random.default_rng(seed)
     succ = rng.integers(0, 2, size=(n, samples)).astype(bool)
@@ -73,8 +73,8 @@ def full_registry_entropies(belief, db, fpf, samples, seed):
 
 
 def gathered_entropies(belief, cache, samples, seed):
-    """``_sampled_entropies`` with every sampled time, successes' T - 1
-    included, gathered from the grid, from the same draws and with the same
+    """One cache's ``_posterior_entropies`` with every sampled time, successes'
+    T - 1 included, gathered from the grid, from the same draws and with the same
     arithmetic: row sums by ``np.add.reduceat``, and the off-support sums as
     the belief's totals minus the support's, in long double."""
     n, T, R = len(cache.db), cache.fpf.T, cache.support.size
@@ -162,7 +162,7 @@ class TestExpectedInformationGain:
         _, _, dbs, fpfs = toy_setup({"s1": ("f1", "f2")}, F=3, T=9, n=4, seed=3)
         cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
         belief = Belief(np.array([0.5, 0.3, 0.2]))
-        got = _sampled_entropies(belief, cache, CFG, 5, np.random.default_rng(6))
+        got = _posterior_entropies(belief, [cache], CFG, 5, [np.random.default_rng(6)])[0]
         expected, _ = full_registry_entropies(belief, dbs["s1"], fpfs["s1"], 5, 6)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -173,7 +173,7 @@ class TestExpectedInformationGain:
         pd, inactive = cache.grid.at(9, np.arange(5))
         assert np.array_equal(cache.success_lik, combine_deviation(pd, inactive, True, CFG))
         belief = Belief(np.array([0.4, 0.3, 0.2, 0.1]))
-        got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(seed))
+        got = _posterior_entropies(belief, [cache], CFG, 16, [np.random.default_rng(seed)])[0]
         assert np.array_equal(got, gathered_entropies(belief, cache, 16, seed))
         # from three support functions on, ndarray.sum adds a row in another
         # order than np.add.reduceat, so only a wider skill pins the order
@@ -182,7 +182,7 @@ class TestExpectedInformationGain:
         cache = SkillCache(dbs["s1"], fpfs["s1"], CFG)
         assert cache.support.size == 5
         belief = Belief(np.random.default_rng(seed).dirichlet(np.ones(7)))
-        got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(seed))
+        got = _posterior_entropies(belief, [cache], CFG, 16, [np.random.default_rng(seed)])[0]
         assert np.array_equal(got, gathered_entropies(belief, cache, 16, seed))
 
     def test_support_block_matches_full_registry(self):
@@ -191,7 +191,7 @@ class TestExpectedInformationGain:
         assert list(cache.support) == [1, 2, 4]
         # zero mass on f2 (in the support) and on f4 (outside it)
         belief = Belief(np.array([0.2, 0.0, 0.3, 0.0, 0.4, 0.1]))
-        got = _sampled_entropies(belief, cache, CFG, 16, np.random.default_rng(8))
+        got = _posterior_entropies(belief, [cache], CFG, 16, [np.random.default_rng(8)])[0]
         expected, succ = full_registry_entropies(belief, dbs["s1"], fpfs["s1"], 16, 8)
         assert succ.any() and not succ.all()
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -204,7 +204,7 @@ class TestExpectedInformationGain:
         assert list(dbs["s2"].support) == [0]
         assert np.array_equal(cache.grid.exec_mean[:, :, 1], np.zeros((8, 4)))
         belief = Belief(np.array([0.1, 0.2, 0.3, 0.4]))
-        got = _sampled_entropies(belief, cache, CFG, 8, np.random.default_rng(2))
+        got = _posterior_entropies(belief, [cache], CFG, 8, [np.random.default_rng(2)])[0]
         expected, _ = full_registry_entropies(belief, dbs["s2"], fpfs["s1"], 8, 2)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -697,8 +697,8 @@ class TestSkillGroups:
         for skill, block, stream in zip(skills, blocks,
                                         np.random.default_rng(11).spawn(len(skills))):
             alone = SkillCache(dbs[skill], fit_fpf(dbs[skill], CFG), CFG)
-            assert _bits(block) == _bits(_sampled_entropies(belief, alone, CFG, 5, stream)), \
-                skill
+            assert _bits(block) == _bits(
+                _posterior_entropies(belief, [alone], CFG, 5, [stream])[0]), skill
 
     def test_group_peak_is_what_it_keeps_plus_one_group_stack(self):
         # four skills of fig3's widest shape at T = 400 form one group; beside

@@ -13,7 +13,8 @@ with the parent tree's ``perfbench/gen.py``. Then runs, on both trees:
   T = 1,600, where each skill's counts stack is largest;
 - ``localize --seed 1`` over the wide-registry study;
 - ``train-mom --epochs 60 --seed 1`` followed by ``eval-mom`` on the
-  sensor-model databases.
+  sensor-model databases;
+- ``report`` on the long-horizon and the wide-registry ``trace.json``.
 
 Each command runs in a fresh interpreter on its tree's ``src``. Both sides
 write under output directories of the same relative names, so no file names
@@ -51,7 +52,8 @@ def _commands(inputs: str) -> list[list[str]]:
     """The command lines to run on each side, in order, with output paths
     relative to the side's working directory; ``inputs`` holds one directory
     per workload, as ``perfbench/gen.py --dir`` fills it, and the long-horizon
-    scenario at ``LONG_T`` (see ``_long_scenario``)."""
+    scenario at ``LONG_T`` (see ``_long_scenario``). Each ``report`` reads a
+    trace that an earlier command wrote."""
     def given(workload: str, name: str) -> str:
         return os.path.join(inputs, workload, "inputs", name)
 
@@ -67,7 +69,9 @@ def _commands(inputs: str) -> list[list[str]]:
                ["train-mom", "--db", given("sensor-model", "train_db"), "--out", model,
                 "--epochs", str(SENSOR_EPOCHS), "--seed", "1"],
                ["eval-mom", "--model", model, "--db", given("sensor-model", "probe_db"),
-                "--out", "sensor-model-eval"]])
+                "--out", "sensor-model-eval"]]
+            + [["report", "--trace", os.path.join(traced, "trace.json"),
+                "--out", f"{traced}-report"] for traced in ("long-horizon", "wide-registry")])
 
 
 def _long_scenario(inputs: str) -> None:
