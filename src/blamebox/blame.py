@@ -37,7 +37,7 @@ _NORM_TOL = 1e-9
 _COVERAGE = 0.99
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Belief:
     """Normalized blame probabilities, aligned with the function registry."""
 

@@ -87,12 +87,13 @@ def _cmd_eval_mom(args) -> int:
 
 def _cmd_localize(args) -> int:
     study = load_study(args.study)
-    # a study whose runs the loop cannot replay is named by its manifest
+    planner = PlannerConfig(seed=args.seed)
+    # a study whose runs the loop cannot replay, or whose dt no blame window
+    # fits, is named by its manifest
     with _naming(os.path.join(args.study, "manifest.json"), StoreError):
         if not study.replay:
             raise ValidationError(f"study {args.study} holds no recorded executions to replay")
         blame = BlameConfig.for_sampling(study.dt)
-        planner = PlannerConfig(seed=args.seed)
         _, trace = run_testing_loop(ReplayExecutor(study.replay), study.dbs, None, planner,
                                     blame)
     write_loop_report(args.out, "localize", trace, study.registry.names,

@@ -10,8 +10,8 @@ only. Building, checking, canonicalizing and gathering fingerprints, and a
 database's support, cost O(called functions x T) and allocate no F x T
 matrix; ``Fingerprint.counts`` builds the dense matrix for a caller that
 asks for it. Runs are built and checked per batch: :meth:`Fingerprint.batch`
-checks every run of a database in a few array operations over their
-concatenated rows, and :meth:`ExperienceDb.counts_stack` stacks them with one
+checks many runs of one T (the store passes every such run of a study) in
+a few array operations over their concatenated rows, and :meth:`ExperienceDb.counts_stack` stacks them with one
 assignment per run. A batch that fails those whole-array tests is named by its
 first bad row's run, which is checked alone by the rules of a batch of one.
 
@@ -93,7 +93,7 @@ class FunctionRegistry:
         return len(self.names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorSeries:
     """One execution's sensor record: rows are channels, columns timesteps."""
 
@@ -188,7 +188,7 @@ def _check_run(idx: np.ndarray, values, F: int) -> None:
                               f"timestep {t}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Fingerprint:
     """Call profile of one run: how many executions of each function were
     active during each timestep. Counts are kept real-valued so synthetic
@@ -248,7 +248,9 @@ class Fingerprint:
         idx, starts = _index_column(rows, sizes)
         bad = _bad_indices(idx, F, starts)
         counted = idx.size == values.shape[0]
-        if counted and not (np.isfinite(values).all() and (values >= 0).all()):
+        # min and max carry a NaN through, so two reductions that allocate no
+        # temporary test that every count is finite and >= 0
+        if counted and values.size and not (values.min() >= 0 and values.max() < np.inf):
             bad |= ~np.isfinite(values).all(axis=1) | (values < 0).any(axis=1)
         if bad.any():   # the first bad row's run is the first bad run
             k = int(np.searchsorted(starts, np.argmax(bad), "right")) - 1
@@ -300,7 +302,7 @@ class Fingerprint:
         return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """Everything recorded for one skill execution. ``sensors`` is None for a
     fingerprint-only run. ``t_fail`` is the failure time its executor
@@ -325,7 +327,7 @@ class Observation:
                 raise ValidationError(f"failure time t_fail={self.t_fail} is negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperienceDb:
     """Per-skill store of positive (successful) executions.
 

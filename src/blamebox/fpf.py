@@ -80,7 +80,7 @@ class BlameConfig:
         return cls(alpha=math.log(10.0) / w, window_steps=w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpfModel:
     """Per-cell Gaussian fit of call counts across a skill's experiences, held
     on its support: row r of ``mean`` and ``var`` (|support| x T) is the fit of
@@ -182,8 +182,9 @@ def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
     last prefix to its row j (one step per block). The subtraction runs from
     the end in slices of max(W, B) rows, whose sources are still prefixes.
     That is about 3*sqrt(T) array steps. Every product goes to one scratch
-    buffer of the largest slice a step reads, and numpy's ufunc buffer for
-    the strided operands is capped, so nothing else of that size is made.
+    buffer of the largest slice a step reads, and the caller caps numpy's
+    ufunc buffer for the strided operands (``_grid`` does, once for its three
+    calls), so nothing else of that size is made.
     Only powers r**k <= 1 multiply the data, so nothing can overflow
     and no scaling is needed: r = 0, r**k underflowing to 0, W >= T and T = 1
     need no special case. With r = 1 every weight is exactly 1, so a window
@@ -192,25 +193,21 @@ def _window_sums(y: np.ndarray, r: float, W: int) -> np.ndarray:
     T = y.shape[0]
     B = max(1, math.ceil(math.sqrt(T)))
     scratch = np.empty((max(B, min(W, T - W)),) + y.shape[1:])
-    old = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        for j in range(1, B):
-            row = y[j::B]
-            row += np.multiply(y[j - 1::B][:len(row)], r, out=scratch[:len(row)])
-        decay = (r ** np.arange(1.0, B + 1.0)).reshape((B,) + (1,) * (y.ndim - 1))
-        for start in range(B, T, B):
-            block = y[start:start + B]
-            block += np.multiply(decay[:len(block)], y[start - 1], out=scratch[:len(block)])
-        step, rW = max(W, B), r ** W
-        for end in range(T, W, -step):   # backwards: rows below ``end`` still hold P
-            start = max(W, end - step)
-            y[start:end] -= np.multiply(y[start - W:end - W], rW, out=scratch[:end - start])
-    finally:
-        np.setbufsize(old)
+    for j in range(1, B):
+        row = y[j::B]
+        row += np.multiply(y[j - 1::B][:len(row)], r, out=scratch[:len(row)])
+    decay = (r ** np.arange(1.0, B + 1.0)).reshape((B,) + (1,) * (y.ndim - 1))
+    for start in range(B, T, B):
+        block = y[start:start + B]
+        block += np.multiply(decay[:len(block)], y[start - 1], out=scratch[:len(block)])
+    step, rW = max(W, B), r ** W
+    for end in range(T, W, -step):   # backwards: rows below ``end`` still hold P
+        start = max(W, end - step)
+        y[start:end] -= np.multiply(y[start - W:end - W], rW, out=scratch[:end - start])
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviationGrid:
     """Window statistics for every failure time, stored time-major so that
     gathering failure times reads contiguous rows.
@@ -258,14 +255,18 @@ def _grid(mean, var, counts, config: BlameConfig) -> DeviationGrid:
             x[:, k, :n], x[:, k, n] = c.transpose(2, 0, 1), m.T
 
     fill()
-    active = (_window_sums(x, 1.0, W) > 1e-9).reshape(T * K, n + 1, R)
-    fill()
-    _window_sums(x, r, W)
-    v = np.stack([m.T for m in var], axis=1)
+    old = np.setbufsize(_UFUNC_BUFFER)   # the kernel's strided operands need the cap
+    try:
+        active = (_window_sums(x, 1.0, W) > 1e-9).reshape(T * K, n + 1, R)
+        fill()
+        _window_sums(x, r, W)
+        v = _window_sums(np.stack([m.T for m in var], axis=1), r * r, W)
+    finally:
+        np.setbufsize(old)
     n_w = np.minimum(np.arange(1.0, T + 1.0), W)[:, None]
     x /= n_w[:, :, None, None]
     x = x.reshape(T * K, n + 1, R)
-    v = _window_sums(v, r * r, W) / (n_w * n_w)[:, :, None]
+    v = v / (n_w * n_w)[:, :, None]
     return DeviationGrid(mean=x[:, n], var=v.reshape(T * K, R), exec_mean=x[:, :n],
                          model_active=active[:, n], exec_active=active[:, :n])
 

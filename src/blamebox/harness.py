@@ -191,7 +191,7 @@ class SensorSynthSpec:
                                   f"found {self.anomaly.channel}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorSuite:
     train: tuple[SensorSeries, ...]
     positive: tuple[SensorSeries, ...]
@@ -423,7 +423,7 @@ def load_scenario(source: str, seed: int | None = None) -> ScenarioConfig:
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioResult:
     config: ScenarioConfig
     registry: FunctionRegistry

@@ -103,7 +103,7 @@ class MomConfig:
             raise ConfigError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomModel:
     """The encoder (``enc_w`` B x D, ``enc_b``), the gates stacked as the
     module docstring lays out, and the normalization box."""
@@ -513,7 +513,7 @@ def train(sequences: Sequence[SensorSeries], config: MomConfig) -> MomModel:
     return replace(model, **params, loss_history=tuple(losses))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorStats:
     """Per-timestep Gaussian fit of reconstruction errors on successes."""
 
@@ -538,7 +538,7 @@ class ErrorStats:
         return self.mu.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomBundle:
     """An observation model and the error statistics fitted alongside it."""
 

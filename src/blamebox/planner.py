@@ -114,7 +114,7 @@ class SkillCache:
 _SkillCache = SkillCache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Group:
     """What a gain evaluation reads of a group of K skills: their grid, skill
     k's failure time t in row t*K + k, success likelihoods (K, n_obs, |S|)
@@ -274,7 +274,7 @@ def select_skill(belief: Belief, caches: Mapping[SkillId, SkillCache],
     return skills[best], estimates[best], dict(zip(skills, estimates))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopStep:
     step: int
     chosen: SkillId
@@ -285,7 +285,7 @@ class LoopStep:
     entropy: float
 
 
-@dataclass
+@dataclass(eq=False)
 class LoopTrace:
     skills: tuple[SkillId, ...]
     steps: list[LoopStep] = field(default_factory=list)

@@ -16,15 +16,16 @@ entry records the run's ``success`` (a boolean), ``t_fail`` (null on a
 success, else null or an integer >= 0), ``T``, ``rows`` and ``D`` (null for
 a run without sensors). A run with neither sensors nor a non-zero count
 stores one all-zero counts row, so a manifest cannot ask for more than its
-files hold. Every entry is checked, these rules included, before any file
-is read; then each file is cut once and each run built once. A file is never
-unpickled, and one whose dtype, ndim or size disagrees with its manifest is
-a :class:`StoreError` naming it. Counts are read straight into the
-row-sparse :class:`Fingerprint`, so loading builds no F x T matrix, and they
-are checked per batch, not per run: each stretch of consecutive runs of one
-T at once. A bad index is a StoreError naming the file, a bad count a
-ValidationError naming it, each for the first bad run. A file's counts are
-checked before its runs' sensors.
+files hold. A database or recording is read as a study of one directory:
+every manifest, the study's first, is checked, these rules included, before
+any array is read; then each file is read once and each run built once. A
+file is never unpickled, and one whose dtype, ndim or size disagrees with
+its manifest is a :class:`StoreError` naming it. Counts go straight into
+the row-sparse :class:`Fingerprint`, so loading builds no F x T matrix, and
+they are checked per batch, not per run: the runs of one T, across every
+file, at once. A bad index is a StoreError naming the file, a bad count a
+ValidationError naming it, each for the first bad run of the first failing
+batch. Every counts file is checked before any sensors file is read.
 
 Studies and ``mom`` models are written at version 1, ``fpf`` models at version
 2: ``support``, ``F``, ``T`` and the |support| x T ``mean`` and ``var``. Every
@@ -51,10 +52,11 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,18 +131,37 @@ def _read_document(path: str, expected_format: str, supported=_VERSION) -> dict:
 
 @contextmanager
 def _naming(path: str, error: type[Exception] = ValidationError):
-    """Report a ValidationError raised inside the block as ``error``, with
-    ``path`` prefixed to its message. A bad function index is a malformed
-    file, not bad data: it is always a StoreError."""
+    """Report a ValidationError raised inside the block as ``error``, and a
+    ConfigError as one, with ``path`` prefixed to its message. A bad function
+    index is a malformed file, not bad data: it is always a StoreError."""
     try:
         yield
-    except ValidationError as exc:
-        raise (StoreError if isinstance(exc, FunctionIndexError) else error)(
+    except (ValidationError, ConfigError) as exc:
+        raise (StoreError if isinstance(exc, FunctionIndexError)
+               else error if isinstance(exc, ValidationError) else ConfigError)(
             f"{path}: {exc}") from exc
 
 
+# what np.save writes before a 1-d little-endian float64 array's data: the
+# magic, version 1.0, the header's length in two bytes, and the header, padded
+# to align the data to 64 bytes (np.load refuses a header past 10,000 bytes)
+_NPY_HEADER = re.compile(rb"\x93NUMPY\x01\x00..\{'descr': '<f8', 'fortran_order': False, "
+                         rb"'shape': \((0|[1-9][0-9]*),\), \} {0,63}\n", re.DOTALL)
+
+
 def _load_matrix(path: str) -> np.ndarray:
-    """The 1-d float64 array of the ``.npy`` file at ``path``, never unpickled."""
+    """The 1-d float64 array of the ``.npy`` file at ``path``, never unpickled.
+
+    A file as np.save writes one, whose header the pattern above matches and
+    whose data holds the values it declares, is read whole and viewed
+    read-only. Any other goes to np.load, which reads it or names its fault
+    as it always has."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    header = _NPY_HEADER.match(raw)
+    if (header and header.end() == 10 + int.from_bytes(raw[8:10], "little")
+            and len(raw) >= header.end() + 8 * int(header[1])):
+        return np.frombuffer(raw, "<f8", int(header[1]), header.end())
     from tokenize import TokenError   # numpy parses the header with tokenize
     with open(path, "rb") as fh:
         try:
@@ -254,20 +275,6 @@ def _gate_stack(params: dict, part: str, its: str) -> np.ndarray:
     return np.stack(arrays)
 
 
-def _fingerprints(path: str, shapes: list[tuple[int, int]], manifest_path: str,
-                  F: int, dt: float) -> list[Fingerprint]:
-    """The fingerprints of the runs of the given (T, rows) that the counts file
-    at ``path`` stores one after another, each run's rows ``index, c_0, ...,
-    c_{T-1}`` as one row-major block. Consecutive runs of one T make one
-    (rows, 1 + T) matrix, checked as one batch."""
-    groups = [(T, [rows for _, rows in runs])
-              for T, runs in itertools.groupby(shapes, key=lambda shape: shape[0])]
-    matrices = _blocks(path, [(sum(sizes), T + 1) for T, sizes in groups], manifest_path)
-    with _naming(path):
-        return [fp for m, (_, sizes) in zip(matrices, groups)
-                for fp in Fingerprint.batch(m[:, 0], m[:, 1:], sizes, F, dt=dt)]
-
-
 # ---------------------------------------------------------------------------
 # Recorded executions and experience databases share one directory layout.
 
@@ -318,24 +325,35 @@ def _save_records(path: str, skill: SkillId, registry: FunctionRegistry,
     })
 
 
-def _load_records(path: str, registry: FunctionRegistry | None = None, listed=None
-                  ) -> tuple[SkillId, int, list[Observation]]:
-    """The skill, the manifest's ``canonical_T`` and the runs of a database
-    directory; with ``registry``, its manifest must list the same functions, and
-    with ``listed``, (the study manifest listing it, skill, dt), that skill and dt.
+class _Listing(NamedTuple):
+    """A checked database or recording manifest: its directory, its path,
+    what it holds and each entry's (T, rows, D, success, t_fail);
+    ``registry`` is built from its own functions when it is read alone."""
 
-    Every entry is checked before any file is read; then each file is cut
-    once, all counts before any sensors, and each run built once."""
+    path: str
+    manifest_path: str
+    skill: SkillId
+    dt: float
+    canonical_T: int
+    registry: FunctionRegistry | None
+    runs: list
+
+
+def _listing(path: str, names: list | None = None, listed=None) -> _Listing:
+    """The checked manifest of the database or recording directory at ``path``;
+    with ``names`` it must list those functions, and with ``listed``, (the
+    study manifest listing it, skill, dt), that skill and dt."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _DB_FORMAT, _DB_VERSION)
     its, entry = f"{manifest_path}: its ", f"{manifest_path}: an entry's "
+    registry = None
     with _interpreting(manifest_path):
-        # with a registry, a list of other values fails the comparison below
-        names = _field(manifest, "functions", _STRINGS if registry is None else _LIST, its)
-        if registry is None:
+        # with names given, a list of other values fails the comparison below
+        functions = _field(manifest, "functions", _STRINGS if names is None else _LIST, its)
+        if names is None:
             with _naming(manifest_path, StoreError):
-                registry = FunctionRegistry(names)
-        elif names != list(registry.names):
+                registry = FunctionRegistry(functions)
+        elif functions != names:
             raise StoreError(f"{manifest_path}: lists other functions than expected")
         # a listed skill is compared with the listing's, which names both files
         skill = manifest.get("skill") if listed else _field(manifest, "skill", _STRING, its)
@@ -344,29 +362,86 @@ def _load_records(path: str, registry: FunctionRegistry | None = None, listed=No
             raise StoreError(f"{manifest_path}: holds skill {skill!r} at dt={dt}, but "
                              f"{listed[0]} lists it for skill {listed[1]!r} at dt={listed[2]}")
         canonical_T = _field(manifest, "canonical_T", _NATURAL, its)
-        entries, shapes = _objects(manifest, "observations", its), []
-        for e in entries:
+        runs = []
+        for e in _objects(manifest, "observations", its):
             success = _field(e, "success", _BOOL, entry)
-            _field(e, "t_fail", _T_FAIL[success], entry)
+            t_fail = _field(e, "t_fail", _T_FAIL[success], entry)
             D = _field(e, "D", _SENSED, entry)
             # a run without sensors needs a counts row, so values back each T
-            shapes.append((_field(e, "T", _COUNT, entry),
-                           _field(e, "rows", _COUNT if D is None else _NATURAL, entry), D))
-        counts_file, sensors_file = (os.path.join(path, name)
-                                     for name in ("counts.npy", "sensors.npy"))
-        fingerprints = _fingerprints(counts_file, [(T, rows) for T, rows, _ in shapes],
-                                     manifest_path, registry.F, dt)
-        sensed = [(D, T) for T, _, D in shapes if D is not None]
-        blocks = iter(_blocks(sensors_file, sensed, manifest_path) if sensed else ())
+            runs.append((_field(e, "T", _COUNT, entry),
+                         _field(e, "rows", _COUNT if D is None else _NATURAL, entry), D,
+                         success, t_fail))
+    return _Listing(path, manifest_path, skill, dt, canonical_T, registry, runs)
+
+
+def _load_runs(listings: list[_Listing], registry: FunctionRegistry,
+               dt: float) -> list[list[Observation]]:
+    """The runs of each checked listing, all over ``registry`` at ``dt``.
+
+    Each counts file is read once, and each stretch of its consecutive runs
+    of one T is copied into its rows of that T's index column and (rows, T)
+    values buffer, both sized from the manifests. The runs of each T are
+    then checked as one batch, the lengths in the order they first appear;
+    a failing batch names the file of its first bad run. Then each sensors
+    file is read once and each run built once."""
+    counts = [os.path.join(listing.path, "counts.npy") for listing in listings]
+    stretches, rows = [], {}   # per file: (T, run sizes, first row); per T: rows
+    for listing in listings:
+        stretches.append([])
+        for T, group in itertools.groupby(listing.runs, key=lambda run: run[0]):
+            sizes = [n for _, n, *_ in group]
+            stretches[-1].append((T, sizes, rows.get(T, 0)))
+            rows[T] = rows.get(T, 0) + sum(sizes)
+    blocks = [[(sum(sizes), T + 1) for T, sizes, _ in parts] for parts in stretches]
+    for path, listing, shapes in zip(counts, listings, blocks):
+        # a file too short for the blocks its manifest lists is named before
+        # they size a buffer: reading it raises its fault
+        if os.path.getsize(path) < 8 * sum(n * cols for n, cols in shapes):
+            _blocks(path, shapes, listing.manifest_path)
+    buffers = {T: (np.empty(n), np.empty((n, T))) for T, n in rows.items()}
+    for path, listing, parts, shapes in zip(counts, listings, stretches, blocks):
+        for (T, _, a), block in zip(parts, _blocks(path, shapes, listing.manifest_path)):
+            column, values = buffers[T]
+            column[a:a + len(block)], values[a:a + len(block)] = block[:, 0], block[:, 1:]
+    fingerprints = {}
+    for T, (column, values) in buffers.items():
+        pieces = [(path, a, sizes) for path, parts in zip(counts, stretches)
+                  for t, sizes, a in parts if t == T]
+        try:
+            fingerprints[T] = iter(Fingerprint.batch(
+                column, values, [n for *_, sizes in pieces for n in sizes], registry.F, dt))
+        except ValidationError:
+            # the first piece that fails alone holds the batch's first bad run
+            for path, a, sizes in pieces:
+                with _naming(path):
+                    Fingerprint.batch(column[a:a + sum(sizes)], values[a:a + sum(sizes)],
+                                      sizes, registry.F, dt)
+            raise
+    loaded = []
+    for path, listing in zip(counts, listings):
+        sensors_file = os.path.join(listing.path, "sensors.npy")
+        shapes = [(D, T) for T, _, D, *_ in listing.runs if D is not None]
+        data = iter(_blocks(sensors_file, shapes, listing.manifest_path) if shapes else ())
         with _naming(sensors_file):
-            sensors = [None if D is None else SensorSeries(next(blocks), dt=dt)
-                       for _, _, D in shapes]
-        with _naming(counts_file):
-            records = [validate_observation(Observation(
-                sensors=series, fingerprint=fingerprint, success=e["success"], skill=skill,
-                t_fail=e["t_fail"]), registry)
-                for e, series, fingerprint in zip(entries, sensors, fingerprints)]
-    return skill, canonical_T, records
+            sensors = [None if D is None else SensorSeries(next(data), dt=dt)
+                       for _, _, D, *_ in listing.runs]
+        with _naming(path):
+            loaded.append([validate_observation(Observation(
+                sensors=series, fingerprint=next(fingerprints[T]), success=success,
+                skill=listing.skill, t_fail=t_fail), registry)
+                for series, (T, _, _, success, t_fail) in zip(sensors, listing.runs)])
+    return loaded
+
+
+def _database(listing: _Listing, records: list[Observation]) -> ExperienceDb:
+    """The database of a listing's runs; its ``canonical_T`` must be the one
+    the runs give."""
+    with _naming(listing.manifest_path):
+        db = ExperienceDb(listing.skill, records)
+    if db.canonical_T != listing.canonical_T:
+        raise StoreError(f"{listing.manifest_path}: canonical_T is "
+                         f"{listing.canonical_T}, but its runs give {db.canonical_T}")
+    return db
 
 
 def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
@@ -374,18 +449,11 @@ def save_db(db: ExperienceDb, path: str, registry: FunctionRegistry) -> None:
                   db.observations[0].fingerprint.dt)
 
 
-def load_db(path: str, registry: FunctionRegistry | None = None, listed=None) -> ExperienceDb:
-    """Load and validate an experience database (successful runs only); with
-    ``registry`` and ``listed``, as :func:`_load_records` checks them. The
-    manifest's ``canonical_T`` must be the one the runs give."""
-    skill, canonical_T, records = _load_records(path, registry, listed)
-    manifest_path = os.path.join(path, "manifest.json")
-    with _naming(manifest_path):
-        db = ExperienceDb(skill, records)
-    if db.canonical_T != canonical_T:
-        raise StoreError(f"{manifest_path}: canonical_T is "
-                         f"{canonical_T}, but its runs give {db.canonical_T}")
-    return db
+def load_db(path: str) -> ExperienceDb:
+    """Load and validate an experience database (successful runs only), as a
+    study of this one directory."""
+    listing = _listing(path)
+    return _database(listing, _load_runs([listing], listing.registry, listing.dt)[0])
 
 
 def save_recorded(records: Sequence[Observation], path: str, skill: SkillId,
@@ -394,11 +462,11 @@ def save_recorded(records: Sequence[Observation], path: str, skill: SkillId,
     _save_records(path, skill, registry, records, dt)
 
 
-def load_recorded(path: str, registry: FunctionRegistry | None = None,
-                  listed=None) -> list[Observation]:
-    """Load recorded executions; with ``registry`` and ``listed``, as
-    :func:`_load_records` checks them. Their ``canonical_T`` is not checked."""
-    return _load_records(path, registry, listed)[2]
+def load_recorded(path: str) -> list[Observation]:
+    """Load recorded executions, as a study of this one directory. Their
+    ``canonical_T`` is not checked."""
+    listing = _listing(path)
+    return _load_runs([listing], listing.registry, listing.dt)[0]
 
 
 class ReplayExecutor:
@@ -490,7 +558,7 @@ def load_model(path: str, expect: str | None = None):
 # Studies: a directory bundling registry, per-skill databases, and optional
 # recorded executions for replay.
 
-@dataclass
+@dataclass(eq=False)
 class Study:
     """A loaded study; ``dbs`` is in the manifest's skill order."""
 
@@ -526,7 +594,9 @@ def save_study(path: str, registry: FunctionRegistry,
 
 
 def load_study(path: str) -> Study:
-    """Load a study; every db and replay manifest must hold the study's ``dt``."""
+    """Load a study; every db and replay manifest must hold the study's
+    ``dt`` and functions. Every manifest is checked, the study's first, before
+    any array is read."""
     manifest_path = os.path.join(path, "manifest.json")
     manifest = _read_document(manifest_path, _STUDY_FORMAT)
     its = f"{manifest_path}: its "
@@ -541,10 +611,14 @@ def load_study(path: str) -> Study:
             rel = listed.get(skill)
             if rel is None:
                 raise StoreError(f"{manifest_path}: no database listed for skill {skill!r}")
-            dbs[skill] = load_db(_inside(manifest_path, rel), registry, (manifest_path, skill, dt))
+            dbs[skill] = _inside(manifest_path, rel)
         recorded = _field(manifest, "replay", _OBJECT, its) if "replay" in manifest else {}
-        replay = {skill: load_recorded(_inside(manifest_path, rel), registry,
-                                       (manifest_path, skill, dt))
-                  for skill, rel in recorded.items()}
-        return Study(registry=registry, dbs=dbs, dt=dt, replay=replay)
-
+        replay = {skill: _inside(manifest_path, rel) for skill, rel in recorded.items()}
+        names = list(registry.names)
+        listings = [_listing(directory, names, (manifest_path, skill, dt))
+                    for skill, directory in [*dbs.items(), *replay.items()]]
+        runs = _load_runs(listings, registry, dt)
+        return Study(registry=registry, dt=dt,
+                     dbs={skill: _database(listing, records) for skill, listing, records
+                          in zip(dbs, listings, runs)},
+                     replay=dict(zip(replay, runs[len(dbs):])))

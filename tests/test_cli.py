@@ -88,7 +88,7 @@ class TestSimulate:
             "db_size": 5, "T": 12, "dt": 1e-320}))
         out = tmp_path / "o"
         assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {TINY_DT_ERROR}\n"
+        assert capsys.readouterr().err == f"error: scenario file {str(path)!r}: {TINY_DT_ERROR}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("exc,line", [
@@ -268,7 +268,8 @@ class TestLocalize:
                    dt=1e-320, replay={"s1": [simulate_execution(spec, world, rng)]})
         out = tmp_path / "o"
         assert main(["localize", "--study", str(tmp_path / "study"), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {TINY_DT_ERROR}\n"
+        manifest = tmp_path / "study" / "manifest.json"
+        assert capsys.readouterr().err == f"error: {manifest}: {TINY_DT_ERROR}\n"
         assert not out.exists()
 
     def test_study_without_replay_fails_cleanly(self, tmp_path, capsys):

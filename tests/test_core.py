@@ -484,3 +484,36 @@ class TestBatch:
         stack = db.counts_stack(rows)
         assert stack.shape == (4, len(rows), 6)
         assert np.array_equal(stack, np.stack(counts)[:, rows])
+
+
+def one_record_of_each_kind() -> list:
+    """A record of every kind that holds arrays, directly or through another."""
+    from blamebox import (BlameConfig, ErrorStats, MomBundle, MomConfig, SensorSynthSpec,
+                          Study, built_in_scenario, fit_fpf, gen_sensor_suite, init_model,
+                          run_scenario)
+    from blamebox.fpf import deviation_grid
+    from blamebox.planner import SkillCache
+    obs, cfg = make_obs(), BlameConfig()
+    db = ExperienceDb("s", [obs])
+    model = fit_fpf(db, cfg)
+    mom = init_model(4, MomConfig(bottleneck=2))
+    stats = ErrorStats(mu=np.zeros(4), sigma=np.ones(4))
+    result = run_scenario(built_in_scenario("fig3", seed=1))
+    return [result.belief, obs.sensors, obs.fingerprint, obs, db, model,
+            deviation_grid(model, db.counts_stack(model.support), cfg), mom, stats,
+            MomBundle(model=mom, error_stats=stats),
+            gen_sensor_suite(SensorSynthSpec(), 1, 1, 1, np.random.default_rng(0)),
+            SkillCache(db, model, cfg)._group, result.trace.steps[0], result.trace, result,
+            Study(registry=FunctionRegistry(["a", "b", "c"]), dbs={"s": db}, dt=0.1,
+                  replay={})]
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # value equality would compare arrays, which has no truth value
+    import copy
+    records = one_record_of_each_kind()
+    assert len({type(r) for r in records}) == len(records) == 16
+    for r in records:
+        twin = copy.copy(r)
+        assert r == r and r != twin, type(r).__name__
+        assert hash(r) == hash(r) and len({r, twin}) == 2, type(r).__name__

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from blamebox import (BlameConfig, ConfigError, ExperienceDb, Fingerprint, FunctionRegistry,
                       Observation, ValidationError, deviation_mass, fit_fpf)
 from blamebox import fpf
+from blamebox.core import _UFUNC_BUFFER
 from blamebox.fpf import (DeviationGrid, FpfModel, _grid, _mass, _window_sums, deviation_at,
                           deviation_grid)
 from blamebox.planner import _loop_caches
@@ -458,12 +459,13 @@ class TestWindowKernelScratch:
     def test_scratch_is_one_subtraction_slice(self, shape, W):
         # beside its input the kernel holds one slice of the subtraction
         # (at most max(W, B) rows, and no more than T - W of them) and
-        # numpy's capped ufunc buffers
+        # numpy's ufunc buffers, capped as _grid caps them
         import tracemalloc
         T = shape[0]
         B = math.ceil(math.sqrt(T))
         y = np.random.default_rng(0).uniform(0, 3, shape)
         slice_bytes = min(max(W, B), T - W) * y[0].nbytes
+        old = np.setbufsize(_UFUNC_BUFFER)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -471,11 +473,18 @@ class TestWindowKernelScratch:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+            np.setbufsize(old)
         assert peak <= slice_bytes + 16 * 1024
 
-    def test_ufunc_buffer_is_restored(self):
+    def test_ufunc_buffer_is_restored(self, monkeypatch):
+        # _grid caps the buffer once around its three kernel calls
+        sizes, kernel = [], fpf._window_sums
+        monkeypatch.setattr(fpf, "_window_sums",
+                            lambda y, r, W: sizes.append(np.getbufsize()) or kernel(y, r, W))
         before = np.getbufsize()
-        _window_sums(np.ones((50, 3, 2)), 0.5, 4)
+        model = np.ones((2, 50))
+        _grid([model], [model], [np.ones((3, 2, 50))], BlameConfig(window_steps=4))
+        assert sizes == [_UFUNC_BUFFER] * 3
         assert np.getbufsize() == before
 
 

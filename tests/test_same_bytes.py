@@ -17,7 +17,8 @@ def test_runs_every_built_in_scenario_and_workload():
                  if argv[0] == "simulate" and argv[2] in BUILT_IN_SCENARIOS]
     assert simulated == [(name, str(seed)) for name in BUILT_IN_SCENARIOS for seed in (1, 2, 3)]
     assert [argv[0] for argv in commands[len(simulated):]] == [
-        "simulate", "simulate", "localize", "train-mom", "eval-mom", "report", "report"]
+        "simulate", "simulate", "localize", "localize", "train-mom", "eval-mom", "report",
+        "report"]
     assert commands[len(simulated) + 1][2].endswith(f"long-horizon-T{same_bytes.LONG_T}.json")
     # each report reads the trace that the long-horizon simulate or the
     # wide-registry localize wrote before it
@@ -27,6 +28,8 @@ def test_runs_every_built_in_scenario_and_workload():
         written = [argv[argv.index("--out") + 1] for argv in commands[:i]]
         assert os.path.dirname(commands[i][2]) in written
     assert same_bytes.LONG_T == 1600
+    # the second localize reads the study that the script writes itself
+    assert commands[len(simulated) + 3][2] == os.path.join("inputs", same_bytes.MIXED_STUDY)
     # every output lands under the side's working directory
     outs = [argv[argv.index("--out") + 1] for argv in commands]
     assert len(set(outs)) == len(outs) and not any(os.path.isabs(o) for o in outs)

@@ -235,6 +235,15 @@ def _pickled(path):
     path.write_bytes(pickle.dumps(np.load(path)))
 
 
+def _oversized_header(path):
+    """Pad the header past the 10,000 bytes that np.load reads."""
+    data = np.load(path)
+    header = (f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({data.size},), }}"
+              + " " * 20000 + "\n").encode()
+    path.write_bytes(b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+                     + data.tobytes())
+
+
 # rewrites of a version-3 data file, none of which leaves a readable float64
 # array of the manifest's size
 MALFORMED_NPY = {
@@ -253,6 +262,7 @@ MALFORMED_NPY = {
     "shape-past-memory": lambda path: _claim_values(path, 2 ** 40),
     "npz-archive": lambda path: _save_npy(path, np.load(path), archive=True),
     "csv-text": lambda path: np.savetxt(path, np.load(path)[None, :], delimiter=","),
+    "oversized-header": _oversized_header,
 }
 
 
@@ -380,8 +390,8 @@ class TestMalformedVersion3:
             load_db(str(tmp_path / "db"))
 
     @pytest.mark.parametrize("key,value,named", [
-        ("rows", 3, "counts.npy"), ("T", 13, "counts.npy"), ("D", 3, "sensors.npy"),
-        ("D", None, "sensors.npy")])
+        ("rows", 3, "counts.npy"), ("rows", 10 ** 15, "counts.npy"), ("T", 13, "counts.npy"),
+        ("D", 3, "sensors.npy"), ("D", None, "sensors.npy")])
     def test_entry_that_does_not_fit_its_file(self, tmp_path, key, value, named):
         save_db(small_db(), str(tmp_path / "db"), REG)
         manifest_path = tmp_path / "db" / "manifest.json"
@@ -612,6 +622,88 @@ class TestCountsFormat:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match=re.escape(
                 f"{manifest_path}: skill 's1' is listed more than once")):
+            load_study(str(tmp_path / "study"))
+
+
+def two_length_study(path):
+    """Save a study of two databases of T = 12 runs with sensors and a
+    recording of runs of T = 12 and 9, two of them with sensors."""
+    dbs = {"s1": small_db(seed=0, skill="s1"), "s2": small_db(seed=1, skill="s2")}
+    save_study(str(path), REG, dbs, dt=0.1, replay={"s1": mixed_records(Ts=(12, 9, 9, 12))})
+
+
+class TestStudyBatch:
+    def test_study_loads_the_runs_each_directory_loads_alone(self, tmp_path):
+        study_path = tmp_path / "study"
+        two_length_study(study_path)
+        study = load_study(str(study_path))
+        for skill, db in study.dbs.items():
+            alone = load_db(str(study_path / "dbs" / skill))
+            assert (db.skill, db.canonical_T) == (alone.skill, alone.canonical_T)
+            assert_same_runs(db.observations, alone.observations)
+        assert_same_runs(study.replay["s1"], load_recorded(str(study_path / "replay" / "s1")))
+        runs = [o for db in study.dbs.values() for o in db.observations] + study.replay["s1"]
+        assert {o.fingerprint.T for o in runs} == {9, 12}
+        assert {o.sensors is None for o in study.replay["s1"]} == {True, False}
+        for o in runs:
+            arrays = [o.fingerprint.rows, o.fingerprint.values]
+            arrays += [] if o.sensors is None else [o.sensors.data]
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_one_batch_per_run_length_and_no_header_evaluated(self, tmp_path, monkeypatch):
+        import ast
+        two_length_study(tmp_path / "study")
+        lengths, batch = [], Fingerprint.batch.__func__
+
+        def counting(cls, rows, values, sizes, F, dt=1.0):
+            lengths.append(values.shape[1])
+            return batch(cls, rows, values, sizes, F, dt)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a header was evaluated")
+
+        monkeypatch.setattr(Fingerprint, "batch", classmethod(counting))
+        monkeypatch.setattr(ast, "literal_eval", refuse)
+        load_study(str(tmp_path / "study"))
+        assert sorted(lengths) == [9, 12]
+
+    def test_manifest_fault_reported_before_a_bad_counts_file(self, tmp_path):
+        two_length_study(tmp_path / "study")
+        first = tmp_path / "study" / "dbs" / "s1" / "counts.npy"
+        counts = np.load(first)
+        counts[1] = np.nan
+        np.save(first, counts)
+        manifest_path = tmp_path / "study" / "dbs" / "s2" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["observations"][1]["T"] = 0
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=re.escape(
+                f"{manifest_path}: an entry's 'T' must be an integer >= 1, found 0")):
+            load_study(str(tmp_path / "study"))
+
+    @pytest.mark.parametrize("where,k", [(("dbs", "s2"), 2), (("replay", "s1"), 1),
+                                         (("replay", "s1"), 3)])
+    @pytest.mark.parametrize("defect", ["nan-count", "index-past-F"])
+    def test_bad_run_in_a_batch_names_its_file(self, tmp_path, where, k, defect):
+        # the T = 12 batch spans all three counts files, the T = 9 one the recording's
+        two_length_study(tmp_path / "study")
+        directory = tmp_path / "study" / os.path.join(*where)
+        (row, col, value), error, text = TestCountsFormat.DEFECTS[defect]
+        counts, start, rows, T = run_block(directory, k)
+        assert rows == 2
+        counts[start + row * (T + 1) + col] = value
+        np.save(directory / "counts.npy", counts)
+        with pytest.raises(error) as raised:
+            load_study(str(tmp_path / "study"))
+        assert type(raised.value) is error
+        assert str(raised.value) == f"{directory / 'counts.npy'}: {text}"
+
+    @pytest.mark.parametrize("rewrite", list(MALFORMED_NPY.values()), ids=list(MALFORMED_NPY))
+    def test_malformed_file_in_a_study_names_it(self, tmp_path, rewrite):
+        two_length_study(tmp_path / "study")
+        path = tmp_path / "study" / "replay" / "s1" / "counts.npy"
+        rewrite(path)
+        with pytest.raises(StoreError, match=re.escape(str(path))):
             load_study(str(tmp_path / "study"))
 
 

@@ -11,14 +11,17 @@ with the parent tree's ``perfbench/gen.py``. Then runs, on both trees:
 - ``simulate`` for every built-in scenario at seeds 1, 2 and 3;
 - ``simulate`` of the long-horizon scenario, and of the same scenario at
   T = 1,600, where each skill's counts stack is largest;
-- ``localize --seed 1`` over the wide-registry study;
+- ``localize --seed 1`` over the wide-registry study, and over a small
+  study that the script writes with ``save_study`` (see ``_MIXED_STUDY``),
+  whose runs have two lengths and some carry sensors;
 - ``train-mom --epochs 60 --seed 1`` followed by ``eval-mom`` on the
   sensor-model databases;
 - ``report`` on the long-horizon and the wide-registry ``trace.json``.
 
-Each command runs in a fresh interpreter on its tree's ``src``. Both sides
-write under output directories of the same relative names, so no file names
-the side that wrote it. The script lists every output file whose bytes
+The small study is written once, on the parent tree. Each command runs in
+a fresh interpreter on its tree's ``src``. Both sides write under output
+directories of the same relative names, so no file names the side that
+wrote it. The script lists every output file whose bytes
 differ or that only one side wrote, and exits 1 if there is any (or if a
 command fails). Only the standard library is used, besides the checkout's
 own list of built-in scenarios.
@@ -46,13 +49,44 @@ WORKLOADS = ("long-horizon", "wide-registry", "sensor-model")
 SENSOR_EPOCHS = 60
 LONG_T = 1600
 _MAIN = "import sys; from blamebox.cli import main; sys.exit(main(sys.argv[1:]))"
+MIXED_STUDY = "mixed-study"
+# Writes a study at argv[1]: four skills over 60 functions, the bug in a
+# function two of them run; databases of T = 40 runs and recordings of runs
+# of T = 40 and 28, every third run of each with three sensor channels. The
+# wide-registry study has one T and no sensors, so this one reaches the
+# store's batching by run length and its sensors branch.
+_MIXED_STUDY = """
+import sys
+from dataclasses import replace
+import numpy as np
+from blamebox import ExperienceDb, FunctionRegistry, SensorSeries, save_study
+from blamebox.harness import SimSkillSpec, SimWorld, build_database, simulate_execution
+
+def sensed(run, i):
+    data = rng.normal(size=(3, run.fingerprint.T))
+    return replace(run, sensors=SensorSeries(data, dt=0.05)) if i % 3 == 0 else run
+
+rng = np.random.default_rng(1)
+registry = FunctionRegistry([f"fn{i:02d}" for i in range(60)])
+world = SimWorld(registry=registry, buggy_functions=frozenset({"fn07"}))
+used = [("fn07", "fn11", "fn23"), ("fn07", "fn31"), ("fn02", "fn11", "fn44"), ("fn23", "fn50")]
+specs = {f"skill{k}": SimSkillSpec(skill=f"skill{k}", used_functions=fns, T=40, dt=0.05)
+         for k, fns in enumerate(used)}
+dbs = {s: ExperienceDb(s, [sensed(o, i) for i, o in
+                           enumerate(build_database(spec, registry, rng, 8).observations)])
+       for s, spec in specs.items()}
+replay = {s: [sensed(simulate_execution(replace(spec, T=(40, 28)[i % 2]), world, rng), i)
+              for i in range(6)] for s, spec in specs.items()}
+save_study(sys.argv[1], registry, dbs, dt=0.05, replay=replay)
+"""
 
 
 def _commands(inputs: str) -> list[list[str]]:
     """The command lines to run on each side, in order, with output paths
     relative to the side's working directory; ``inputs`` holds one directory
-    per workload, as ``perfbench/gen.py --dir`` fills it, and the long-horizon
-    scenario at ``LONG_T`` (see ``_long_scenario``). Each ``report`` reads a
+    per workload, as ``perfbench/gen.py --dir`` fills it, the long-horizon
+    scenario at ``LONG_T`` (see ``_long_scenario``) and the study
+    ``MIXED_STUDY`` (see ``_MIXED_STUDY``). Each ``report`` reads a
     trace that an earlier command wrote."""
     def given(workload: str, name: str) -> str:
         return os.path.join(inputs, workload, "inputs", name)
@@ -66,6 +100,8 @@ def _commands(inputs: str) -> list[list[str]]:
                 "--out", f"long-horizon-T{LONG_T}"],
                ["localize", "--study", given("wide-registry", "study"), "--out",
                 "wide-registry", "--seed", "1"],
+               ["localize", "--study", os.path.join(inputs, MIXED_STUDY), "--out",
+                MIXED_STUDY, "--seed", "1"],
                ["train-mom", "--db", given("sensor-model", "train_db"), "--out", model,
                 "--epochs", str(SENSOR_EPOCHS), "--seed", "1"],
                ["eval-mom", "--model", model, "--db", given("sensor-model", "probe_db"),
@@ -146,6 +182,8 @@ def main() -> int:
                             "--dir", os.path.join(inputs, workload)],
                            env=_env(trees["parent"]), check=True)
         _long_scenario(inputs)
+        subprocess.run([sys.executable, "-c", _MIXED_STUDY, os.path.join(inputs, MIXED_STUDY)],
+                       env=_env(trees["parent"]), check=True)
         commands = _commands(inputs)
         outputs = {}
         for side, tree in trees.items():
